@@ -314,7 +314,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--nmin", required=True)
     sp.add_argument("--nmax", required=True)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--workers", type=int, default=1)
+    sp.add_argument("--workers", type=int, default=1,
+                    help="number of Monte Carlo RNG substreams; the "
+                         "substreams run one after another, not in parallel")
     sp.add_argument("--samples", type=int, default=10 ** 6)
     add_common(sp)
     sp.set_defaults(func=cmd_count)

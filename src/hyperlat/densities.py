@@ -17,7 +17,7 @@ import mpmath
 import numpy as np
 
 from .fqm import discriminant_group
-from .lattices import IntegerLattice
+from .lattices import IntegerLattice, _prime_factors
 
 ENUMERATION_GUARD = 10 ** 8
 _DIRECT_LIMIT = 10 ** 7          # direct product enumeration below this
@@ -62,21 +62,6 @@ def small_primes(bound: int):
         if sieve[i]:
             sieve[i * i::i] = b"\x00" * len(sieve[i * i::i])
     return [i for i in range(2, bound + 1) if sieve[i]]
-
-
-def _prime_factors(n: int):
-    n = abs(n)
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def _gamma_lift(L: IntegerLattice, gamma):

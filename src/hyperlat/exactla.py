@@ -8,7 +8,7 @@ the lattice constructions; nothing in this module touches floating point.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 
 # ---------------------------------------------------------------------------
@@ -417,38 +417,104 @@ def lll_reduce_gram(g, delta=Fraction(3, 4)):
     """LLL-reduce a positive definite Gram matrix given exactly.
 
     Returns (u, g2) with u unimodular (rows are the new basis in the old
-    coordinates) and g2 = u g u^T the reduced Gram.  Pure Lovasz condition
-    bookkeeping with Fractions; fine at desk scale.
+    coordinates) and g2 = u g u^T the reduced Gram.  Each basis move is
+    applied to the Gram matrix as the matching row and column operation;
+    Fractions throughout, fine at desk scale.
     """
     n = len(g)
     u = identity(n)
-    gg = [[Fraction(x) for x in row] for row in g]
-
-    def gram():
-        return mat_mul(mat_mul(u, gg), transpose(u))
-
-    def project_coeffs(cur):
-        return gram_schmidt_ldl(cur)
-
-    cur = gram()
-    mu, d = project_coeffs(cur)
+    cur = [[Fraction(x) for x in row] for row in g]
+    mu, d = gram_schmidt_ldl(cur)
     k = 1
     while k < n:
-        # size reduction
+        # size reduction: b_k -= r b_j, with r the nearest integer to mu[k][j]
         for j in range(k - 1, -1, -1):
             q = mu[k][j]
-            r = int(q) if q == int(q) else round(float(q))
-            # exact nearest integer
             r = (q.numerator * 2 + q.denominator) // (2 * q.denominator)
             if r:
                 u[k] = [x - r * y for x, y in zip(u[k], u[j])]
-                cur = gram()
-                mu, d = project_coeffs(cur)
+                cur[k] = [x - r * y for x, y in zip(cur[k], cur[j])]
+                for row in cur:
+                    row[k] -= r * row[j]
+                mu[k][j] -= r
+                for i in range(j):
+                    mu[k][i] -= r * mu[j][i]
         if d[k] >= (delta - mu[k][k - 1] ** 2) * d[k - 1]:
             k += 1
         else:
             u[k], u[k - 1] = u[k - 1], u[k]
-            cur = gram()
-            mu, d = project_coeffs(cur)
+            cur[k], cur[k - 1] = cur[k - 1], cur[k]
+            for row in cur:
+                row[k], row[k - 1] = row[k - 1], row[k]
+            mu, d = gram_schmidt_ldl(cur)
             k = max(k - 1, 1)
-    return u, gram()
+    return u, cur
+
+
+class NodeGuardExceeded(ValueError):
+    pass
+
+
+def short_vectors(a, bound, shift=None, guard=None):
+    """Every integer z with (z+shift)^T a (z+shift) <= bound, with that value.
+
+    a is positive definite and rational, shift rational (default zero).
+    Yields (z, value): a tuple of ints and an exact Fraction.  Fincke-Pohst
+    depth-first search on the LLL-reduced form, whose LDL data, shift and
+    bound are put over one common denominator once, so centres, budgets and
+    isqrt ranges are ints; one Fraction is built per distinct value.  Raises
+    NodeGuardExceeded past ``guard`` candidates, counted over all levels.
+    """
+    n = len(a)
+    bound = Fraction(bound)
+    if n == 0:
+        if bound >= 0:
+            yield (), Fraction(0)
+        return
+    shift = [Fraction(x) for x in shift or [0] * n]
+    # reduced coordinates: x = u^T x'; integer z' maps back to z = u^T z'
+    u, a_red = lll_reduce_gram(a)
+    uinv = unimodular_inverse(u)
+    s = [sum(uinv[j][i] * shift[j] for j in range(n)) for i in range(n)]
+    mu, d = gram_schmidt_ldl(a_red)
+    # the centre of level j is const_j - sum_{i>j} mu[i][j] z'_i; scaled by e
+    const = [-s[j] - sum(mu[i][j] * s[i] for i in range(j + 1, n))
+             for j in range(n)]
+    e = lcm(*(x.denominator for x in const),
+            *(mu[i][j].denominator for i in range(n) for j in range(i)))
+    cc = [int(x * e) for x in const]
+    mm = [[int(mu[i][j] * e) for i in range(n)] for j in range(n)]
+    # budgets scaled by e^2 dl: d_j (e z'_j - centre)^2 dl is an int
+    dl = lcm(bound.denominator, *(x.denominator for x in d))
+    dd = [int(x * dl) for x in d]
+    k_scale = e * e * dl
+    top = int(bound * k_scale)
+    if top < 0:
+        return
+    values = {}
+    zr = [0] * n
+    nodes = 0
+
+    def rec(j, budget, acc):
+        # z'_i fixed for i > j; acc = sum_{i>j} z'_i u[i] in old coordinates
+        nonlocal nodes
+        centre = cc[j] - sum(mm[j][i] * zr[i] for i in range(j + 1, n))
+        rad = isqrt(budget // dd[j])
+        lo, hi = -((rad - centre) // e), (centre + rad) // e
+        nodes += max(hi - lo + 1, 0)
+        if guard is not None and nodes > guard:
+            raise NodeGuardExceeded(f"enumeration exceeded {guard} nodes")
+        for z in range(lo, hi + 1):
+            left = budget - dd[j] * (e * z - centre) ** 2
+            row = [x + z * y for x, y in zip(acc, u[j])]
+            if j:
+                zr[j] = z
+                yield from rec(j - 1, left, row)
+            else:
+                value = values.get(top - left)
+                if value is None:
+                    value = values[top - left] = Fraction(top - left, k_scale)
+                yield tuple(row), value
+        zr[j] = 0
+
+    yield from rec(n - 1, top, [0] * n)

@@ -133,12 +133,15 @@ class FiniteQuadraticModule:
         """Residues of a dual vector's class (requires lattice provenance)."""
         if self._class_data is None:
             raise FqmError("module has no lattice backing")
-        u, kept = self._class_data
-        g = [list(r) for r in self.lattice.gram]
-        m = mat_vec(g, [Fraction(x) for x in dual_vector])
+        m = mat_vec(self.lattice.gram, [Fraction(x) for x in dual_vector])
         if any(x.denominator != 1 for x in m):
             raise FqmError("vector is not in the dual lattice")
-        um = mat_vec(u, [int(x) for x in m])
+        return self.class_of_pairings([int(x) for x in m])
+
+    def class_of_pairings(self, m) -> tuple[int, ...]:
+        """Residues of the class of the dual vector y with G y = m (ints)."""
+        u, kept = self._class_data
+        um = mat_vec(u, m)
         return tuple(um[i] % self.invariant_factors[idx]
                      for idx, i in enumerate(kept))
 

@@ -18,11 +18,12 @@ from math import isqrt, lcm
 import numpy as np
 
 from .exactla import (
+    NodeGuardExceeded,
     floor_sqrt_fraction,
     frac_mat_inv,
-    gram_schmidt_ldl,
     int_range_of_quadratic,
     rational_congruent_diagonal,
+    short_vectors,
 )
 from .densities import is_representable, singular_series
 from .lattices import IntegerLattice
@@ -216,7 +217,7 @@ def mu_a0(window: Window, samples: int, seed: int = 0, workers: int = 1):
     sums = []
     sumsqs = []
     counts = []
-    base = max(1, samples // workers)
+    base = samples // workers
     for w in range(workers):
         m = samples - base * (workers - 1) if w == workers - 1 else base
         rng = _substream(seed, w)
@@ -259,7 +260,7 @@ def mu_infty(window: Window, samples: int, eps_shell: float = 1e-3,
     ball = unit_ball_volume(b - 1) * radius ** (b - 1)
     const = area * ball / (2 * eps)
     sums, sumsqs, counts = [], [], []
-    base = max(1, samples // workers)
+    base = samples // workers
     for w in range(workers):
         m = samples - base * (workers - 1) if w == workers - 1 else base
         rng = _substream(seed, 1 << 20 | w)
@@ -481,50 +482,36 @@ def _count_fast(lift, n: Fraction, window: Window, fast, guard: int):
 
 def _count_generic(lift, n: Fraction, window: Window, keep_points: bool,
                    guard: int):
-    L = window.frame.lattice
-    r = L.rank
-    a = _majorant_matrix(window)
-    mu, d = gram_schmidt_ldl(a)
+    # on Q(x) = -n the majorant M = 2 radial^2 - Q gives radial^2 = (M-n)/2:
+    # the cap is exactly M <= mmax and its rim M = mmax, so only Q is tested
     mmax = (2 * window.rho * window.rho + 1) * n
     bound = 2 * mmax  # M(x) = x^T A x / 2 <= mmax
-    rho2n = window.rho * window.rho * n
+    # dl * (z + lift) is integral, and there Q = -n reads 2 dl^2 Q = target
+    dl = lcm(*(x.denominator for x in lift), 1)
+    base = [int(x * dl) for x in lift]
+    target = int(-2 * n * dl * dl)
+    g = window.frame.lattice.gram
     counted = 0
     grazing = 0
     points = [] if keep_points else None
-    nodes = 0
-    coords = [Fraction(0)] * r
-
-    def rec(jj, remaining):
-        nonlocal counted, grazing, nodes
-        center = -lift[jj] - sum(mu[i2][jj] * (coords[i2] + lift[i2])
-                                 for i2 in range(jj + 1, r))
-        lo, hi = int_range_of_quadratic(center, remaining / d[jj])
-        for z in range(lo, hi + 1):
-            nodes += 1
-            if nodes > guard:
-                raise EnumGuardExceeded(f"enumeration exceeded {guard} nodes")
-            coords[jj] = Fraction(z)
-            used = d[jj] * (z - center) ** 2
-            if jj == 0:
-                vec = tuple(coords[k] + lift[k] for k in range(r))
-                if L.q_of(vec) != -n:
-                    continue
-                rad = window.frame.radial_sq(vec)
-                if rad > rho2n:
-                    continue
+    try:
+        for z, value in short_vectors(_majorant_matrix(window), bound, lift,
+                                      guard):
+            x = [dl * zi + bi for zi, bi in zip(z, base)]
+            if sum(xi * sum(gij * xj for gij, xj in zip(gi, x))
+                   for xi, gi in zip(x, g)) != target:
+                continue
+            if window.sector is not None or points is not None:
+                vec = tuple(Fraction(xi, dl) for xi in x)
                 if window.sector is not None and not _sector_ok(window, vec):
                     continue
-                counted += 1
-                if rad == rho2n:
-                    grazing += 1
                 if points is not None:
                     points.append(vec)
-            else:
-                rec(jj - 1, remaining - used)
-        coords[jj] = Fraction(0)
-
-    if r:
-        rec(r - 1, Fraction(bound))
+            counted += 1
+            if value == bound:
+                grazing += 1
+    except NodeGuardExceeded as exc:
+        raise EnumGuardExceeded(str(exc)) from None
     return PointCount(n, counted, grazing,
                       tuple(points) if points is not None else None)
 

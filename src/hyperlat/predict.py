@@ -24,6 +24,7 @@ from .densities import (
     singular_series,
     _mpf_frac,
 )
+from .exactla import floor_sqrt_fraction
 from .fqm import discriminant_group, isotropic_subgroups
 from .lattices import (
     IntegerLattice,
@@ -265,14 +266,14 @@ def _represents_rank2(P: IntegerLattice, lift, two_n, box_guard):
     # through u = 2aX + bY, v = Y: Q = (u^2 - disc v^2)/(4a): R = (u^2 + disc v^2)/(4|a|)
     scale = 4 * abs(a)
     rmax = bound * scale
-    vmax = floor_sqrt_frac(rmax / disc)
+    vmax = floor_sqrt_fraction(rmax / disc)
     searched = 0
     for yz in range(-int(vmax) - 2, int(vmax) + 3):
         yy = yz + lift[1]
         rem = rmax - disc * yy * yy
         if rem < 0:
             continue
-        umax = floor_sqrt_frac(rem)
+        umax = floor_sqrt_fraction(rem)
         # u = 2 a X + b Y with X = xz + lift[0]
         # X range from |u| <= umax
         lo = (-umax - b * yy) / (2 * a) - lift[0]
@@ -290,16 +291,6 @@ def _represents_rank2(P: IntegerLattice, lift, two_n, box_guard):
                 return RepresentabilityResult(True, True, (xx, yy))
             xz += 1
     return RepresentabilityResult(False, True)
-
-
-def floor_sqrt_int(x: int) -> int:
-    return isqrt(x) if x >= 0 else 0
-
-
-def floor_sqrt_frac(x: Fraction) -> int:
-    if x < 0:
-        return 0
-    return isqrt(x.numerator * x.denominator) // x.denominator
 
 
 def _locally_plausible(P: IntegerLattice, lift, two_n) -> bool:

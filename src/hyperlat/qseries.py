@@ -13,12 +13,7 @@ from fractions import Fraction
 
 import mpmath
 
-from .exactla import (
-    frac_mat_inv,
-    gram_schmidt_ldl,
-    int_range_of_quadratic,
-    lll_reduce_gram,
-)
+from .exactla import frac_mat_inv, short_vectors
 from .fqm import FiniteQuadraticModule, discriminant_group
 from .lattices import IntegerLattice
 
@@ -77,39 +72,12 @@ class VectorQSeries:
 # ---------------------------------------------------------------------------
 # theta series
 
-def _fincke_pohst(a, bound: Fraction):
-    """All integer vectors m != sweep with m^T a m <= bound, a posdef Fractions.
-
-    Yields (m, value).  Exact interval pruning from the LDL decomposition.
-    """
-    n = len(a)
-    if n == 0:
-        yield (), Fraction(0)
-        return
-    mu, d = gram_schmidt_ldl(a)
-    m = [0] * n
-    # value decomposition: F(m) = sum_j d[j] (m_j + sum_{i>j} mu[i][j] m_i)^2
-    def rec(j, remaining):
-        center = -sum(mu[i][j] * m[i] for i in range(j + 1, n))
-        lo, hi = int_range_of_quadratic(center, remaining / d[j])
-        for mj in range(lo, hi + 1):
-            m[j] = mj
-            used = d[j] * (mj - center) ** 2
-            if j == 0:
-                yield tuple(m), None
-            else:
-                yield from rec(j - 1, remaining - used)
-        m[j] = 0
-
-    yield from rec(n - 1, Fraction(bound))
-
-
-def theta_series(K: IntegerLattice, order, lll: bool = True) -> VectorQSeries:
+def theta_series(K: IntegerLattice, order) -> VectorQSeries:
     """Theta series of a negative definite lattice up to the given order.
 
     The coefficient at (gamma, m) counts dual vectors x in gamma + K with
-    -Q(x) = m; complete for m <= order.  Enumeration is exact (Fincke-Pohst
-    on an LLL-reduced positive form); coefficients are nonnegative integers.
+    -Q(x) = m; complete for m <= order.  Enumeration is exact (short vectors
+    of the positive form -G^{-1}); coefficients are nonnegative integers.
     """
     order = Fraction(order)
     if order < 0:
@@ -121,24 +89,13 @@ def theta_series(K: IntegerLattice, order, lll: bool = True) -> VectorQSeries:
     if K.rank == 0:
         coeffs[((), Fraction(0))] = Fraction(1)
         return VectorQSeries(D, 1, coeffs, order)
-    # dual vectors: y = G^{-1} m; -2 Q(y) = m^T (-G^{-1}) m
-    g = [list(r) for r in K.gram]
-    ginv = frac_mat_inv(g)
-    a = [[-x for x in row] for row in ginv]  # positive definite
-    if lll:
-        u, a_red = lll_reduce_gram(a)
-    else:
-        u, a_red = [[int(i == j) for j in range(K.rank)] for i in range(K.rank)], a
-    for m_red, _ in _fincke_pohst(a_red, 2 * order):
-        m = [sum(m_red[i] * u[i][j] for i in range(K.rank)) for j in range(K.rank)]
-        y = [sum(Fraction(ginv[i][j]) * m[j] for j in range(K.rank))
-             for i in range(K.rank)]
-        value = -K.q_of(y)
-        if value > order:
-            continue
-        cls = D.class_of(y)
-        key = (cls, value)
-        coeffs[key] = coeffs.get(key, Fraction(0)) + 1
+    # a dual vector y = G^{-1} m has -2 Q(y) = m^T (-G^{-1}) m
+    a = [[-x for x in row] for row in frac_mat_inv(K.gram)]
+    for m, value in short_vectors(a, 2 * order):
+        key = (D.class_of_pairings(m), value)
+        coeffs[key] = coeffs.get(key, 0) + 1
+    coeffs = {(cls, value / 2): Fraction(c)
+              for (cls, value), c in coeffs.items()}
     return VectorQSeries(D, D.level if D.level else 1, coeffs, order)
 
 

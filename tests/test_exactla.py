@@ -1,5 +1,9 @@
+import itertools
 import random
 from fractions import Fraction
+from math import lcm
+
+import pytest
 
 from hyperlat.exactla import (
     bareiss_det,
@@ -11,14 +15,17 @@ from hyperlat.exactla import (
     invariant_factors,
     kernel_basis,
     lll_reduce_gram,
+    NodeGuardExceeded,
     mat_mul,
     rational_congruent_diagonal,
+    short_vectors,
     smith_normal_form,
     solve_fraction,
     solve_integer,
     transpose,
     unimodular_inverse,
 )
+from hyperlat.lattices import direct_sum, e8, rank1
 
 
 def random_int_matrix(rng, rows, cols, lo=-6, hi=6):
@@ -123,3 +130,65 @@ def test_ldl_and_lll():
     got = mat_mul(mat_mul(u, [[Fraction(x) for x in r] for r in skew]),
                   transpose(u))
     assert got == reduced
+    # the rank-9 theta input: -G^{-1} of E8(-1) + rank1(-2)
+    K = direct_sum(e8(-1), rank1(-2))
+    g = [[-x for x in row] for row in frac_mat_inv(K.gram)]
+    u, reduced = lll_reduce_gram(g)
+    assert abs(bareiss_det(u)) == 1
+    assert mat_mul(mat_mul(u, g), transpose(u)) == reduced
+
+
+def _random_posdef(rng, n):
+    while True:
+        b = [[Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(n)]
+             for _ in range(n)]
+        a = mat_mul(transpose(b), b)
+        if all(x > 0 for x in rational_congruent_diagonal(a)[1]):
+            return a
+
+
+def test_short_vectors_against_brute_force():
+    rng = random.Random(17)
+    for _ in range(60):
+        n = rng.randint(1, 3)
+        a = _random_posdef(rng, n)
+        shift = [Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+                 for _ in range(n)]
+        bound = Fraction(rng.randint(0, 20), rng.randint(1, 4))
+        got = {}
+        for z, value in short_vectors(a, bound, shift):
+            assert z not in got
+            got[z] = value
+        # box: |x_i| <= sqrt(bound (a^{-1})_ii) for x^T a x <= bound
+        ainv = frac_mat_inv(a)
+        ranges = []
+        for i in range(n):
+            r = floor_sqrt_fraction(bound * ainv[i][i]) + 1
+            ranges.append(range(-r - 4, r + 5))
+        # integer model: X = den (z + shift), value = X^T (den_a a) X / scale
+        den = lcm(*(x.denominator for x in shift))
+        den_a = lcm(*(x.denominator for row in a for x in row))
+        a_int = [[int(x * den_a) for x in row] for row in a]
+        scale = den_a * den * den
+        limit = int(bound * scale)  # bound * scale floored, as num is an int
+        shift_int = [int(si * den) for si in shift]
+        want = {}
+        for z in itertools.product(*ranges):
+            x = [zi * den + si for zi, si in zip(z, shift_int)]
+            num = sum(x[i] * a_int[i][j] * x[j]
+                      for i in range(n) for j in range(n))
+            if num <= limit:
+                want[z] = Fraction(num, scale)
+        assert got == want
+
+
+def test_short_vectors_guard_and_edges():
+    # x^2 + y^2 <= 1: 5 vectors; the top level alone visits 3 candidates
+    a = [[1, 0], [0, 1]]
+    assert sorted(z for z, _ in short_vectors(a, 1)) == \
+        [(-1, 0), (0, -1), (0, 0), (0, 1), (1, 0)]
+    with pytest.raises(NodeGuardExceeded):
+        list(short_vectors(a, 1, guard=4))
+    assert len(list(short_vectors(a, 1, guard=8))) == 5
+    assert list(short_vectors(a, -1)) == []
+    assert list(short_vectors([], 0)) == [((), Fraction(0))]

@@ -55,6 +55,15 @@ def test_degenerate_window(v_lattice):
     assert mu_infty(win, 1000, seed=1) == (0.0, 0.0)
 
 
+def test_fewer_samples_than_workers(v_lattice):
+    # the last RNG substream takes the remainder; empty substreams are fine
+    win = _window(v_lattice)
+    for estimate in (mu_a0, mu_infty):
+        value, err = estimate(win, 1, seed=1, workers=3)
+        assert value > 0 and err == 0.0
+        assert estimate(win, 5, seed=1, workers=3)[0] > 0
+
+
 def test_measure_ratio(v_lattice):
     win = _window(v_lattice)
     ma, ea = mu_a0(win, 200000, seed=3)
@@ -88,11 +97,20 @@ def test_counts_match_box_scan(v_lattice):
 
 def test_counts_match_box_scan_nonzero_gamma(v_lattice):
     win = _window(v_lattice)
+    sector = Window(win.frame, Fraction(1), sector=(0.4, 2.9))
+    lift = tuple(v_lattice.discriminant_group().lift((1,)))
     for n in (Fraction(5, 4), Fraction(13, 4)):
         fast = enumerate_points((1,), n, win)
         box = box_scan_count((1,), n, win)
         assert fast.count == box.count
         assert fast.grazing == box.grazing
+        # the generic enumerator, with the full cap, a sector and kept points
+        for w in (win, sector):
+            gen = _count_generic(lift, n, w, True, 10 ** 9)
+            box = box_scan_count((1,), n, w, keep_points=True)
+            assert (gen.count, gen.grazing) == (box.count, box.grazing)
+            assert sorted(gen.points) == sorted(box.points)
+        assert _count_generic(lift, n, sector, False, 10 ** 9).points is None
 
 
 def test_counts_match_randomized(v8_lattice):

@@ -6,7 +6,14 @@ import pytest
 from hyperlat.cusps import cusp_datum
 from hyperlat.densities import eisenstein_coefficient
 from hyperlat.fqm import discriminant_group
-from hyperlat.lattices import direct_sum, e8, hyperbolic_plane, rank1
+from hyperlat.exactla import frac_mat_inv
+from hyperlat.lattices import (
+    IntegerLattice,
+    direct_sum,
+    e8,
+    hyperbolic_plane,
+    rank1,
+)
 from hyperlat.qseries import (
     QSeriesError,
     a_coeff,
@@ -71,6 +78,27 @@ def test_theta_e8_against_box_scan():
     assert got[Fraction(0)] == 1
     assert got[Fraction(1)] == 240
     assert got[Fraction(2)] == 2160
+
+
+def test_theta_non_diagonal_against_box_scan():
+    # a non-diagonal rank-3 negative definite lattice with |D| = 40
+    K = IntegerLattice(((-2, 1, 0), (1, -4, 1), (0, 1, -6)))
+    order = 3
+    th = theta_series(K, order)
+    D = discriminant_group(K)
+    # oracle: every dual vector y = G^{-1} m over a box of integer m; the
+    # box holds all of them since m^T (-G)^{-1} m <= 2 order bounds |m_i|
+    # by sqrt(2 order (-G)_ii) <= 6
+    ginv = frac_mat_inv(K.gram)
+    oracle = {}
+    for m in itertools.product(range(-8, 9), repeat=3):
+        y = [sum(ginv[i][j] * m[j] for j in range(3)) for i in range(3)]
+        e = -K.q_of(y)
+        if e <= order:
+            key = (D.class_of(y), e)
+            oracle[key] = oracle.get(key, 0) + 1
+    assert {k: int(c) for k, c in th.coefficients.items()} == oracle
+    assert len({cls for cls, _ in oracle}) == 40
 
 
 def test_theta_symmetry_and_positivity():
