@@ -1,15 +1,18 @@
 """Siegel local densities, the singular series, and Eisenstein coefficients.
 
 Counts N(gamma, n, L, a) = #{alpha in L/aL : Q(alpha+gamma) + n = 0 mod a}
-are computed exactly: a slow exhaustive counter, and a fast path that works
-block by block (closed form for unimodular hyperbolic blocks, p-adic
-diagonalization at odd primes, guarded enumeration at p = 2) and convolves
-per-block histograms over Z/a.  Densities are the stabilized normalized
-counts; stabilization is always witnessed, never extrapolated.
+are computed exactly: a slow exhaustive counter, and a fast path that finds
+the Jordan splitting of L over Z_p from the Gram matrix alone.  Pieces whose
+counts depend only on the valuation of the target (planes, and pieces whose
+shift no translate absorbs) are folded in closed form; the remaining
+diagonal coordinates are counted by Hensel lifting.  No hand-written block
+metadata is read.  Densities are the stabilized normalized counts;
+stabilization is always witnessed, never extrapolated.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -20,7 +23,6 @@ from .fqm import discriminant_group
 from .lattices import IntegerLattice, _prime_factors
 
 ENUMERATION_GUARD = 10 ** 8
-_DIRECT_LIMIT = 10 ** 7          # direct product enumeration below this
 _SMALL_PRIME_SWEEP = 50          # extra primes swept by is_representable
 
 
@@ -80,20 +82,19 @@ def _gamma_lift(L: IntegerLattice, gamma):
                        "or a dual vector of full rank")
 
 
-def _count_data(L: IntegerLattice, lift, n: Fraction):
+@functools.lru_cache(maxsize=256)
+def _count_data(gram, lift, n: Fraction):
     """Return (w, c0) with t(alpha) = Q(alpha) + alpha.w + c0, all integers."""
-    g = L.gram
-    r = L.rank
     w = []
-    for i in range(r):
-        x = sum(Fraction(g[i][j]) * lift[j] for j in range(r))
+    for row in gram:
+        x = sum((g * y for g, y in zip(row, lift) if g), Fraction(0))
         if x.denominator != 1:
             raise DensityError("gamma is not in the dual lattice")
         w.append(int(x))
-    c0 = L.q_of(lift) + Fraction(n)
+    c0 = sum((Fraction(y) * x for y, x in zip(lift, w)), Fraction(0)) / 2 + n
     if c0.denominator != 1:
         raise DensityError("n is not in -Q(gamma) + Z")
-    return w, int(c0)
+    return tuple(w), int(c0)
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +110,7 @@ def count_solutions_naive(gamma, n, L: IntegerLattice, a: int,
     if a ** r > guard:
         raise GuardExceeded(f"a^rank = {a}^{r} exceeds guard {guard}")
     lift = tuple(gamma_lift) if gamma_lift is not None else _gamma_lift(L, gamma)
-    w, c0 = _count_data(L, lift, Fraction(n))
+    w, c0 = _count_data(L.gram, lift, Fraction(n))
     if r == 0:
         return 1 if c0 % a == 0 else 0
     g = np.array(L.gram, dtype=np.int64)
@@ -128,24 +129,66 @@ def count_solutions_naive(gamma, n, L: IntegerLattice, a: int,
 
 
 # ---------------------------------------------------------------------------
-# block histograms over Z/a, a = p^s
+# the Jordan splitting of L over Z_p
 
-_hist_cache: dict = {}
+@functools.lru_cache(maxsize=128)
+def _jordan_splitting(gram, p: int):
+    """Jordan splitting of a Gram matrix over Z_(p), computed exactly.
+
+    Returns (trans, pieces) with trans^T G trans block diagonal: trans has
+    Fraction entries with denominators prime to p and a p-adic unit as
+    determinant, and pieces lists (indices, block).  Every step pivots on an
+    entry of least valuation, so every multiplier is p-integral.  Blocks are
+    1x1, and at p = 2 also 2x2 with an off-diagonal entry of smaller
+    valuation than the diagonal ones: 2^k times an even unimodular plane.
+    """
+    r = len(gram)
+    a = [[Fraction(x) for x in row] for row in gram]
+    t = [[Fraction(int(i == j)) for j in range(r)] for i in range(r)]
+
+    def add_multiple(dst, src, f):
+        # basis vector dst += f * basis vector src
+        for row in a:
+            row[dst] += f * row[src]
+        a[dst] = [x + f * y for x, y in zip(a[dst], a[src])]
+        for row in t:
+            row[dst] += f * row[src]
+
+    rest = list(range(r))
+    pieces = []
+    while rest:
+        _, off, i, j = min((rational_valuation(a[i][j], p), i != j, i, j)
+                           for i in rest for j in rest if j >= i and a[i][j])
+        if off and p != 2:
+            # both diagonal entries have larger valuation than 2 a_ij
+            add_multiple(i, j, Fraction(1))
+            off = False
+        idx = (i, j) if off else (i,)
+        rest = [x for x in rest if x not in idx]
+        piv = [[a[x][y] for y in idx] for x in idx]
+        if off:
+            (x, y), (_, z) = piv
+            det = x * z - y * y
+            inv = [[z / det, -y / det], [-y / det, x / det]]
+        else:
+            inv = [[1 / piv[0][0]]]
+        for col in rest:
+            rhs = [a[x][col] for x in idx]
+            for d, x in enumerate(idx):
+                f = -sum(g * h for g, h in zip(inv[d], rhs))
+                if f:
+                    add_multiple(col, x, f)
+        pieces.append((idx, tuple(tuple(row) for row in piv)))
+    return tuple(tuple(row) for row in t), tuple(pieces)
 
 
-def clear_density_cache():
-    _hist_cache.clear()
+def _mod(x: Fraction, a: int) -> int:
+    """A p-integral rational reduced modulo a = p^s."""
+    return x.numerator * pow(x.denominator, -1, a) % a
 
 
-def _valuation_array(a: int, p: int, s: int) -> np.ndarray:
-    val = np.zeros(a, dtype=np.int64)
-    q = 1
-    for k in range(1, s + 1):
-        q *= p
-        val[::q] = k
-    val[0] = s
-    return val
-
+# ---------------------------------------------------------------------------
+# valuation-radial counts on Z/p^s, listed by c = min(v_p(t), s)
 
 def _hyperbolic_histogram_values(p: int, s: int):
     """H(t) = #{(x,y) mod p^s : xy = t} as a function of min(v_p(t), s)."""
@@ -156,205 +199,32 @@ def _hyperbolic_histogram_values(p: int, s: int):
     return vals
 
 
-def _hist_u_block(p: int, s: int, w1: int, w2: int) -> np.ndarray:
-    """Histogram of xy + x*w1 + y*w2 over (Z/p^s)^2: a shifted hyperbola count."""
-    a = p ** s
-    vals = np.array(_hyperbolic_histogram_values(p, s), dtype=np.int64)
-    h_u = vals[_valuation_array(a, p, s)]
-    shift = (w1 * w2) % a
-    t = (np.arange(a) + shift) % a
-    return h_u[t]
+def _anisotropic_values(p: int, s: int):
+    """Counts of the norm form of the unramified quadratic extension of Q_p.
 
-
-def _hist_rank1(coeff_half: int, p: int, s: int, w: int) -> np.ndarray:
-    """Histogram of coeff_half * x^2 + w * x over Z/p^s."""
-    a = p ** s
-    x = np.arange(a, dtype=np.int64)
-    vals = (coeff_half % a * x % a * x + w % a * x) % a
-    return np.bincount(vals, minlength=a).astype(np.int64)
-
-
-def _padic_diagonalize(gram, p: int, precision: int):
-    """Congruent diagonalization of a symmetric integer form, odd p.
-
-    Returns (diag, trans) with trans invertible mod p and trans^T G trans
-    equal to diag(diag) modulo p^(precision - v_p(det)); precision should be
-    taken with that margin in mind.
+    Units are norms, each hit (p + 1) p^(s-1) times; the form is 0 mod p
+    only on p Z_p^2, where it is p^2 times itself, so valuation 1 is missed.
     """
-    if p == 2:
-        raise DensityError("p-adic diagonalization implemented for odd p only")
-    n = len(gram)
-    mod = p ** precision
-    a = [[int(x) % mod for x in row] for row in gram]
-    t = [[int(i == j) for j in range(n)] for i in range(n)]
-
-    def val(x):
-        x %= mod
-        return precision if x == 0 else _valuation(x, p)
-
-    def col_axpy(dst, src, f):
-        for r in range(n):
-            a[r][dst] = (a[r][dst] + f * a[r][src]) % mod
-        for r in range(n):
-            a[dst][r] = (a[dst][r] + f * a[src][r]) % mod
-        for r in range(n):
-            t[r][dst] = (t[r][dst] + f * t[r][src]) % mod
-
-    def col_swap(i, j):
-        for r in range(n):
-            a[r][i], a[r][j] = a[r][j], a[r][i]
-        for r in range(n):
-            a[i][r], a[j][r] = a[j][r], a[i][r]
-        for r in range(n):
-            t[r][i], t[r][j] = t[r][j], t[r][i]
-
-    for k in range(n):
-        best, best_v = None, None
-        for i in range(k, n):
-            for j in range(i, n):
-                if a[i][j] % mod:
-                    v = val(a[i][j])
-                    if best_v is None or v < best_v:
-                        best_v, best = v, (i, j)
-        if best is None:
-            raise DensityError("block degenerate at the working precision")
-        i, j = best
-        if i != j:
-            if val(a[i][i]) == best_v:
-                pass
-            elif val(a[j][j]) == best_v:
-                i = j
-            else:
-                col_axpy(i, j, 1)  # a[i][i] += 2 a[i][j] + a[j][j]: valuation best_v
-        if i != k:
-            col_swap(k, i)
-        pk = a[k][k] % mod
-        vk = val(pk)
-        unit = pk // p ** vk
-        inv_unit = pow(unit, -1, mod)
-        for j2 in range(k + 1, n):
-            if a[k][j2] % mod:
-                f = (-(a[k][j2] // p ** vk) * inv_unit) % mod
-                col_axpy(j2, k, f)
-    return [a[i][i] % mod for i in range(n)], t
+    if s == 0:
+        return [1]
+    if s == 1:
+        return [p + 1, 1]
+    return ([(p + 1) * p ** (s - 1), 0]
+            + [p * p * x for x in _anisotropic_values(p, s - 2)])
 
 
-def _hist_generic(gram, p: int, s: int, w, guard: int) -> np.ndarray:
-    """Histogram of Q(alpha) + alpha.w over (Z/p^s)^r by direct enumeration.
-
-    Above the direct limit the coordinates are split in half and recombined
-    in chunks (meet in the middle), so the E8 block at p = 2 stays feasible.
-    """
-    a = p ** s
-    r = len(gram)
-    if a ** r > guard:
-        raise GuardExceeded(f"block enumeration a^r = {a}^{r} exceeds guard {guard}")
-    g = np.array(gram, dtype=np.int64)
-    wv = np.array(w, dtype=np.int64)
-
-    def side(indices):
-        rr = len(indices)
-        total = a ** rr
-        radix = a ** np.arange(rr, dtype=np.int64)
-        idx = np.arange(total, dtype=np.int64)
-        alpha = (idx[:, None] // radix[None, :]) % a
-        sub = g[np.ix_(indices, indices)]
-        qa = np.einsum("ki,ij,kj->k", alpha, sub, alpha) // 2
-        return alpha, (qa + alpha @ wv[indices]) % a
-
-    if a ** r <= _DIRECT_LIMIT or r == 1:
-        hist = np.zeros(a, dtype=np.int64)
-        total = a ** r
-        radix = a ** np.arange(r, dtype=np.int64)
-        chunk = 1 << 18
-        for start in range(0, total, chunk):
-            idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-            alpha = (idx[:, None] // radix[None, :]) % a
-            qa = np.einsum("ki,ij,kj->k", alpha, g, alpha) // 2
-            t = (qa + alpha @ wv) % a
-            hist += np.bincount(t, minlength=a)
-        return hist
-    half = r // 2
-    ia, ib = list(range(half)), list(range(half, r))
-    alpha_a, ta = side(ia)
-    alpha_b, tb = side(ib)
-    cross = g[np.ix_(ia, ib)]
-    proj_a = alpha_a @ cross
-    hist = np.zeros(a, dtype=np.int64)
-    chunk = max(1, (1 << 22) // max(len(ta), 1))
-    for start in range(0, len(tb), chunk):
-        end = min(start + chunk, len(tb))
-        crossed = (proj_a @ alpha_b[start:end].T + ta[:, None] + tb[None, start:end]) % a
-        hist += np.bincount(crossed.ravel(), minlength=a)
-    return hist
+def _plane_values(p: int, s: int, k: int, split: bool):
+    """Counts of p^k F on (Z/p^s)^2, F = xy (split) or anisotropic."""
+    if k >= s:
+        return [0] * s + [p ** (2 * s)]
+    inner = (_hyperbolic_histogram_values if split else _anisotropic_values)(p, s - k)
+    return [0] * k + [p ** (2 * k) * x for x in inner]
 
 
-def _is_unimodular_u(gram) -> bool:
-    return (len(gram) == 2 and gram[0][0] == 0 and gram[1][1] == 0
-            and abs(gram[0][1]) == 1)
-
-
-def _e8_scale(gram) -> int | None:
-    """+-1 when the block is the standard rank-8 unimodular gram (scaled)."""
-    from .lattices import _E8_GRAM
-    if len(gram) != 8:
-        return None
-    for m in (1, -1):
-        if all(gram[i][j] == m * _E8_GRAM[i][j] for i in range(8) for j in range(8)):
-            return m
-    return None
-
-
-def _parity_convolution(per_coord, modulus: int, copies: int) -> np.ndarray:
-    """Even-total-parity histogram of a sum of identical coordinates.
-
-    ``per_coord[x]`` is the contribution of a coordinate with canonical
-    representative x in [0, len(per_coord)); parities of the representatives
-    are tracked through the convolution and the even-sum slice is returned.
-    Arrays are tiny, so exact Python integers are used throughout.
-    """
-    a = modulus
-    base = np.zeros((2, a), dtype=object)
-    for x, v in enumerate(per_coord):
-        base[x % 2, int(v) % a] += 1
-    cur = base
-    for _ in range(copies - 1):
-        even = _cyclic_convolve(cur[0], base[0], a) + _cyclic_convolve(cur[1], base[1], a)
-        odd = _cyclic_convolve(cur[0], base[1], a) + _cyclic_convolve(cur[1], base[0], a)
-        cur = np.stack([even, odd])
-    return cur[0]
-
-
-def _hist_e8_two_adic(s: int, scale: int) -> np.ndarray:
-    """Histogram of the rank-8 unimodular form over Z/2^s via its integer
-    model: integer 8-tuples with even coordinate sum, plus the all-halves
-    glue coset.
-
-    Coordinates are tracked modulo 2^(s+1) with their parities; each class
-    of the quotient is hit by exactly 2^8 representative tuples, so the
-    convolution counts divide out evenly.  Eight cheap cyclic convolutions
-    replace the 2^(8s) enumeration; the generic enumerator cross-checks
-    this in the tests.
-    """
-    a = 2 ** s
-    aa = 2 * a
-    m = np.arange(aa, dtype=np.int64)
-    # integer vectors: Q = (sum m^2)/2, value tracked as sum m^2 mod 2a
-    int_even = _parity_convolution(m * m % aa, aa, 8)
-    # glue coset: Q = sum m(m+1)/2 + 1 mod a
-    half_even = _parity_convolution((m * (m + 1)) // 2 % a, a, 8)
-    hist = np.empty(a, dtype=object)
-    for t in range(a):
-        num = int(int_even[(2 * t) % aa]) + int(half_even[(t - 1) % a])
-        if num % 256:
-            raise DensityError("internal error: uneven fibers in the "
-                               "two-adic histogram")
-        hist[t] = num // 256
-    if scale == -1:
-        hist = hist[(-np.arange(a)) % a]
-    if max(int(x) for x in hist) < (1 << 62):
-        hist = hist.astype(np.int64)
-    return hist
+def _uniform_values(p: int, s: int, dim: int, e: int):
+    """Counts of a rank-dim piece whose values cover p^e Z_p evenly."""
+    e = min(e, s)
+    return [0] * e + [p ** ((dim - 1) * s + e)] * (s + 1 - e)
 
 
 def phi_count(p: int, s: int, k: int) -> int:
@@ -382,10 +252,6 @@ def _pair_count_exact(p: int, s: int, c: int, k: int, j: int) -> int:
     return phi_count(p, s, k)
 
 
-def _u_class_values(p: int, s: int):
-    return _hyperbolic_histogram_values(p, s)
-
-
 def _convolve_valuation_values(f, g, p: int, s: int):
     """Convolution of two valuation-radial functions on Z/p^s, by classes."""
     out = []
@@ -403,21 +269,15 @@ def _convolve_valuation_values(f, g, p: int, s: int):
     return out
 
 
-def _u_power_expanded(p: int, s: int, k_u: int) -> np.ndarray:
-    """Histogram of x1 y1 + ... + xk yk over (Z/p^s)^(2k), expanded."""
+# ---------------------------------------------------------------------------
+# the residual diagonal form
+
+def _hist_rank1(m: int, p: int, s: int) -> np.ndarray:
+    """Histogram of m x^2 over Z/p^s."""
     a = p ** s
-    key = ("u_power", p, s, k_u)
-    if key in _hist_cache:
-        return _hist_cache[key]
-    vals = _u_class_values(p, s)
-    for _ in range(k_u - 1):
-        vals = _convolve_valuation_values(vals, _u_class_values(p, s), p, s)
-    arr = np.array(vals, dtype=object)
-    out = arr[_valuation_array(a, p, s)]
-    if max(vals) < (1 << 62):
-        out = out.astype(np.int64)
-    _hist_cache[key] = out
-    return out
+    x = np.arange(a, dtype=np.int64)
+    vals = m % a * x % a * x % a
+    return np.bincount(vals, minlength=a).astype(np.int64)
 
 
 def _cyclic_convolve(x: np.ndarray, y: np.ndarray, a: int) -> np.ndarray:
@@ -478,168 +338,107 @@ def quadratic_congruence_count(m: int, w: int, c: int, p: int, e: int) -> int:
     return total
 
 
-_CONV_COST_GUARD = 4 * 10 ** 9
-_STREAM_LIMIT = 1 << 15   # above this modulus, avoid full histograms
-
-
-def _structured_parts(L: IntegerLattice, w, p: int, s: int, guard: int):
-    """Decompose the counting problem: (number of U blocks, shift, other hists).
-
-    U blocks with shift w contribute a translate of the hyperbolic count, so
-    they fold into a single valuation-radial factor; everything else becomes
-    an explicit histogram (rank-1 direct, odd-p diagonalization, guarded
-    enumeration at p = 2).
-    """
+def _residual_counts(ms, target: int, p: int, s: int, guard: int):
+    """W_c = #{y mod p^s : sum m_i y_i^2 = target mod p^c} for c = 0..s."""
     a = p ** s
-    blocks = L.blocks if L.blocks is not None else ((0, L.rank),)
-    k_u = 0
-    sigma = 0
-    others = []
-    for start, size in blocks:
-        gram = [[L.gram[i][j] for j in range(start, start + size)]
-                for i in range(start, start + size)]
-        wb = [w[i] for i in range(start, start + size)]
-        if _is_unimodular_u(gram):
-            w1 = wb[0] if gram[0][1] == 1 else -wb[0]
-            k_u += 1
-            sigma += w1 * wb[1]
-            continue
-        key = (tuple(tuple(r) for r in gram), p, s, tuple(x % a for x in wb))
-        if key in _hist_cache:
-            others.append(_hist_cache[key])
-            continue
-        if size == 1:
-            h = _hist_rank1(gram[0][0] // 2, p, s, wb[0])
-        elif p == 2 and _e8_scale(gram) is not None:
-            scale = _e8_scale(gram)
-            h = _hist_e8_two_adic(s, scale)
-            # the block is unimodular: the linear shift w = G v is absorbed
-            # into a translate, Q(alpha) + (alpha, v) = Q(alpha + v) - Q(v)
-            if any(wb):
-                from .exactla import solve_integer
-                v = solve_integer(gram, wb)
-                qv = sum(gram[i][j] * v[i] * v[j] for i in range(8)
-                         for j in range(8)) // 2
-                h = h[(np.arange(a) + qv) % a]
-        elif p != 2:
-            from .exactla import bareiss_det
-            det = bareiss_det([list(r) for r in gram])
-            vdet = _valuation(det, p) if det % p == 0 else 0
-            precision = s + 2 * vdet + 4
-            diag, trans = _padic_diagonalize(gram, p, precision)
-            wt = [sum(trans[r][i] * wb[r] for r in range(size)) % a
-                  for i in range(size)]
-            inv2 = pow(2, -1, a)
-            h = None
-            for i in range(size):
-                hi = _hist_rank1(diag[i] * inv2 % a, p, s, wt[i])
-                h = hi if h is None else _cyclic_convolve(h, hi, a)
-        else:
-            h = _hist_generic(gram, p, s, wb, guard)
-        _hist_cache[key] = h
-        others.append(h)
-    return k_u, sigma % a, others
+    if not ms:
+        return [int(target % p ** c == 0) for c in range(s + 1)]
+    if len(ms) == 1:
+        return [p ** (s - c) * quadratic_congruence_count(ms[0], 0, -target, p, c)
+                for c in range(s + 1)]
+    if (len(ms) - 1) * a * a > guard:
+        raise GuardExceeded(f"residual of rank {len(ms)} at p^s = {a} exceeds "
+                            f"guard {guard}")
+    hist = _hist_rank1(ms[0], p, s)
+    for m in ms[1:]:
+        hist = _cyclic_convolve(hist, _hist_rank1(m, p, s), a)
+    return [int(hist[target % p ** c::p ** c].sum()) for c in range(s + 1)]
 
 
-def _stream_count(L: IntegerLattice, w, p: int, s: int, t0: int):
-    """Count for k hyperbolic blocks + at most one rank-1 block at huge p^s.
+# ---------------------------------------------------------------------------
+# the split counter
 
-    Works from the valuation-class values of the hyperbolic factor and
-    Hensel counts of the rank-1 quadratic congruence; O(p s^2) time and O(s)
-    memory.  Returns None when the block structure does not fit.
+@functools.lru_cache(maxsize=1024)
+def _local_pieces(gram, p: int, w, c0: int):
+    """Split t(alpha) = Q(alpha) + alpha.w + c0 over Z_p into pieces.
+
+    Returns (radial, residual, const): in Jordan coordinates t is the sum of
+    the piece values plus const.  A piece whose shift is B v for a
+    p-integral v is translated by v, since Q(y) + (y, v) = Q(y + v) - Q(v).
+    ``radial`` lists (values function, extra arguments) for the pieces whose
+    counts depend only on v_p(t): translated planes, and untranslatable
+    pieces, whose values cover p^e Z_p evenly.  ``residual`` holds the
+    coefficients m of the translated rank-1 pieces m y^2 left unpaired: at
+    odd p at most one per scale, since two of one scale form a plane.
     """
-    a = p ** s
-    blocks = L.blocks if L.blocks is not None else ((0, L.rank),)
-    k_u = 0
-    sigma = 0
-    rank1 = None
-    for start, size in blocks:
-        gram = [[L.gram[i][j] for j in range(start, start + size)]
-                for i in range(start, start + size)]
-        wb = [w[i] for i in range(start, start + size)]
-        if _is_unimodular_u(gram):
-            w1 = wb[0] if gram[0][1] == 1 else -wb[0]
-            k_u += 1
-            sigma += w1 * wb[1]
-        elif size == 1 and rank1 is None:
-            rank1 = (gram[0][0] // 2, wb[0])
+    trans, pieces = _jordan_splitting(gram, p)
+    r = len(gram)
+    shift = [sum(trans[i][j] * w[i] for i in range(r) if w[i]) for j in range(r)]
+    const = Fraction(c0)
+    radial = []
+    rank1 = []
+    for idx, block in pieces:
+        u = [shift[i] for i in idx]
+        if len(idx) == 1:
+            v = [u[0] / block[0][0]]
         else:
-            return None
-    if k_u == 0:
-        if rank1 is None:
-            return None
-        m, wx = rank1
-        return quadratic_congruence_count(m, wx, -t0, p, s)
-    vals = _u_class_values(p, s)
-    for _ in range(k_u - 1):
-        vals = _convolve_valuation_values(vals, _u_class_values(p, s), p, s)
-    ts = (t0 + sigma) % a
-    if rank1 is None:
-        v = s if ts == 0 else min(_valuation(ts, p), s)
-        return int(vals[v])
-    m, wx = rank1
-    # W_c = #{x mod p^s : I(x) = ts mod p^c} = p^(s-c) * (count mod p^c)
-    big_w = [p ** (s - c) * quadratic_congruence_count(m, wx, -ts, p, c)
-             for c in range(s + 1)]
-    total = vals[s] * big_w[s]
-    for c in range(s):
-        total += vals[c] * (big_w[c] - big_w[c + 1])
-    return int(total)
+            (x, y), (_, z) = block
+            det = x * z - y * y
+            v = [(z * u[0] - y * u[1]) / det, (x * u[1] - y * u[0]) / det]
+        if any(vi.denominator % p == 0 for vi in v):
+            e = min(rational_valuation(ui, p) for ui in u if ui)
+            if len(idx) == 1 and p == 2 and e == rational_valuation(block[0][0], 2) - 1:
+                e += 1  # m y^2 + u y with v(m) = v(u): y(m y + u) is even
+            radial.append((_uniform_values, (len(idx), e)))
+            continue
+        const -= sum(vi * bij * vj for vi, row in zip(v, block)
+                     for bij, vj in zip(row, v)) / 2
+        if len(idx) == 1:
+            rank1.append(block[0][0] / 2)
+        else:
+            # Q = 2^k (a x^2 + b xy + c y^2), b odd: 2^k U when ac is even
+            # (b^2 - 4ac = 1 mod 8), else 2^k V
+            k = rational_valuation(y, 2)
+            split = x * z == 0 or rational_valuation(x * z, 2) >= 2 * k + 3
+            radial.append((_plane_values, (k, split)))
+    if p == 2:
+        return tuple(radial), tuple(rank1), const
+    residual = []
+    by_scale = {}
+    for m in rank1:
+        by_scale.setdefault(rational_valuation(m, p), []).append(m)
+    for k, ms in sorted(by_scale.items()):
+        for m1, m2 in zip(ms[::2], ms[1::2]):
+            # a square -m1 m2 / p^2k (Euler's criterion) makes the plane split
+            split = pow(_mod(-m1 * m2 / p ** (2 * k), p), (p - 1) // 2, p) == 1
+            radial.append((_plane_values, (k, split)))
+        if len(ms) % 2:
+            residual.append(ms[-1])
+    return tuple(radial), tuple(residual), const
 
 
 def count_solutions_split(gamma, n, L: IntegerLattice, p: int, s: int,
                           guard: int = ENUMERATION_GUARD,
                           gamma_lift=None) -> int:
-    """Same count as count_solutions_naive at a = p^s, block by block.
+    """Same count as count_solutions_naive at a = p^s, from the Jordan splitting.
 
-    Hyperbolic blocks are handled in closed form, so for lattices of the
-    shape U + ... + U + (small block) no quadratic-cost convolution occurs
-    at all; above a modulus threshold the rank-1 factor is evaluated by
-    Hensel counting so no p^s-sized array is ever built.
+    The radial pieces fold into one function R_c of c = min(v_p(t), s); the
+    residual is counted as W_c = #{y : residual(y) = target mod p^c}, by
+    Hensel lifting for one coordinate and by a guarded histogram over Z/p^s
+    for several.  The count is sum_c R_c (W_c - W_{c+1}) over the valuation
+    classes c of target - residual(y), so with at most one residual
+    coordinate nothing of size p^s is built.
     """
     lift = tuple(gamma_lift) if gamma_lift is not None else _gamma_lift(L, gamma)
-    w, c0 = _count_data(L, lift, Fraction(n))
+    w, c0 = _count_data(L.gram, lift, Fraction(n))
+    radial, residual, const = _local_pieces(L.gram, p, w, c0)
     a = p ** s
-    if L.rank == 0:
-        return 1 if c0 % a == 0 else 0
-    if a > _STREAM_LIMIT:
-        streamed = _stream_count(L, w, p, s, (-c0) % a)
-        if streamed is None:
-            raise GuardExceeded(
-                f"modulus p^s = {a} too large for this block structure")
-        return streamed
-    k_u, sigma, others = _structured_parts(L, w, p, s, guard)
-    t0 = (-c0) % a
-    if others:
-        if len(others) > 1:
-            key = ("others", L.gram, p, s, tuple(x % a for x in w))
-            if key in _hist_cache:
-                combined = _hist_cache[key]
-            else:
-                if (len(others) - 1) * a * a > _CONV_COST_GUARD:
-                    raise GuardExceeded(
-                        f"convolution cost at p^s = {a} exceeds the guard")
-                others = sorted(others, key=lambda h: int(h.max()), reverse=True)
-                combined = others[0]
-                for h in others[1:]:
-                    combined = _cyclic_convolve(combined, h, a)
-                _hist_cache[key] = combined
-        else:
-            combined = others[0]
-    else:
-        combined = None
-    if k_u == 0:
-        if combined is None:
-            raise DensityError("empty decomposition")
-        return int(combined[t0])
-    hu = _u_power_expanded(p, s, k_u)
-    ts = (t0 + sigma) % a
-    if combined is None:
-        return int(hu[ts])
-    idx = (ts - np.arange(a)) % a
-    if hu.dtype == object or int(hu.max()) * int(combined.max()) * a >= (1 << 62):
-        return int(np.dot(hu.astype(object), combined.astype(object)[idx]))
-    return int(np.dot(hu, combined[idx]))
+    values = [0] * s + [1]  # the empty form
+    for fn, args in radial:
+        values = _convolve_valuation_values(values, fn(p, s, *args), p, s)
+    big_w = _residual_counts([_mod(m, a) for m in residual], _mod(-const, a), p, s, guard)
+    return values[s] * big_w[s] + sum(values[c] * (big_w[c] - big_w[c + 1])
+                                      for c in range(s))
 
 
 # ---------------------------------------------------------------------------

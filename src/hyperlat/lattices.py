@@ -43,7 +43,7 @@ class IntegerLattice:
     """An even nondegenerate integral lattice given by its Gram matrix.
 
     ``blocks`` marks an orthogonal block structure (start, size) used by the
-    fast local-density counters; ``hyperbolic_split`` marks basis rows (i, j)
+    hyperboloid splitting frame; ``hyperbolic_split`` marks basis rows (i, j)
     spanning a unimodular hyperbolic plane used by the fast point enumerator.
     Both are bookkeeping only and do not affect equality.
     """

@@ -176,40 +176,44 @@ def _cusp_pullback_theta(F, order) -> VectorQSeries:
     return pullback_series(theta, F.ambient_disc, F.projection_to_kf)
 
 
+def _a_from_theta(theta_v, gamma, n: Fraction, F) -> Fraction:
+    """(N_F / 24) (E2 . theta_v)(gamma, n) for a pulled-back theta series
+    theta_v complete to order >= n."""
+    D = F.ambient_disc
+    gamma = D.reduce(gamma)
+    if n < 0 or gamma not in F.projection_to_kf:
+        return Fraction(0)
+    if (n + D.q_value(gamma)).denominator != 1:
+        return Fraction(0)
+    e2 = e2_series(int(n) + 1)
+    total = Fraction(0)
+    for k in range(int(n) + 1):
+        te = theta_v.coefficients.get((gamma, n - k))
+        if te:
+            total += e2.coefficient((), k) * te
+    return Fraction(F.imprimitivity, 24) * total
+
+
 def a_coeff(gamma, n, F, order=None) -> Fraction:
     """Boundary theta coefficient: (N_F / 24) (E2 . p* Theta_F)(gamma, n)."""
     n = Fraction(n)
     if n < 0:
         return Fraction(0)
-    D = F.ambient_disc
-    gamma = D.reduce(gamma)
-    if order is None:
-        order = n
-    order = max(Fraction(order), n)
-    if gamma not in F.projection_to_kf:
-        return Fraction(0)
-    if (n + D.q_value(gamma)).denominator != 1:
-        return Fraction(0)
-    theta_v = _cusp_pullback_theta(F, order)
-    e2 = e2_series(int(order) + 1)
-    total = Fraction(0)
-    k = 0
-    while k <= n:
-        te = theta_v.coefficients.get((gamma, n - k))
-        if te:
-            total += e2.coefficient((), k) * te
-        k += 1
-    return Fraction(F.imprimitivity, 24) * total
+    order = n if order is None else max(Fraction(order), n)
+    return _a_from_theta(_cusp_pullback_theta(F, order), gamma, n, F)
 
 
 def u_coeff(gamma, n, F, c) -> BoundaryCoefficient:
     """Cusp correction coefficient (c(gamma,n)/2) a(0,0,F) - a(gamma,n,F).
 
     ``c`` is an EisensteinCoefficient; when it is exact the result is an
-    exact rational, otherwise it inherits the truncated-product flag.
+    exact rational, otherwise it inherits the truncated-product flag.  Both
+    coefficients are read from one pulled-back theta series.
     """
-    a00 = a_coeff(F.ambient_disc.zero, 0, F)
-    agn = a_coeff(gamma, n, F)
+    n = Fraction(n)
+    theta_v = _cusp_pullback_theta(F, max(n, Fraction(0)))
+    a00 = _a_from_theta(theta_v, F.ambient_disc.zero, Fraction(0), F)
+    agn = _a_from_theta(theta_v, gamma, n, F)
     if c.exact is not None:
         val = Fraction(c.exact, 2) * a00 - agn
         return BoundaryCoefficient(val, val, getattr(c, "prime_bound", None))

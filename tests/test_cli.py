@@ -122,3 +122,32 @@ def test_k3_command():
     assert fields[0] == "1"
     assert fields[1] == "19/2"
     assert fields[3] == "True"  # 2n = 8 = 2*2^2 on the coset
+
+
+def test_k3_rows_match_two_d():
+    # the complement of explicit rows carries no blocks; densities must not care
+    def data_row(argv):
+        out = run_cli(argv + ["--n", "4", "--mu-s", "1", "--prime-bound", "20"])
+        return [l for l in out.splitlines() if not l.startswith(("#", "rho,"))]
+
+    rows = data_row(["k3", "--p-rows", ",".join(["1", "1"] + ["0"] * 20)])
+    assert rows == data_row(["k3", "--two-d", "2"])
+    assert len(rows) == 1
+
+
+def test_predict_builds_one_theta_series_per_cusp(monkeypatch):
+    import hyperlat.qseries as qs
+    calls = []
+    theta = qs.theta_series
+
+    def counted(K, order):
+        calls.append((K.gram, order))
+        return theta(K, order)
+
+    monkeypatch.setattr(qs, "theta_series", counted)
+    out = run_cli(["predict", "--lattice", "U+U+rank1(-8)", "--n", "4", "--mu-s", "1",
+                   "--prime-bound", "20", "--boundary", "0:1;1:1", "--cusp-bound", "2"])
+    assert out.count("# u=") == 2
+    # a(0, 0, F) and a(gamma, n, F) come from one series of order n per cusp
+    assert len(calls) == 2
+    assert all(order == 4 for _, order in calls)

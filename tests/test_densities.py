@@ -15,7 +15,9 @@ from hyperlat.densities import (
     singular_series,
     small_primes,
     _pair_count_exact,
+    _plane_values,
 )
+from hyperlat.exactla import frac_mat_inv
 from hyperlat.fqm import discriminant_group
 from hyperlat.lattices import IntegerLattice, LatticeError, direct_sum, e8, hyperbolic_plane, rank1
 
@@ -86,14 +88,95 @@ def test_split_equals_naive_structured():
             count_solutions_split(gamma, n, L, p, s)
 
 
-def test_stream_path_matches_array_path(v_lattice):
-    # the large-modulus path must agree with the array path
-    import hyperlat.densities as dn
-    for (p, s, n) in [(7, 3, 5), (3, 4, 7), (5, 3, 11), (2, 5, 9), (11, 2, 4)]:
-        w = [0] * v_lattice.rank
-        got = dn._stream_count(v_lattice, w, p, s, (-n) % p ** s)
-        want = count_solutions_split(None, n, v_lattice, p, s)
-        assert got == want
+def _legendre(x, p):
+    r = pow(x % p, (p - 1) // 2, p)
+    return -1 if r == p - 1 else r
+
+
+def test_odd_rank_closed_form_at_good_primes(v_lattice):
+    # r = 2k+1 and p prime to 2 n det: density 1 + ((-1)^k 2 det (-n) / p) p^-k.
+    # The K3 complement comes from explicit rows, so it carries no blocks;
+    # s = 3 puts p^s far above 2^15 for the larger primes.
+    from hyperlat.predict import _complement_of
+    k3_complement = _complement_of([(1, 1) + (0,) * 20])
+    assert k3_complement.rank == 21 and k3_complement.blocks is None
+    for L, norms in ((v_lattice, (1, 3, 7)), (k3_complement, (4,))):
+        k = (L.rank - 1) // 2
+        for n in norms:
+            for p in small_primes(97):
+                if (2 * n * L.det) % p == 0:
+                    continue
+                want = 1 + Fraction(_legendre((-1) ** k * 2 * L.det * (-n), p), p ** k)
+                assert local_density(None, n, L, p).density == want, (L.rank, n, p)
+                count = count_solutions_split(None, n, L, p, 3)
+                assert Fraction(count, p ** (3 * (L.rank - 1))) == want, (L.rank, n, p)
+
+
+def _brute_radial(form, p, s):
+    """Counts of a binary form on (Z/p^s)^2, checked radial, by min(v_p(t), s)."""
+    a = p ** s
+    hist = [0] * a
+    for x in range(a):
+        for y in range(a):
+            hist[form(x, y) % a] += 1
+    by_class = {}
+    for t in range(a):
+        c = s if t == 0 else next(k for k in range(s) if t % p ** (k + 1))
+        assert by_class.setdefault(c, hist[t]) == hist[t], (p, s, t)
+    return [by_class[c] for c in range(s + 1)]
+
+
+def test_plane_values_brute():
+    for p, s in ((2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (5, 2), (7, 2)):
+        nonsquare = next(u for u in range(2, p) if _legendre(u, p) == -1) if p > 2 else None
+        for k in range(s + 2):
+            q = p ** k
+            if p == 2:
+                split = lambda x, y: q * x * y                        # 2^k U
+                aniso = lambda x, y: q * (x * x + x * y + y * y)      # 2^k V
+            else:
+                split = lambda x, y: q * (x * x - y * y)
+                aniso = lambda x, y: q * (x * x - nonsquare * y * y)
+            assert _plane_values(p, s, k, True) == _brute_radial(split, p, s), (p, s, k)
+            assert _plane_values(p, s, k, False) == _brute_radial(aniso, p, s), (p, s, k)
+
+
+def test_counts_ignore_the_basis():
+    # a unimodular change of basis drops the blocks and hides every plane
+    rng = random.Random(5)
+    U = hyperbolic_plane()
+    L = direct_sum(U, U, rank1(-8))
+    r = L.rank
+    m = [[int(i == j) for j in range(r)] for i in range(r)]
+    for _ in range(12):
+        i, j = rng.sample(range(r), 2)
+        f = rng.choice([-2, -1, 1, 2])
+        m[i] = [x + f * y for x, y in zip(m[i], m[j])]
+    gram = tuple(tuple(sum(m[i][a] * L.gram[a][b] * m[j][b] for a in range(r) for b in range(r))
+                       for j in range(r)) for i in range(r))
+    M = IntegerLattice(gram)
+    assert M.blocks is None and any(g for row in gram for g in row if abs(g) > 2)
+    minv = frac_mat_inv(m)
+    D = discriminant_group(L)
+    for gamma in D.elements():
+        lift = D.lift(gamma)
+        # the same dual vector in the new basis
+        lift_m = tuple(sum(lift[a] * minv[a][i] for a in range(r)) for i in range(r))
+        for n in (-L.q_of(lift) + 1, -L.q_of(lift) + 4):
+            for p in (2, 3, 5):
+                if p < 5:
+                    assert count_solutions_naive(None, n, M, p ** 2, gamma_lift=lift_m) == \
+                        count_solutions_split(None, n, M, p, 2, gamma_lift=lift_m)
+                assert local_density(None, n, M, p, gamma_lift=lift_m) == \
+                    local_density(None, n, L, p, gamma_lift=lift)
+
+
+def test_residual_guard():
+    # x^2 + y^2 is two odd-type coordinates at p = 2: a histogram over Z/2^s
+    L = direct_sum(rank1(2), rank1(2))
+    assert count_solutions_split(None, 1, L, 2, 3) == count_solutions_naive(None, 1, L, 8)
+    with pytest.raises(GuardExceeded):
+        count_solutions_split(None, 1, L, 2, 10, guard=10 ** 5)
 
 
 def test_quadratic_congruence_count_brute():
@@ -191,8 +274,6 @@ def test_stabilization_random_suite():
         if n <= 0:
             continue
         p = rng.choice([2, 3, 5, 7])
-        if p == 2 and L.blocks is None and L.rank > 2:
-            continue  # keep the p=2 exhaustive fallback inside the guard
         rep = local_density(gamma, n, L, p)
         r = L.rank
         norm0 = Fraction(rep.raw_counts[rep.stabilization_exponent - 1],
