@@ -86,6 +86,7 @@ from .hyperboloid import (
     Window,
     admissible_values,
     box_scan_count,
+    count_range,
     enumerate_points,
     equidistribution_run,
     mu_a0,

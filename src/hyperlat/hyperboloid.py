@@ -6,6 +6,12 @@ vectors (so window membership of lattice points is an exact integer
 comparison) and normalized in floating point only for the Monte Carlo
 measure estimates.  Point counts are exact; the two invariant measures are
 estimated with seeded, reproducible Monte Carlo.
+
+``count_range`` counts a whole list of norms at once.  With a marked
+hyperbolic split it builds one (tau, |u|) histogram over the lattice box of
+the largest norm, since the box does not depend on n and tau moves with n
+only by a shift; otherwise it runs the depth-first search once per norm.
+``enumerate_points`` is its single-norm case.
 """
 
 from __future__ import annotations
@@ -25,12 +31,13 @@ from .exactla import (
     rational_congruent_diagonal,
     short_vectors,
 )
-from .densities import is_representable, singular_series
+from .densities import _gamma_lift, is_representable, singular_series
 from .lattices import IntegerLattice
 
 FRAME_TOLERANCE = 1e-10
 ENUM_NODE_GUARD = 10 ** 9
 GRID_GUARD = 10 ** 8
+GRID_CHUNK = 1 << 17   # kappa grid points built at once by the fast path
 
 
 class HyperboloidError(ValueError):
@@ -313,11 +320,6 @@ def _majorant_matrix(window: Window):
     return a
 
 
-def _coset_lift(L: IntegerLattice, gamma):
-    from .densities import _gamma_lift
-    return _gamma_lift(L, gamma)
-
-
 def _fast_split_data(window: Window):
     """Preconditions for the histogram fast path; None when unavailable."""
     L = window.frame.lattice
@@ -347,27 +349,58 @@ def enumerate_points(gamma, n, window: Window, keep_points: bool = False,
                      guard: int = ENUM_NODE_GUARD) -> PointCount:
     """Exact count of lambda in gamma+V with Q(lambda) = -n inside the cap.
 
-    A lattice with a marked hyperbolic split and a compatible frame uses the
-    vectorized factorization counter; otherwise an exact depth-first search
-    over the positive majorant 2*radial^2 - Q runs, with a node guard.
-    Boundary points (radius exactly rho sqrt(n)) are included in the count
-    and reported separately.
+    The single-norm case of ``count_range``.  Kept points come from the
+    depth-first search.  Boundary points (radius exactly rho sqrt(n)) are
+    included in the count and reported separately.
     """
+    if not keep_points:
+        return count_range(gamma, [n], window, guard)[0]
     n = Fraction(n)
     if n <= 0:
         raise HyperboloidError("point enumeration wants n > 0")
     L = window.frame.lattice
-    lift = _coset_lift(L, gamma)
+    lift = _gamma_lift(L, gamma)
     if (L.q_of(lift) + n).denominator != 1:
-        return PointCount(n, 0, 0, () if keep_points else None)
-    fast = None if keep_points else _fast_split_data(window)
+        return PointCount(n, 0, 0, ())
+    return _count_generic(lift, n, window, True, guard)
+
+
+def count_range(gamma, ns, window: Window, guard: int = ENUM_NODE_GUARD,
+                gamma_lift=None) -> tuple[PointCount, ...]:
+    """One exact count per n in ns, in order, of lambda in gamma+V with
+    Q(lambda) = -n inside the cap.
+
+    A lattice with a marked hyperbolic split and a compatible frame (and no
+    sector) uses the factorization counter: one (tau, |u|) histogram over the
+    kappa box of max(ns) answers every norm.  Otherwise an exact depth-first
+    search over the positive majorant 2*radial^2 - Q runs once per norm, with
+    a node guard.  Norms outside -Q(gamma) + Z count 0.
+    """
+    ns = [Fraction(n) for n in ns]
+    if any(n <= 0 for n in ns):
+        raise HyperboloidError("point enumeration wants n > 0")
+    L = window.frame.lattice
+    lift = tuple(gamma_lift) if gamma_lift is not None else _gamma_lift(L, gamma)
+    q_lift = L.q_of(lift)
+    support = [n for n in ns if (q_lift + n).denominator == 1]
+    fast = _fast_split_data(window) if support else None
     if fast is not None:
-        count, grazing = _count_fast(lift, n, window, fast, guard)
-        return PointCount(n, count, grazing, None)
-    return _count_generic(lift, n, window, keep_points, guard)
+        found = {n: PointCount(n, count, grazing) for n, (count, grazing)
+                 in zip(support, _count_fast(lift, support, window, fast))}
+    else:
+        found = {n: _count_generic(lift, n, window, False, guard)
+                 for n in support}
+    return tuple(found.get(n, PointCount(n, 0, 0)) for n in ns)
 
 
-def _count_fast(lift, n: Fraction, window: Window, fast, guard: int):
+def _count_fast(lift, ns, window: Window, fast):
+    """(count, grazing) for every n in ns, all in the coset support.
+
+    A point is (x, y, kappa) with kappa in the complement K of the hyperbolic
+    plane and x y = t = tau(kappa) + t0(n), t0(n) = -(n + q0).  The kappa box
+    and |u| do not depend on n, so one (tau, |u|) histogram over the box of
+    max(ns) serves every norm; the exact window tests then run per norm.
+    """
     L = window.frame.lattice
     i, j, t2 = fast
     r = L.rank
@@ -386,10 +419,10 @@ def _count_fast(lift, n: Fraction, window: Window, fast, guard: int):
     wk = np.array([int(x) for x in wk_frac], dtype=np.int64)
     q0 = sum(Fraction(gk_gram[a][b]) * g_k[a] * g_k[b]
              for a in range(len(rest)) for b in range(len(rest))) / 2
-    t0 = -(n + q0)
-    if t0.denominator != 1:
+    t0s = [-(n + q0) for n in ns]
+    if any(t0.denominator != 1 for t0 in t0s):
         raise HyperboloidError("n is not in the coset support")
-    t0 = int(t0)
+    t0s = [int(t0) for t0 in t0s]
 
     # u(kappa) = (kappa + g_k, t2), scaled to integers
     t2_rest = [t2[k] for k in rest]
@@ -400,15 +433,12 @@ def _count_fast(lift, n: Fraction, window: Window, fast, guard: int):
     u_coef = np.array([int(x * du) for x in gt2], dtype=np.int64)
     u_shift = int(shift_f * du)
 
-    # window: s^2/4 + u^2/(2 T2 du^2) <= rho^2 n, scaled to integers
+    # window: s^2/4 + u^2/(2 T2 du^2) <= rho^2 n
     t2t2 = L.pairing(t2, t2)
-    rho2n = window.rho * window.rho * n
+    rho2 = window.rho * window.rho
     c1_f = Fraction(1, 4)
     c2_f = Fraction(1, 2 * t2t2 * du * du)
-    scale = lcm(c1_f.denominator, c2_f.denominator, rho2n.denominator)
-    c1 = int(c1_f * scale)
-    c2 = int(c2_f * scale)
-    c3 = int(rho2n * scale)
+    n_top = max(ns)
 
     # kappa box from the majorant restricted to the complement block
     mk = [[Fraction(-gk_gram[a][b]) for b in range(len(rest))]
@@ -416,7 +446,7 @@ def _count_fast(lift, n: Fraction, window: Window, fast, guard: int):
     for a in range(len(rest)):
         for b in range(len(rest)):
             mk[a][b] += 2 * gt2[a] * gt2[b] / Fraction(t2t2)
-    mmax = (2 * window.rho * window.rho + 1) * n
+    mmax = (2 * rho2 + 1) * n_top
     mk_inv = frac_mat_inv(mk)
     ranges = []
     size = 1
@@ -427,57 +457,79 @@ def _count_fast(lift, n: Fraction, window: Window, fast, guard: int):
         size *= len(ranges[-1])
     if size > GRID_GUARD:
         raise EnumGuardExceeded(f"fast-path grid of {size} nodes exceeds guard")
-    grids = np.meshgrid(*ranges, indexing="ij")
-    kappa = np.stack([g.ravel() for g in grids], axis=1)
-    qk = np.einsum("ki,ij,kj->k", kappa, gk, kappa) // 2
-    t_vals = t0 - qk - kappa @ wk
-    u_vals = np.abs(kappa @ u_coef + u_shift)
+    if size == 0:
+        return [(0, 0)] * len(ns)
 
-    # 2D histogram over (t, |u|)
-    s_hi = floor_sqrt_fraction(4 * rho2n)
-    t_min = int(t_vals.min())
-    t_cap = (s_hi * s_hi) // 4 + 1  # xy = t <= (s/2)^2
-    t_max = min(int(t_vals.max()), t_cap)
-    keep = t_vals <= t_max
-    t_vals = t_vals[keep]
-    u_vals = u_vals[keep]
-    if len(t_vals) == 0:
-        return 0, 0
-    tw = t_max - t_min + 1
-    uw = int(u_vals.max()) + 1
-    hist = np.bincount((t_vals - t_min) * uw + u_vals,
-                       minlength=tw * uw).reshape(tw, uw)
+    # 2D histogram over (tau, |u|), built in chunks along the first axis.
+    # xy = t <= (s/2)^2 caps t at every norm; t_cap(n) - t0(n) grows with n,
+    # so the cap of the largest norm caps tau.  No window test of the range
+    # accepts |u| >= uw.
+    def t_cap(n):
+        return floor_sqrt_fraction(4 * rho2 * n) ** 2 // 4 + 1
+
+    tau_hi = t_cap(n_top) + int(n_top + q0)
+    uw = floor_sqrt_fraction(rho2 * n_top / c2_f) + 1
+    step = max(GRID_CHUNK * len(ranges[0]) // size, 1)
+    keys = []
+    for start in range(0, len(ranges[0]), step):
+        grids = np.meshgrid(ranges[0][start:start + step], *ranges[1:],
+                            indexing="ij")
+        kappa = np.stack([g.ravel() for g in grids], axis=1)
+        tau = -(((kappa @ gk) * kappa).sum(axis=1) // 2) - kappa @ wk
+        u_vals = np.abs(kappa @ u_coef + u_shift)
+        keep = (tau <= tau_hi) & (u_vals < uw)
+        # rows count down from tau_hi: the lowest tau is known only at the end
+        keys.append((tau_hi - tau[keep]) * uw + u_vals[keep])
+    keys = np.concatenate(keys)
+    if len(keys) == 0:
+        return [(0, 0)] * len(ns)
+    tw = int(keys.max()) // uw + 1
+    hist = np.bincount(keys, minlength=tw * uw).reshape(tw, uw)[::-1]
     cum = hist.cumsum(axis=1)
+    tau_lo = tau_hi - tw + 1
 
-    count = 0
-    grazing = 0
-    for s in range(-s_hi, s_hi + 1):
-        budget = c3 - c1 * s * s
-        if budget < 0:
+    out = []
+    for n, t0 in zip(ns, t0s):
+        rho2n = rho2 * n
+        scale = lcm(c1_f.denominator, c2_f.denominator, rho2n.denominator)
+        c1 = int(c1_f * scale)
+        c2 = int(c2_f * scale)
+        c3 = int(rho2n * scale)
+        s_hi = floor_sqrt_fraction(4 * rho2n)
+        t_min = tau_lo + t0
+        t_max = t_cap(n)
+        if t_min > t_max:
+            out.append((0, 0))
             continue
-        u_max = isqrt(budget // c2)
-        u_idx = min(u_max, uw - 1)
-        on_boundary = (budget - c2 * u_max * u_max == 0) and u_max <= uw - 1
-        # x+y = s, x-y = d: t = x y = (s^2-d^2)/4 needs d = s mod 2
-        d_hi_sq = s * s - 4 * t_min
-        if d_hi_sq < 0:
-            continue
-        d_hi = isqrt(d_hi_sq)
-        d_lo_sq = max(s * s - 4 * t_max, 0)
-        d_lo = isqrt(d_lo_sq)
-        if d_lo * d_lo < d_lo_sq:
-            d_lo += 1
-        d = np.arange(d_lo, d_hi + 1, dtype=np.int64)
-        d = d[(d & 1) == (s & 1)]
-        if len(d) == 0:
-            continue
-        weights = np.where(d > 0, 2, 1)  # (s, d) and (s, -d) swap x and y
-        tt = (s * s - d * d) // 4
-        idx = tt - t_min
-        count += int((cum[idx, u_idx] * weights).sum())
-        if on_boundary:
-            grazing += int((hist[idx, u_max] * weights).sum())
-    return count, grazing
+        count = 0
+        grazing = 0
+        for s in range(-s_hi, s_hi + 1):
+            budget = c3 - c1 * s * s
+            if budget < 0:
+                continue
+            u_max = isqrt(budget // c2)   # < uw
+            on_boundary = budget == c2 * u_max * u_max
+            # x+y = s, x-y = d: t = x y = (s^2-d^2)/4 needs d = s mod 2
+            d_hi_sq = s * s - 4 * t_min
+            if d_hi_sq < 0:
+                continue
+            d_hi = isqrt(d_hi_sq)
+            d_lo_sq = max(s * s - 4 * t_max, 0)
+            d_lo = isqrt(d_lo_sq)
+            if d_lo * d_lo < d_lo_sq:
+                d_lo += 1
+            d = np.arange(d_lo, d_hi + 1, dtype=np.int64)
+            d = d[(d & 1) == (s & 1)]
+            if len(d) == 0:
+                continue
+            weights = np.where(d > 0, 2, 1)  # (s, d) and (s, -d) swap x and y
+            tt = (s * s - d * d) // 4
+            idx = tt - t_min
+            count += int((cum[idx, u_max] * weights).sum())
+            if on_boundary:
+                grazing += int((hist[idx, u_max] * weights).sum())
+        out.append((count, grazing))
+    return out
 
 
 def _count_generic(lift, n: Fraction, window: Window, keep_points: bool,
@@ -538,7 +590,7 @@ def box_scan_count(gamma, n, window: Window, guard: int = 10 ** 7,
     n = Fraction(n)
     L = window.frame.lattice
     r = L.rank
-    lift = _coset_lift(L, gamma)
+    lift = _gamma_lift(L, gamma)
     dl = lcm(*(x.denominator for x in lift), 1)
     a = _majorant_matrix(window)
     ainv = frac_mat_inv(a)
@@ -603,10 +655,9 @@ class ExperimentSummary:
     second_half_mean: float
 
 
-def admissible_values(V: IntegerLattice, gamma, lo, hi):
+def admissible_values(V: IntegerLattice, gamma, lo, hi, gamma_lift=None):
     """Values n in -Q(gamma)+Z inside [lo, hi]."""
-    from .densities import _gamma_lift
-    lift = _gamma_lift(V, gamma)
+    lift = tuple(gamma_lift) if gamma_lift is not None else _gamma_lift(V, gamma)
     frac = (-V.q_of(lift)) % 1
     lo, hi = Fraction(lo), Fraction(hi)
     start = lo - (lo % 1) - 1 + frac
@@ -628,18 +679,23 @@ def equidistribution_run(V: IntegerLattice, gamma, window: Window,
 
     predicted(n) = mu_infty(window) * n^(b/2) * truncated singular series.
     Non-representable n are skipped with a note.  The Monte Carlo measure is
-    estimated once per window from the seed; counts are exact.
+    estimated once per window from the seed; counts are exact, all from one
+    ``count_range`` call.
     """
     b = V.rank - 2
+    lift = _gamma_lift(V, gamma)
     mu_val, mu_err = mu_infty(window, samples, seed=seed, workers=workers)
-    reports = []
+    ns = []
     skipped = []
-    for n in admissible_values(V, gamma, n_lo, n_hi):
-        if not is_representable(gamma, n, V):
+    for n in admissible_values(V, None, n_lo, n_hi, gamma_lift=lift):
+        if is_representable(None, n, V, gamma_lift=lift):
+            ns.append(n)
+        else:
             skipped.append((n, "not locally representable"))
-            continue
-        pc = enumerate_points(gamma, n, window, guard=guard)
-        ss = singular_series(gamma, n, V, prime_bound)
+    reports = []
+    for pc in count_range(None, ns, window, guard, gamma_lift=lift):
+        n = pc.n
+        ss = singular_series(None, n, V, prime_bound, gamma_lift=lift)
         predicted = mu_val * float(n) ** (b / 2) * float(ss.truncated_product)
         ratio = pc.count / predicted if predicted else math.inf
         reports.append(CountReport(n, pc.count, predicted, ratio, mu_val,

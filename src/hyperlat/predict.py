@@ -38,7 +38,7 @@ from .lattices import (
     rank1,
     saturation_index,
 )
-from .qseries import u_coeff
+from . import qseries
 
 
 class PredictError(ValueError):
@@ -114,8 +114,13 @@ def degree_prediction(inp: PredictionInput, guard=None):
     c = eisenstein_coefficient(inp.gamma, inp.n, inp.lattice, inp.prime_bound,
                                **({} if guard is None else {"guard": guard}))
     b = inp.lattice.rank - 2
+    theta_order = max(Fraction(inp.n), Fraction(0))
+    thetas = {}   # one theta series per distinct K_F
     for datum, degree in inp.boundary_degrees:
-        u = u_coeff(inp.gamma, inp.n, datum, c)
+        key = datum.kf_lattice.gram
+        if key not in thetas:
+            thetas[key] = qseries.theta_series(datum.kf_lattice, theta_order)
+        u = qseries.u_coeff(inp.gamma, inp.n, datum, c, theta=thetas[key])
         contrib = mpmath.mpf(float(u)) * degree
         total = total + contrib
         order = (f"O(n^({Fraction(b, 2) - 1}+eps))" if datum.strongly_primitive

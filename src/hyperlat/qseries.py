@@ -203,15 +203,19 @@ def a_coeff(gamma, n, F, order=None) -> Fraction:
     return _a_from_theta(_cusp_pullback_theta(F, order), gamma, n, F)
 
 
-def u_coeff(gamma, n, F, c) -> BoundaryCoefficient:
+def u_coeff(gamma, n, F, c, theta=None) -> BoundaryCoefficient:
     """Cusp correction coefficient (c(gamma,n)/2) a(0,0,F) - a(gamma,n,F).
 
     ``c`` is an EisensteinCoefficient; when it is exact the result is an
     exact rational, otherwise it inherits the truncated-product flag.  Both
-    coefficients are read from one pulled-back theta series.
+    coefficients are read from one pulled-back theta series.  ``theta`` is
+    the theta series of F's K_F lattice to order >= n, for callers that
+    share it between cusps with the same K_F; by default it is built here.
     """
     n = Fraction(n)
-    theta_v = _cusp_pullback_theta(F, max(n, Fraction(0)))
+    if theta is None:
+        theta = theta_series(F.kf_lattice, max(n, Fraction(0)))
+    theta_v = pullback_series(theta, F.ambient_disc, F.projection_to_kf)
     a00 = _a_from_theta(theta_v, F.ambient_disc.zero, Fraction(0), F)
     agn = _a_from_theta(theta_v, gamma, n, F)
     if c.exact is not None:

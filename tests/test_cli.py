@@ -148,6 +148,24 @@ def test_predict_builds_one_theta_series_per_cusp(monkeypatch):
     out = run_cli(["predict", "--lattice", "U+U+rank1(-8)", "--n", "4", "--mu-s", "1",
                    "--prime-bound", "20", "--boundary", "0:1;1:1", "--cusp-bound", "2"])
     assert out.count("# u=") == 2
-    # a(0, 0, F) and a(gamma, n, F) come from one series of order n per cusp
-    assert len(calls) == 2
+    # a(0, 0, F) and a(gamma, n, F) come from one series of order n, which
+    # the two cusps share because their K_F lattices agree
+    assert len(calls) == 1
     assert all(order == 4 for _, order in calls)
+
+
+def test_predict_builds_one_theta_series_per_distinct_kf(monkeypatch):
+    import hyperlat.qseries as qs
+    calls = []
+    theta = qs.theta_series
+
+    def counted(K, order):
+        calls.append((K.gram, order))
+        return theta(K, order)
+
+    monkeypatch.setattr(qs, "theta_series", counted)
+    # planes 0 and 2 of U+U+<-8> have K_F = <-8> and <-2>
+    out = run_cli(["predict", "--lattice", "U+U+rank1(-8)", "--n", "4", "--mu-s", "1",
+                   "--prime-bound", "20", "--boundary", "0:1;2:1", "--cusp-bound", "2"])
+    assert out.count("# u=") == 2
+    assert calls == [(((-8,),), 4), (((-2,),), 4)]

@@ -4,12 +4,15 @@ from fractions import Fraction
 
 import pytest
 
+import hyperlat.hyperboloid as hyp
 from hyperlat.hyperboloid import (
     EnumGuardExceeded,
     HyperboloidError,
+    PointCount,
     Window,
     admissible_values,
     box_scan_count,
+    count_range,
     enumerate_points,
     equidistribution_run,
     mu_a0,
@@ -121,6 +124,104 @@ def test_counts_match_randomized(v8_lattice):
         fast = enumerate_points(None, n, win)
         box = box_scan_count(None, n, win)
         assert fast.count == box.count and fast.grazing == box.grazing
+
+
+@pytest.mark.parametrize("rho, box_ns, generic_ns", [
+    (Fraction(1, 2), [1, 2, 3], [10, 12]),
+    (Fraction(1), [1, 3], [8]),
+    (Fraction(2), [1], [4]),
+])
+def test_count_range_matches_oracles(v_lattice, rho, box_ns, generic_ns):
+    # one unsorted range with gaps: box scan at small n, the generic
+    # depth-first search at moderate n
+    win = _window(v_lattice, rho)
+    zero = tuple(Fraction(0) for _ in range(5))
+    got = count_range(None, generic_ns + box_ns, win)
+    want = ([_count_generic(zero, Fraction(n), win, False, 10 ** 9)
+             for n in generic_ns] +
+            [box_scan_count(None, n, win) for n in box_ns])
+    assert got == tuple(want)
+
+
+def test_count_range_fractional_norms(v8_lattice):
+    # gamma = (1,) in Z/8: norms lie in -Q(gamma) + Z = 1/16 + Z
+    win = Window(splitting_frame(v8_lattice), Fraction(3, 2))
+    lift = tuple(v8_lattice.discriminant_group().lift((1,)))
+    small = admissible_values(v8_lattice, (1,), 1, 3)
+    assert small == [Fraction(17, 16), Fraction(33, 16)]
+    moderate = Fraction(81, 16)
+    got = count_range((1,), small + [Fraction(4), moderate], win)
+    want = ([box_scan_count((1,), n, win) for n in small] +
+            [PointCount(Fraction(4), 0, 0),   # 4 is not in 1/16 + Z
+             _count_generic(lift, moderate, win, False, 10 ** 9)])
+    assert got == tuple(want)
+    assert got == count_range(None, small + [Fraction(4), moderate], win,
+                              gamma_lift=lift)
+
+
+@pytest.mark.parametrize("rho, gamma, lo, hi", [
+    (Fraction(1, 2), None, 1, 80),
+    (Fraction(1), None, 40, 60),
+    (Fraction(2), (1,), 1, 20),
+])
+def test_count_range_entries_are_independent(v_lattice, rho, gamma, lo, hi):
+    # every entry of a range equals the count of its norm alone
+    win = _window(v_lattice, rho)
+    ns = admissible_values(v_lattice, gamma, lo, hi)
+    got = count_range(gamma, ns, win)
+    assert [pc.n for pc in got] == ns
+    assert got == tuple(count_range(gamma, [n], win)[0] for n in ns)
+    assert any(pc.grazing for pc in got)
+
+
+def test_count_range_chunking_is_invisible(v_lattice, monkeypatch):
+    # chunks of 1000 points (one or more kappa rows), and of a single row
+    win = _window(v_lattice, Fraction(1, 2))
+    ns = list(range(60, 81))
+    whole = count_range(None, ns, win)
+    for chunk in (1000, 1):
+        monkeypatch.setattr(hyp, "GRID_CHUNK", chunk)
+        assert count_range(None, ns, win) == whole
+
+
+def test_count_range_empty(v_lattice, monkeypatch):
+    def no_grid(m):
+        raise AssertionError("an empty range built a grid")
+
+    monkeypatch.setattr(hyp, "frac_mat_inv", no_grid)
+    win = _window(v_lattice)
+    assert count_range(None, [], win) == ()
+    summary = equidistribution_run(v_lattice, None, win, 60, 40,
+                                   prime_bound=30, samples=1000, seed=2)
+    assert summary.reports == () and math.isnan(summary.mean_ratio)
+    with pytest.raises(HyperboloidError):
+        count_range(None, [3, 0], win)
+
+
+def test_equidistribution_run_builds_one_grid(v_lattice, monkeypatch):
+    # the kappa box (one inverse of the complement's majorant) is built once
+    # for the largest norm and serves all 31 norms
+    calls = []
+    inverse = hyp.frac_mat_inv
+
+    def counted(m):
+        calls.append(len(m))
+        return inverse(m)
+
+    monkeypatch.setattr(hyp, "frac_mat_inv", counted)
+    summary = equidistribution_run(v_lattice, None, _window(v_lattice), 40, 70,
+                                   prime_bound=30, samples=1000, seed=2)
+    assert len(summary.reports) == 31
+    assert calls == [3]
+
+
+def test_grid_guard_at_largest_norm(v_lattice, monkeypatch):
+    # the kappa grid has 25047 points at n = 40 and 57319 at n = 70
+    monkeypatch.setattr(hyp, "GRID_GUARD", 40000)
+    win = _window(v_lattice)
+    assert count_range(None, [40], win)[0].count > 0
+    with pytest.raises(EnumGuardExceeded, match="57319"):
+        count_range(None, [40, 70], win)
 
 
 def test_count_parity(v_lattice):
