@@ -39,7 +39,7 @@ print(f"ratio {mi / ma:.5f} vs 2^(b/2)/sqrt|det| = "
 
 print()
 print("exact counts in the cap (all three enumeration paths agree; the")
-print("fast path is used automatically for lattices with a marked split):")
+print("fast path is used whenever the basis shows an orthogonal U):")
 for n in (1, 5, 50):
     pc = enumerate_points(None, n, window)
     print(f"  n = {n:3d}: {pc.count} points, {pc.grazing} exactly on the rim")

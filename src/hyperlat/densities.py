@@ -359,12 +359,13 @@ def _residual_counts(ms, target: int, p: int, s: int, guard: int):
 # the split counter
 
 @functools.lru_cache(maxsize=1024)
-def _local_pieces(gram, p: int, w, c0: int):
+def _local_pieces(gram, p: int, w):
     """Split t(alpha) = Q(alpha) + alpha.w + c0 over Z_p into pieces.
 
-    Returns (radial, residual, const): in Jordan coordinates t is the sum of
-    the piece values plus const.  A piece whose shift is B v for a
-    p-integral v is translated by v, since Q(y) + (y, v) = Q(y + v) - Q(v).
+    Returns (radial, residual, offset): in Jordan coordinates t is the sum of
+    the piece values plus c0 + offset.  c0 is left to the caller, so one
+    entry serves every norm.  A piece whose shift is B v for a p-integral v
+    is translated by v, since Q(y) + (y, v) = Q(y + v) - Q(v).
     ``radial`` lists (values function, extra arguments) for the pieces whose
     counts depend only on v_p(t): translated planes, and untranslatable
     pieces, whose values cover p^e Z_p evenly.  ``residual`` holds the
@@ -374,7 +375,7 @@ def _local_pieces(gram, p: int, w, c0: int):
     trans, pieces = _jordan_splitting(gram, p)
     r = len(gram)
     shift = [sum(trans[i][j] * w[i] for i in range(r) if w[i]) for j in range(r)]
-    const = Fraction(c0)
+    offset = Fraction(0)
     radial = []
     rank1 = []
     for idx, block in pieces:
@@ -391,7 +392,7 @@ def _local_pieces(gram, p: int, w, c0: int):
                 e += 1  # m y^2 + u y with v(m) = v(u): y(m y + u) is even
             radial.append((_uniform_values, (len(idx), e)))
             continue
-        const -= sum(vi * bij * vj for vi, row in zip(v, block)
+        offset -= sum(vi * bij * vj for vi, row in zip(v, block)
                      for bij, vj in zip(row, v)) / 2
         if len(idx) == 1:
             rank1.append(block[0][0] / 2)
@@ -402,7 +403,7 @@ def _local_pieces(gram, p: int, w, c0: int):
             split = x * z == 0 or rational_valuation(x * z, 2) >= 2 * k + 3
             radial.append((_plane_values, (k, split)))
     if p == 2:
-        return tuple(radial), tuple(rank1), const
+        return tuple(radial), tuple(rank1), offset
     residual = []
     by_scale = {}
     for m in rank1:
@@ -414,7 +415,7 @@ def _local_pieces(gram, p: int, w, c0: int):
             radial.append((_plane_values, (k, split)))
         if len(ms) % 2:
             residual.append(ms[-1])
-    return tuple(radial), tuple(residual), const
+    return tuple(radial), tuple(residual), offset
 
 
 def count_solutions_split(gamma, n, L: IntegerLattice, p: int, s: int,
@@ -431,7 +432,8 @@ def count_solutions_split(gamma, n, L: IntegerLattice, p: int, s: int,
     """
     lift = tuple(gamma_lift) if gamma_lift is not None else _gamma_lift(L, gamma)
     w, c0 = _count_data(L.gram, lift, Fraction(n))
-    radial, residual, const = _local_pieces(L.gram, p, w, c0)
+    radial, residual, offset = _local_pieces(L.gram, p, w)
+    const = c0 + offset
     a = p ** s
     values = [0] * s + [1]  # the empty form
     for fn, args in radial:
@@ -636,7 +638,7 @@ def is_representable(gamma, n, V: IntegerLattice,
     if not in_coset_support(None, n, V, gamma_lift=lift):
         return False
     if V.hyperbolic_split is not None:
-        # a unimodular hyperbolic block represents everything at every prime
+        # an orthogonal summand U represents everything at every prime
         return True
     ps = set(small_primes(_SMALL_PRIME_SWEEP))
     ps.update(_prime_factors(2 * n.numerator * n.denominator * V.det))

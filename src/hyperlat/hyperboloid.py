@@ -7,11 +7,12 @@ comparison) and normalized in floating point only for the Monte Carlo
 measure estimates.  Point counts are exact; the two invariant measures are
 estimated with seeded, reproducible Monte Carlo.
 
-``count_range`` counts a whole list of norms at once.  With a marked
-hyperbolic split it builds one (tau, |u|) histogram over the lattice box of
-the largest norm, since the box does not depend on n and tau moves with n
-only by a shift; otherwise it runs the depth-first search once per norm.
-``enumerate_points`` is its single-norm case.
+``count_range`` counts a whole list of norms at once.  When the basis shows
+an orthogonal summand U (``IntegerLattice.hyperbolic_split``) it builds one
+(tau, |u|) histogram over the lattice box of the largest norm, since the box
+does not depend on n and tau moves with n only by a shift; otherwise it runs
+the depth-first search once per norm.  ``enumerate_points`` is its
+single-norm case.
 """
 
 from __future__ import annotations
@@ -123,25 +124,24 @@ class SplittingFrame:
 
 
 def splitting_frame(V: IntegerLattice) -> SplittingFrame:
-    """Canonical frame: hyperbolic blocks split as e+f / e-f, the rest by
-    exact symmetric diagonalization."""
+    """Canonical frame, one orthogonal component of the basis at a time:
+    a component U splits as e+f / e-f, any other by exact symmetric
+    diagonalization."""
     sig = V.signature()
     if sig.positive != 2:
         raise HyperboloidError("frames are for signature (2, b) lattices")
     pos, neg = [], []
-    blocks = V.blocks if V.blocks is not None else ((0, V.rank),)
-    for start, size in blocks:
-        sub = [[Fraction(V.gram[i][j]) for j in range(start, start + size)]
-               for i in range(start, start + size)]
-        if (size == 2 and sub[0][0] == 0 and sub[1][1] == 0 and sub[0][1] == 1):
+    for idx in V.components:
+        sub = [[Fraction(V.gram[i][j]) for j in idx] for i in idx]
+        if sub == [[0, 1], [1, 0]]:
             vecs = [[Fraction(1), Fraction(1)], [Fraction(1), Fraction(-1)]]
         else:
             t, diag = rational_congruent_diagonal(sub)
-            vecs = [[t[i][k] for i in range(size)] for k in range(size)]
+            vecs = [[t[i][k] for i in range(len(idx))] for k in range(len(idx))]
         for vec in vecs:
             full = [Fraction(0)] * V.rank
-            for i, x in enumerate(vec):
-                full[start + i] = x
+            for i, x in zip(idx, vec):
+                full[i] = x
             q = V.q_of(full)
             (pos if q > 0 else neg).append(tuple(full))
     return SplittingFrame(V, tuple(pos), tuple(neg))
@@ -169,22 +169,16 @@ class Window:
     def b(self) -> int:
         return self.frame.lattice.rank - 2
 
-    def sector_fraction(self) -> float:
+    @property
+    def sector_width(self) -> float:
+        """Angle swept from the sector's start, in (0, 2 pi]; 2 pi without one."""
         if self.sector is None:
-            return 1.0
-        a, bb = self.sector
-        width = (bb - a) % (2 * math.pi)
-        if width == 0:
-            width = 2 * math.pi
-        return width / (2 * math.pi)
-
-    def _sector_mask(self, a1, a2):
-        if self.sector is None:
-            return np.ones_like(a1, dtype=bool)
+            return 2 * math.pi
         lo, hi = self.sector
-        ang = np.arctan2(a2, a1) % (2 * math.pi)
-        width = (hi - lo) % (2 * math.pi) or 2 * math.pi
-        return (ang - lo) % (2 * math.pi) <= width
+        return (hi - lo) % (2 * math.pi) or 2 * math.pi
+
+    def sector_fraction(self) -> float:
+        return self.sector_width / (2 * math.pi)
 
 
 # ---------------------------------------------------------------------------
@@ -198,9 +192,7 @@ def _disk_samples(rng, m: int, rho: float, window: Window):
     u = rng.random(m)
     ang = rng.random(m) * 2 * math.pi
     if window.sector is not None:
-        lo, hi = window.sector
-        width = (hi - lo) % (2 * math.pi) or 2 * math.pi
-        ang = lo + rng.random(m) * width
+        ang = window.sector[0] + rng.random(m) * window.sector_width
     r = rho * np.sqrt(u)
     return r * np.cos(ang), r * np.sin(ang)
 
@@ -370,9 +362,9 @@ def count_range(gamma, ns, window: Window, guard: int = ENUM_NODE_GUARD,
     """One exact count per n in ns, in order, of lambda in gamma+V with
     Q(lambda) = -n inside the cap.
 
-    A lattice with a marked hyperbolic split and a compatible frame (and no
-    sector) uses the factorization counter: one (tau, |u|) histogram over the
-    kappa box of max(ns) answers every norm.  Otherwise an exact depth-first
+    A lattice whose basis shows an orthogonal U, with a compatible frame
+    (and no sector), uses the factorization counter: one (tau, |u|)
+    histogram over the kappa box of max(ns) answers every norm.  Otherwise an exact depth-first
     search over the positive majorant 2*radial^2 - Q runs once per norm, with
     a node guard.  Norms outside -Q(gamma) + Z count 0.
     """
@@ -573,10 +565,8 @@ def _sector_ok(window: Window, vec) -> bool:
     t1, t2 = window.frame.positive
     a1 = float(L.pairing(vec, t1)) / math.sqrt(float(2 * L.pairing(t1, t1)))
     a2 = float(L.pairing(vec, t2)) / math.sqrt(float(2 * L.pairing(t2, t2)))
-    lo, hi = window.sector
     ang = math.atan2(a2, a1) % (2 * math.pi)
-    width = (hi - lo) % (2 * math.pi) or 2 * math.pi
-    return (ang - lo) % (2 * math.pi) <= width
+    return (ang - window.sector[0]) % (2 * math.pi) <= window.sector_width
 
 
 def box_scan_count(gamma, n, window: Window, guard: int = 10 ** 7,

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from .exactla import (
     bareiss_det,
     hnf,
@@ -42,16 +43,14 @@ class Signature:
 class IntegerLattice:
     """An even nondegenerate integral lattice given by its Gram matrix.
 
-    ``blocks`` marks an orthogonal block structure (start, size) used by the
-    hyperboloid splitting frame; ``hyperbolic_split`` marks basis rows (i, j)
-    spanning a unimodular hyperbolic plane used by the fast point enumerator.
-    Both are bookkeeping only and do not affect equality.
+    Everything else is read off the Gram matrix: ``components`` is the
+    orthogonal splitting the basis shows, which shapes the hyperboloid
+    frame, and ``hyperbolic_split`` the summand U that enables the fast point
+    counter.  ``name`` is a label only and does not affect equality.
     """
 
     gram: tuple[tuple[int, ...], ...]
     name: str | None = field(default=None, compare=False)
-    blocks: tuple[tuple[int, int], ...] | None = field(default=None, compare=False)
-    hyperbolic_split: tuple[int, int] | None = field(default=None, compare=False)
 
     def __post_init__(self):
         g = tuple(tuple(int(x) for x in row) for row in self.gram)
@@ -100,16 +99,47 @@ class IntegerLattice:
         from .fqm import discriminant_group
         return discriminant_group(self)
 
+    # -- structure shown by the basis --------------------------------------
+
+    @cached_property
+    def components(self) -> tuple[tuple[int, ...], ...]:
+        """Index sets of the connected components of the Gram matrix's
+        nonzero pattern, in order of their first index: the finest
+        orthogonal splitting the basis shows."""
+        g = self.gram
+        seen = set()
+        out = []
+        for start in range(self.rank):
+            if start in seen:
+                continue
+            seen.add(start)
+            comp, todo = [], [start]
+            while todo:
+                i = todo.pop()
+                comp.append(i)
+                for j, x in enumerate(g[i]):
+                    if x and j not in seen:
+                        seen.add(j)
+                        todo.append(j)
+            out.append(tuple(sorted(comp)))
+        return tuple(out)
+
+    @cached_property
+    def hyperbolic_split(self) -> tuple[int, int] | None:
+        """Rows (i, j) of the first component with Gram matrix [[0, 1], [1, 0]]
+        (an orthogonal summand U), or None."""
+        g = self.gram
+        for comp in self.components:
+            if [[g[i][j] for j in comp] for i in comp] == [[0, 1], [1, 0]]:
+                return comp
+        return None
+
     # -- serialization -----------------------------------------------------
 
     def to_json(self) -> str:
         obj = {"gram": [list(r) for r in self.gram]}
         if self.name:
             obj["name"] = self.name
-        if self.hyperbolic_split is not None:
-            obj["hyperbolic_split"] = {"rows": list(self.hyperbolic_split)}
-        if self.blocks is not None:
-            obj["blocks"] = [list(b) for b in self.blocks]
         return json.dumps(obj, indent=1)
 
 
@@ -129,53 +159,40 @@ _E8_GRAM = (
 
 
 def hyperbolic_plane() -> IntegerLattice:
-    return IntegerLattice(((0, 1), (1, 0)), name="U",
-                          blocks=((0, 2),), hyperbolic_split=(0, 1))
+    return IntegerLattice(((0, 1), (1, 0)), name="U")
 
 
 def rank1(two_m: int) -> IntegerLattice:
     if two_m == 0 or two_m % 2:
         raise LatticeError("rank1 parameter must be a nonzero even integer")
-    return IntegerLattice(((two_m,),), name=f"rank1({two_m})", blocks=((0, 1),))
+    return IntegerLattice(((two_m,),), name=f"rank1({two_m})")
 
 
 def e8(scale: int = 1) -> IntegerLattice:
     if scale == 0:
         raise LatticeError("rescale by zero")
     g = tuple(tuple(scale * x for x in row) for row in _E8_GRAM)
-    return IntegerLattice(g, name="E8" if scale == 1 else f"E8({scale})",
-                          blocks=((0, 8),))
+    return IntegerLattice(g, name="E8" if scale == 1 else f"E8({scale})")
 
 
 def direct_sum(*lats: IntegerLattice) -> IntegerLattice:
     n = sum(L.rank for L in lats)
     g = [[0] * n for _ in range(n)]
-    blocks = []
-    split = None
     off = 0
     for L in lats:
         for i in range(L.rank):
             for j in range(L.rank):
                 g[off + i][off + j] = L.gram[i][j]
-        if L.blocks is not None:
-            blocks.extend((off + s, sz) for s, sz in L.blocks)
-        else:
-            blocks.append((off, L.rank))
-        if split is None and L.hyperbolic_split is not None:
-            split = (off + L.hyperbolic_split[0], off + L.hyperbolic_split[1])
         off += L.rank
     name = "+".join(L.name or "?" for L in lats)
-    return IntegerLattice(tuple(tuple(r) for r in g), name=name,
-                          blocks=tuple(blocks), hyperbolic_split=split)
+    return IntegerLattice(tuple(tuple(r) for r in g), name=name)
 
 
 def rescale(L: IntegerLattice, m: int) -> IntegerLattice:
     if m == 0:
         raise LatticeError("rescale by zero")
     g = tuple(tuple(m * x for x in row) for row in L.gram)
-    split = L.hyperbolic_split if m == 1 else None
-    return IntegerLattice(g, name=f"{L.name}({m})" if L.name else None,
-                          blocks=L.blocks, hyperbolic_split=split)
+    return IntegerLattice(g, name=f"{L.name}({m})" if L.name else None)
 
 
 def k3_lattice() -> IntegerLattice:
@@ -386,6 +403,11 @@ def is_anisotropic_over_q(L: IntegerLattice) -> bool:
 # lattice file format
 
 def lattice_from_json(text: str) -> IntegerLattice:
+    """Lattice from a JSON object with ``gram`` and an optional ``name``.
+
+    Other keys are ignored, so files that still carry the ``blocks`` and
+    ``hyperbolic_split`` keys of older versions load unchanged.
+    """
     obj = json.loads(text)
     if not isinstance(obj, dict) or "gram" not in obj:
         raise LatticeError("lattice file needs a 'gram' field")
@@ -394,29 +416,7 @@ def lattice_from_json(text: str) -> IntegerLattice:
     for row in gram:
         if len(row) != n or any(not isinstance(x, int) for x in row):
             raise LatticeError("gram must be a square array of integers")
-    split = None
-    if "hyperbolic_split" in obj:
-        rows = obj["hyperbolic_split"]["rows"]
-        i, j = int(rows[0]), int(rows[1])
-        if not (gram[i][i] == 0 and gram[j][j] == 0 and gram[i][j] == 1):
-            raise LatticeError("hyperbolic_split rows do not span a unimodular "
-                               "hyperbolic plane")
-        split = (i, j)
-    blocks = None
-    if "blocks" in obj:
-        blocks = tuple((int(s), int(sz)) for s, sz in obj["blocks"])
-        cover = []
-        for s, sz in blocks:
-            cover.extend(range(s, s + sz))
-        if sorted(cover) != list(range(n)):
-            raise LatticeError("blocks must partition the basis")
-        for s, sz in blocks:
-            for i in range(n):
-                for j in range(s, s + sz):
-                    if not (s <= i < s + sz) and gram[i][j]:
-                        raise LatticeError("blocks must be orthogonal")
-    return IntegerLattice(tuple(tuple(r) for r in gram), name=obj.get("name"),
-                          blocks=blocks, hyperbolic_split=split)
+    return IntegerLattice(tuple(tuple(r) for r in gram), name=obj.get("name"))
 
 
 def load_lattice(path) -> IntegerLattice:

@@ -125,7 +125,7 @@ def test_k3_command():
 
 
 def test_k3_rows_match_two_d():
-    # the complement of explicit rows carries no blocks; densities must not care
+    # the complement of explicit rows has a basis of its own; densities must not care
     def data_row(argv):
         out = run_cli(argv + ["--n", "4", "--mu-s", "1", "--prime-bound", "20"])
         return [l for l in out.splitlines() if not l.startswith(("#", "rho,"))]

@@ -14,6 +14,7 @@ from hyperlat.densities import (
     quadratic_congruence_count,
     singular_series,
     small_primes,
+    _local_pieces,
     _pair_count_exact,
     _plane_values,
 )
@@ -95,11 +96,11 @@ def _legendre(x, p):
 
 def test_odd_rank_closed_form_at_good_primes(v_lattice):
     # r = 2k+1 and p prime to 2 n det: density 1 + ((-1)^k 2 det (-n) / p) p^-k.
-    # The K3 complement comes from explicit rows, so it carries no blocks;
-    # s = 3 puts p^s far above 2^15 for the larger primes.
+    # The K3 complement comes from explicit rows; its basis shows U at rows
+    # (1, 2).  s = 3 puts p^s far above 2^15 for the larger primes.
     from hyperlat.predict import _complement_of
     k3_complement = _complement_of([(1, 1) + (0,) * 20])
-    assert k3_complement.rank == 21 and k3_complement.blocks is None
+    assert k3_complement.rank == 21 and k3_complement.hyperbolic_split == (1, 2)
     for L, norms in ((v_lattice, (1, 3, 7)), (k3_complement, (4,))):
         k = (L.rank - 1) // 2
         for n in norms:
@@ -142,7 +143,7 @@ def test_plane_values_brute():
 
 
 def test_counts_ignore_the_basis():
-    # a unimodular change of basis drops the blocks and hides every plane
+    # a unimodular change of basis hides every plane: one component, no U
     rng = random.Random(5)
     U = hyperbolic_plane()
     L = direct_sum(U, U, rank1(-8))
@@ -155,7 +156,8 @@ def test_counts_ignore_the_basis():
     gram = tuple(tuple(sum(m[i][a] * L.gram[a][b] * m[j][b] for a in range(r) for b in range(r))
                        for j in range(r)) for i in range(r))
     M = IntegerLattice(gram)
-    assert M.blocks is None and any(g for row in gram for g in row if abs(g) > 2)
+    assert M.components == (tuple(range(r)),) and M.hyperbolic_split is None
+    assert any(g for row in gram for g in row if abs(g) > 2)
     minv = frac_mat_inv(m)
     D = discriminant_group(L)
     for gamma in D.elements():
@@ -338,3 +340,13 @@ def test_is_representable_without_split():
     # oracle: solvable mod 9 with the sharper density check
     rep3 = local_density(None, 1, L, 3)
     assert got == (rep3.density > 0)
+
+
+def test_local_pieces_shared_across_norms(v_lattice):
+    # c0 only shifts the constant, so one Jordan-piece entry per prime
+    # serves every norm of the coset
+    _local_pieces.cache_clear()
+    primes = set()
+    for n in range(300, 331):
+        primes.update(singular_series(None, n, v_lattice, 100).factors)
+    assert 0 < _local_pieces.cache_info().currsize <= len(primes)

@@ -1,3 +1,5 @@
+import io
+import json
 import math
 import random
 from fractions import Fraction
@@ -21,7 +23,8 @@ from hyperlat.hyperboloid import (
     unit_sphere_area,
     _count_generic,
 )
-from hyperlat.lattices import direct_sum, hyperbolic_plane, rank1
+from hyperlat.cli import main
+from hyperlat.lattices import IntegerLattice, direct_sum, hyperbolic_plane, rank1
 
 
 def _window(V, rho=1):
@@ -286,3 +289,68 @@ def test_truncation_stability(v_lattice):
         a = float(singular_series(None, n, v_lattice, 50).truncated_product)
         b = float(singular_series(None, n, v_lattice, 100).truncated_product)
         assert abs(a / b - 1) < 0.02
+
+
+def _no_generic(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the generic enumerator ran")
+
+    monkeypatch.setattr(hyp, "_count_generic", refuse)
+
+
+def test_json_lattice_without_metadata_takes_fast_path(v_lattice, tmp_path, monkeypatch):
+    # only the Gram matrix: the orthogonal U is found, not read from a key
+    path = tmp_path / "plain.json"
+    path.write_text(json.dumps({"gram": [list(r) for r in v_lattice.gram]}))
+
+    def rows(spec):
+        out = io.StringIO()
+        assert main(["count", "--lattice", spec, "--rho", "1", "--nmin", "1",
+                     "--nmax", "12", "--prime-bound", "10", "--samples", "1000"],
+                    out=out) == 0
+        return [ln for ln in out.getvalue().splitlines() if not ln.startswith("# lattice=")]
+
+    _no_generic(monkeypatch)
+    got = rows(str(path))
+    assert len(got) == 14 and got == rows("U+U+rank1(-2)")
+
+
+def test_split_on_non_adjacent_rows(monkeypatch):
+    # U on rows 0 and 2, a second U on rows 1 and 3, then <-2>
+    g = [[0] * 5 for _ in range(5)]
+    g[0][2] = g[2][0] = g[1][3] = g[3][1] = 1
+    g[4][4] = -2
+    V = IntegerLattice(tuple(map(tuple, g)))
+    assert V.hyperbolic_split == (0, 2)
+    win = _window(V)
+    assert win.frame.positive[0] == (1, 0, 1, 0, 0)
+    _no_generic(monkeypatch)
+    for n in (1, 2, 5):
+        fast = enumerate_points(None, n, win)
+        box = box_scan_count(None, n, win)
+        assert (fast.count, fast.grazing) == (box.count, box.grazing)
+        assert fast.count > 0
+
+
+def test_scrambled_basis_counts_without_split(v8_lattice):
+    # the basis of test_counts_ignore_the_basis: one component, no U shown,
+    # so the frame diagonalizes the whole form and the generic search counts
+    rng = random.Random(5)
+    L = v8_lattice
+    r = L.rank
+    m = [[int(i == j) for j in range(r)] for i in range(r)]
+    for _ in range(12):
+        i, j = rng.sample(range(r), 2)
+        f = rng.choice([-2, -1, 1, 2])
+        m[i] = [x + f * y for x, y in zip(m[i], m[j])]
+    M = IntegerLattice(tuple(tuple(sum(m[i][a] * L.gram[a][b] * m[j][b]
+                                       for a in range(r) for b in range(r))
+                                   for j in range(r)) for i in range(r)))
+    assert M.components == (tuple(range(r)),) and M.hyperbolic_split is None
+    win = _window(M, Fraction(1, 2))
+    assert hyp._fast_split_data(win) is None
+    # the skewed basis makes the oracle's box large: two small norms
+    for n in (1, 2):
+        got = enumerate_points(None, n, win)
+        box = box_scan_count(None, n, win, guard=10 ** 8)
+        assert (got.count, got.grazing) == (box.count, box.grazing)

@@ -15,6 +15,7 @@ from hyperlat.lattices import (
     is_anisotropic_over_q,
     k3_lattice,
     lattice_from_json,
+    load_lattice,
     make_named,
     orthogonal_complement,
     rank1,
@@ -176,6 +177,56 @@ def test_file_format_roundtrip(tmp_path):
         lattice_from_json(json.dumps({"gram": [[1, 0], [0, 2]]}))
     with pytest.raises(LatticeError):
         lattice_from_json(json.dumps({"gram": [[0, 1], [2, 0]]}))
-    with pytest.raises(LatticeError):
-        lattice_from_json(json.dumps(
-            {"gram": [[0, 2], [2, 0]], "hyperbolic_split": {"rows": [0, 1]}}))
+    # 2U is no summand U, whatever an old split key claims
+    old = {"gram": [[0, 2], [2, 0]], "hyperbolic_split": {"rows": [0, 1]}}
+    assert lattice_from_json(json.dumps(old)).hyperbolic_split is None
+
+
+def test_components_of_named_lattices_and_sums():
+    U = hyperbolic_plane()
+    k3 = k3_lattice()
+    assert k3.components == ((0, 1), (2, 3), (4, 5), tuple(range(6, 14)),
+                             tuple(range(14, 22)))
+    assert k3.hyperbolic_split == (0, 1)
+    V = direct_sum(rank1(-2), e8(-1), U, U)
+    assert V.components == ((0,), tuple(range(1, 9)), (9, 10), (11, 12))
+    assert V.hyperbolic_split == (9, 10)
+    assert rank1(-2).components == ((0,),) and rank1(-2).hyperbolic_split is None
+    assert IntegerLattice(()).components == ()
+    # U(2) and U(-1) are no summand U in this basis
+    assert rescale(U, 2).hyperbolic_split is None
+    assert rescale(U, -1).hyperbolic_split is None
+    assert rescale(U, 1).hyperbolic_split == (0, 1)
+
+
+def test_hyperbolic_split_is_an_orthogonal_summand():
+    # U on the non-adjacent rows 0 and 2, <-2> between them
+    L = IntegerLattice(((0, 0, 1), (0, -2, 0), (1, 0, 0)))
+    assert L.components == ((0, 2), (1,)) and L.hyperbolic_split == (0, 2)
+    # rows 0, 1 have the 2x2 entries of U, but row 1 meets row 2:
+    # no orthogonal summand
+    M = IntegerLattice(((0, 1, 0), (1, 0, 1), (0, 1, -2)))
+    assert M.components == ((0, 1, 2),) and M.hyperbolic_split is None
+    # [[0, 1], [1, 2]] is U in another basis; only the basis shown counts
+    assert IntegerLattice(((0, 1), (1, 2))).hyperbolic_split is None
+
+
+def test_old_metadata_keys_are_ignored(tmp_path):
+    V = direct_sum(hyperbolic_plane(), hyperbolic_plane(), rank1(-2))
+    assert set(json.loads(V.to_json())) == {"gram", "name"}
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps({
+        "name": "U+U+rank1(-2), blocks but no hyperbolic_split",
+        "gram": [list(r) for r in V.gram],
+        "blocks": [[0, 2], [2, 2], [4, 1]]}))
+    back = load_lattice(path)
+    assert back == V and back.components == V.components
+    assert back.hyperbolic_split == (0, 1)
+    assert not hasattr(back, "blocks")
+    # keys the old format rejected (blocks that do not partition the basis,
+    # a split on rows that are not U) no longer matter
+    path.write_text(json.dumps({
+        "gram": [list(r) for r in V.gram],
+        "blocks": [[0, 3]], "hyperbolic_split": {"rows": [0, 4]}}))
+    back = load_lattice(path)
+    assert back == V and back.hyperbolic_split == (0, 1)
