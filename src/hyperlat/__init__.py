@@ -76,6 +76,7 @@ from .cusps import (
     CuspError,
     cusp_datum,
     find_isotropic_planes,
+    isotropic_planes,
     project_class,
 )
 from .hyperboloid import (

@@ -13,7 +13,7 @@ import argparse
 import sys
 from fractions import Fraction
 
-from .cusps import find_isotropic_planes
+from .cusps import cusp_datum, find_isotropic_planes, isotropic_planes
 from .densities import (
     eisenstein_coefficient,
     local_density,
@@ -107,14 +107,15 @@ def cmd_weil(args, out):
     D = discriminant_group(L)
     w = WeilAction(D, L.signature(), dual=args.dual)
     print(_header(args, ["lattice", "dual"]), file=out)
-    report = verify_relations(w)
+    matrices = {"T": rho_T(w), "S": rho_S(w)}
+    report = verify_relations(w, s=matrices["S"], t=matrices["T"])
     print(f"# relations unitarity={report['unitarity']:.3e} "
           f"braid={report['braid']:.3e} t_order={report['t_order']:.3e} "
           f"level={report['level']}", file=out)
-    print("matrix,T", file=out)
-    print(dump_matrix(rho_T(w)), file=out)
-    print("matrix,S", file=out)
-    print(dump_matrix(rho_S(w)), file=out)
+    # each matrix is dropped once printed, so one at a time sits beside its text
+    for name in ("T", "S"):
+        print(f"matrix,{name}", file=out)
+        print(dump_matrix(matrices.pop(name)), file=out)
     return 0
 
 
@@ -211,11 +212,11 @@ def cmd_predict(args, out):
     gamma = D.zero if gamma is None else D.reduce(gamma)
     boundary = ()
     if args.boundary:
-        planes = find_isotropic_planes(L, args.cusp_bound)
+        planes = isotropic_planes(L, args.cusp_bound)
         pairs = []
         for part in args.boundary.split(";"):
             idx, deg = part.split(":")
-            pairs.append((planes[int(idx)], int(deg)))
+            pairs.append((cusp_datum(L, planes[int(idx)], D), int(deg)))
         boundary = tuple(pairs)
     inp = PredictionInput(L, gamma, parse_fraction(args.n), args.mu_s,
                           boundary_degrees=boundary,

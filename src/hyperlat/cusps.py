@@ -21,7 +21,6 @@ from .exactla import (
     mat_mul,
     mat_vec,
     smith_normal_form,
-    solve_fraction,
     solve_integer,
     transpose,
     unimodular_inverse,
@@ -52,17 +51,22 @@ class CuspDatum:
     projection_to_kf: dict = field(compare=False)     # elt of H-perp -> K residues
 
 
-def _is_isotropic_pair(L: IntegerLattice, rows) -> bool:
-    b0, b1 = rows
-    return (L.q_of(b0) == 0 and L.q_of(b1) == 0 and L.pairing(b0, b1) == 0)
+def _is_isotropic_pair(g, rows) -> bool:
+    """Both integer rows are null and orthogonal: rows G rows^T = 0."""
+    return not any(any(row) for row in mat_mul(mat_mul(rows, g), transpose(rows)))
 
 
-def cusp_datum(V: IntegerLattice, plane_rows) -> CuspDatum:
-    """Full cusp datum for a primitive totally isotropic plane of V."""
+def cusp_datum(V: IntegerLattice, plane_rows, disc: FiniteQuadraticModule | None = None) -> CuspDatum:
+    """Full cusp datum for a primitive totally isotropic plane of V.
+
+    ``disc`` is discriminant_group(V), for callers that build several data
+    of one lattice; by default it is built here.
+    """
     rows = [list(map(int, r)) for r in plane_rows]
     if len(rows) != 2:
         raise CuspError("a plane needs exactly two basis rows")
-    if not _is_isotropic_pair(V, rows):
+    g = [list(r) for r in V.gram]
+    if not _is_isotropic_pair(g, rows):
         raise CuspError("plane is not totally isotropic")
     canon = hnf(rows)
     if len(canon) != 2:
@@ -71,22 +75,23 @@ def cusp_datum(V: IntegerLattice, plane_rows) -> CuspDatum:
     if saturation_index(canon) != 1:
         raise CuspError("plane is not primitive (saturation index > 1)")
     b = canon
-    g = [list(r) for r in V.gram]
-    r = V.rank
 
-    # I^# = I_Q cap V-dual: c.B with c.(B G) integral
+    # I^# = I_Q cap V-dual: with u (bG) v = diag(d1, d2), the sharp rows are
+    # y_i = (u b)_i / d_i, and their pairings y_i G = (u b G)_i / d_i are
+    # integer rows with (y G) v = (1 0 ...; 0 1 ...)
     m = mat_mul(b, g)
-    d, u, _ = smith_normal_form(m)
+    d, u, v = smith_normal_form(m)
     d1, d2 = d[0][0], d[1][1]
-    sharp = []
-    for i, di in enumerate((d1, d2)):
-        row = [Fraction(sum(u[i][k] * b[k][j] for k in range(2)), di)
-               for j in range(r)]
-        sharp.append(tuple(row))
+    ub = mat_mul(u, b)
+    sharp = [tuple(Fraction(x, di) for x in row) for row, di in zip(ub, (d1, d2))]
+    sharp_pairings = [[x // di for x in row] for row, di in zip(mat_mul(ub, g), (d1, d2))]
     n_f = d1 * d2
 
-    disc = discriminant_group(V)
-    h_gens = [disc.class_of(y) for y in sharp]
+    if disc is None:
+        disc = discriminant_group(V)
+    elif disc.lattice != V:
+        raise CuspError("disc is not the discriminant group of V")
+    h_gens = [disc.class_of_pairings(p) for p in sharp_pairings]
     h_sub = subgroup_generated(disc, h_gens)
     if h_sub.order != n_f:
         raise CuspError("internal error: |I^#/I| != product of elementary divisors")
@@ -107,7 +112,8 @@ def cusp_datum(V: IntegerLattice, plane_rows) -> CuspDatum:
     v2_inv = unimodular_inverse(v2)
     adapted = mat_mul(v2_inv, perp_rows)
     transversal = adapted[2:]
-    kf_gram = mat_mul(mat_mul(transversal, g), transpose(transversal))
+    tg = mat_mul(transversal, g)
+    kf_gram = mat_mul(tg, transpose(transversal))
     kf = IntegerLattice(tuple(tuple(int(x) for x in row) for row in kf_gram),
                         name="KF")
     sig = kf.signature()
@@ -121,31 +127,37 @@ def cusp_datum(V: IntegerLattice, plane_rows) -> CuspDatum:
     if h_perp.order * n_f != disc.order:
         raise CuspError("|H perp| != |D| / N")
 
-    # project every element of H-perp into K's discriminant group
-    pairing_rows = [[int(x) for x in mat_vec(g, list(y))] for y in sharp]
+    # Project every element of H-perp into K's discriminant group.  A lift x
+    # in V' orthogonal to I^# mod 1 has integer pairings t = (y G) x with the
+    # sharp rows; x2 = x - v[:, :2] t is orthogonal to I^#, hence a rational
+    # combination of the I-perp rows, and its class in K is read from its
+    # pairings with the transversal, T G x2 = T G x - (T G v[:, :2]) t.
+    # G x is linear in the residues of x, so every product is precomputed as
+    # an integer matrix on the pairings G l_j of the generator lifts l_j.
+    lift_pairings = transpose([[int(z) for z in mat_vec(g, l)] for l in disc.generator_lifts])
+    sharp_num = mat_mul(ub, lift_pairings)        # d_i t_i = sharp_num_i . residues
+    kf_num = mat_mul(transversal, lift_pairings)  # T G x = kf_num . residues
+    back = mat_mul(tg, [row[:2] for row in v])    # T G v[:, :2]
     proj = {}
     for elt in h_perp.elements:
-        x = list(disc.lift(elt))
-        target = []
-        for prow in pairing_rows:
-            val = sum(Fraction(pc) * xc for pc, xc in zip(prow, x))
-            if val.denominator != 1:
+        t = []
+        for row, di in zip(sharp_num, (d1, d2)):
+            val = sum(a * e for a, e in zip(row, elt))
+            if val % di:
                 raise CuspError("element is not orthogonal to I^#")
-            target.append(int(val))
-        v = solve_integer(pairing_rows, target)
-        if v is None:
-            raise CuspError("internal error: cannot correct the lift along V")
-        x2 = [xc - vc for xc, vc in zip(x, v)]
-        # x2 is orthogonal to I, hence a rational combination of I-perp rows
-        c = solve_fraction(transpose(adapted), x2)
-        cls = kf_disc.class_of(c[2:])
-        if kf_disc.q_value(cls) != disc.q_value(elt):
-            raise CuspError("projection does not preserve Q")
-        proj[elt] = cls
-    if set(proj.values()) != set(kf_disc.elements()):
+            t.append(val // di)
+        pairings = [sum(a * e for a, e in zip(krow, elt)) - sum(c * s for c, s in zip(brow, t))
+                    for krow, brow in zip(kf_num, back)]
+        proj[elt] = kf_disc.class_of_pairings(pairings)
+    images = list(proj.values())
+    q_amb = disc.q_numerators(list(proj)) * kf_disc.level
+    q_kf = kf_disc.q_numerators(images) * disc.level
+    if (q_amb != q_kf).any():
+        raise CuspError("projection does not preserve Q")
+    if set(images) != set(kf_disc.elements()):
         raise CuspError("projection is not onto the quotient discriminant group")
     counts = {}
-    for cls in proj.values():
+    for cls in images:
         counts[cls] = counts.get(cls, 0) + 1
     if any(c != n_f for c in counts.values()):
         raise CuspError("projection fibers do not all have size N")
@@ -178,6 +190,8 @@ def _primitive_null_vectors(V: IntegerLattice, bound: int):
     r = V.rank
     if (2 * bound + 1) ** r > _PLANE_SEARCH_GUARD:
         raise CuspError("search box too large; lower the bound")
+    entries = [(i, j, gij) for i, row in enumerate(V.gram)
+               for j, gij in enumerate(row) if gij]
     out = []
     for coords in itertools.product(range(-bound, bound + 1), repeat=r):
         if not any(coords):
@@ -190,7 +204,7 @@ def _primitive_null_vectors(V: IntegerLattice, bound: int):
             g = gcd(g, c)
         if g != 1:
             continue
-        if V.q_of(coords) == 0:
+        if not sum(coords[i] * gij * coords[j] for i, j, gij in entries):
             out.append(coords)
     return out
 
@@ -202,24 +216,26 @@ def _saturate_plane(rows):
     return hnf(sat)
 
 
-def find_isotropic_planes(V: IntegerLattice, search_bound: int):
-    """All primitive totally isotropic planes with coefficients up to the bound.
+def isotropic_planes(V: IntegerLattice, search_bound: int):
+    """Canonical bases of all primitive totally isotropic planes spanned by
+    two null vectors with coefficients up to the bound, sorted.
 
     Planes are deduplicated by equality of the saturated sublattice they
-    span (not by any group orbit).  Returns the corresponding cusp data,
-    sorted by the canonical plane basis.
+    span (not by any group orbit).  Everything is tested by integer Gram
+    products.
     """
     sig = V.signature()
     if sig.positive != 2:
         raise CuspError("isotropic plane search wants signature (2, b)")
     nulls = _primitive_null_vectors(V, search_bound)
+    g = [list(r) for r in V.gram]
+    null_pairings = mat_mul(nulls, g)
     seen = set()
-    data = []
-    for i in range(len(nulls)):
-        vi = nulls[i]
-        for j in range(i + 1, len(nulls)):
-            vj = nulls[j]
-            if V.pairing(vi, vj) != 0:
+    planes = []
+    for i, vi in enumerate(nulls):
+        pi = null_pairings[i]
+        for vj in nulls[i + 1:]:
+            if sum(a * c for a, c in zip(pi, vj)):
                 continue
             plane = _saturate_plane([list(vi), list(vj)])
             if len(plane) != 2:
@@ -228,8 +244,15 @@ def find_isotropic_planes(V: IntegerLattice, search_bound: int):
             if key in seen:
                 continue
             seen.add(key)
-            if not _is_isotropic_pair(V, plane):
+            if not _is_isotropic_pair(g, plane):
                 continue  # saturation can only extend within the rational span
-            data.append(cusp_datum(V, plane))
-    data.sort(key=lambda d: d.plane_basis)
-    return data
+            planes.append(key)
+    planes.sort()
+    return planes
+
+
+def find_isotropic_planes(V: IntegerLattice, search_bound: int):
+    """Cusp data of isotropic_planes(V, search_bound), in that order."""
+    planes = isotropic_planes(V, search_bound)
+    disc = discriminant_group(V)
+    return [cusp_datum(V, plane, disc) for plane in planes]

@@ -500,10 +500,6 @@ class SingularSeries:
     truncated_product: Fraction
     tail_policy: str = "omitted factors set to 1"
 
-    @property
-    def is_locally_representable(self) -> bool:
-        return self.truncated_product > 0
-
 
 def series_primes(n: Fraction, det: int, prime_bound: int):
     ps = set(small_primes(prime_bound))

@@ -1,10 +1,13 @@
 """Finite quadratic modules: discriminant groups with Q/Z-valued forms.
 
-A module is presented by invariant factors d_1 | d_2 | ... (all > 1) together
-with the Q-values of the generators and the bilinear pairings between them,
-all as Fractions reduced mod 1.  Elements are residue tuples.  Modules built
-from a lattice carry generator lifts in the dual lattice, so classes of dual
-vectors can be computed; abstract modules (quotients) do not.
+A module is presented by invariant factors d_1 | d_2 | ... (all > 1), its
+level N, and the values of Q on the generators and of the bilinear pairing
+between them, all as integer numerators mod the level:
+Q(e_i) = q_num[i]/N and b(e_i, e_j) = b_num[i][j]/N mod 1.  Elements are
+residue tuples; whole arrays of them are paired by one integer matrix
+product mod N, in int64 unless the level is very large.  Modules built from a lattice carry generator lifts in the dual
+lattice, so classes of dual vectors can be computed; abstract modules
+(quotients) do not.
 """
 
 from __future__ import annotations
@@ -12,7 +15,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from functools import cached_property
+from math import gcd
+
+import numpy as np
 
 from .exactla import (
     hnf_rational,
@@ -24,10 +30,9 @@ from .exactla import (
 from .lattices import IntegerLattice
 
 ENUMERATION_GUARD = 10 ** 4
-
-
-def _mod1(x: Fraction) -> Fraction:
-    return Fraction(x) % 1
+# the array pairings sum ngens products below level^2, so up to this level
+# they are exact in int64; past it they use Python integers
+INT64_LEVEL_LIMIT = 2 ** 24
 
 
 class FqmError(ValueError):
@@ -36,12 +41,31 @@ class FqmError(ValueError):
 
 @dataclass(frozen=True)
 class FiniteQuadraticModule:
+    """Invariant factors, level N and the numerators mod N of Q on the
+    generators and of the pairing between them.  The level given is reduced
+    on construction to the smallest N with N*Q(x) integral for every x."""
+
     invariant_factors: tuple[int, ...]
-    q_diag: tuple[Fraction, ...]
-    b_matrix: tuple[tuple[Fraction, ...], ...]
+    level: int
+    q_num: tuple[int, ...]
+    b_num: tuple[tuple[int, ...], ...]
     lattice: IntegerLattice | None = field(default=None, compare=False)
     generator_lifts: tuple[tuple[Fraction, ...], ...] | None = field(default=None, compare=False)
     _class_data: tuple | None = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        g = self.level
+        for x in self.q_num:
+            g = gcd(g, x)
+        for row in self.b_num:
+            for x in row:
+                g = gcd(g, x)
+        n = self.level // g
+        q = tuple(x // g % n for x in self.q_num)
+        b = tuple(tuple(x // g % n for x in row) for row in self.b_num)
+        object.__setattr__(self, "level", n)
+        object.__setattr__(self, "q_num", q)
+        object.__setattr__(self, "b_num", b)
 
     # -- group structure ----------------------------------------------------
 
@@ -59,17 +83,6 @@ class FiniteQuadraticModule:
     @property
     def zero(self) -> tuple[int, ...]:
         return (0,) * self.ngens
-
-    @property
-    def level(self) -> int:
-        """Smallest N with N*Q(x) integral for every x."""
-        n = 1
-        for q in self.q_diag:
-            n = lcm(n, q.denominator)
-        for row in self.b_matrix:
-            for b in row:
-                n = lcm(n, b.denominator)
-        return n
 
     def elements(self):
         """All elements in lexicographic residue order."""
@@ -93,26 +106,52 @@ class FiniteQuadraticModule:
     def q_value(self, elt) -> Fraction:
         """Q(elt) as a Fraction in [0, 1)."""
         r = self.reduce(elt)
-        total = Fraction(0)
+        total = 0
         for i, ri in enumerate(r):
             if ri:
-                total += ri * ri * self.q_diag[i]
+                total += ri * ri * self.q_num[i]
                 for j in range(i + 1, self.ngens):
-                    if r[j]:
-                        total += ri * r[j] * self.b_matrix[i][j]
-        return _mod1(total)
+                    total += ri * r[j] * self.b_num[i][j]
+        return Fraction(total % self.level, self.level)
 
     def bilinear(self, x, y) -> Fraction:
         """b(x, y) = Q(x+y) - Q(x) - Q(y) mod 1, via the stored pairings."""
         x = self.reduce(x)
         y = self.reduce(y)
-        total = Fraction(0)
-        for i, xi in enumerate(x):
-            if xi:
-                for j, yj in enumerate(y):
-                    if yj:
-                        total += xi * yj * self.b_matrix[i][j]
-        return _mod1(total)
+        total = sum(xi * yj * bij for xi, row in zip(x, self.b_num)
+                    for yj, bij in zip(y, row))
+        return Fraction(total % self.level, self.level)
+
+    @cached_property
+    def _tables(self):
+        dtype = np.int64 if self.level <= INT64_LEVEL_LIMIT else object
+        k = self.ngens
+        return (dtype,
+                np.array(self.invariant_factors, dtype=dtype),
+                np.array(self.q_num, dtype=dtype),
+                np.array(self.b_num, dtype=dtype).reshape(k, k))
+
+    def _arrays(self, elts):
+        """(residues of elts, q numerators, b numerators) as arrays."""
+        dtype, facs, q, b = self._tables
+        x = np.array(elts, dtype=dtype).reshape(len(elts), self.ngens) % facs
+        return x, q, b
+
+    def pairing_numerators(self, xs, ys) -> np.ndarray:
+        """N * b(x, y) mod N for every x in xs and y in ys: (X B Y^T) mod N,
+        an array of shape (len(xs), len(ys)), int64 up to INT64_LEVEL_LIMIT."""
+        n = self.level
+        x, _, b = self._arrays(xs)
+        y, _, _ = self._arrays(ys)
+        return (x @ b % n) @ y.T % n
+
+    def q_numerators(self, xs) -> np.ndarray:
+        """N * Q(x) mod N for every x in xs: the diagonal of the pairing, with
+        Q(e_i) in place of b(e_i, e_i) = 2 Q(e_i)."""
+        n = self.level
+        x, q, b = self._arrays(xs)
+        cross = (x @ np.triu(b, 1) % n * x).sum(axis=1)
+        return (x * x % n @ q + cross) % n
 
     # -- lattice provenance ---------------------------------------------------
 
@@ -148,7 +187,7 @@ class FiniteQuadraticModule:
     def q_value_of_lift(self, dual_vector) -> Fraction:
         if self.lattice is None:
             raise FqmError("module has no lattice backing")
-        return _mod1(self.lattice.q_of(dual_vector))
+        return self.lattice.q_of(dual_vector) % 1
 
     def dump_text(self) -> str:
         lines = ["invariant factors: " +
@@ -164,19 +203,23 @@ def discriminant_group(L: IntegerLattice) -> FiniteQuadraticModule:
     g = [list(r) for r in L.gram]
     n = L.rank
     if n == 0:
-        return FiniteQuadraticModule((), (), (), lattice=L, generator_lifts=(),
+        return FiniteQuadraticModule((), 1, (), (), lattice=L, generator_lifts=(),
                                      _class_data=([], []))
     d, u, v = smith_normal_form(g)
     kept = [i for i in range(n) if d[i][i] > 1]
-    lifts = []
-    for i in kept:
-        di = d[i][i]
-        lifts.append(tuple(Fraction(v[r][i], di) for r in range(n)))
-    q_diag = tuple(_mod1(L.q_of(x)) for x in lifts)
-    b_mat = tuple(tuple(_mod1(L.pairing(x, y)) for y in lifts) for x in lifts)
+    cols = [[v[r][i] for r in range(n)] for i in kept]   # Smith-form columns
     facs = tuple(d[i][i] for i in kept)
-    mod = FiniteQuadraticModule(facs, q_diag, b_mat, lattice=L,
-                                generator_lifts=tuple(lifts),
+    lifts = tuple(tuple(Fraction(x, di) for x in col) for col, di in zip(cols, facs))
+    # the lifts are col_i / d_i, so with the integer products gv = cols G cols^T
+    # b(lift_i, lift_j) = gv_ij / (d_i d_j) and Q(lift_i) = gv_ii / (2 d_i^2),
+    # all over the common denominator 2 e^2 (e the exponent)
+    gv = mat_mul(mat_mul(cols, g), transpose(cols))
+    big = 2 * facs[-1] ** 2 if facs else 1
+    q_num = tuple(gv[i][i] * (big // (2 * di * di)) for i, di in enumerate(facs))
+    b_num = tuple(tuple(gv[i][j] * (big // (di * dj)) for j, dj in enumerate(facs))
+                  for i, di in enumerate(facs))
+    mod = FiniteQuadraticModule(facs, big, q_num, b_num, lattice=L,
+                                generator_lifts=lifts,
                                 _class_data=(u, kept))
     if mod.order != abs(L.det):
         raise FqmError("internal error: |discriminant group| != |det|")
@@ -201,7 +244,7 @@ class Subgroup:
         return tuple(elt) in set(self.elements)
 
     def is_isotropic(self) -> bool:
-        return all(self.module.q_value(e) == 0 for e in self.elements)
+        return not self.module.q_numerators(self.elements).any()
 
 
 def subgroup_generated(D: FiniteQuadraticModule, gens) -> Subgroup:
@@ -226,7 +269,8 @@ def isotropic_subgroups(D: FiniteQuadraticModule):
     Exhaustive: grows subgroups one isotropic generator at a time, so every
     isotropic subgroup is found.  Guarded by the module enumeration bound.
     """
-    iso_elts = [e for e in D.elements() if D.q_value(e) == 0]
+    elts = D.elements()
+    iso_elts = [e for e, q in zip(elts, D.q_numerators(elts)) if q == 0]
     found = {}
     trivial = subgroup_generated(D, [])
     found[trivial.elements] = trivial
@@ -263,8 +307,9 @@ def isotropic_subgroups(D: FiniteQuadraticModule):
 def orthogonal_subgroup(D: FiniteQuadraticModule, H: Subgroup) -> Subgroup:
     """{x in D : b(x, h) = 0 mod 1 for all h in H}."""
     gens = H.generators if H.generators else H.elements
-    elts = [x for x in D.elements()
-            if all(D.bilinear(x, h) == 0 for h in gens)]
+    elts = D.elements()
+    pairs = D.pairing_numerators(elts, gens)
+    elts = [x for x, row in zip(elts, pairs) if not row.any()]
     return Subgroup(D, tuple(sorted(elts)), generators=tuple(sorted(elts)))
 
 
@@ -293,7 +338,7 @@ def quotient_with_projection(D: FiniteQuadraticModule, H: Subgroup):
     k = len(gens)
     hset = set(H.elements)
     if k == 0:
-        K = FiniteQuadraticModule((), (), ())
+        K = FiniteQuadraticModule((), 1, (), ())
         return K, {D.zero: ()}
     # relation lattice {c in Z^k : sum c_i g_i in H}
     orders = []
@@ -325,9 +370,10 @@ def quotient_with_projection(D: FiniteQuadraticModule, H: Subgroup):
                     elt = D.add(elt, gens[t])
             new_gens.append(elt)
             facs.append(di)
-    q_diag = tuple(D.q_value(g) for g in new_gens)
-    b_mat = tuple(tuple(D.bilinear(x, y) for y in new_gens) for x in new_gens)
-    K = FiniteQuadraticModule(tuple(facs), q_diag, b_mat)
+    q_num = tuple(int(x) for x in D.q_numerators(new_gens))
+    b_num = tuple(tuple(int(x) for x in row)
+                  for row in D.pairing_numerators(new_gens, new_gens))
+    K = FiniteQuadraticModule(tuple(facs), D.level, q_num, b_num)
     proj = {}
     for res in itertools.product(*(range(f) for f in facs)):
         base = D.zero

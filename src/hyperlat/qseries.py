@@ -22,7 +22,7 @@ class QSeriesError(ValueError):
     pass
 
 
-_TRIVIAL_MODULE = FiniteQuadraticModule((), (), ())
+_TRIVIAL_MODULE = FiniteQuadraticModule((), 1, (), ())
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ Matrices are double precision; every identity is checked to 1e-9.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -40,14 +41,19 @@ class WeilAction:
     def dim(self) -> int:
         return len(self._elements)
 
-    def index_of(self, elt) -> int:
-        return self._elements.index(self.module.reduce(elt))
+
+def _unit_roots(level: int) -> np.ndarray:
+    """exp(-2 pi i k/N) for k = 0..N-1, each from the exact fraction k/N."""
+    return np.array([np.exp(-2j * np.pi * float(Fraction(k, level)))
+                     for k in range(level)])
 
 
 def rho_T(w: WeilAction) -> np.ndarray:
     """Diagonal action of the translation generator."""
-    phases = np.array([complex(np.exp(2j * np.pi * float(w.module.q_value(e))))
-                       for e in w.elements])
+    D = w.module
+    # conj(exp(-2 pi i k/N)) is exactly exp(2 pi i k/N); adding 0.0 turns the
+    # -0.0 imaginary part at k = 0 into the +0.0 that exp gives
+    phases = _unit_roots(D.level)[D.q_numerators(w.elements)].conj() + 0.0
     m = np.diag(phases)
     return m.conj() if w.dual else m
 
@@ -61,18 +67,18 @@ def rho_S(w: WeilAction) -> np.ndarray:
     d = w.dim
     sig = w.signature
     scalar = np.exp(1j * np.pi * (sig.negative - sig.positive) / 4) / np.sqrt(d)
-    m = np.empty((d, d), dtype=complex)
-    for a, ea in enumerate(w.elements):
-        for b, eb in enumerate(w.elements):
-            m[a, b] = np.exp(-2j * np.pi * float(w.module.bilinear(ea, eb)))
-    m = scalar * m
+    D = w.module
+    m = scalar * _unit_roots(D.level)[D.pairing_numerators(w.elements, w.elements)]
     return m.conj() if w.dual else m
 
 
-def verify_relations(w: WeilAction, tol: float = TOLERANCE) -> dict:
-    """Check unitarity, S^2 = (ST)^3, and T^level = 1; raise on failure."""
-    s = rho_S(w)
-    t = rho_T(w)
+def verify_relations(w: WeilAction, tol: float = TOLERANCE, s=None, t=None) -> dict:
+    """Check unitarity, S^2 = (ST)^3, and T^level = 1; raise on failure.
+
+    ``s`` and ``t`` are rho_S(w) and rho_T(w) when the caller has built them.
+    """
+    s = rho_S(w) if s is None else s
+    t = rho_T(w) if t is None else t
     eye = np.eye(w.dim)
     dev_unitary = np.abs(s @ s.conj().T - eye).max()
     st = s @ t

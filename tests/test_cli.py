@@ -169,3 +169,25 @@ def test_predict_builds_one_theta_series_per_distinct_kf(monkeypatch):
                    "--prime-bound", "20", "--boundary", "0:1;2:1", "--cusp-bound", "2"])
     assert out.count("# u=") == 2
     assert calls == [(((-8,),), 4), (((-2,),), 4)]
+
+
+def test_predict_builds_cusp_data_only_for_named_planes(monkeypatch):
+    import hyperlat.cli as cli
+    import hyperlat.cusps as cusps
+    calls = []
+    datum = cusps.cusp_datum
+
+    def counted(V, plane_rows, *args, **kwargs):
+        calls.append(tuple(map(tuple, plane_rows)))
+        return datum(V, plane_rows, *args, **kwargs)
+
+    monkeypatch.setattr(cusps, "cusp_datum", counted)
+    monkeypatch.setattr(cli, "cusp_datum", counted, raising=False)
+    out = run_cli(["predict", "--lattice", "U+U+rank1(-8)", "--n", "4", "--mu-s", "1",
+                   "--boundary", "0:1;1:1", "--cusp-bound", "2"])
+    assert out.count("# u=") == 2
+    # the search finds 160 planes; only the two the boundary names get a datum
+    assert len(calls) == 2
+    planes = cusps.isotropic_planes(parse_lattice_spec("U+U+rank1(-8)"), 2)
+    assert len(planes) == 160
+    assert calls == planes[:2]

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from hyperlat.cusps import CuspError, cusp_datum, find_isotropic_planes, project_class
+from hyperlat.cusps import CuspError, cusp_datum, find_isotropic_planes, isotropic_planes, project_class
 from hyperlat.lattices import direct_sum, hyperbolic_plane, rank1
 
 
@@ -69,6 +69,8 @@ def test_plane_search_finds_canonical(v_lattice):
     # dedup: all planes distinct
     keys = [d.plane_basis for d in data]
     assert len(keys) == len(set(keys))
+    # the data follow the sorted canonical bases of the search
+    assert keys == isotropic_planes(v_lattice, 1)
     # square-free determinant: every plane strongly primitive
     assert all(d.strongly_primitive for d in data)
 
@@ -91,3 +93,30 @@ def test_plane_search_imprimitive_present(v8_lattice):
 def test_plane_search_needs_two_positive_directions():
     with pytest.raises(CuspError):
         find_isotropic_planes(rank1(-2), 1)
+
+
+def _assert_projection_is_quotient_map(F):
+    """p: H-perp -> D(K_F) is a homomorphism whose kernel is I^#/I."""
+    D, K, p = F.ambient_disc, F.kf_disc, F.projection_to_kf
+    for x in F.h_perp.elements:
+        for y in F.h_perp.elements:
+            assert p[D.add(x, y)] == K.add(p[x], p[y])
+    assert {x for x, img in p.items() if img == K.zero} == set(F.h_subgroup.elements)
+
+
+def test_projection_is_homomorphism_with_kernel_h(v8_lattice):
+    data = find_isotropic_planes(v8_lattice, 1)
+    assert data
+    for F in data:
+        _assert_projection_is_quotient_map(F)
+    # K_F of rank 2, so the correction through the sharp pairings has two rows
+    U = hyperbolic_plane()
+    wide = direct_sum(U, U, rank1(-8), rank1(-4))
+    data = find_isotropic_planes(wide, 1)
+    data.append(cusp_datum(wide, [[0, 0, 1, 0, 0, 0], [2, 2, 0, 0, 1, 0]]))
+    assert data[-1].imprimitivity == 2 and data[-1].kf_lattice.rank == 2
+    for F in data:
+        _assert_projection_is_quotient_map(F)
+    imprimitive = cusp_datum(v8_lattice, [[0, 0, 1, 0, 0], [2, 2, 0, 0, 1]])
+    assert imprimitive.imprimitivity == 2
+    _assert_projection_is_quotient_map(imprimitive)

@@ -4,6 +4,8 @@ from fractions import Fraction
 import pytest
 
 from hyperlat.fqm import (
+    INT64_LEVEL_LIMIT,
+    FiniteQuadraticModule,
     FqmError,
     discriminant_group,
     isotropic_subgroups,
@@ -46,11 +48,16 @@ def test_bilinear_matches_polarization():
         D = discriminant_group(L)
         if D.order > 100:
             continue
-        for x in D.elements():
-            for y in D.elements():
+        elts = D.elements()
+        pairs = D.pairing_numerators(elts, elts)
+        qs = D.q_numerators(elts)
+        for i, x in enumerate(elts):
+            assert Fraction(int(qs[i]), D.level) == D.q_value(x)
+            for j, y in enumerate(elts):
                 lhs = D.bilinear(x, y)
                 rhs = (D.q_value(D.add(x, y)) - D.q_value(x) - D.q_value(y)) % 1
                 assert lhs == rhs
+                assert Fraction(int(pairs[i, j]), D.level) == lhs
 
 
 def test_lift_independence():
@@ -137,6 +144,43 @@ def test_overlattice(v8_lattice):
 
     with pytest.raises(FqmError):
         overlattice(v8_lattice, subgroup_generated(D8, [(2,)]))
+
+
+def test_integer_numerators(v8_lattice):
+    D8 = discriminant_group(v8_lattice)
+    assert (D8.level, D8.q_num, D8.b_num) == (16, (15,), ((14,),))
+    # a level given too large is reduced to the smallest one
+    M = FiniteQuadraticModule((2,), 40, (30,), ((20,),))
+    assert (M.level, M.q_num, M.b_num) == (4, (3,), ((2,),))
+    assert M == discriminant_group(rank1(-2))
+
+
+def test_large_levels_pair_exactly():
+    # past INT64_LEVEL_LIMIT the array pairings run on Python integers
+    L = direct_sum(hyperbolic_plane(), rank1(-2 * 10 ** 9))
+    D = discriminant_group(L)
+    assert D.level > INT64_LEVEL_LIMIT
+    xs = [(1,), (12345,), (10 ** 9,), (2 * 10 ** 9 - 1,)]
+    assert [Fraction(int(q), D.level) for q in D.q_numerators(xs)] == \
+        [D.q_value(x) for x in xs]
+    pairs = D.pairing_numerators(xs, xs)
+    assert [[Fraction(int(p), D.level) for p in row] for row in pairs] == \
+        [[D.bilinear(x, y) for y in xs] for x in xs]
+    assert subgroup_generated(D, [(10 ** 9,)]).is_isotropic()            # Q = -2.5e8
+    assert not subgroup_generated(D, [(31250000,)]).is_isotropic()    # order 64
+
+
+@pytest.mark.parametrize("m, h", [(8, (4,)), (32, (8,))])
+def test_quotient_numerators_match_overlattice(m, h):
+    # quotient_module builds K from integer pairings; the overlattice's
+    # discriminant group computes the same numerators from its Gram matrix
+    L = direct_sum(hyperbolic_plane(), hyperbolic_plane(), rank1(-m))
+    D = discriminant_group(L)
+    H = subgroup_generated(D, [h])
+    K = quotient_module(D, H)
+    DV = discriminant_group(overlattice(L, H))
+    assert K.invariant_factors == DV.invariant_factors
+    assert (K.level, K.q_num, K.b_num) == (DV.level, DV.q_num, DV.b_num)
 
 
 def test_overlattice_matches_quotient(v8_lattice):

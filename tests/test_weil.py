@@ -1,7 +1,9 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
-from hyperlat.fqm import discriminant_group, isotropic_subgroups, quotient_with_projection, overlattice
+from hyperlat.fqm import FiniteQuadraticModule, discriminant_group, isotropic_subgroups, quotient_with_projection, overlattice
 from hyperlat.lattices import direct_sum, hyperbolic_plane, rank1
 from hyperlat.weil import (
     WeilAction,
@@ -60,6 +62,42 @@ def test_t_power_matches_level(v8_lattice):
     t = rho_T(w)
     assert np.abs(np.linalg.matrix_power(t, 16) - np.eye(8)).max() < TOL
     assert np.abs(np.linalg.matrix_power(t, 8) - np.eye(8)).max() > 0.5
+
+
+def test_rho_s_entries_from_generator_lifts():
+    # S_xy = scalar * exp(-2 pi i (lift x, lift y)), the pairing taken in L
+    for L in small_test_lattices():
+        D = discriminant_group(L)
+        if D.order > 100:
+            continue
+        sig = L.signature()
+        scalar = np.exp(1j * np.pi * (sig.negative - sig.positive) / 4) / np.sqrt(D.order)
+        lifts = [D.lift(x) for x in D.elements()]
+        expected = np.array([[scalar * np.exp(-2j * np.pi * float(L.pairing(x, y) % 1))
+                              for y in lifts] for x in lifts])
+        for dual in (False, True):
+            s = rho_S(WeilAction(D, sig, dual=dual))
+            want = expected.conj() if dual else expected
+            assert np.abs(s - want).max() < TOL
+
+
+def test_weil_matrices_use_no_scalar_pairings(monkeypatch):
+    L = direct_sum(hyperbolic_plane(), hyperbolic_plane(), rank1(-800))
+    D = discriminant_group(L)
+    w = WeilAction(D, L.signature())
+    q_expected = [D.q_value(x) for x in w.elements[:5]]
+
+    def refuse(*args):
+        raise AssertionError("scalar pairing called")
+
+    monkeypatch.setattr(FiniteQuadraticModule, "bilinear", refuse)
+    monkeypatch.setattr(FiniteQuadraticModule, "q_value", refuse)
+    s = rho_S(w)
+    t = rho_T(w)
+    assert s.shape == t.shape == (800, 800)
+    assert np.abs(s @ s.conj().T - np.eye(800)).max() < TOL
+    want = [np.exp(2j * np.pi * float(q)) for q in q_expected]
+    assert np.abs(np.diag(t)[:5] - want).max() < TOL
 
 
 def test_dual_is_conjugate(v_lattice):
