@@ -67,10 +67,21 @@ def parse_lattice_spec(spec: str) -> IntegerLattice:
         return load_lattice(spec)
 
 
-def parse_gamma(text: str | None):
+def parse_gamma(text: str | None, L: IntegerLattice) -> tuple[int, ...]:
+    """Residues in D(L), one per invariant factor; the zero class when empty."""
+    D = discriminant_group(L)
     if not text:
-        return None
-    return tuple(int(x) for x in text.split(","))
+        return D.zero
+    try:
+        gamma = tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"--gamma wants comma-separated integers, got {text!r}") from None
+    if len(gamma) != D.ngens:
+        raise argparse.ArgumentTypeError(
+            f"--gamma expects {D.ngens} residues, one per invariant factor "
+            f"({' '.join(map(str, D.invariant_factors)) or 'none'}), got {len(gamma)}")
+    return D.reduce(gamma)
 
 
 def parse_fraction(text: str) -> Fraction:
@@ -144,7 +155,7 @@ def cmd_cusp(args, out):
 
 def cmd_density(args, out):
     L = parse_lattice_spec(args.lattice)
-    gamma = parse_gamma(args.gamma)
+    gamma = parse_gamma(args.gamma, L)
     n = parse_fraction(args.n)
     rep = local_density(gamma, n, L, args.prime, s_max=args.smax,
                         guard=args.guard)
@@ -158,9 +169,8 @@ def cmd_density(args, out):
 
 def cmd_eis(args, out):
     L = parse_lattice_spec(args.lattice)
-    gamma = parse_gamma(args.gamma)
+    gamma = parse_gamma(args.gamma, L)
     D = discriminant_group(L)
-    gamma = D.zero if gamma is None else D.reduce(gamma)
     print(_header(args, ["lattice", "gamma", "nmax", "prime_bound"]), file=out)
     print("gamma_index,n_num,n_den,c_value,prime_bound,local_factors", file=out)
     gamma_index = D.elements().index(gamma)
@@ -182,7 +192,7 @@ def cmd_eis(args, out):
 
 def cmd_count(args, out):
     L = parse_lattice_spec(args.lattice)
-    gamma = parse_gamma(args.gamma)
+    gamma = parse_gamma(args.gamma, L)
     frame = splitting_frame(L)
     window = Window(frame, Fraction(args.rho))
     summary = equidistribution_run(
@@ -207,16 +217,14 @@ def cmd_count(args, out):
 
 def cmd_predict(args, out):
     L = parse_lattice_spec(args.lattice)
-    gamma = parse_gamma(args.gamma)
-    D = discriminant_group(L)
-    gamma = D.zero if gamma is None else D.reduce(gamma)
+    gamma = parse_gamma(args.gamma, L)
     boundary = ()
     if args.boundary:
         planes = isotropic_planes(L, args.cusp_bound)
         pairs = []
         for part in args.boundary.split(";"):
             idx, deg = part.split(":")
-            pairs.append((cusp_datum(L, planes[int(idx)], D), int(deg)))
+            pairs.append((cusp_datum(L, planes[int(idx)]), int(deg)))
         boundary = tuple(pairs)
     inp = PredictionInput(L, gamma, parse_fraction(args.n), args.mu_s,
                           boundary_degrees=boundary,
@@ -241,7 +249,8 @@ def cmd_predict(args, out):
 
 
 def cmd_k3(args, out):
-    gamma = parse_gamma(args.gamma)
+    # gamma lives in D(V) of the complement, which k3_predict builds
+    gamma = tuple(int(x) for x in args.gamma.split(",")) if args.gamma else None
     rows = None
     if args.p_rows:
         rows = [[int(x) for x in row.split(",")] for row in args.p_rows.split(";")]
@@ -319,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="number of Monte Carlo RNG substreams; the "
                          "substreams run one after another, not in parallel")
     sp.add_argument("--samples", type=int, default=10 ** 6)
-    add_common(sp)
+    sp.add_argument("--prime-bound", dest="prime_bound", type=int, default=100)
     sp.set_defaults(func=cmd_count)
 
     sp = sub.add_parser("predict", help="predicted count for one (gamma, n)")
@@ -348,8 +357,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None, out=None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.func(args, out or sys.stdout)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return args.func(args, out or sys.stdout)
+    except argparse.ArgumentTypeError as exc:
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

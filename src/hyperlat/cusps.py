@@ -56,12 +56,8 @@ def _is_isotropic_pair(g, rows) -> bool:
     return not any(any(row) for row in mat_mul(mat_mul(rows, g), transpose(rows)))
 
 
-def cusp_datum(V: IntegerLattice, plane_rows, disc: FiniteQuadraticModule | None = None) -> CuspDatum:
-    """Full cusp datum for a primitive totally isotropic plane of V.
-
-    ``disc`` is discriminant_group(V), for callers that build several data
-    of one lattice; by default it is built here.
-    """
+def cusp_datum(V: IntegerLattice, plane_rows) -> CuspDatum:
+    """Full cusp datum for a primitive totally isotropic plane of V."""
     rows = [list(map(int, r)) for r in plane_rows]
     if len(rows) != 2:
         raise CuspError("a plane needs exactly two basis rows")
@@ -87,10 +83,7 @@ def cusp_datum(V: IntegerLattice, plane_rows, disc: FiniteQuadraticModule | None
     sharp_pairings = [[x // di for x in row] for row, di in zip(mat_mul(ub, g), (d1, d2))]
     n_f = d1 * d2
 
-    if disc is None:
-        disc = discriminant_group(V)
-    elif disc.lattice != V:
-        raise CuspError("disc is not the discriminant group of V")
+    disc = discriminant_group(V)
     h_gens = [disc.class_of_pairings(p) for p in sharp_pairings]
     h_sub = subgroup_generated(disc, h_gens)
     if h_sub.order != n_f:
@@ -253,6 +246,4 @@ def isotropic_planes(V: IntegerLattice, search_bound: int):
 
 def find_isotropic_planes(V: IntegerLattice, search_bound: int):
     """Cusp data of isotropic_planes(V, search_bound), in that order."""
-    planes = isotropic_planes(V, search_bound)
-    disc = discriminant_group(V)
-    return [cusp_datum(V, plane, disc) for plane in planes]
+    return [cusp_datum(V, p) for p in isotropic_planes(V, search_bound)]

@@ -8,11 +8,17 @@ shift no translate absorbs) are folded in closed form; the remaining
 diagonal coordinates are counted by Hensel lifting.  No hand-written block
 metadata is read.  Densities are the stabilized normalized counts;
 stabilization is always witnessed, never extrapolated.
+
+Every function takes the coset gamma + L one way, decided by type: None is
+the zero class, a tuple holding a Fraction is a dual vector with one entry
+per basis vector, and a tuple of ints is residues in the discriminant group,
+one per invariant factor.
 """
 
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -67,19 +73,28 @@ def small_primes(bound: int):
 
 
 def _gamma_lift(L: IntegerLattice, gamma):
-    """Accept discriminant-group residues or an explicit rational dual vector."""
+    """The dual vector of the coset gamma + L.
+
+    None is the zero class; a tuple holding a Fraction is a dual vector with
+    L.rank entries, returned as it is when every entry is a Fraction; a tuple
+    of ints is residues in D(L), one per invariant factor.
+    """
     if gamma is None:
-        return tuple(Fraction(0) for _ in range(L.rank))
+        return (Fraction(0),) * L.rank
     gamma = tuple(gamma)
-    if len(gamma) == L.rank and any(Fraction(x).denominator != 1 for x in gamma):
+    if any(isinstance(x, Fraction) for x in gamma):
+        if len(gamma) != L.rank:
+            raise DensityError(f"a dual vector gamma needs {L.rank} entries, "
+                               f"got {len(gamma)}")
+        if all(isinstance(x, Fraction) for x in gamma):
+            return gamma
         return tuple(Fraction(x) for x in gamma)
     D = discriminant_group(L)
-    if len(gamma) == D.ngens:
+    if all(isinstance(x, numbers.Integral) for x in gamma) and len(gamma) == D.ngens:
         return D.lift(gamma)
-    if len(gamma) == L.rank:
-        return tuple(Fraction(x) for x in gamma)
-    raise DensityError("gamma must be residues in the discriminant group "
-                       "or a dual vector of full rank")
+    raise DensityError(f"gamma must be {D.ngens} integer residues in the "
+                       f"discriminant group or a dual vector of {L.rank} "
+                       f"Fractions, got {gamma!r}")
 
 
 @functools.lru_cache(maxsize=256)
@@ -101,15 +116,14 @@ def _count_data(gram, lift, n: Fraction):
 # exhaustive counter (the oracle side)
 
 def count_solutions_naive(gamma, n, L: IntegerLattice, a: int,
-                          guard: int = ENUMERATION_GUARD,
-                          gamma_lift=None) -> int:
+                          guard: int = ENUMERATION_GUARD) -> int:
     """Exact count of alpha in L/aL with Q(alpha+gamma)+n = 0 mod a."""
     if a <= 0:
         raise DensityError("modulus must be positive")
     r = L.rank
     if a ** r > guard:
         raise GuardExceeded(f"a^rank = {a}^{r} exceeds guard {guard}")
-    lift = tuple(gamma_lift) if gamma_lift is not None else _gamma_lift(L, gamma)
+    lift = _gamma_lift(L, gamma)
     w, c0 = _count_data(L.gram, lift, Fraction(n))
     if r == 0:
         return 1 if c0 % a == 0 else 0
@@ -419,8 +433,7 @@ def _local_pieces(gram, p: int, w):
 
 
 def count_solutions_split(gamma, n, L: IntegerLattice, p: int, s: int,
-                          guard: int = ENUMERATION_GUARD,
-                          gamma_lift=None) -> int:
+                          guard: int = ENUMERATION_GUARD) -> int:
     """Same count as count_solutions_naive at a = p^s, from the Jordan splitting.
 
     The radial pieces fold into one function R_c of c = min(v_p(t), s); the
@@ -430,7 +443,7 @@ def count_solutions_split(gamma, n, L: IntegerLattice, p: int, s: int,
     classes c of target - residual(y), so with at most one residual
     coordinate nothing of size p^s is built.
     """
-    lift = tuple(gamma_lift) if gamma_lift is not None else _gamma_lift(L, gamma)
+    lift = _gamma_lift(L, gamma)
     w, c0 = _count_data(L.gram, lift, Fraction(n))
     radial, residual, offset = _local_pieces(L.gram, p, w)
     const = c0 + offset
@@ -456,8 +469,7 @@ class LocalDensityReport:
 
 def local_density(gamma, n, L: IntegerLattice, p: int,
                   s_max: int | None = None,
-                  guard: int = ENUMERATION_GUARD,
-                  gamma_lift=None) -> LocalDensityReport:
+                  guard: int = ENUMERATION_GUARD) -> LocalDensityReport:
     """Stabilized local density with the witnessing raw counts.
 
     The normalization exponent is rank - 1 (= 1 + b in signature (2, b)).
@@ -468,7 +480,7 @@ def local_density(gamma, n, L: IntegerLattice, p: int,
     n = Fraction(n)
     if n <= 0:
         raise DensityError("local density wants n > 0")
-    lift = tuple(gamma_lift) if gamma_lift is not None else _gamma_lift(L, gamma)
+    lift = _gamma_lift(L, gamma)
     norm_exp = L.rank - 1
     x = 2 * n * abs(L.det)
     floor = 1 + max(0, rational_valuation(x, p))
@@ -481,8 +493,7 @@ def local_density(gamma, n, L: IntegerLattice, p: int,
     def extend_to(s):
         while len(counts) < s:
             snew = len(counts) + 1
-            counts.append(count_solutions_split(None, n, L, p, snew, guard=guard,
-                                                gamma_lift=lift))
+            counts.append(count_solutions_split(lift, n, L, p, snew, guard=guard))
             norms.append(Fraction(counts[-1], p ** (norm_exp * snew)))
 
     for s0 in range(floor, s_max + 1):
@@ -509,8 +520,7 @@ def series_primes(n: Fraction, det: int, prime_bound: int):
 
 def singular_series(gamma, n, V: IntegerLattice, prime_bound: int,
                     s_max: int | None = None,
-                    guard: int = ENUMERATION_GUARD,
-                    gamma_lift=None) -> SingularSeries:
+                    guard: int = ENUMERATION_GUARD) -> SingularSeries:
     """Truncated Euler product of local densities.
 
     Includes every prime up to the bound plus all primes dividing
@@ -519,12 +529,11 @@ def singular_series(gamma, n, V: IntegerLattice, prime_bound: int,
     if V.rank < 5:
         raise DensityError("singular series wants signature (2,b) with b >= 3")
     n = Fraction(n)
-    lift = tuple(gamma_lift) if gamma_lift is not None else _gamma_lift(V, gamma)
+    lift = _gamma_lift(V, gamma)
     factors = {}
     product = Fraction(1)
     for p in series_primes(n, V.det, prime_bound):
-        rep = local_density(None, n, V, p, s_max=s_max, guard=guard,
-                            gamma_lift=lift)
+        rep = local_density(lift, n, V, p, s_max=s_max, guard=guard)
         factors[p] = rep
         product *= rep.density
         if rep.density == 0:
@@ -576,8 +585,7 @@ class EisensteinCoefficient:
 
 def eisenstein_coefficient(gamma, n, V: IntegerLattice, prime_bound: int,
                            s_max: int | None = None,
-                           guard: int = ENUMERATION_GUARD,
-                           gamma_lift=None) -> EisensteinCoefficient:
+                           guard: int = ENUMERATION_GUARD) -> EisensteinCoefficient:
     """Fourier coefficient of the weight 1 + b/2 Eisenstein vector.
 
     The constant term at (0, 0) is exactly 2.  For n > 0 the archimedean
@@ -586,7 +594,7 @@ def eisenstein_coefficient(gamma, n, V: IntegerLattice, prime_bound: int,
     carries an approximate flag because of the truncation.
     """
     n = Fraction(n)
-    lift = tuple(gamma_lift) if gamma_lift is not None else _gamma_lift(V, gamma)
+    lift = _gamma_lift(V, gamma)
     if n == 0:
         if all(x == 0 for x in lift):
             return EisensteinCoefficient(mpmath.mpf(2), Fraction(2), None, prime_bound)
@@ -596,8 +604,7 @@ def eisenstein_coefficient(gamma, n, V: IntegerLattice, prime_bound: int,
     b = V.rank - 2
     if b < 3:
         raise DensityError("Eisenstein coefficients want signature (2,b), b >= 3")
-    ss = singular_series(None, n, V, prime_bound, s_max=s_max, guard=guard,
-                         gamma_lift=lift)
+    ss = singular_series(lift, n, V, prime_bound, s_max=s_max, guard=guard)
     gamma_rat, sqrt_pi = gamma_half_integer(b + 2)
     with mpmath.workdps(50):
         pi_exp = mpmath.mpf(2 + b - sqrt_pi) / 2
@@ -613,14 +620,14 @@ def eisenstein_coefficient(gamma, n, V: IntegerLattice, prime_bound: int,
 # ---------------------------------------------------------------------------
 # representability
 
-def in_coset_support(gamma, n, V: IntegerLattice, gamma_lift=None) -> bool:
-    lift = tuple(gamma_lift) if gamma_lift is not None else _gamma_lift(V, gamma)
+def in_coset_support(gamma, n, V: IntegerLattice) -> bool:
+    """Whether n lies in -Q(gamma) + Z, the norms the coset gamma + V takes."""
+    lift = _gamma_lift(V, gamma)
     return (V.q_of(lift) + Fraction(n)).denominator == 1
 
 
 def is_representable(gamma, n, V: IntegerLattice,
-                     guard: int = ENUMERATION_GUARD,
-                     gamma_lift=None) -> bool:
+                     guard: int = ENUMERATION_GUARD) -> bool:
     """Local representability of -n by Q on the coset gamma + V (n > 0).
 
     Positive local density at every prime up to 50 and at every prime
@@ -630,8 +637,8 @@ def is_representable(gamma, n, V: IntegerLattice,
     n = Fraction(n)
     if n <= 0:
         return False
-    lift = tuple(gamma_lift) if gamma_lift is not None else _gamma_lift(V, gamma)
-    if not in_coset_support(None, n, V, gamma_lift=lift):
+    lift = _gamma_lift(V, gamma)
+    if not in_coset_support(lift, n, V):
         return False
     if V.hyperbolic_split is not None:
         # an orthogonal summand U represents everything at every prime
@@ -639,7 +646,7 @@ def is_representable(gamma, n, V: IntegerLattice,
     ps = set(small_primes(_SMALL_PRIME_SWEEP))
     ps.update(_prime_factors(2 * n.numerator * n.denominator * V.det))
     for p in sorted(ps):
-        rep = local_density(None, n, V, p, guard=guard, gamma_lift=lift)
+        rep = local_density(lift, n, V, p, guard=guard)
         if rep.density == 0:
             return False
     return True

@@ -32,7 +32,7 @@ from .exactla import (
     rational_congruent_diagonal,
     short_vectors,
 )
-from .densities import _gamma_lift, is_representable, singular_series
+from .densities import _gamma_lift, in_coset_support, is_representable, singular_series
 from .lattices import IntegerLattice
 
 FRAME_TOLERANCE = 1e-10
@@ -197,6 +197,27 @@ def _disk_samples(rng, m: int, rho: float, window: Window):
     return r * np.cos(ang), r * np.sin(ang)
 
 
+def _substream_mean(window: Window, samples: int, seed: int, workers: int,
+                    tag: int, integrand):
+    """Mean and standard error of integrand(rng, |a|^2 + 1, m) over points a
+    drawn uniformly from the window's disc, split over the workers' RNG
+    substreams (tag | worker)."""
+    rho = float(window.rho)
+    sums, sumsqs, n = [], [], 0
+    base = samples // workers
+    for w in range(workers):
+        m = samples - base * (workers - 1) if w == workers - 1 else base
+        rng = _substream(seed, tag | w)
+        a1, a2 = _disk_samples(rng, m, rho, window)
+        vals = integrand(rng, a1 * a1 + a2 * a2 + 1.0, m)
+        sums.append(math.fsum(vals))
+        sumsqs.append(math.fsum(vals * vals))
+        n += m
+    mean = math.fsum(sums) / n
+    var = max(math.fsum(sumsqs) / n - mean * mean, 0.0)
+    return mean, math.sqrt(var / n)
+
+
 def mu_a0(window: Window, samples: int, seed: int = 0, workers: int = 1):
     """Monte Carlo mass of the window for the chart-normalized measure.
 
@@ -213,29 +234,14 @@ def mu_a0(window: Window, samples: int, seed: int = 0, workers: int = 1):
         return 0.0, 0.0
     area = math.pi * rho * rho * window.sector_fraction()
     const = area * (math.pi / 2) * unit_sphere_area(b - 2)
-    sums = []
-    sumsqs = []
-    counts = []
-    base = samples // workers
-    for w in range(workers):
-        m = samples - base * (workers - 1) if w == workers - 1 else base
-        rng = _substream(seed, w)
-        a1, a2 = _disk_samples(rng, m, rho, window)
+
+    def integrand(rng, t2, m):
         theta = rng.random(m) * (math.pi / 2)
-        t2 = a1 * a1 + a2 * a2 + 1.0
-        vals = t2 ** ((b - 2) / 2) * np.sin(theta) ** (b - 2)
-        sums.append(math.fsum(vals))
-        sumsqs.append(math.fsum(vals * vals))
-        counts.append(m)
-    total = math.fsum(sums)
-    total_sq = math.fsum(sumsqs)
-    n = sum(counts)
-    mean = total / n
-    var = max(total_sq / n - mean * mean, 0.0)
+        return t2 ** ((b - 2) / 2) * np.sin(theta) ** (b - 2)
+
+    mean, se = _substream_mean(window, samples, seed, workers, 0, integrand)
     # both sheets of the hyperboloid carry the cap
-    value = 2.0 * const * mean
-    stderr = 2.0 * const * math.sqrt(var / n)
-    return value, stderr
+    return 2.0 * const * mean, 2.0 * const * se
 
 
 def mu_infty(window: Window, samples: int, eps_shell: float = 1e-3,
@@ -258,32 +264,19 @@ def mu_infty(window: Window, samples: int, eps_shell: float = 1e-3,
     area = math.pi * rho * rho * window.sector_fraction()
     ball = unit_ball_volume(b - 1) * radius ** (b - 1)
     const = area * ball / (2 * eps)
-    sums, sumsqs, counts = [], [], []
-    base = samples // workers
-    for w in range(workers):
-        m = samples - base * (workers - 1) if w == workers - 1 else base
-        rng = _substream(seed, 1 << 20 | w)
-        a1, a2 = _disk_samples(rng, m, rho, window)
+
+    def integrand(rng, t2, m):
         # the integrand only sees |c'|: sample the radial law of the
         # uniform distribution on the (b-1)-ball directly
         radii = radius * rng.random(m) ** (1.0 / (b - 1))
         tt = radii * radii
-        t2 = a1 * a1 + a2 * a2 + 1.0
         hi = np.maximum(t2 + eps - tt, 0.0)
         lo = np.maximum(t2 - eps - tt, 0.0)
-        vals = 2.0 * (np.sqrt(hi) - np.sqrt(lo))
-        sums.append(math.fsum(vals))
-        sumsqs.append(math.fsum(vals * vals))
-        counts.append(m)
-    total = math.fsum(sums)
-    total_sq = math.fsum(sumsqs)
-    n = sum(counts)
-    mean = total / n
-    var = max(total_sq / n - mean * mean, 0.0)
+        return 2.0 * (np.sqrt(hi) - np.sqrt(lo))
+
+    mean, se = _substream_mean(window, samples, seed, workers, 1 << 20, integrand)
     jac = window.frame.lattice_jacobian()
-    value = jac * const * mean
-    stderr = jac * const * math.sqrt(var / n)
-    return value, stderr
+    return jac * const * mean, jac * const * se
 
 
 # ---------------------------------------------------------------------------
@@ -352,13 +345,13 @@ def enumerate_points(gamma, n, window: Window, keep_points: bool = False,
         raise HyperboloidError("point enumeration wants n > 0")
     L = window.frame.lattice
     lift = _gamma_lift(L, gamma)
-    if (L.q_of(lift) + n).denominator != 1:
+    if not in_coset_support(lift, n, L):
         return PointCount(n, 0, 0, ())
     return _count_generic(lift, n, window, True, guard)
 
 
-def count_range(gamma, ns, window: Window, guard: int = ENUM_NODE_GUARD,
-                gamma_lift=None) -> tuple[PointCount, ...]:
+def count_range(gamma, ns, window: Window,
+                guard: int = ENUM_NODE_GUARD) -> tuple[PointCount, ...]:
     """One exact count per n in ns, in order, of lambda in gamma+V with
     Q(lambda) = -n inside the cap.
 
@@ -372,9 +365,8 @@ def count_range(gamma, ns, window: Window, guard: int = ENUM_NODE_GUARD,
     if any(n <= 0 for n in ns):
         raise HyperboloidError("point enumeration wants n > 0")
     L = window.frame.lattice
-    lift = tuple(gamma_lift) if gamma_lift is not None else _gamma_lift(L, gamma)
-    q_lift = L.q_of(lift)
-    support = [n for n in ns if (q_lift + n).denominator == 1]
+    lift = _gamma_lift(L, gamma)
+    support = [n for n in ns if in_coset_support(lift, n, L)]
     fast = _fast_split_data(window) if support else None
     if fast is not None:
         found = {n: PointCount(n, count, grazing) for n, (count, grazing)
@@ -645,9 +637,9 @@ class ExperimentSummary:
     second_half_mean: float
 
 
-def admissible_values(V: IntegerLattice, gamma, lo, hi, gamma_lift=None):
+def admissible_values(V: IntegerLattice, gamma, lo, hi):
     """Values n in -Q(gamma)+Z inside [lo, hi]."""
-    lift = tuple(gamma_lift) if gamma_lift is not None else _gamma_lift(V, gamma)
+    lift = _gamma_lift(V, gamma)
     frac = (-V.q_of(lift)) % 1
     lo, hi = Fraction(lo), Fraction(hi)
     start = lo - (lo % 1) - 1 + frac
@@ -677,15 +669,15 @@ def equidistribution_run(V: IntegerLattice, gamma, window: Window,
     mu_val, mu_err = mu_infty(window, samples, seed=seed, workers=workers)
     ns = []
     skipped = []
-    for n in admissible_values(V, None, n_lo, n_hi, gamma_lift=lift):
-        if is_representable(None, n, V, gamma_lift=lift):
+    for n in admissible_values(V, lift, n_lo, n_hi):
+        if is_representable(lift, n, V):
             ns.append(n)
         else:
             skipped.append((n, "not locally representable"))
     reports = []
-    for pc in count_range(None, ns, window, guard, gamma_lift=lift):
+    for pc in count_range(lift, ns, window, guard):
         n = pc.n
-        ss = singular_series(None, n, V, prime_bound, gamma_lift=lift)
+        ss = singular_series(lift, n, V, prime_bound)
         predicted = mu_val * float(n) ** (b / 2) * float(ss.truncated_product)
         ratio = pc.count / predicted if predicted else math.inf
         reports.append(CountReport(n, pc.count, predicted, ratio, mu_val,

@@ -10,7 +10,6 @@ and a flagged local heuristic above that.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
@@ -18,11 +17,11 @@ from math import isqrt
 import mpmath
 
 from .densities import (
+    _gamma_lift,
+    count_solutions_naive,
     eisenstein_coefficient,
-    gamma_half_integer,
+    in_coset_support,
     is_representable,
-    singular_series,
-    _mpf_frac,
 )
 from .exactla import floor_sqrt_fraction
 from .fqm import discriminant_group, isotropic_subgroups
@@ -75,26 +74,20 @@ class PredictionResult:
 
 def main_term(V: IntegerLattice, gamma, n, mu_s: float, prime_bound: int,
               guard=None) -> PredictionResult:
-    """mu(S) (2 pi)^(1+b/2) n^(b/2) / (sqrt|D| Gamma(1+b/2)) * product mu_p."""
+    """-(mu(S)/2) c(gamma, n): mu(S) (2 pi)^(1+b/2) n^(b/2) / (sqrt|D|
+    Gamma(1+b/2)) times the truncated singular series."""
     n = Fraction(n)
     b = V.rank - 2
     error_order = f"O(n^((2+b)/4+eps)) = O(n^({Fraction(2 + b, 4)}+eps)) for projective bases"
     kwargs = {} if guard is None else {"guard": guard}
-    if n <= 0 or not is_representable(gamma, n, V, **kwargs):
+    lift = _gamma_lift(V, gamma)
+    if n <= 0 or not is_representable(lift, n, V, **kwargs):
         return PredictionResult(mpmath.mpf(0), error_order, False, None, prime_bound)
-    ss = singular_series(gamma, n, V, prime_bound, **kwargs)
-    gamma_rat, sqrt_pi = gamma_half_integer(b + 2)
+    c = eisenstein_coefficient(lift, n, V, prime_bound, **kwargs)
     with mpmath.workdps(50):
-        pi_exp = mpmath.mpf(2 + b - sqrt_pi) / 2
-        val = mpmath.mpf(2) ** (1 + mpmath.mpf(b) / 2)
-        val *= mpmath.pi ** pi_exp
-        val *= _mpf_frac(n) ** (mpmath.mpf(b) / 2)
-        val /= mpmath.sqrt(abs(V.det))
-        val /= _mpf_frac(gamma_rat)
-        val *= _mpf_frac(ss.truncated_product)
-        val *= mpmath.mpf(mu_s)
-    return PredictionResult(val, error_order, ss.truncated_product > 0,
-                            ss, prime_bound)
+        val = -c.value * mpmath.mpf(mu_s) / 2
+    return PredictionResult(val, error_order, c.series.truncated_product > 0,
+                            c.series, prime_bound)
 
 
 def predict_count(inp: PredictionInput, guard=None) -> PredictionResult:
@@ -171,11 +164,8 @@ def represents_on_coset(P: IntegerLattice, gamma, two_n,
     with exact=False.
     """
     two_n = Fraction(two_n)
-    D = discriminant_group(P)
-    if gamma is None:
-        gamma = D.zero
-    lift = D.lift(D.reduce(gamma)) if D.ngens else tuple(Fraction(0) for _ in range(P.rank))
-    if (P.q_of(lift) - two_n / 2).denominator != 1:
+    lift = _gamma_lift(P, gamma)
+    if not in_coset_support(lift, -two_n / 2, P):
         return RepresentabilityResult(False, True)
     if P.rank == 1:
         d = Fraction(P.gram[0][0], 2)
@@ -299,19 +289,10 @@ def _represents_rank2(P: IntegerLattice, lift, two_n, box_guard):
 
 
 def _locally_plausible(P: IntegerLattice, lift, two_n) -> bool:
-    """Necessary congruence conditions at small moduli (heuristic)."""
-    n = Fraction(two_n) / 2
+    """Necessary congruence conditions at small moduli (heuristic): Q = n
+    is solvable on lift + P modulo each."""
     moduli = (4, 9, 25, 49, 8, 27, 16) if P.rank <= 2 else (4, 8, 9, 5, 7)
-    for a in moduli:
-        found = False
-        for z in itertools.product(range(a), repeat=P.rank):
-            vec = tuple(Fraction(zz) + lift[k] for k, zz in enumerate(z))
-            if (P.q_of(vec) - n) % a == 0:
-                found = True
-                break
-        if not found:
-            return False
-    return True
+    return all(count_solutions_naive(lift, -Fraction(two_n) / 2, P, a) for a in moduli)
 
 
 # ---------------------------------------------------------------------------

@@ -191,3 +191,29 @@ def test_predict_builds_cusp_data_only_for_named_planes(monkeypatch):
     planes = cusps.isotropic_planes(parse_lattice_spec("U+U+rank1(-8)"), 2)
     assert len(planes) == 160
     assert calls == planes[:2]
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "--lattice", "U+U+rank1(-2)", "--gamma", "1,0,0,0,0", "--rho", "1",
+     "--nmin", "3", "--nmax", "4", "--samples", "1000"],
+    ["density", "--lattice", "U+U+rank1(-2)", "--gamma", "1,0", "--n", "1", "--prime", "5"],
+    ["eis", "--lattice", "U+U+rank1(-2)", "--gamma", "1,0", "--nmax", "2"],
+    ["predict", "--lattice", "U+U+rank1(-2)", "--gamma", "1,0", "--n", "1", "--mu-s", "1"],
+])
+def test_gamma_with_wrong_residue_count_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv, out=io.StringIO())
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    errors = [l for l in err.splitlines() if l.startswith("hyperlat: error:")]
+    assert len(errors) == 1 and "expects 1 residues" in errors[0]
+    assert "Traceback" not in err
+
+
+def test_count_takes_no_guard(capsys):
+    # count never read --guard, so passing it is an error
+    with pytest.raises(SystemExit) as exc:
+        main(["count", "--lattice", "U+U+rank1(-2)", "--guard", "1", "--rho", "1",
+              "--nmin", "3", "--nmax", "3", "--samples", "1000"], out=io.StringIO())
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --guard" in capsys.readouterr().err

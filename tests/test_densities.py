@@ -57,6 +57,21 @@ def test_naive_rejects_bad_n():
         count_solutions_naive((1,), 1, rank1(-2), 5)  # 1 not in -Q(gamma)+Z
 
 
+def test_gamma_is_read_by_type(v_lattice):
+    # ints are residues in D(L) = Z/2; a tuple holding a Fraction is a dual vector
+    half = (Fraction(0),) * 4 + (Fraction(1, 2),)
+    assert count_solutions_naive((1,), Fraction(1, 4), v_lattice, 5) == \
+        count_solutions_naive(half, Fraction(1, 4), v_lattice, 5)
+    assert count_solutions_naive((Fraction(1), 0, 0, 0, 0), 1, v_lattice, 5) == 650
+    # five ints are not five dual coordinates: D(L) has one invariant factor
+    with pytest.raises(DensityError, match="1 integer residues"):
+        count_solutions_naive((1, 0, 0, 0, 0), 1, v_lattice, 5)
+    with pytest.raises(DensityError, match="5 entries"):
+        count_solutions_naive((Fraction(1, 2),), 1, v_lattice, 5)
+    with pytest.raises(DensityError):
+        count_solutions_naive((0.5,), 1, v_lattice, 5)
+
+
 def test_naive_guard():
     with pytest.raises(GuardExceeded):
         count_solutions_naive(None, 1, e8(-1), 100, guard=10 ** 6)
@@ -167,10 +182,9 @@ def test_counts_ignore_the_basis():
         for n in (-L.q_of(lift) + 1, -L.q_of(lift) + 4):
             for p in (2, 3, 5):
                 if p < 5:
-                    assert count_solutions_naive(None, n, M, p ** 2, gamma_lift=lift_m) == \
-                        count_solutions_split(None, n, M, p, 2, gamma_lift=lift_m)
-                assert local_density(None, n, M, p, gamma_lift=lift_m) == \
-                    local_density(None, n, L, p, gamma_lift=lift)
+                    assert count_solutions_naive(lift_m, n, M, p ** 2) == \
+                        count_solutions_split(lift_m, n, M, p, 2)
+                assert local_density(lift_m, n, M, p) == local_density(lift, n, L, p)
 
 
 def test_residual_guard():
@@ -231,11 +245,11 @@ def test_lift_independence_of_counts():
         lift = list(D.lift(gamma))
         n = -L.q_of(lift) + rng.randint(1, 5)
         a = rng.choice([4, 5, 9])
-        base = count_solutions_naive(None, n, L, a, gamma_lift=lift)
+        base = count_solutions_naive(lift, n, L, a)
         shift = [rng.randint(-2, 2) for _ in range(L.rank)]
         shifted = [x + z for x, z in zip(lift, shift)]
         n2 = n + L.q_of(lift) - L.q_of(shifted)  # keep n in -Q(gamma)+Z: same n
-        assert count_solutions_naive(None, n, L, a, gamma_lift=shifted) == base
+        assert count_solutions_naive(shifted, n, L, a) == base
 
 
 def test_local_density_example(v_lattice):

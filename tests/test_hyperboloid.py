@@ -158,8 +158,7 @@ def test_count_range_fractional_norms(v8_lattice):
             [PointCount(Fraction(4), 0, 0),   # 4 is not in 1/16 + Z
              _count_generic(lift, moderate, win, False, 10 ** 9)])
     assert got == tuple(want)
-    assert got == count_range(None, small + [Fraction(4), moderate], win,
-                              gamma_lift=lift)
+    assert got == count_range(lift, small + [Fraction(4), moderate], win)
 
 
 @pytest.mark.parametrize("rho, gamma, lo, hi", [

@@ -1,4 +1,6 @@
+import itertools
 import math
+import random
 from fractions import Fraction
 
 import mpmath
@@ -6,7 +8,8 @@ import pytest
 
 from hyperlat.cusps import cusp_datum
 from hyperlat.densities import eisenstein_coefficient
-from hyperlat.lattices import direct_sum, hyperbolic_plane, rank1
+from hyperlat.fqm import discriminant_group
+from hyperlat.lattices import IntegerLattice, LatticeError, direct_sum, hyperbolic_plane, rank1
 from hyperlat.predict import (
     PredictError,
     PredictionInput,
@@ -16,6 +19,7 @@ from hyperlat.predict import (
     k3_sublattice,
     predict_count,
     represents_on_coset,
+    _locally_plausible,
     _pell_fundamental,
 )
 
@@ -89,6 +93,40 @@ def test_rank1_representability():
     assert r.representable and r.exact
     r = represents_on_coset(P, (1,), 2)
     assert not r.representable
+
+
+def _plausible_by_scan(P, lift, two_n):
+    # Q = n solvable on lift + P modulo each modulus, by scanning every residue
+    n = Fraction(two_n) / 2
+    moduli = (4, 9, 25, 49, 8, 27, 16) if P.rank <= 2 else (4, 8, 9, 5, 7)
+    return all(any((P.q_of(tuple(Fraction(z) + l for z, l in zip(zs, lift))) - n) % a == 0
+                   for zs in itertools.product(range(a), repeat=P.rank))
+               for a in moduli)
+
+
+def test_locally_plausible_matches_scan():
+    rng = random.Random(23)
+    seen = {True: 0, False: 0}
+    while sum(seen.values()) < 150:
+        r = rng.randint(1, 3)
+        g = [[0] * r for _ in range(r)]
+        for i in range(r):
+            g[i][i] = 2 * rng.randint(-4, 4)
+            for j in range(i + 1, r):
+                g[i][j] = g[j][i] = rng.randint(-3, 3)
+        try:
+            P = IntegerLattice(tuple(tuple(row) for row in g))
+        except LatticeError:
+            continue
+        D = discriminant_group(P)
+        if D.order > 200:
+            continue
+        lift = D.lift(rng.choice(D.elements()))
+        two_n = 2 * (P.q_of(lift) + rng.randint(-6, 6))
+        got = _locally_plausible(P, lift, two_n)
+        assert got == _plausible_by_scan(P, lift, two_n), (P.gram, lift, two_n)
+        seen[got] += 1
+    assert seen[True] and seen[False]
 
 
 def test_rank2_representability_vs_brute():
