@@ -91,7 +91,9 @@ from .hyperboloid import (
     enumerate_points,
     equidistribution_run,
     mu_a0,
+    mu_a0_closed,
     mu_infty,
+    mu_infty_closed,
     splitting_frame,
     unit_sphere_area,
 )
@@ -103,6 +105,7 @@ from .predict import (
     RepresentabilityResult,
     degree_prediction,
     elliptic_census_prediction,
+    k3_lattices,
     k3_predict,
     k3_sublattice,
     predict_count,

@@ -33,6 +33,7 @@ from .lattices import (
 from .predict import (
     PredictionInput,
     degree_prediction,
+    k3_lattices,
     k3_predict,
     predict_count,
 )
@@ -212,6 +213,11 @@ def cmd_count(args, out):
     print(f"# mean_ratio={_fmt(summary.mean_ratio)} "
           f"first_half={_fmt(summary.first_half_mean)} "
           f"second_half={_fmt(summary.second_half_mean)}", file=out)
+    if summary.mu_infty_mc is not None:
+        est, err = summary.mu_infty_mc
+        z = (est - summary.mu_infty) / err if err else float("nan")
+        print(f"# mu_infty monte_carlo={_fmt(est)} stderr={_fmt(err)} "
+              f"closed_form={_fmt(summary.mu_infty)} z={z:.2f}", file=sys.stderr)
     return 0
 
 
@@ -249,11 +255,13 @@ def cmd_predict(args, out):
 
 
 def cmd_k3(args, out):
-    # gamma lives in D(V) of the complement, which k3_predict builds
-    gamma = tuple(int(x) for x in args.gamma.split(",")) if args.gamma else None
     rows = None
     if args.p_rows:
         rows = [[int(x) for x in row.split(",")] for row in args.p_rows.split(";")]
+    gamma = None
+    if args.gamma:
+        # gamma lives in D(V) of the complement
+        gamma = parse_gamma(args.gamma, k3_lattices(args.two_d, rows)[1])
     res = k3_predict(gamma, parse_fraction(args.n), args.mu_s,
                      two_d=args.two_d, rows=rows,
                      prime_bound=args.prime_bound, guard=args.guard)
@@ -323,11 +331,15 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--rho", required=True)
     sp.add_argument("--nmin", required=True)
     sp.add_argument("--nmax", required=True)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=int, default=0,
+                    help="seed of the Monte Carlo cross-check")
     sp.add_argument("--workers", type=int, default=1,
                     help="number of Monte Carlo RNG substreams; the "
                          "substreams run one after another, not in parallel")
-    sp.add_argument("--samples", type=int, default=10 ** 6)
+    sp.add_argument("--samples", type=int, default=0,
+                    help="Monte Carlo samples for a cross-check of the closed-"
+                         "form mu_infty, reported on stderr; 0 (the default) "
+                         "skips it.  The CSV never depends on it")
     sp.add_argument("--prime-bound", dest="prime_bound", type=int, default=100)
     sp.set_defaults(func=cmd_count)
 

@@ -7,7 +7,10 @@ counts depend only on the valuation of the target (planes, and pieces whose
 shift no translate absorbs) are folded in closed form; the remaining
 diagonal coordinates are counted by Hensel lifting.  No hand-written block
 metadata is read.  Densities are the stabilized normalized counts;
-stabilization is always witnessed, never extrapolated.
+stabilization is always witnessed, never extrapolated.  At an odd prime
+prime to n and det the form is unimodular and every solution mod p is
+non-singular, so the density and its witnesses are one Legendre symbol in
+closed form; the counters stay as its oracles.
 
 Every function takes the coset gamma + L one way, decided by type: None is
 the zero class, a tuple holding a Fraction is a dual vector with one entry
@@ -473,7 +476,9 @@ def local_density(gamma, n, L: IntegerLattice, p: int,
     """Stabilized local density with the witnessing raw counts.
 
     The normalization exponent is rank - 1 (= 1 + b in signature (2, b)).
-    The stabilization exponent starts at 1 + v_p(2 n det): the first pair of
+    At p prime to 2 num(n) den(n) det the density has a closed form
+    (``_unramified_density``); at the other primes it is counted.  The
+    stabilization exponent starts at 1 + v_p(2 n det): the first pair of
     consecutive exponents at or past it with equal normalized counts wins.
     Running past s_max without stabilizing is an error, not an extrapolation.
     """
@@ -481,6 +486,40 @@ def local_density(gamma, n, L: IntegerLattice, p: int,
     if n <= 0:
         raise DensityError("local density wants n > 0")
     lift = _gamma_lift(L, gamma)
+    if L.rank and (2 * n.numerator * n.denominator * L.det) % p:
+        _count_data(L.gram, lift, n)   # gamma in the dual, n in -Q(gamma) + Z
+        return _unramified_density(n, L, p)
+    return _counted_density(lift, n, L, p, s_max, guard)
+
+
+def _unramified_density(n: Fraction, L: IntegerLattice, p: int) -> LocalDensityReport:
+    """The density at an odd p prime to num(n) den(n) det, in closed form.
+
+    L is unimodular at p and the lift of gamma p-integral, so a translate
+    removes gamma; every solution mod p is non-singular (the gradient G x
+    vanishes mod p only at x = 0, where Q = 0 is not -n), so the count
+    stabilizes at s0 = 1.  With r = rank and eps a Legendre symbol taken by
+    Euler's criterion: N(p) = p^(2k) + eps p^k, eps = ((-1)^k 2 det (-n) / p),
+    for r = 2k + 1, and N(p) = p^(2k-1) - eps p^(k-1), eps = ((-1)^k det / p),
+    for r = 2k.  N(p^2) = N(p) p^(r-1).
+    """
+    r = L.rank
+    k = r // 2
+    if r % 2:
+        a = (-1) ** k * 2 * L.det * -n.numerator * n.denominator
+        sign = 1
+    else:
+        a = (-1) ** k * L.det
+        sign = -1
+    eps = 1 if pow(a % p, (p - 1) // 2, p) == 1 else -1
+    count = p ** (r - 1) + sign * eps * p ** (r - 1 - k)
+    norm = p ** (r - 1)
+    return LocalDensityReport(p, 1, (count, count * norm), Fraction(count, norm))
+
+
+def _counted_density(lift, n: Fraction, L: IntegerLattice, p: int,
+                     s_max: int | None, guard: int) -> LocalDensityReport:
+    """The stabilized density from counts on the Jordan splitting."""
     norm_exp = L.rank - 1
     x = 2 * n * abs(L.det)
     floor = 1 + max(0, rational_valuation(x, p))

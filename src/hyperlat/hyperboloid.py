@@ -4,8 +4,9 @@ A splitting frame fixes an orthogonal decomposition of V x R into a positive
 definite plane and a negative definite complement, built from exact rational
 vectors (so window membership of lattice points is an exact integer
 comparison) and normalized in floating point only for the Monte Carlo
-measure estimates.  Point counts are exact; the two invariant measures are
-estimated with seeded, reproducible Monte Carlo.
+measure estimates.  Point counts are exact; the two invariant measures of a
+cap have closed forms, and seeded, reproducible Monte Carlo estimates of
+them are kept as their oracle.
 
 ``count_range`` counts a whole list of norms at once.  When the basis shows
 an orthogonal summand U (``IntegerLattice.hyperbolic_split``) it builds one
@@ -182,7 +183,41 @@ class Window:
 
 
 # ---------------------------------------------------------------------------
-# Monte Carlo measures
+# invariant measures: closed forms, and Monte Carlo as their oracle
+
+def _closed_mass(window: Window, scale: float = 1.0) -> float:
+    """scale * 2 pi s |S^(b-1)| ((rho^2 + 1)^(b/2) - 1) / b, evaluated in
+    mpmath at 30 digits and rounded once."""
+    import mpmath   # already loaded through densities
+
+    b = window.b
+    if b < 2:
+        raise HyperboloidError("measures want b >= 2")
+    with mpmath.workdps(30):
+        half_b = mpmath.mpf(b) / 2
+        sphere = 2 * mpmath.pi ** half_b / mpmath.gamma(half_b)
+        rho = mpmath.mpf(window.rho.numerator) / window.rho.denominator
+        mass = (2 * mpmath.pi * mpmath.mpf(window.sector_fraction()) * sphere
+                * ((rho * rho + 1) ** half_b - 1) / b)
+        return float(mass * mpmath.mpf(scale))
+
+
+def mu_a0_closed(window: Window) -> float:
+    """mu_a0 of the window in closed form.
+
+    Averaged over the negative directions, the chart integrand of ``mu_a0``
+    on each sheet is (|S^(b-1)|/2) (|a|^2 + 1)^((b-2)/2) over the disc
+    |a| <= rho, so the mass is 2 pi s |S^(b-1)| ((rho^2 + 1)^(b/2) - 1) / b,
+    s the sector fraction.
+    """
+    return _closed_mass(window)
+
+
+def mu_infty_closed(window: Window) -> float:
+    """mu_infty of the window in closed form: (J/2) mu_a0, J the lattice
+    Jacobian 2^(r/2)/sqrt|det V|."""
+    return _closed_mass(window, window.frame.lattice_jacobian() / 2)
+
 
 def _substream(seed: int, worker: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), worker]))
@@ -190,9 +225,8 @@ def _substream(seed: int, worker: int) -> np.random.Generator:
 
 def _disk_samples(rng, m: int, rho: float, window: Window):
     u = rng.random(m)
-    ang = rng.random(m) * 2 * math.pi
-    if window.sector is not None:
-        ang = window.sector[0] + rng.random(m) * window.sector_width
+    start = window.sector[0] if window.sector is not None else 0.0
+    ang = start + rng.random(m) * window.sector_width
     r = rho * np.sqrt(u)
     return r * np.cos(ang), r * np.sin(ang)
 
@@ -622,7 +656,6 @@ class CountReport:
     predicted: float
     ratio: float
     mu_infty_value: float
-    mu_infty_stderr: float
     series_value: Fraction
     prime_bound: int
     grazing: int
@@ -635,6 +668,8 @@ class ExperimentSummary:
     mean_ratio: float
     first_half_mean: float
     second_half_mean: float
+    mu_infty: float                         # the closed form
+    mu_infty_mc: tuple[float, float] | None  # (estimate, standard error)
 
 
 def admissible_values(V: IntegerLattice, gamma, lo, hi):
@@ -654,19 +689,22 @@ def admissible_values(V: IntegerLattice, gamma, lo, hi):
 
 def equidistribution_run(V: IntegerLattice, gamma, window: Window,
                          n_lo, n_hi, prime_bound: int = 100,
-                         samples: int = 10 ** 6, seed: int = 0,
+                         samples: int = 0, seed: int = 0,
                          workers: int = 1,
                          guard: int = ENUM_NODE_GUARD) -> ExperimentSummary:
     """Empirical vs predicted counts over a range of admissible n.
 
-    predicted(n) = mu_infty(window) * n^(b/2) * truncated singular series.
-    Non-representable n are skipped with a note.  The Monte Carlo measure is
-    estimated once per window from the seed; counts are exact, all from one
-    ``count_range`` call.
+    predicted(n) = mu_infty(window) * n^(b/2) * truncated singular series,
+    with mu_infty in closed form.  Non-representable n are skipped with a
+    note.  With samples > 0 the Monte Carlo estimate of mu_infty is run from
+    the seed as a cross-check and carried in the summary; it enters no
+    prediction.  Counts are exact, all from one ``count_range`` call.
     """
     b = V.rank - 2
     lift = _gamma_lift(V, gamma)
-    mu_val, mu_err = mu_infty(window, samples, seed=seed, workers=workers)
+    mu_val = mu_infty_closed(window)
+    mc = (mu_infty(window, samples, seed=seed, workers=workers)
+          if samples > 0 else None)
     ns = []
     skipped = []
     for n in admissible_values(V, lift, n_lo, n_hi):
@@ -681,11 +719,12 @@ def equidistribution_run(V: IntegerLattice, gamma, window: Window,
         predicted = mu_val * float(n) ** (b / 2) * float(ss.truncated_product)
         ratio = pc.count / predicted if predicted else math.inf
         reports.append(CountReport(n, pc.count, predicted, ratio, mu_val,
-                                   mu_err, ss.truncated_product, prime_bound,
+                                   ss.truncated_product, prime_bound,
                                    pc.grazing))
     ratios = [r.ratio for r in reports]
     mean = sum(ratios) / len(ratios) if ratios else math.nan
     half = len(ratios) // 2
     first = sum(ratios[:half]) / half if half else math.nan
     second = sum(ratios[half:]) / (len(ratios) - half) if len(ratios) - half else math.nan
-    return ExperimentSummary(tuple(reports), tuple(skipped), mean, first, second)
+    return ExperimentSummary(tuple(reports), tuple(skipped), mean, first,
+                             second, mu_val, mc)

@@ -65,8 +65,12 @@ class PredictionResult:
     value: object                  # mpmath mpf
     error_order: str
     representable: bool
-    series: object
+    coefficient: object            # c(gamma, n), or None when n is not represented
     prime_bound: int
+
+    @property
+    def series(self):
+        return self.coefficient.series if self.coefficient is not None else None
 
     def __float__(self):
         return float(self.value)
@@ -87,7 +91,7 @@ def main_term(V: IntegerLattice, gamma, n, mu_s: float, prime_bound: int,
     with mpmath.workdps(50):
         val = -c.value * mpmath.mpf(mu_s) / 2
     return PredictionResult(val, error_order, c.series.truncated_product > 0,
-                            c.series, prime_bound)
+                            c, prime_bound)
 
 
 def predict_count(inp: PredictionInput, guard=None) -> PredictionResult:
@@ -104,8 +108,10 @@ def degree_prediction(inp: PredictionInput, guard=None):
     base = predict_count(inp, guard=guard)
     total = base.value
     rows = []
-    c = eisenstein_coefficient(inp.gamma, inp.n, inp.lattice, inp.prime_bound,
-                               **({} if guard is None else {"guard": guard}))
+    c = base.coefficient
+    if c is None:   # main_term skips c(gamma, n) when n is not represented
+        c = eisenstein_coefficient(inp.gamma, inp.n, inp.lattice, inp.prime_bound,
+                                   **({} if guard is None else {"guard": guard}))
     b = inp.lattice.rank - 2
     theta_order = max(Fraction(inp.n), Fraction(0))
     thetas = {}   # one theta series per distinct K_F
@@ -121,7 +127,7 @@ def degree_prediction(inp: PredictionInput, guard=None):
         rows.append({"cusp": datum, "degree": degree, "u": u,
                      "sharper_order": order})
     return PredictionResult(total, base.error_order, base.representable,
-                            base.series, inp.prime_bound), rows
+                            base.coefficient, inp.prime_bound), rows
 
 
 # ---------------------------------------------------------------------------
@@ -348,19 +354,12 @@ def _canonical_k3_complement(two_d: int) -> IntegerLattice:
     return direct_sum(rank1(-two_d), U, U, e8(-1), e8(-1))
 
 
-def k3_predict(gamma, n, mu_s: float, two_d: int | None = None, rows=None,
-               prime_bound: int = 100, guard=None) -> K3Prediction:
-    """Prediction for norm-n classes in a family with generic Picard lattice P.
-
-    Builds V as the orthogonal complement of P inside the rank-22 unimodular
-    lattice, checks the hypotheses (primitive, Lorentzian, anisotropic,
-    rank <= 4), evaluates the main term on V, and reports whether the coset
-    gamma + P represents 2n (needed for the class to be parabolic).
-    """
-    n = Fraction(n)
+def k3_lattices(two_d: int | None = None, rows=None):
+    """(P, V): the sublattice P and its orthogonal complement V inside the
+    rank-22 unimodular lattice, once P meets the hypotheses (primitive,
+    Lorentzian, anisotropic, rank <= 4)."""
     P, prows = k3_sublattice(two_d, rows)
-    rho = P.rank
-    if rho > 4:
+    if P.rank > 4:
         raise PredictError("sublattice rank must be <= 4")
     sig = P.signature()
     if sig.positive != 1:
@@ -376,6 +375,20 @@ def k3_predict(gamma, n, mu_s: float, two_d: int | None = None, rows=None,
             raise PredictError("internal error: complement determinant mismatch")
     else:
         V = _complement_of(prows)
+    return P, V
+
+
+def k3_predict(gamma, n, mu_s: float, two_d: int | None = None, rows=None,
+               prime_bound: int = 100, guard=None) -> K3Prediction:
+    """Prediction for norm-n classes in a family with generic Picard lattice P.
+
+    Builds V as the orthogonal complement of P (``k3_lattices``), evaluates
+    the main term on V, and reports whether the coset gamma + P represents
+    2n (needed for the class to be parabolic).  gamma is residues in D(V).
+    """
+    n = Fraction(n)
+    P, V = k3_lattices(two_d, rows)
+    rho = P.rank
     DP = discriminant_group(P)
     DV = discriminant_group(V)
     disc_match = (DP.invariant_factors == DV.invariant_factors and

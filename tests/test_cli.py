@@ -217,3 +217,63 @@ def test_count_takes_no_guard(capsys):
               "--nmin", "3", "--nmax", "3", "--samples", "1000"], out=io.StringIO())
     assert exc.value.code == 2
     assert "unrecognized arguments: --guard" in capsys.readouterr().err
+
+
+def test_count_without_samples_runs_no_monte_carlo(monkeypatch, capsys):
+    import hyperlat.hyperboloid as hyp
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("count ran the Monte Carlo mu_infty")
+
+    monkeypatch.setattr(hyp, "mu_infty", refuse)
+    out = run_cli(["count", "--lattice", "U+U+rank1(-2)", "--rho", "1",
+                   "--nmin", "30", "--nmax", "34", "--prime-bound", "20"])
+    assert "samples=0" in out.splitlines()[0]
+    assert capsys.readouterr().err == ""
+
+
+def test_count_monte_carlo_cross_check_goes_to_stderr(capsys):
+    base = ["count", "--lattice", "U+U+rank1(-2)", "--rho", "1", "--nmin", "30",
+            "--nmax", "34", "--prime-bound", "20", "--seed", "4"]
+    plain = run_cli(base)
+    assert capsys.readouterr().err == ""
+    checked = run_cli(base + ["--samples", "20000", "--workers", "2"])
+    # the CSV does not depend on the Monte Carlo: only the header's samples= moves
+    assert checked.splitlines()[1:] == plain.splitlines()[1:]
+    assert "samples=20000" in checked.splitlines()[0]
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("# mu_infty monte_carlo=")
+    fields = dict(kv.split("=") for kv in err[0][2:].split()[1:])
+    assert set(fields) == {"monte_carlo", "stderr", "closed_form", "z"}
+    assert float(fields["closed_form"]) == float(plain.splitlines()[2].split(",")[4])
+    z = (float(fields["monte_carlo"]) - float(fields["closed_form"])) / float(fields["stderr"])
+    assert abs(z) < 4 and float(fields["z"]) == pytest.approx(z, abs=0.01)
+
+
+def test_k3_gamma_outside_the_complement_is_a_usage_error(capsys):
+    # D(V) of the rank-21 complement for 2d = 2 is Z/2: one residue
+    with pytest.raises(SystemExit) as exc:
+        main(["k3", "--two-d", "2", "--gamma", "1,0", "--n", "4", "--mu-s", "1"],
+             out=io.StringIO())
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    errors = [l for l in err.splitlines() if l.startswith("hyperlat: error:")]
+    assert len(errors) == 1 and "expects 1 residues" in errors[0]
+    assert "Traceback" not in err
+
+
+def test_predict_computes_the_coefficient_once(monkeypatch):
+    import hyperlat.densities as dens
+    calls = []
+    series = dens.singular_series
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return series(*args, **kwargs)
+
+    monkeypatch.setattr(dens, "singular_series", counted)
+    out = run_cli(["predict", "--lattice", "U+U+rank1(-8)", "--n", "4", "--mu-s", "1",
+                   "--boundary", "0:1;1:1", "--cusp-bound", "2"])
+    assert out.count("# u=") == 2
+    # the main term and the cusp terms share one c(gamma, n)
+    assert len(calls) == 1

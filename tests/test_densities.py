@@ -14,6 +14,8 @@ from hyperlat.densities import (
     quadratic_congruence_count,
     singular_series,
     small_primes,
+    _counted_density,
+    _gamma_lift,
     _local_pieces,
     _pair_count_exact,
     _plane_values,
@@ -21,6 +23,9 @@ from hyperlat.densities import (
 from hyperlat.exactla import frac_mat_inv
 from hyperlat.fqm import discriminant_group
 from hyperlat.lattices import IntegerLattice, LatticeError, direct_sum, e8, hyperbolic_plane, rank1
+from hyperlat.predict import k3_lattices
+
+from conftest import small_test_lattices
 
 
 def random_even_lattice(rng, max_rank=4):
@@ -126,6 +131,35 @@ def test_odd_rank_closed_form_at_good_primes(v_lattice):
                 assert local_density(None, n, L, p).density == want, (L.rank, n, p)
                 count = count_solutions_split(None, n, L, p, 3)
                 assert Fraction(count, p ** (3 * (L.rank - 1))) == want, (L.rank, n, p)
+
+
+def test_closed_form_equals_counted_density_at_good_primes():
+    # every good p < 100: the closed form of local_density against the
+    # stabilized Jordan count, report for report (s0, raw counts, density);
+    # at p <= 7 the raw counts also against the exhaustive counter
+    U = hyperbolic_plane()
+    lattices = [L for L in small_test_lattices() if L.rank >= 5]
+    lattices += [direct_sum(U, U, rank1(-2), rank1(-4)),     # even rank, D = Z/2 x Z/4
+                 k3_lattices(two_d=2)[1], k3_lattices(two_d=4)[1]]
+    assert {L.rank % 2 for L in lattices} == {0, 1}
+    for L in lattices:
+        D = discriminant_group(L)
+        classes = [D.zero] + [g for g in D.elements() if g != D.zero][-1:]
+        for gamma in classes:
+            lift = _gamma_lift(L, gamma)
+            base = -L.q_of(lift) % 1
+            for n in (base + 1, base + 3, base + 10):
+                good = [p for p in small_primes(99)
+                        if (2 * n.numerator * n.denominator * L.det) % p]
+                for p in good:
+                    rep = local_density(gamma, n, L, p)
+                    assert rep == _counted_density(lift, n, L, p, None, 10 ** 8), \
+                        (L.rank, gamma, n, p)
+                    assert rep.stabilization_exponent == 1
+                    for s, count in enumerate(rep.raw_counts, 1):
+                        if p <= 7 and p ** (s * L.rank) <= 10 ** 6:
+                            assert count == count_solutions_naive(lift, n, L, p ** s), \
+                                (L.rank, gamma, n, p, s)
 
 
 def _brute_radial(form, p, s):
