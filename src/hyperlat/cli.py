@@ -13,14 +13,6 @@ import argparse
 import sys
 from fractions import Fraction
 
-from .cusps import cusp_datum, find_isotropic_planes, isotropic_planes
-from .densities import (
-    eisenstein_coefficient,
-    local_density,
-    ENUMERATION_GUARD,
-)
-from .fqm import discriminant_group
-from .hyperboloid import Window, equidistribution_run, splitting_frame
 from .lattices import (
     IntegerLattice,
     direct_sum,
@@ -30,16 +22,6 @@ from .lattices import (
     load_lattice,
     rank1,
 )
-from .predict import (
-    PredictionInput,
-    degree_prediction,
-    k3_lattices,
-    k3_predict,
-    predict_count,
-)
-from .qseries import theta_series
-from .weil import WeilAction, dump_matrix, rho_S, rho_T, verify_relations
-
 
 def _fmt(x) -> str:
     if isinstance(x, Fraction):
@@ -70,6 +52,8 @@ def parse_lattice_spec(spec: str) -> IntegerLattice:
 
 def parse_gamma(text: str | None, L: IntegerLattice) -> tuple[int, ...]:
     """Residues in D(L), one per invariant factor; the zero class when empty."""
+    from .fqm import discriminant_group
+
     D = discriminant_group(L)
     if not text:
         return D.zero
@@ -108,6 +92,8 @@ def cmd_lattice(args, out):
 
 
 def cmd_fqm(args, out):
+    from .fqm import discriminant_group
+
     L = parse_lattice_spec(args.lattice)
     print(_header(args, ["lattice"]), file=out)
     print(discriminant_group(L).dump_text(), file=out)
@@ -115,6 +101,9 @@ def cmd_fqm(args, out):
 
 
 def cmd_weil(args, out):
+    from .fqm import discriminant_group
+    from .weil import WeilAction, dump_matrix, rho_S, rho_T, verify_relations
+
     L = parse_lattice_spec(args.lattice)
     D = discriminant_group(L)
     w = WeilAction(D, L.signature(), dual=args.dual)
@@ -132,6 +121,8 @@ def cmd_weil(args, out):
 
 
 def cmd_theta(args, out):
+    from .qseries import theta_series
+
     L = parse_lattice_spec(args.lattice)
     series = theta_series(L, Fraction(args.order))
     print(_header(args, ["lattice", "order"]), file=out)
@@ -140,6 +131,8 @@ def cmd_theta(args, out):
 
 
 def cmd_cusp(args, out):
+    from .cusps import find_isotropic_planes
+
     L = parse_lattice_spec(args.lattice)
     data = find_isotropic_planes(L, args.bound)
     print(_header(args, ["lattice", "bound"]), file=out)
@@ -155,9 +148,15 @@ def cmd_cusp(args, out):
 
 
 def cmd_density(args, out):
+    from .densities import in_coset_support, local_density
+
     L = parse_lattice_spec(args.lattice)
     gamma = parse_gamma(args.gamma, L)
     n = parse_fraction(args.n)
+    if not in_coset_support(gamma, n, L):
+        shift = -L.discriminant_group().q_value(gamma) % 1
+        raise argparse.ArgumentTypeError(
+            f"--n {n} is not in the coset -Q(gamma) + Z = {shift} + Z")
     rep = local_density(gamma, n, L, args.prime, s_max=args.smax,
                         guard=args.guard)
     print(_header(args, ["lattice", "gamma", "n", "prime", "smax"]), file=out)
@@ -169,6 +168,9 @@ def cmd_density(args, out):
 
 
 def cmd_eis(args, out):
+    from .densities import eisenstein_coefficient
+    from .fqm import discriminant_group
+
     L = parse_lattice_spec(args.lattice)
     gamma = parse_gamma(args.gamma, L)
     D = discriminant_group(L)
@@ -192,6 +194,8 @@ def cmd_eis(args, out):
 
 
 def cmd_count(args, out):
+    from .hyperboloid import Window, equidistribution_run, splitting_frame
+
     L = parse_lattice_spec(args.lattice)
     gamma = parse_gamma(args.gamma, L)
     frame = splitting_frame(L)
@@ -222,10 +226,14 @@ def cmd_count(args, out):
 
 
 def cmd_predict(args, out):
+    from .predict import PredictionInput, degree_prediction, predict_count
+
     L = parse_lattice_spec(args.lattice)
     gamma = parse_gamma(args.gamma, L)
     boundary = ()
     if args.boundary:
+        from .cusps import cusp_datum, isotropic_planes
+
         planes = isotropic_planes(L, args.cusp_bound)
         pairs = []
         for part in args.boundary.split(";"):
@@ -255,6 +263,8 @@ def cmd_predict(args, out):
 
 
 def cmd_k3(args, out):
+    from .predict import k3_lattices, k3_predict
+
     rows = None
     if args.p_rows:
         rows = [[int(x) for x in row.split(",")] for row in args.p_rows.split(";")]
@@ -280,7 +290,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     def add_common(sp, prime_bound=True):
-        sp.add_argument("--guard", type=int, default=ENUMERATION_GUARD,
+        # default None: main fills in densities.ENUMERATION_GUARD, so that
+        # building the parser loads no densities
+        sp.add_argument("--guard", type=int, default=None,
                         help="enumeration guard for exact counters")
         if prime_bound:
             sp.add_argument("--prime-bound", dest="prime_bound", type=int,
@@ -371,6 +383,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None, out=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "guard", 0) is None:
+        from .densities import ENUMERATION_GUARD
+        args.guard = ENUMERATION_GUARD
     try:
         return args.func(args, out or sys.stdout)
     except argparse.ArgumentTypeError as exc:

@@ -25,9 +25,6 @@ import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath
-import numpy as np
-
 from .fqm import discriminant_group
 from .lattices import IntegerLattice, _prime_factors
 
@@ -130,6 +127,8 @@ def count_solutions_naive(gamma, n, L: IntegerLattice, a: int,
     w, c0 = _count_data(L.gram, lift, Fraction(n))
     if r == 0:
         return 1 if c0 % a == 0 else 0
+    import numpy as np
+
     g = np.array(L.gram, dtype=np.int64)
     wv = np.array(w, dtype=np.int64)
     total = a ** r
@@ -289,16 +288,20 @@ def _convolve_valuation_values(f, g, p: int, s: int):
 # ---------------------------------------------------------------------------
 # the residual diagonal form
 
-def _hist_rank1(m: int, p: int, s: int) -> np.ndarray:
-    """Histogram of m x^2 over Z/p^s."""
+def _hist_rank1(m: int, p: int, s: int):
+    """Histogram of m x^2 over Z/p^s, as an int64 array."""
+    import numpy as np
+
     a = p ** s
     x = np.arange(a, dtype=np.int64)
     vals = m % a * x % a * x % a
     return np.bincount(vals, minlength=a).astype(np.int64)
 
 
-def _cyclic_convolve(x: np.ndarray, y: np.ndarray, a: int) -> np.ndarray:
-    # exact integer convolution; Python ints when int64 could overflow
+def _cyclic_convolve(x, y, a: int):
+    # exact integer convolution of two arrays; Python ints when int64 could overflow
+    import numpy as np
+
     mx = int(x.max()) if len(x) else 0
     my = int(y.max()) if len(y) else 0
     if x.dtype == object or y.dtype == object or mx * my * a >= (1 << 62):
@@ -604,6 +607,8 @@ def gamma_half_integer(two_k: int):
 
 
 def _mpf_frac(x: Fraction):
+    import mpmath
+
     return mpmath.mpf(x.numerator) / x.denominator
 
 
@@ -630,15 +635,18 @@ def eisenstein_coefficient(gamma, n, V: IntegerLattice, prime_bound: int,
     The constant term at (0, 0) is exactly 2.  For n > 0 the archimedean
     constant is evaluated to 50 digits (Gamma at half integers through the
     exact factorial ladder) times the truncated singular series; the result
-    carries an approximate flag because of the truncation.
+    carries an approximate flag because of the truncation.  For n < 0 and
+    off the support n in -Q(gamma) + Z the coefficient is exactly 0.
     """
+    import mpmath
+
     n = Fraction(n)
     lift = _gamma_lift(V, gamma)
     if n == 0:
         if all(x == 0 for x in lift):
             return EisensteinCoefficient(mpmath.mpf(2), Fraction(2), None, prime_bound)
         return EisensteinCoefficient(mpmath.mpf(0), Fraction(0), None, prime_bound)
-    if n < 0:
+    if n < 0 or not in_coset_support(lift, n, V):
         return EisensteinCoefficient(mpmath.mpf(0), Fraction(0), None, prime_bound)
     b = V.rank - 2
     if b < 3:

@@ -90,13 +90,35 @@ def frac_mat_inv(a):
 
 
 def unimodular_inverse(a):
-    """Integer inverse of a unimodular integer matrix."""
-    inv = frac_mat_inv(a)
-    out = [[int(x) for x in row] for row in inv]
-    if any(Fraction(x) != y for row, orow in zip(inv, out)
-           for x, y in zip(row, orow)):
-        raise ValueError("matrix is not unimodular")
-    return out
+    """Integer inverse of a unimodular integer matrix, by row operations on
+    [a | 1]: Euclid down each column leaves one pivot, which is +-1 exactly
+    when a is unimodular, and the pivot then clears its column."""
+    n = len(a)
+    m = [[int(x) for x in row] + [int(i == j) for j in range(n)]
+         for i, row in enumerate(a)]
+    for col in range(n):
+        while True:
+            rows = [r for r in range(col, n) if m[r][col]]
+            if not rows:
+                raise ValueError("matrix is not unimodular")
+            piv = min(rows, key=lambda r: abs(m[r][col]))
+            m[col], m[piv] = m[piv], m[col]
+            p = m[col][col]
+            for r in rows:
+                if r != col and m[r][col]:
+                    q = m[r][col] // p
+                    m[r] = [x - q * y for x, y in zip(m[r], m[col])]
+            if not any(m[r][col] for r in range(col + 1, n)):
+                break
+        if abs(m[col][col]) != 1:
+            raise ValueError("matrix is not unimodular")
+        if m[col][col] < 0:
+            m[col] = [-x for x in m[col]]
+        for r in range(col):
+            f = m[r][col]
+            if f:
+                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
+    return [row[n:] for row in m]
 
 
 def solve_fraction(a, b):

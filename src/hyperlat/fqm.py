@@ -18,8 +18,6 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd
 
-import numpy as np
-
 from .exactla import (
     hnf_rational,
     mat_mul,
@@ -124,6 +122,8 @@ class FiniteQuadraticModule:
 
     @cached_property
     def _tables(self):
+        import numpy as np
+
         dtype = np.int64 if self.level <= INT64_LEVEL_LIMIT else object
         k = self.ngens
         return (dtype,
@@ -133,11 +133,13 @@ class FiniteQuadraticModule:
 
     def _arrays(self, elts):
         """(residues of elts, q numerators, b numerators) as arrays."""
+        import numpy as np
+
         dtype, facs, q, b = self._tables
         x = np.array(elts, dtype=dtype).reshape(len(elts), self.ngens) % facs
         return x, q, b
 
-    def pairing_numerators(self, xs, ys) -> np.ndarray:
+    def pairing_numerators(self, xs, ys):
         """N * b(x, y) mod N for every x in xs and y in ys: (X B Y^T) mod N,
         an array of shape (len(xs), len(ys)), int64 up to INT64_LEVEL_LIMIT."""
         n = self.level
@@ -145,9 +147,11 @@ class FiniteQuadraticModule:
         y, _, _ = self._arrays(ys)
         return (x @ b % n) @ y.T % n
 
-    def q_numerators(self, xs) -> np.ndarray:
+    def q_numerators(self, xs):
         """N * Q(x) mod N for every x in xs: the diagonal of the pairing, with
         Q(e_i) in place of b(e_i, e_i) = 2 Q(e_i)."""
+        import numpy as np
+
         n = self.level
         x, q, b = self._arrays(xs)
         cross = (x @ np.triu(b, 1) % n * x).sum(axis=1)

@@ -188,7 +188,7 @@ class Window:
 def _closed_mass(window: Window, scale: float = 1.0) -> float:
     """scale * 2 pi s |S^(b-1)| ((rho^2 + 1)^(b/2) - 1) / b, evaluated in
     mpmath at 30 digits and rounded once."""
-    import mpmath   # already loaded through densities
+    import mpmath   # only the closed forms need it; count loads it here
 
     b = window.b
     if b < 2:

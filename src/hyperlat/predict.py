@@ -37,7 +37,6 @@ from .lattices import (
     rank1,
     saturation_index,
 )
-from . import qseries
 
 
 class PredictError(ValueError):
@@ -105,6 +104,8 @@ def degree_prediction(inp: PredictionInput, guard=None):
     Strongly primitive cusps are annotated with the sharper error order
     n^(b/2 - 1 + eps).  Returns (PredictionResult, list of per-cusp rows).
     """
+    from . import qseries
+
     base = predict_count(inp, guard=guard)
     total = base.value
     rows = []

@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath
-
 from .exactla import frac_mat_inv, short_vectors
 from .fqm import FiniteQuadraticModule, discriminant_group
 from .lattices import IntegerLattice
@@ -221,6 +219,8 @@ def u_coeff(gamma, n, F, c, theta=None) -> BoundaryCoefficient:
     if c.exact is not None:
         val = Fraction(c.exact, 2) * a00 - agn
         return BoundaryCoefficient(val, val, getattr(c, "prime_bound", None))
+    import mpmath
+
     half_c = c.value / 2
     a00_f = mpmath.mpf(a00.numerator) / a00.denominator
     agn_f = mpmath.mpf(agn.numerator) / agn.denominator

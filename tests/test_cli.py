@@ -277,3 +277,123 @@ def test_predict_computes_the_coefficient_once(monkeypatch):
     assert out.count("# u=") == 2
     # the main term and the cusp terms share one c(gamma, n)
     assert len(calls) == 1
+
+
+def test_density_off_coset_n_is_a_usage_error(capsys):
+    # gamma = 1 in Z/8 takes the norms -Q(gamma) + Z = 1/16 + Z, which 2 is not in
+    with pytest.raises(SystemExit) as exc:
+        main(["density", "--lattice", "U+U+rank1(-8)", "--gamma", "1", "--n", "2",
+              "--prime", "5"], out=io.StringIO())
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    errors = [l for l in err.splitlines() if l.startswith("hyperlat: error:")]
+    assert len(errors) == 1 and "-Q(gamma) + Z = 1/16 + Z" in errors[0]
+    assert "Traceback" not in err
+
+
+def test_predict_off_coset_n_with_boundary_prints_the_zero_row():
+    base = ["predict", "--lattice", "U+U+rank1(-8)", "--gamma", "1", "--n", "2",
+            "--mu-s", "1"]
+
+    def value_row(out):
+        lines = out.splitlines()
+        return lines[lines.index("value,error_order,representable") + 1]
+
+    plain = value_row(run_cli(base))
+    assert plain.startswith("0,") and plain.endswith(",False")
+    out = run_cli(base + ["--boundary", "0:1", "--cusp-bound", "2"])
+    assert value_row(out) == plain
+    # off the coset both c(gamma, n) and a(gamma, n, F) vanish
+    assert "# u=0 degree=1" in out
+
+
+def _fresh_modules(code, *args):
+    """Run code in a new interpreter that imports hyperlat from this checkout;
+    return the sorted numpy, mpmath and hyperlat.* modules it loaded."""
+    import os
+    import subprocess
+    import sys
+
+    import hyperlat
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hyperlat.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
+    report = ("\nimport json, sys\nprint(json.dumps(sorted(m for m in sys.modules if m in "
+              "('numpy', 'mpmath') or m.startswith('hyperlat.'))))")
+    proc = subprocess.run([sys.executable, "-c", code + report, *args],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+BASE_MODULES = {"hyperlat.cli", "hyperlat.exactla", "hyperlat.lattices"}
+
+
+LOAD_SETS = [
+    (["lattice", "--lattice", "U+rank1(-4)"], set()),
+    (["fqm", "--lattice", "rank1(-8)"], {"fqm"}),
+    (["theta", "--lattice", "E8(-1)+rank1(-2)", "--order", "1"], {"fqm", "qseries"}),
+    (["weil", "--lattice", "U+U+rank1(-2)"], {"fqm", "weil", "numpy"}),
+    (["cusp", "--lattice", "U+U+rank1(-8)", "--bound", "1"], {"fqm", "cusps", "numpy"}),
+    (["eis", "--lattice", "U+U+rank1(-8)", "--gamma", "2", "--nmax", "3",
+      "--prime-bound", "20"], {"fqm", "densities", "mpmath"}),
+    (["k3", "--two-d", "2", "--n", "4", "--mu-s", "1", "--prime-bound", "20"],
+     {"fqm", "densities", "predict", "mpmath"}),
+    (["predict", "--lattice", "U+U+rank1(-8)", "--n", "4", "--mu-s", "1",
+      "--prime-bound", "20"], {"fqm", "densities", "predict", "mpmath"}),
+    (["count", "--lattice", "U+U+rank1(-2)", "--rho", "1", "--nmin", "3", "--nmax", "4",
+      "--prime-bound", "20"], {"fqm", "densities", "hyperboloid", "numpy", "mpmath"}),
+]
+
+
+@pytest.mark.parametrize("argv, loaded", LOAD_SETS, ids=[a[0] for a, _ in LOAD_SETS])
+def test_commands_load_only_what_they_use(argv, loaded):
+    # numpy costs about 145 ms of start-up and mpmath about 45 ms
+    got = _fresh_modules("import io, sys\nfrom hyperlat.cli import main\n"
+                         "main(sys.argv[1:], out=io.StringIO())", *argv)
+    want = BASE_MODULES | {m if m in ("numpy", "mpmath") else f"hyperlat.{m}"
+                           for m in loaded}
+    assert got == want
+
+
+PUBLIC_NAMES = {
+    "lattices": "IntegerLattice LatticeError Signature direct_sum e8 hyperbolic_plane "
+                "is_anisotropic_over_q k3_lattice lattice_from_json load_lattice "
+                "make_named orthogonal_complement rank1 rescale",
+    "fqm": "FiniteQuadraticModule FqmError Subgroup discriminant_group isotropic_subgroups "
+           "orthogonal_subgroup overlattice quotient_module quotient_with_projection "
+           "subgroup_generated",
+    "weil": "WeilAction WeilError intertwining_defect pullback_matrix pushforward_matrix "
+            "rho_S rho_T verify_relations",
+    "qseries": "BoundaryCoefficient QSeriesError VectorQSeries a_coeff e2_series multiply "
+               "theta_series u_coeff",
+    "densities": "DensityError EisensteinCoefficient GuardExceeded LocalDensityReport "
+                 "SingularSeries StabilizationError count_solutions_naive "
+                 "count_solutions_split eisenstein_coefficient is_representable "
+                 "local_density quadratic_congruence_count singular_series",
+    "cusps": "CuspDatum CuspError cusp_datum find_isotropic_planes isotropic_planes "
+             "project_class",
+    "hyperboloid": "CountReport ExperimentSummary PointCount SplittingFrame Window "
+                   "admissible_values box_scan_count count_range enumerate_points "
+                   "equidistribution_run mu_a0 mu_a0_closed mu_infty mu_infty_closed "
+                   "splitting_frame unit_sphere_area",
+    "predict": "K3Prediction PredictError PredictionInput PredictionResult "
+               "RepresentabilityResult degree_prediction elliptic_census_prediction "
+               "k3_lattices k3_predict k3_sublattice predict_count represents_on_coset",
+}
+
+
+def test_package_names_resolve_lazily():
+    import importlib
+
+    assert _fresh_modules("import hyperlat") == set()
+    assert _fresh_modules("from hyperlat import theta_series") == {
+        "hyperlat.exactla", "hyperlat.fqm", "hyperlat.lattices", "hyperlat.qseries"}
+    for module, names in PUBLIC_NAMES.items():
+        source = importlib.import_module(f"hyperlat.{module}")
+        for name in names.split():
+            scope = {}
+            exec(f"from hyperlat import {name}", scope)
+            assert scope[name] is getattr(source, name), (module, name)
+    with pytest.raises(ImportError):
+        exec("from hyperlat import no_such_name", {})

@@ -101,6 +101,26 @@ def test_fraction_solvers():
     assert x == [Fraction(2), Fraction(3)]
 
 
+def test_unimodular_inverse_matches_fraction_inverse():
+    rng = random.Random(17)
+    for _ in range(200):
+        n = rng.randint(1, 8)
+        a = [[int(i == j) for j in range(n)] for i in range(n)]
+        for _ in range(4 * n if n > 1 else 0):
+            i, j = rng.sample(range(n), 2)
+            q = rng.randint(-4, 4)
+            a[i] = [x + q * y for x, y in zip(a[i], a[j])]
+            if rng.random() < 0.3:
+                a[i], a[j] = a[j], [-x for x in a[i]]
+        inv = unimodular_inverse(a)
+        assert inv == frac_mat_inv(a)
+        assert all(type(x) is int for row in inv for x in row)
+    for bad in ([[2, 1], [0, 1]], [[1, 3], [1, 1]], [[3, 5, 0], [1, 1, 0], [0, 0, 1]],
+                [[1, 2], [2, 4]]):   # det 2, -2, -2 and 0
+        with pytest.raises(ValueError, match="not unimodular"):
+            unimodular_inverse(bad)
+
+
 def test_int_range_of_quadratic():
     lo, hi = int_range_of_quadratic(Fraction(1, 2), Fraction(1, 10))
     assert lo > hi  # no integer within sqrt(0.1) of 0.5
