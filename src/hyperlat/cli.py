@@ -32,7 +32,10 @@ def _fmt(x) -> str:
 
 
 def parse_lattice_spec(spec: str) -> IntegerLattice:
-    """Either a JSON file path or a '+'-joined list of named blocks."""
+    """Either a JSON file path or a '+'-joined list of named blocks.
+
+    A spec that names no lattice raises ArgumentTypeError, which main
+    reports as a usage error."""
     named = {"U": hyperbolic_plane, "E8": lambda: e8(1),
              "E8(-1)": lambda: e8(-1), "K3": k3_lattice}
     try:
@@ -44,10 +47,14 @@ def parse_lattice_spec(spec: str) -> IntegerLattice:
             elif tok.startswith("rank1(") and tok.endswith(")"):
                 parts.append(rank1(int(tok[6:-1])))
             else:
-                raise KeyError(tok)
+                return load_lattice(spec)
         return parts[0] if len(parts) == 1 else direct_sum(*parts)
-    except KeyError:
-        return load_lattice(spec)
+    except FileNotFoundError:
+        raise argparse.ArgumentTypeError(
+            f"--lattice {spec!r} is neither a '+'-joined list of U, E8, E8(-1), "
+            "K3 and rank1(2m) nor a lattice file") from None
+    except (OSError, ValueError) as exc:
+        raise argparse.ArgumentTypeError(f"--lattice {spec!r}: {exc}") from None
 
 
 def parse_gamma(text: str | None, L: IntegerLattice) -> tuple[int, ...]:
@@ -73,6 +80,11 @@ def parse_fraction(text: str) -> Fraction:
     return Fraction(text)
 
 
+def _signature(L: IntegerLattice) -> str:
+    sig = L.signature()
+    return f"({sig.positive},{sig.negative})"
+
+
 def _header(args, keys) -> str:
     parts = [f"{k.replace('_', '-')}={getattr(args, k)}" for k in keys]
     return "# " + " ".join(parts)
@@ -81,11 +93,10 @@ def _header(args, keys) -> str:
 def cmd_lattice(args, out):
     L = parse_lattice_spec(args.lattice)
     print(_header(args, ["lattice"]), file=out)
-    sig = L.signature()
     print(f"name,{L.name or ''}", file=out)
     print(f"rank,{L.rank}", file=out)
     print(f"det,{L.det}", file=out)
-    print(f"signature,({sig.positive},{sig.negative})", file=out)
+    print(f"signature,{_signature(L)}", file=out)
     for row in L.gram:
         print("gram," + ",".join(str(x) for x in row), file=out)
     return 0
@@ -124,7 +135,14 @@ def cmd_theta(args, out):
     from .qseries import theta_series
 
     L = parse_lattice_spec(args.lattice)
-    series = theta_series(L, Fraction(args.order))
+    order = parse_fraction(args.order)
+    if order < 0:
+        raise argparse.ArgumentTypeError(f"--order must be >= 0, got {order}")
+    if L.signature().positive:
+        raise argparse.ArgumentTypeError(
+            f"theta needs a negative definite lattice; {args.lattice} has "
+            f"signature {_signature(L)}")
+    series = theta_series(L, order)
     print(_header(args, ["lattice", "order"]), file=out)
     print(series.dump_csv(), file=out)
     return 0
@@ -134,6 +152,11 @@ def cmd_cusp(args, out):
     from .cusps import find_isotropic_planes
 
     L = parse_lattice_spec(args.lattice)
+    if args.bound < 0:
+        raise argparse.ArgumentTypeError(f"--bound must be >= 0, got {args.bound}")
+    if L.signature().positive != 2:
+        raise argparse.ArgumentTypeError(
+            f"cusp needs signature (2, b); {args.lattice} has signature {_signature(L)}")
     data = find_isotropic_planes(L, args.bound)
     print(_header(args, ["lattice", "bound"]), file=out)
     print("index,plane_rows,imprimitivity,kf_gram,strongly_primitive,det_identity",

@@ -19,7 +19,6 @@ from .exactla import (
     hnf,
     kernel_basis,
     mat_mul,
-    mat_vec,
     smith_normal_form,
     solve_integer,
     transpose,
@@ -127,7 +126,7 @@ def cusp_datum(V: IntegerLattice, plane_rows) -> CuspDatum:
     # pairings with the transversal, T G x2 = T G x - (T G v[:, :2]) t.
     # G x is linear in the residues of x, so every product is precomputed as
     # an integer matrix on the pairings G l_j of the generator lifts l_j.
-    lift_pairings = transpose([[int(z) for z in mat_vec(g, l)] for l in disc.generator_lifts])
+    lift_pairings = transpose(disc.lift_pairings)
     sharp_num = mat_mul(ub, lift_pairings)        # d_i t_i = sharp_num_i . residues
     kf_num = mat_mul(transversal, lift_pairings)  # T G x = kf_num . residues
     back = mat_mul(tg, [row[:2] for row in v])    # T G v[:, :2]
@@ -143,9 +142,9 @@ def cusp_datum(V: IntegerLattice, plane_rows) -> CuspDatum:
                     for krow, brow in zip(kf_num, back)]
         proj[elt] = kf_disc.class_of_pairings(pairings)
     images = list(proj.values())
-    q_amb = disc.q_numerators(list(proj)) * kf_disc.level
-    q_kf = kf_disc.q_numerators(images) * disc.level
-    if (q_amb != q_kf).any():
+    q_amb = [q * kf_disc.level for q in disc.q_numerators(proj)]
+    q_kf = [q * disc.level for q in kf_disc.q_numerators(images)]
+    if q_amb != q_kf:
         raise CuspError("projection does not preserve Q")
     if set(images) != set(kf_disc.elements()):
         raise CuspError("projection is not onto the quotient discriminant group")
@@ -202,6 +201,17 @@ def _primitive_null_vectors(V: IntegerLattice, bound: int):
     return out
 
 
+def _minors_gcd(v, w) -> int:
+    """gcd of the 2x2 minors of the rows v, w (0 when they are dependent)."""
+    g = 0
+    for a in range(len(v)):
+        for b in range(a + 1, len(v)):
+            g = gcd(g, v[a] * w[b] - v[b] * w[a])
+            if g == 1:
+                return 1
+    return g
+
+
 def _saturate_plane(rows):
     """Saturation of the span of two integer rows (double kernel), as HNF."""
     ker = kernel_basis(rows)
@@ -230,7 +240,13 @@ def isotropic_planes(V: IntegerLattice, search_bound: int):
         for vj in nulls[i + 1:]:
             if sum(a * c for a, c in zip(pi, vj)):
                 continue
-            plane = _saturate_plane([list(vi), list(vj)])
+            rows = [list(vi), list(vj)]
+            # the gcd of the 2x2 minors is the index of the span in its
+            # saturation, so a gcd of 1 means the span is already primitive
+            if _minors_gcd(vi, vj) == 1:
+                plane = hnf(rows)
+            else:
+                plane = _saturate_plane(rows)
             if len(plane) != 2:
                 continue
             key = tuple(tuple(row) for row in plane)

@@ -4,10 +4,12 @@ A module is presented by invariant factors d_1 | d_2 | ... (all > 1), its
 level N, and the values of Q on the generators and of the bilinear pairing
 between them, all as integer numerators mod the level:
 Q(e_i) = q_num[i]/N and b(e_i, e_j) = b_num[i][j]/N mod 1.  Elements are
-residue tuples; whole arrays of them are paired by one integer matrix
-product mod N, in int64 unless the level is very large.  Modules built from a lattice carry generator lifts in the dual
-lattice, so classes of dual vectors can be computed; abstract modules
-(quotients) do not.
+residue tuples; lists of them are paired by integer row products mod N in
+Python integers, exact at every level and without numpy, so the subgroup
+and cusp algebra loads no array library.  Modules built from a lattice
+carry generator lifts in the dual lattice and their integer pairings G l_j
+with the basis, so classes of dual vectors can be computed; abstract
+modules (quotients) do not.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from math import gcd
+from operator import mod, mul
 
 from .exactla import (
     hnf_rational,
@@ -28,9 +30,6 @@ from .exactla import (
 from .lattices import IntegerLattice
 
 ENUMERATION_GUARD = 10 ** 4
-# the array pairings sum ngens products below level^2, so up to this level
-# they are exact in int64; past it they use Python integers
-INT64_LEVEL_LIMIT = 2 ** 24
 
 
 class FqmError(ValueError):
@@ -49,6 +48,8 @@ class FiniteQuadraticModule:
     b_num: tuple[tuple[int, ...], ...]
     lattice: IntegerLattice | None = field(default=None, compare=False)
     generator_lifts: tuple[tuple[Fraction, ...], ...] | None = field(default=None, compare=False)
+    # G l_j for each generator lift l_j: its integer pairings with the basis
+    lift_pairings: tuple[tuple[int, ...], ...] | None = field(default=None, compare=False)
     _class_data: tuple | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
@@ -91,7 +92,7 @@ class FiniteQuadraticModule:
     def reduce(self, elt) -> tuple[int, ...]:
         if len(elt) != self.ngens:
             raise FqmError("wrong number of residues")
-        return tuple(int(r) % d for r, d in zip(elt, self.invariant_factors))
+        return tuple(map(mod, map(int, elt), self.invariant_factors))
 
     def add(self, x, y):
         return tuple((a + b) % d for a, b, d in zip(x, y, self.invariant_factors))
@@ -120,42 +121,23 @@ class FiniteQuadraticModule:
                     for yj, bij in zip(y, row))
         return Fraction(total % self.level, self.level)
 
-    @cached_property
-    def _tables(self):
-        import numpy as np
-
-        dtype = np.int64 if self.level <= INT64_LEVEL_LIMIT else object
-        k = self.ngens
-        return (dtype,
-                np.array(self.invariant_factors, dtype=dtype),
-                np.array(self.q_num, dtype=dtype),
-                np.array(self.b_num, dtype=dtype).reshape(k, k))
-
-    def _arrays(self, elts):
-        """(residues of elts, q numerators, b numerators) as arrays."""
-        import numpy as np
-
-        dtype, facs, q, b = self._tables
-        x = np.array(elts, dtype=dtype).reshape(len(elts), self.ngens) % facs
-        return x, q, b
-
     def pairing_numerators(self, xs, ys):
-        """N * b(x, y) mod N for every x in xs and y in ys: (X B Y^T) mod N,
-        an array of shape (len(xs), len(ys)), int64 up to INT64_LEVEL_LIMIT."""
+        """N * b(x, y) mod N for every x in xs and y in ys: the rows of
+        (X B Y^T) mod N as lists of Python integers, exact at every level."""
         n = self.level
-        x, _, b = self._arrays(xs)
-        y, _, _ = self._arrays(ys)
-        return (x @ b % n) @ y.T % n
+        cols = list(zip(*self.b_num))
+        xb = [[sum(map(mul, x, col)) % n for col in cols] for x in map(self.reduce, xs)]
+        ys = list(map(self.reduce, ys))
+        return [[sum(map(mul, row, y)) % n for y in ys] for row in xb]
 
     def q_numerators(self, xs):
-        """N * Q(x) mod N for every x in xs: the diagonal of the pairing, with
-        Q(e_i) in place of b(e_i, e_i) = 2 Q(e_i)."""
-        import numpy as np
-
+        """N * Q(x) mod N for every x in xs, a list of Python integers: the
+        diagonal of the pairing, with Q(e_i) in place of b(e_i, e_i) = 2 Q(e_i)."""
         n = self.level
-        x, q, b = self._arrays(xs)
-        cross = (x @ np.triu(b, 1) % n * x).sum(axis=1)
-        return (x * x % n @ q + cross) % n
+        # row i of the upper triangle: Q(e_i), then b(e_i, e_j) for j > i
+        tri = [(qi,) + row[i + 1:] for i, (qi, row) in enumerate(zip(self.q_num, self.b_num))]
+        return [sum(xi * sum(map(mul, x[i:], tri[i])) for i, xi in enumerate(x) if xi) % n
+                for x in map(self.reduce, xs)]
 
     # -- lattice provenance ---------------------------------------------------
 
@@ -184,9 +166,8 @@ class FiniteQuadraticModule:
     def class_of_pairings(self, m) -> tuple[int, ...]:
         """Residues of the class of the dual vector y with G y = m (ints)."""
         u, kept = self._class_data
-        um = mat_vec(u, m)
-        return tuple(um[i] % self.invariant_factors[idx]
-                     for idx, i in enumerate(kept))
+        return tuple(sum(a * b for a, b in zip(u[i], m)) % d
+                     for i, d in zip(kept, self.invariant_factors))
 
     def q_value_of_lift(self, dual_vector) -> Fraction:
         if self.lattice is None:
@@ -208,22 +189,25 @@ def discriminant_group(L: IntegerLattice) -> FiniteQuadraticModule:
     n = L.rank
     if n == 0:
         return FiniteQuadraticModule((), 1, (), (), lattice=L, generator_lifts=(),
-                                     _class_data=([], []))
+                                     lift_pairings=(), _class_data=([], []))
     d, u, v = smith_normal_form(g)
     kept = [i for i in range(n) if d[i][i] > 1]
     cols = [[v[r][i] for r in range(n)] for i in kept]   # Smith-form columns
     facs = tuple(d[i][i] for i in kept)
     lifts = tuple(tuple(Fraction(x, di) for x in col) for col, di in zip(cols, facs))
-    # the lifts are col_i / d_i, so with the integer products gv = cols G cols^T
+    # the lifts are col_i / d_i, so with the integer products cg = cols G and
+    # gv = cg cols^T, G lift_i = cg_i / d_i (G is symmetric),
     # b(lift_i, lift_j) = gv_ij / (d_i d_j) and Q(lift_i) = gv_ii / (2 d_i^2),
     # all over the common denominator 2 e^2 (e the exponent)
-    gv = mat_mul(mat_mul(cols, g), transpose(cols))
+    cg = mat_mul(cols, g)
+    gv = mat_mul(cg, transpose(cols))
+    lift_pairings = tuple(tuple(x // di for x in row) for row, di in zip(cg, facs))
     big = 2 * facs[-1] ** 2 if facs else 1
     q_num = tuple(gv[i][i] * (big // (2 * di * di)) for i, di in enumerate(facs))
     b_num = tuple(tuple(gv[i][j] * (big // (di * dj)) for j, dj in enumerate(facs))
                   for i, di in enumerate(facs))
     mod = FiniteQuadraticModule(facs, big, q_num, b_num, lattice=L,
-                                generator_lifts=lifts,
+                                generator_lifts=lifts, lift_pairings=lift_pairings,
                                 _class_data=(u, kept))
     if mod.order != abs(L.det):
         raise FqmError("internal error: |discriminant group| != |det|")
@@ -248,7 +232,7 @@ class Subgroup:
         return tuple(elt) in set(self.elements)
 
     def is_isotropic(self) -> bool:
-        return not self.module.q_numerators(self.elements).any()
+        return not any(self.module.q_numerators(self.elements))
 
 
 def subgroup_generated(D: FiniteQuadraticModule, gens) -> Subgroup:
@@ -313,7 +297,7 @@ def orthogonal_subgroup(D: FiniteQuadraticModule, H: Subgroup) -> Subgroup:
     gens = H.generators if H.generators else H.elements
     elts = D.elements()
     pairs = D.pairing_numerators(elts, gens)
-    elts = [x for x, row in zip(elts, pairs) if not row.any()]
+    elts = [x for x, row in zip(elts, pairs) if not any(row)]
     return Subgroup(D, tuple(sorted(elts)), generators=tuple(sorted(elts)))
 
 
@@ -374,9 +358,8 @@ def quotient_with_projection(D: FiniteQuadraticModule, H: Subgroup):
                     elt = D.add(elt, gens[t])
             new_gens.append(elt)
             facs.append(di)
-    q_num = tuple(int(x) for x in D.q_numerators(new_gens))
-    b_num = tuple(tuple(int(x) for x in row)
-                  for row in D.pairing_numerators(new_gens, new_gens))
+    q_num = tuple(D.q_numerators(new_gens))
+    b_num = tuple(map(tuple, D.pairing_numerators(new_gens, new_gens)))
     K = FiniteQuadraticModule(tuple(facs), D.level, q_num, b_num)
     proj = {}
     for res in itertools.product(*(range(f) for f in facs)):

@@ -8,6 +8,7 @@ Matrices are double precision; every identity is checked to 1e-9.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -17,6 +18,10 @@ from .fqm import FiniteQuadraticModule
 from .lattices import Signature
 
 TOLERANCE = 1e-9
+# rho_S sums ngens products of a pairing numerator (below the level) and a
+# residue (below the order, at most fqm.ENUMERATION_GUARD); up to this level
+# the sum is exact in int64, past it the product runs on Python integers
+INT64_LEVEL_LIMIT = 2 ** 24
 
 
 class WeilError(ValueError):
@@ -68,7 +73,16 @@ def rho_S(w: WeilAction) -> np.ndarray:
     sig = w.signature
     scalar = np.exp(1j * np.pi * (sig.negative - sig.positive) / 4) / np.sqrt(d)
     D = w.module
-    m = scalar * _unit_roots(D.level)[D.pairing_numerators(w.elements, w.elements)]
+    # b(x, y) = sum_j y_j b(x, e_j): pair every element with the generators,
+    # then take all |D|^2 pairings as one integer product mod N
+    k = D.ngens
+    gens = [tuple(int(i == j) for j in range(k)) for i in range(k)]
+    dtype = np.int64 if D.level <= INT64_LEVEL_LIMIT else object
+    xb = np.array(D.pairing_numerators(w.elements, gens), dtype=dtype).reshape(d, k)
+    y = np.array(w.elements, dtype=dtype).reshape(d, k)
+    pairs = xb @ y.T
+    pairs %= D.level
+    m = scalar * _unit_roots(D.level)[np.asarray(pairs, dtype=np.intp)]
     return m.conj() if w.dual else m
 
 
@@ -134,9 +148,26 @@ def intertwining_defect(w_big: WeilAction, w_small: WeilAction, projection: dict
     return out
 
 
+class _EntryText(dict):
+    """The "re,im" text of complex128 entries, keyed by their 16 raw bytes:
+    each distinct entry is formatted once, and +0.0 and -0.0 keep their own
+    keys."""
+
+    def __missing__(self, raw):
+        re, im = struct.unpack("=dd", raw)
+        text = self[raw] = f"{re:.17g},{im:.17g}"
+        return text
+
+
 def dump_matrix(m: np.ndarray) -> str:
-    """Rows of re,im pairs, row-major, space separated."""
-    lines = []
-    for row in np.atleast_2d(m):
-        lines.append(" ".join(f"{z.real:.17g},{z.imag:.17g}" for z in row))
-    return "\n".join(lines)
+    """Rows of re,im pairs, row-major, space separated; each part printed
+    with .17g, so the text gives back every double exactly.
+
+    A Weil matrix holds few distinct values (at most N in rho(S), mostly
+    zeros in rho(T)), so each is formatted once; the text is built one row
+    at a time.
+    """
+    m = np.ascontiguousarray(np.atleast_2d(m), dtype=np.complex128)
+    text = _EntryText()
+    return "\n".join(" ".join(map(text.__getitem__, row.tolist()))
+                     for row in m.view("V16"))

@@ -334,7 +334,7 @@ LOAD_SETS = [
     (["fqm", "--lattice", "rank1(-8)"], {"fqm"}),
     (["theta", "--lattice", "E8(-1)+rank1(-2)", "--order", "1"], {"fqm", "qseries"}),
     (["weil", "--lattice", "U+U+rank1(-2)"], {"fqm", "weil", "numpy"}),
-    (["cusp", "--lattice", "U+U+rank1(-8)", "--bound", "1"], {"fqm", "cusps", "numpy"}),
+    (["cusp", "--lattice", "U+U+rank1(-8)", "--bound", "1"], {"fqm", "cusps"}),
     (["eis", "--lattice", "U+U+rank1(-8)", "--gamma", "2", "--nmax", "3",
       "--prime-bound", "20"], {"fqm", "densities", "mpmath"}),
     (["k3", "--two-d", "2", "--n", "4", "--mu-s", "1", "--prime-bound", "20"],
@@ -397,3 +397,74 @@ def test_package_names_resolve_lazily():
             assert scope[name] is getattr(source, name), (module, name)
     with pytest.raises(ImportError):
         exec("from hyperlat import no_such_name", {})
+
+
+def _usage_error(argv, capsys) -> str:
+    """The one 'hyperlat: error:' line of a command that must exit 2."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv, out=io.StringIO())
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    errors = [l for l in err.splitlines() if l.startswith("hyperlat: error:")]
+    assert len(errors) == 1 and "Traceback" not in err
+    return errors[0]
+
+
+LATTICE_COMMANDS = [
+    ["lattice"], ["fqm"], ["weil"], ["theta", "--order", "1"], ["cusp"],
+    ["density", "--n", "1", "--prime", "5"], ["eis", "--nmax", "2"],
+    ["count", "--rho", "1", "--nmin", "3", "--nmax", "4"],
+    ["predict", "--n", "1", "--mu-s", "1"],
+]
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("nosuch", "neither"),
+    ("rank1(x)", "invalid literal"),
+    ("rank1(0)", "nonzero even integer"),
+    ("malformed.json", "Expecting"),
+], ids=["unknown", "rank1-not-int", "rank1-zero", "bad-json"])
+def test_bad_lattice_spec_is_a_usage_error(spec, message, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "malformed.json").write_text('{"gram": [[2, 1],')
+    for cmd in LATTICE_COMMANDS:
+        line = _usage_error([cmd[0], "--lattice", spec] + cmd[1:], capsys)
+        assert spec in line and message in line, (cmd, line)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["theta", "--lattice", "rank1(-2)", "--order", "-1"], "--order must be >= 0"),
+    (["theta", "--lattice", "U", "--order", "1"], "negative definite"),
+    (["cusp", "--lattice", "rank1(-2)", "--bound", "1"], "signature (2, b)"),
+    (["cusp", "--lattice", "U+U+rank1(-2)", "--bound", "-1"], "--bound must be >= 0"),
+], ids=["theta-order", "theta-indefinite", "cusp-signature", "cusp-bound"])
+def test_theta_and_cusp_preconditions_are_usage_errors(argv, message, capsys):
+    assert message in _usage_error(argv, capsys)
+
+
+def test_cusp_bound_zero_prints_the_empty_table():
+    out = run_cli(["cusp", "--lattice", "U+U+rank1(-2)", "--bound", "0"])
+    assert out.splitlines()[1:] == [
+        "index,plane_rows,imprimitivity,kf_gram,strongly_primitive,det_identity"]
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["weil", "--lattice", "U+U+rank1(-200)"],
+     "bbd04d81954d74234e09aa1fbe0f33802cb05e634af6f2456a06360e40c37a8b"),
+    (["weil", "--lattice", "U+U+rank1(-200)", "--dual"],
+     "619ac8b7415a45c899a5d51cf63de0c8e5d1287c5e9ccd3a17dbbb48925ed1a2"),
+    (["cusp", "--lattice", "U+U+rank1(-8)", "--bound", "2"],
+     "0ebfaae8083f05456efba61d3a8a2121321e22dae16e0050bd5d2a0b7bb3ed0a"),
+], ids=["weil", "weil-dual", "cusp"])
+def test_weil_and_cusp_output_is_pinned(argv, digest):
+    import hashlib
+
+    assert hashlib.sha256(run_cli(argv).encode()).hexdigest() == digest
+
+
+def test_predict_with_boundary_loads_no_numpy():
+    got = _fresh_modules("import io, sys\nfrom hyperlat.cli import main\n"
+                         "main(sys.argv[1:], out=io.StringIO())",
+                         "predict", "--lattice", "U+U+rank1(-8)", "--n", "4", "--mu-s", "1",
+                         "--prime-bound", "20", "--boundary", "0:1", "--cusp-bound", "1")
+    assert "numpy" not in got and "hyperlat.cusps" in got

@@ -120,3 +120,46 @@ def test_projection_is_homomorphism_with_kernel_h(v8_lattice):
     imprimitive = cusp_datum(v8_lattice, [[0, 0, 1, 0, 0], [2, 2, 0, 0, 1]])
     assert imprimitive.imprimitivity == 2
     _assert_projection_is_quotient_map(imprimitive)
+
+
+def _planes_saturating_every_pair(V, bound):
+    """isotropic_planes with every orthogonal pair saturated: the reference
+    for the search that skips the saturation of primitive spans."""
+    from hyperlat.cusps import _is_isotropic_pair, _primitive_null_vectors, _saturate_plane
+
+    g = [list(r) for r in V.gram]
+    nulls = _primitive_null_vectors(V, bound)
+    planes = set()
+    pairs = 0
+    for i, vi in enumerate(nulls):
+        for vj in nulls[i + 1:]:
+            if sum(vi[a] * g[a][b] * vj[b] for a in range(V.rank) for b in range(V.rank)):
+                continue
+            pairs += 1
+            plane = _saturate_plane([list(vi), list(vj)])
+            if len(plane) == 2 and _is_isotropic_pair(g, plane):
+                planes.add(tuple(tuple(row) for row in plane))
+    return sorted(planes), pairs
+
+
+@pytest.mark.parametrize("blocks, bound, pairs, saturated", [
+    ((rank1(-8),), 2, 672, 192),
+    ((rank1(-8), rank1(-4)), 1, 64, 8),
+], ids=["uu8-bound2", "uu8-4-bound1"])
+def test_plane_search_saturates_only_imprimitive_spans(monkeypatch, blocks, bound,
+                                                       pairs, saturated):
+    import hyperlat.cusps as cusps
+
+    V = direct_sum(hyperbolic_plane(), hyperbolic_plane(), *blocks)
+    want, orthogonal_pairs = _planes_saturating_every_pair(V, bound)
+    calls = []
+    saturate = cusps._saturate_plane
+
+    def counted(rows):
+        calls.append(rows)
+        return saturate(rows)
+
+    monkeypatch.setattr(cusps, "_saturate_plane", counted)
+    assert isotropic_planes(V, bound) == want
+    # both branches ran: the other pairs span a primitive plane, keyed by HNF
+    assert (orthogonal_pairs, len(calls)) == (pairs, saturated)

@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from hyperlat.fqm import (
-    INT64_LEVEL_LIMIT,
     FiniteQuadraticModule,
     FqmError,
     discriminant_group,
@@ -16,7 +15,8 @@ from hyperlat.fqm import (
     quotient_with_projection,
     subgroup_generated,
 )
-from hyperlat.lattices import direct_sum, hyperbolic_plane, rank1
+from hyperlat.lattices import direct_sum, e8, hyperbolic_plane, rank1
+from hyperlat.weil import INT64_LEVEL_LIMIT
 from conftest import small_test_lattices
 
 
@@ -57,7 +57,7 @@ def test_bilinear_matches_polarization():
                 lhs = D.bilinear(x, y)
                 rhs = (D.q_value(D.add(x, y)) - D.q_value(x) - D.q_value(y)) % 1
                 assert lhs == rhs
-                assert Fraction(int(pairs[i, j]), D.level) == lhs
+                assert Fraction(int(pairs[i][j]), D.level) == lhs
 
 
 def test_lift_independence():
@@ -156,7 +156,7 @@ def test_integer_numerators(v8_lattice):
 
 
 def test_large_levels_pair_exactly():
-    # past INT64_LEVEL_LIMIT the array pairings run on Python integers
+    # the pairings stay exact past INT64_LEVEL_LIMIT, where rho_S leaves int64
     L = direct_sum(hyperbolic_plane(), rank1(-2 * 10 ** 9))
     D = discriminant_group(L)
     assert D.level > INT64_LEVEL_LIMIT
@@ -200,3 +200,38 @@ def test_dump_text():
     text = D.dump_text()
     assert "invariant factors: 2" in text
     assert "1 : Q=3/4" in text
+
+
+def test_class_of_pairings_reduces_only_the_kept_rows():
+    # the reference reduces all of u m, then keeps the invariant-factor rows
+    from hyperlat.exactla import mat_vec
+
+    rng = random.Random(10)
+    for L in small_test_lattices() + [direct_sum(e8(-1), rank1(-2))]:
+        D = discriminant_group(L)
+        u, kept = D._class_data
+        for _ in range(20):
+            m = [rng.randint(-60, 60) for _ in range(L.rank)]
+            um = mat_vec(u, m)
+            assert D.class_of_pairings(m) == tuple(
+                um[i] % d for i, d in zip(kept, D.invariant_factors))
+
+
+def test_integer_pairings_match_the_scalar_forms():
+    # Python integers at every level, the last lattice past INT64_LEVEL_LIMIT;
+    # the residues drawn are not reduced, and the lifts give a third opinion
+    rng = random.Random(11)
+    big = direct_sum(hyperbolic_plane(), rank1(-2 * 10 ** 9))
+    for L in small_test_lattices() + [big]:
+        D = discriminant_group(L)
+        xs = [tuple(rng.randrange(-3 * d, 3 * d) for d in D.invariant_factors)
+              for _ in range(8)]
+        qs = D.q_numerators(xs)
+        pairs = D.pairing_numerators(xs, xs[:5])
+        assert all(type(v) is int for v in qs + [p for row in pairs for p in row])
+        assert [Fraction(q, D.level) for q in qs] == [D.q_value(x) for x in xs] == \
+            [D.q_value_of_lift(D.lift(x)) for x in xs]
+        assert [[Fraction(p, D.level) for p in row] for row in pairs] == \
+            [[D.bilinear(x, y) for y in xs[:5]] for x in xs] == \
+            [[L.pairing(D.lift(x), D.lift(y)) % 1 for y in xs[:5]] for x in xs]
+    assert D.level > INT64_LEVEL_LIMIT

@@ -148,3 +148,42 @@ def test_dump_matrix_format():
     lines = text.splitlines()
     assert lines[0].split(" ")[0] == "1,2"
     assert lines[1].split(" ")[1] == "-0,-1"
+
+
+def _dump_per_entry(m):
+    """Each entry formatted on its own: the formatter dump_matrix replaced,
+    kept as its oracle."""
+    return "\n".join(" ".join(f"{z.real:.17g},{z.imag:.17g}" for z in row)
+                     for row in np.atleast_2d(m))
+
+
+def test_dump_matrix_matches_the_per_entry_format():
+    for L in small_test_lattices():
+        D = discriminant_group(L)
+        for dual in (False, True):
+            w = WeilAction(D, L.signature(), dual=dual)
+            for m in (rho_S(w), rho_T(w)):
+                assert dump_matrix(m) == _dump_per_entry(m)
+    # signed zeros in both parts keep their signs; repeated values share text
+    zeros = [complex(a, b) for a in (0.0, -0.0) for b in (0.0, -0.0)]
+    third = complex(1 / 3, -2.5e-300)
+    hand = np.array([zeros + zeros, [third, -third, third, 0.5j, -0.5j, third, 1e17, -1e-17]])
+    text = dump_matrix(hand)
+    assert text == _dump_per_entry(hand)
+    assert text.splitlines()[0].split(" ")[:4] == ["0,0", "0,-0", "-0,0", "-0,-0"]
+
+
+def test_rho_s_object_product_matches_int64(monkeypatch):
+    # past INT64_LEVEL_LIMIT rho_S pairs on Python integers; forcing that
+    # path on small modules must give the same bits
+    import hyperlat.weil as weil
+
+    lattices = small_test_lattices() + [direct_sum(hyperbolic_plane(), hyperbolic_plane(),
+                                                   rank1(-200))]
+    for L in lattices:
+        w = WeilAction(discriminant_group(L), L.signature())
+        want = rho_S(w)
+        with monkeypatch.context() as m:
+            m.setattr(weil, "INT64_LEVEL_LIMIT", 0)
+            got = rho_S(w)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
