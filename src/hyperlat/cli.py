@@ -80,11 +80,6 @@ def parse_fraction(text: str) -> Fraction:
     return Fraction(text)
 
 
-def _signature(L: IntegerLattice) -> str:
-    sig = L.signature()
-    return f"({sig.positive},{sig.negative})"
-
-
 def _header(args, keys) -> str:
     parts = [f"{k.replace('_', '-')}={getattr(args, k)}" for k in keys]
     return "# " + " ".join(parts)
@@ -93,10 +88,11 @@ def _header(args, keys) -> str:
 def cmd_lattice(args, out):
     L = parse_lattice_spec(args.lattice)
     print(_header(args, ["lattice"]), file=out)
+    sig = L.signature()
     print(f"name,{L.name or ''}", file=out)
     print(f"rank,{L.rank}", file=out)
     print(f"det,{L.det}", file=out)
-    print(f"signature,{_signature(L)}", file=out)
+    print(f"signature,({sig.positive},{sig.negative})", file=out)
     for row in L.gram:
         print("gram," + ",".join(str(x) for x in row), file=out)
     return 0
@@ -132,32 +128,29 @@ def cmd_weil(args, out):
 
 
 def cmd_theta(args, out):
-    from .qseries import theta_series
+    from .qseries import QSeriesInputError, theta_series
 
     L = parse_lattice_spec(args.lattice)
-    order = parse_fraction(args.order)
-    if order < 0:
-        raise argparse.ArgumentTypeError(f"--order must be >= 0, got {order}")
-    if L.signature().positive:
-        raise argparse.ArgumentTypeError(
-            f"theta needs a negative definite lattice; {args.lattice} has "
-            f"signature {_signature(L)}")
-    series = theta_series(L, order)
+    try:
+        series = theta_series(L, Fraction(args.order))
+    except QSeriesInputError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     print(_header(args, ["lattice", "order"]), file=out)
     print(series.dump_csv(), file=out)
     return 0
 
 
 def cmd_cusp(args, out):
-    from .cusps import find_isotropic_planes
+    from .cusps import CuspInputError, find_isotropic_planes
 
     L = parse_lattice_spec(args.lattice)
+    # a negative bound would search nothing and print an empty table
     if args.bound < 0:
         raise argparse.ArgumentTypeError(f"--bound must be >= 0, got {args.bound}")
-    if L.signature().positive != 2:
-        raise argparse.ArgumentTypeError(
-            f"cusp needs signature (2, b); {args.lattice} has signature {_signature(L)}")
-    data = find_isotropic_planes(L, args.bound)
+    try:
+        data = find_isotropic_planes(L, args.bound)
+    except CuspInputError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     print(_header(args, ["lattice", "bound"]), file=out)
     print("index,plane_rows,imprimitivity,kf_gram,strongly_primitive,det_identity",
           file=out)

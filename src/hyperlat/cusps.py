@@ -34,6 +34,10 @@ class CuspError(ValueError):
     pass
 
 
+class CuspInputError(CuspError):
+    """A plane search asked of a lattice not of signature (2, b)."""
+
+
 @dataclass(frozen=True)
 class CuspDatum:
     ambient: IntegerLattice
@@ -229,7 +233,8 @@ def isotropic_planes(V: IntegerLattice, search_bound: int):
     """
     sig = V.signature()
     if sig.positive != 2:
-        raise CuspError("isotropic plane search wants signature (2, b)")
+        raise CuspInputError("isotropic plane search wants signature (2, b), "
+                             f"got ({sig.positive},{sig.negative})")
     nulls = _primitive_null_vectors(V, search_bound)
     g = [list(r) for r in V.gram]
     null_pairings = mat_mul(nulls, g)

@@ -20,6 +20,11 @@ class QSeriesError(ValueError):
     pass
 
 
+class QSeriesInputError(QSeriesError):
+    """A series asked for at a negative order, or a theta series of a
+    lattice that is not negative definite."""
+
+
 _TRIVIAL_MODULE = FiniteQuadraticModule((), 1, (), ())
 
 
@@ -79,10 +84,12 @@ def theta_series(K: IntegerLattice, order) -> VectorQSeries:
     """
     order = Fraction(order)
     if order < 0:
-        raise QSeriesError("order must be >= 0")
+        raise QSeriesInputError(f"order must be >= 0, got {order}")
     D = discriminant_group(K)
     if K.rank and K.signature().positive > 0:
-        raise QSeriesError("theta series wants a negative definite lattice")
+        sig = K.signature()
+        raise QSeriesInputError("theta series wants a negative definite lattice, "
+                                f"got signature ({sig.positive},{sig.negative})")
     coeffs = {}
     if K.rank == 0:
         coeffs[((), Fraction(0))] = Fraction(1)
@@ -100,7 +107,7 @@ def theta_series(K: IntegerLattice, order) -> VectorQSeries:
 def e2_series(order: int) -> VectorQSeries:
     """The quasi-modular series 1 - 24 sum sigma_1(k) q^k up to q^order."""
     if order < 0:
-        raise QSeriesError("order must be >= 0")
+        raise QSeriesInputError(f"order must be >= 0, got {order}")
     coeffs = {((), Fraction(0)): Fraction(1)}
     for k in range(1, order + 1):
         sigma = sum(d for d in range(1, k + 1) if k % d == 0)

@@ -18,10 +18,6 @@ from .fqm import FiniteQuadraticModule
 from .lattices import Signature
 
 TOLERANCE = 1e-9
-# rho_S sums ngens products of a pairing numerator (below the level) and a
-# residue (below the order, at most fqm.ENUMERATION_GUARD); up to this level
-# the sum is exact in int64, past it the product runs on Python integers
-INT64_LEVEL_LIMIT = 2 ** 24
 
 
 class WeilError(ValueError):
@@ -77,12 +73,12 @@ def rho_S(w: WeilAction) -> np.ndarray:
     # then take all |D|^2 pairings as one integer product mod N
     k = D.ngens
     gens = [tuple(int(i == j) for j in range(k)) for i in range(k)]
-    dtype = np.int64 if D.level <= INT64_LEVEL_LIMIT else object
-    xb = np.array(D.pairing_numerators(w.elements, gens), dtype=dtype).reshape(d, k)
-    y = np.array(w.elements, dtype=dtype).reshape(d, k)
+    # exact in int64: N divides 2 * exponent <= 2 * fqm.ENUMERATION_GUARD
+    xb = np.array(D.pairing_numerators(w.elements, gens), dtype=np.int64).reshape(d, k)
+    y = np.array(w.elements, dtype=np.int64).reshape(d, k)
     pairs = xb @ y.T
     pairs %= D.level
-    m = scalar * _unit_roots(D.level)[np.asarray(pairs, dtype=np.intp)]
+    m = scalar * _unit_roots(D.level)[pairs]
     return m.conj() if w.dual else m
 
 

@@ -433,7 +433,7 @@ def test_bad_lattice_spec_is_a_usage_error(spec, message, tmp_path, monkeypatch,
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["theta", "--lattice", "rank1(-2)", "--order", "-1"], "--order must be >= 0"),
+    (["theta", "--lattice", "rank1(-2)", "--order", "-1"], "order must be >= 0"),
     (["theta", "--lattice", "U", "--order", "1"], "negative definite"),
     (["cusp", "--lattice", "rank1(-2)", "--bound", "1"], "signature (2, b)"),
     (["cusp", "--lattice", "U+U+rank1(-2)", "--bound", "-1"], "--bound must be >= 0"),

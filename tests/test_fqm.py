@@ -16,7 +16,6 @@ from hyperlat.fqm import (
     subgroup_generated,
 )
 from hyperlat.lattices import direct_sum, e8, hyperbolic_plane, rank1
-from hyperlat.weil import INT64_LEVEL_LIMIT
 from conftest import small_test_lattices
 
 
@@ -156,10 +155,11 @@ def test_integer_numerators(v8_lattice):
 
 
 def test_large_levels_pair_exactly():
-    # the pairings stay exact past INT64_LEVEL_LIMIT, where rho_S leaves int64
+    # the pairings stay exact where a product of two numerators below the
+    # level would overflow int64
     L = direct_sum(hyperbolic_plane(), rank1(-2 * 10 ** 9))
     D = discriminant_group(L)
-    assert D.level > INT64_LEVEL_LIMIT
+    assert D.level ** 2 > 2 ** 63
     xs = [(1,), (12345,), (10 ** 9,), (2 * 10 ** 9 - 1,)]
     assert [Fraction(int(q), D.level) for q in D.q_numerators(xs)] == \
         [D.q_value(x) for x in xs]
@@ -218,7 +218,7 @@ def test_class_of_pairings_reduces_only_the_kept_rows():
 
 
 def test_integer_pairings_match_the_scalar_forms():
-    # Python integers at every level, the last lattice past INT64_LEVEL_LIMIT;
+    # Python integers at every level, the last lattice past int64 products;
     # the residues drawn are not reduced, and the lifts give a third opinion
     rng = random.Random(11)
     big = direct_sum(hyperbolic_plane(), rank1(-2 * 10 ** 9))
@@ -234,4 +234,4 @@ def test_integer_pairings_match_the_scalar_forms():
         assert [[Fraction(p, D.level) for p in row] for row in pairs] == \
             [[D.bilinear(x, y) for y in xs[:5]] for x in xs] == \
             [[L.pairing(D.lift(x), D.lift(y)) % 1 for y in xs[:5]] for x in xs]
-    assert D.level > INT64_LEVEL_LIMIT
+    assert D.level ** 2 > 2 ** 63

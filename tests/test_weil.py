@@ -171,19 +171,3 @@ def test_dump_matrix_matches_the_per_entry_format():
     text = dump_matrix(hand)
     assert text == _dump_per_entry(hand)
     assert text.splitlines()[0].split(" ")[:4] == ["0,0", "0,-0", "-0,0", "-0,-0"]
-
-
-def test_rho_s_object_product_matches_int64(monkeypatch):
-    # past INT64_LEVEL_LIMIT rho_S pairs on Python integers; forcing that
-    # path on small modules must give the same bits
-    import hyperlat.weil as weil
-
-    lattices = small_test_lattices() + [direct_sum(hyperbolic_plane(), hyperbolic_plane(),
-                                                   rank1(-200))]
-    for L in lattices:
-        w = WeilAction(discriminant_group(L), L.signature())
-        want = rho_S(w)
-        with monkeypatch.context() as m:
-            m.setattr(weil, "INT64_LEVEL_LIMIT", 0)
-            got = rho_S(w)
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
