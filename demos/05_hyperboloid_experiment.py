@@ -39,8 +39,8 @@ print(f"ratio {mi / ma:.5f} vs 2^(b/2)/sqrt|det| = "
       f"{2 ** 1.5 / math.sqrt(2):.5f}")
 
 print()
-print("exact counts in the cap (all three enumeration paths agree; the")
-print("fast path is used whenever the basis shows an orthogonal U):")
+print("exact counts in the cap (the glue-class counter, the box scan and the")
+print("depth-first search agree; one counter serves every basis):")
 for n in (1, 5, 50):
     pc = enumerate_points(None, n, window)
     print(f"  n = {n:3d}: {pc.count} points, {pc.grazing} exactly on the rim")

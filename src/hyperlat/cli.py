@@ -10,6 +10,7 @@ byte-identical output.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from fractions import Fraction
 
@@ -76,8 +77,14 @@ def parse_gamma(text: str | None, L: IntegerLattice) -> tuple[int, ...]:
     return D.reduce(gamma)
 
 
-def parse_fraction(text: str) -> Fraction:
-    return Fraction(text)
+def parse_fraction(text: str, flag: str) -> Fraction:
+    """The rational number a flag names, such as 3, -1/2 or 0.25; anything
+    else raises ArgumentTypeError, which main reports as a usage error."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(
+            f"{flag} wants a rational number, got {text!r}") from None
 
 
 def _header(args, keys) -> str:
@@ -132,7 +139,7 @@ def cmd_theta(args, out):
 
     L = parse_lattice_spec(args.lattice)
     try:
-        series = theta_series(L, Fraction(args.order))
+        series = theta_series(L, parse_fraction(args.order, "--order"))
     except QSeriesInputError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
     print(_header(args, ["lattice", "order"]), file=out)
@@ -168,7 +175,7 @@ def cmd_density(args, out):
 
     L = parse_lattice_spec(args.lattice)
     gamma = parse_gamma(args.gamma, L)
-    n = parse_fraction(args.n)
+    n = parse_fraction(args.n, "--n")
     if not in_coset_support(gamma, n, L):
         shift = -L.discriminant_group().q_value(gamma) % 1
         raise argparse.ArgumentTypeError(
@@ -210,14 +217,18 @@ def cmd_eis(args, out):
 
 
 def cmd_count(args, out):
-    from .hyperboloid import Window, equidistribution_run, splitting_frame
+    from .hyperboloid import HyperboloidError, Window, equidistribution_run, splitting_frame
 
     L = parse_lattice_spec(args.lattice)
     gamma = parse_gamma(args.gamma, L)
-    frame = splitting_frame(L)
-    window = Window(frame, Fraction(args.rho))
+    rho = parse_fraction(args.rho, "--rho")
+    nmin, nmax = parse_fraction(args.nmin, "--nmin"), parse_fraction(args.nmax, "--nmax")
+    try:
+        window = Window(splitting_frame(L), rho)
+    except HyperboloidError as exc:
+        raise argparse.ArgumentTypeError(f"--rho {args.rho}: {exc}") from None
     summary = equidistribution_run(
-        L, gamma, window, Fraction(args.nmin), Fraction(args.nmax),
+        L, gamma, window, nmin, nmax,
         prime_bound=args.prime_bound, samples=args.samples, seed=args.seed,
         workers=args.workers)
     print(_header(args, ["lattice", "gamma", "rho", "nmin", "nmax",
@@ -248,15 +259,26 @@ def cmd_predict(args, out):
     gamma = parse_gamma(args.gamma, L)
     boundary = ()
     if args.boundary:
-        from .cusps import cusp_datum, isotropic_planes
+        from .cusps import CuspInputError, cusp_datum, isotropic_planes
 
-        planes = isotropic_planes(L, args.cusp_bound)
+        try:
+            planes = isotropic_planes(L, args.cusp_bound)
+        except CuspInputError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
         pairs = []
         for part in args.boundary.split(";"):
-            idx, deg = part.split(":")
-            pairs.append((cusp_datum(L, planes[int(idx)]), int(deg)))
+            try:
+                idx, deg = (int(x) for x in part.split(":"))
+            except ValueError:
+                raise argparse.ArgumentTypeError(
+                    f"--boundary wants 'index:degree;...' with integers, got {part!r}") from None
+            if not 0 <= idx < len(planes):
+                raise argparse.ArgumentTypeError(
+                    f"--boundary index {idx} is not one of the {len(planes)} planes "
+                    f"found at --cusp-bound {args.cusp_bound}")
+            pairs.append((cusp_datum(L, planes[idx]), deg))
         boundary = tuple(pairs)
-    inp = PredictionInput(L, gamma, parse_fraction(args.n), args.mu_s,
+    inp = PredictionInput(L, gamma, parse_fraction(args.n, "--n"), args.mu_s,
                           boundary_degrees=boundary,
                           prime_bound=args.prime_bound)
     print(_header(args, ["lattice", "gamma", "n", "mu_s", "prime_bound",
@@ -288,7 +310,7 @@ def cmd_k3(args, out):
     if args.gamma:
         # gamma lives in D(V) of the complement
         gamma = parse_gamma(args.gamma, k3_lattices(args.two_d, rows)[1])
-    res = k3_predict(gamma, parse_fraction(args.n), args.mu_s,
+    res = k3_predict(gamma, parse_fraction(args.n, "--n"), args.mu_s,
                      two_d=args.two_d, rows=rows,
                      prime_bound=args.prime_bound, guard=args.guard)
     print(_header(args, ["two_d", "gamma", "n", "mu_s", "prime_bound"]), file=out)
@@ -402,10 +424,18 @@ def main(argv=None, out=None) -> int:
     if getattr(args, "guard", 0) is None:
         from .densities import ENUMERATION_GUARD
         args.guard = ENUMERATION_GUARD
+    out = out or sys.stdout
     try:
-        return args.func(args, out or sys.stdout)
+        code = args.func(args, out)
+        out.flush()
+        return code
     except argparse.ArgumentTypeError as exc:
         parser.error(str(exc))
+    except BrokenPipeError:
+        # the reader closed stdout (say `| head`): stop quietly, and send
+        # what is still buffered to devnull so the flush at exit is silent
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -121,37 +121,6 @@ def unimodular_inverse(a):
     return [row[n:] for row in m]
 
 
-def solve_fraction(a, b):
-    """Solve a x = b over Q for square or full-column-rank a; exact."""
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    m = [[Fraction(x) for x in row] + [Fraction(bb)] for row, bb in zip(a, b)]
-    pivots = []
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = Fraction(1) / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    for i in range(r, rows):
-        if m[i][cols] != 0:
-            raise ValueError("inconsistent system")
-    x = [Fraction(0)] * cols
-    for i, c in enumerate(pivots):
-        x[c] = m[i][cols]
-    return x
-
-
 # ---------------------------------------------------------------------------
 # Smith normal form with transforms
 

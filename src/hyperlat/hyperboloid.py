@@ -8,12 +8,14 @@ measure estimates.  Point counts are exact; the two invariant measures of a
 cap have closed forms, and seeded, reproducible Monte Carlo estimates of
 them are kept as their oracle.
 
-``count_range`` counts a whole list of norms at once.  When the basis shows
-an orthogonal summand U (``IntegerLattice.hyperbolic_split``) it builds one
-(tau, |u|) histogram over the lattice box of the largest norm, since the box
-does not depend on n and tau moves with n only by a shift; otherwise it runs
-the depth-first search once per norm.  ``enumerate_points`` is its
-single-norm case.
+``count_range`` counts a whole list of norms at once, for any basis, frame
+and sector.  A point splits into its parts p in the frame's positive plane P
+and y in the complement N, and the count is a theta convolution over the
+glue classes of L modulo L & P + L & N: one sweep of the N side for the
+largest norm, keyed by class and value, and one short-vector search on the
+P side serve every norm.  ``enumerate_points`` is its single-norm case; with
+``keep_points`` it lists the points by the depth-first search, which with
+``box_scan_count`` is kept as an oracle.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, lcm
+from math import lcm
 
 import numpy as np
 
@@ -29,17 +31,26 @@ from .exactla import (
     NodeGuardExceeded,
     floor_sqrt_fraction,
     frac_mat_inv,
+    hnf,
+    hnf_rational,
     int_range_of_quadratic,
+    kernel_basis,
+    lll_reduce_gram,
+    mat_mul,
+    mat_vec,
     rational_congruent_diagonal,
     short_vectors,
+    smith_normal_form,
+    transpose,
+    unimodular_inverse,
 )
 from .densities import _gamma_lift, in_coset_support, is_representable, singular_series
 from .lattices import IntegerLattice
 
 FRAME_TOLERANCE = 1e-10
 ENUM_NODE_GUARD = 10 ** 9
-GRID_GUARD = 10 ** 8
-GRID_CHUNK = 1 << 17   # kappa grid points built at once by the fast path
+SWEEP_GUARD = 10 ** 8   # points of count_range's N-side box, and P-side nodes
+GRID_CHUNK = 1 << 15    # box points that sweep builds at once
 
 
 class HyperboloidError(ValueError):
@@ -339,41 +350,16 @@ def _majorant_matrix(window: Window):
     return a
 
 
-def _fast_split_data(window: Window):
-    """Preconditions for the histogram fast path; None when unavailable."""
-    L = window.frame.lattice
-    split = L.hyperbolic_split
-    if split is None:
-        return None
-    i, j = split
-    t1, t2 = window.frame.positive
-    r = L.rank
-    want_t1 = [Fraction(0)] * r
-    want_t1[i], want_t1[j] = Fraction(1), Fraction(1)
-    if list(t1) != want_t1:
-        return None
-    if t2[i] != 0 or t2[j] != 0:
-        return None
-    for k in (i, j):
-        unit = [Fraction(0)] * r
-        unit[k] = Fraction(1)
-        if L.pairing(unit, t2) != 0:
-            return None
-    if window.sector is not None:
-        return None
-    return (i, j, t2)
-
-
 def enumerate_points(gamma, n, window: Window, keep_points: bool = False,
                      guard: int = ENUM_NODE_GUARD) -> PointCount:
     """Exact count of lambda in gamma+V with Q(lambda) = -n inside the cap.
 
     The single-norm case of ``count_range``.  Kept points come from the
-    depth-first search.  Boundary points (radius exactly rho sqrt(n)) are
-    included in the count and reported separately.
+    depth-first search, under the node guard.  Boundary points (radius
+    exactly rho sqrt(n)) are included in the count and reported separately.
     """
     if not keep_points:
-        return count_range(gamma, [n], window, guard)[0]
+        return count_range(gamma, [n], window)[0]
     n = Fraction(n)
     if n <= 0:
         raise HyperboloidError("point enumeration wants n > 0")
@@ -384,16 +370,14 @@ def enumerate_points(gamma, n, window: Window, keep_points: bool = False,
     return _count_generic(lift, n, window, True, guard)
 
 
-def count_range(gamma, ns, window: Window,
-                guard: int = ENUM_NODE_GUARD) -> tuple[PointCount, ...]:
+def count_range(gamma, ns, window: Window) -> tuple[PointCount, ...]:
     """One exact count per n in ns, in order, of lambda in gamma+V with
     Q(lambda) = -n inside the cap.
 
-    A lattice whose basis shows an orthogonal U, with a compatible frame
-    (and no sector), uses the factorization counter: one (tau, |u|)
-    histogram over the kappa box of max(ns) answers every norm.  Otherwise an exact depth-first
-    search over the positive majorant 2*radial^2 - Q runs once per norm, with
-    a node guard.  Norms outside -Q(gamma) + Z count 0.
+    Any basis, frame and sector: the counts are a theta convolution over the
+    glue classes of the frame's plane P and its complement N (``_count_glued``),
+    from one sweep of N for the largest norm.  Norms outside -Q(gamma) + Z
+    count 0.
     """
     ns = [Fraction(n) for n in ns]
     if any(n <= 0 for n in ns):
@@ -401,152 +385,166 @@ def count_range(gamma, ns, window: Window,
     L = window.frame.lattice
     lift = _gamma_lift(L, gamma)
     support = [n for n in ns if in_coset_support(lift, n, L)]
-    fast = _fast_split_data(window) if support else None
-    if fast is not None:
-        found = {n: PointCount(n, count, grazing) for n, (count, grazing)
-                 in zip(support, _count_fast(lift, support, window, fast))}
-    else:
-        found = {n: _count_generic(lift, n, window, False, guard)
-                 for n in support}
-    return tuple(found.get(n, PointCount(n, 0, 0)) for n in ns)
+    found = dict(zip(support, _count_glued(lift, support, window))) if support else {}
+    return tuple(PointCount(n, *found.get(n, (0, 0))) for n in ns)
 
 
-def _count_fast(lift, ns, window: Window, fast):
+def _gram_of(rows, g):
+    return mat_mul(mat_mul(rows, g), transpose(rows))
+
+
+def _class_index(parts, d):
+    """The index in [0, prod d) of the class with coordinates parts mod d."""
+    out, radix = 0, 1
+    for part, dk in zip(parts, d):
+        out = out + part % dk * radix
+        radix *= dk
+    return out
+
+
+def _sweep_n(ranges, ds, shift, a_int, cmap, d):
+    """Chunks (v, cid) over the integer box z in ranges: v = zs a_int zs^T
+    with zs = ds z + shift, and cid the class index of z cmap mod d.  A chunk
+    is whole rows along the first axis, its b axes broadcast against each
+    other, so no array of points is built."""
+    b = len(ranges)
+    axes = [np.arange(lo, hi + 1, dtype=np.int64) for lo, hi in ranges]
+    size = math.prod(len(axis) for axis in axes)
+    if not size:
+        return
+    step = max(GRID_CHUNK * len(axes[0]) // size, 1)
+    for start in range(0, len(axes[0]), step):
+        zz = [x.reshape([-1 if i == j else 1 for j in range(b)]) for i, x in
+              enumerate([axes[0][start:start + step]] + axes[1:])]
+        zs = [z * ds + x for z, x in zip(zz, shift)]
+        v = 0
+        for i in range(b):
+            row = a_int[i][i] * zs[i]
+            for j in range(i + 1, b):
+                if a_int[i][j]:
+                    row = row + 2 * a_int[i][j] * zs[j]
+            v = v + row * zs[i]
+        parts = [sum(z * row[k] for z, row in zip(zz, cmap)) for k in range(len(d))]
+        yield v, np.broadcast_to(_class_index(parts, d), v.shape)
+
+
+def _count_glued(lift, ns, window: Window):
     """(count, grazing) for every n in ns, all in the coset support.
 
-    A point is (x, y, kappa) with kappa in the complement K of the hyperbolic
-    plane and x y = t = tau(kappa) + t0(n), t0(n) = -(n + q0).  The kappa box
-    and |u| do not depend on n, so one (tau, |u|) histogram over the box of
-    max(ns) serves every norm; the exact window tests then run per norm.
+    x in lift + L splits as p + y, p in the plane P of t1, t2 and y in its
+    complement N.  p runs over proj_P(lift + L), and the y that go with one
+    p form one class of proj_N(lift + L) modulo N, fixed by p.  So
+
+        count(n) = sum over p with Q(p) <= rho^2 n of theta_N[class(p), n + Q(p)],
+
+    theta_N counting the y of a class by -Q(y), and the grazing points are
+    the terms with Q(p) = rho^2 n: the theta series of a glued lattice as a
+    sum over glue classes (Conway & Sloane, ch. 4).  theta_N is one sweep of
+    proj_N(lift + L) up to (1 + rho^2) max(ns), each y keyed by its class
+    and its exact scaled value; the P side is one short-vector search up to
+    rho^2 max(ns), filtered by the sector; a norm is one sorted lookup.
     """
     L = window.frame.lattice
-    i, j, t2 = fast
-    r = L.rank
-    rest = [k for k in range(r) if k not in (i, j)]
-    # move the hyperbolic components of the lift into the lattice
-    if lift[i].denominator != 1 or lift[j].denominator != 1:
-        raise HyperboloidError("dual vector has fractional hyperbolic part")
-    g_k = [Fraction(lift[k]) for k in rest]
-    gk_gram = [[L.gram[a][b] for b in rest] for a in rest]
-    gk = np.array(gk_gram, dtype=np.int64)
-    # integer data: Q_K(kappa + g) = Q_K(kappa) + kappa.wk + q0
-    wk_frac = [sum(Fraction(gk_gram[a][b]) * g_k[b] for b in range(len(rest)))
-               for a in range(len(rest))]
-    if any(x.denominator != 1 for x in wk_frac):
-        raise HyperboloidError("gamma is not in the dual lattice")
-    wk = np.array([int(x) for x in wk_frac], dtype=np.int64)
-    q0 = sum(Fraction(gk_gram[a][b]) * g_k[a] * g_k[b]
-             for a in range(len(rest)) for b in range(len(rest))) / 2
-    t0s = [-(n + q0) for n in ns]
-    if any(t0.denominator != 1 for t0 in t0s):
-        raise HyperboloidError("n is not in the coset support")
-    t0s = [int(t0) for t0 in t0s]
-
-    # u(kappa) = (kappa + g_k, t2), scaled to integers
-    t2_rest = [t2[k] for k in rest]
-    gt2 = [sum(Fraction(gk_gram[a][b]) * t2_rest[b] for b in range(len(rest)))
-           for a in range(len(rest))]
-    shift_f = sum(gt2[a] * g_k[a] for a in range(len(rest)))
-    du = lcm(shift_f.denominator, *(x.denominator for x in gt2), 1)
-    u_coef = np.array([int(x * du) for x in gt2], dtype=np.int64)
-    u_shift = int(shift_f * du)
-
-    # window: s^2/4 + u^2/(2 T2 du^2) <= rho^2 n
-    t2t2 = L.pairing(t2, t2)
+    g, b = L.gram, L.rank - 2
     rho2 = window.rho * window.rho
-    c1_f = Fraction(1, 4)
-    c2_f = Fraction(1, 2 * t2t2 * du * du)
-    n_top = max(ns)
+    n_lo, n_hi = min(ns), max(ns)
 
-    # kappa box from the majorant restricted to the complement block
-    mk = [[Fraction(-gk_gram[a][b]) for b in range(len(rest))]
-          for a in range(len(rest))]
-    for a in range(len(rest)):
-        for b in range(len(rest)):
-            mk[a][b] += 2 * gt2[a] * gt2[b] / Fraction(t2t2)
-    mmax = (2 * rho2 + 1) * n_top
-    mk_inv = frac_mat_inv(mk)
-    ranges = []
-    size = 1
-    for a in range(len(rest)):
-        rad = floor_sqrt_fraction(2 * mmax * mk_inv[a][a])
-        lo, hi = int_range_of_quadratic(-g_k[a], Fraction((rad + 1) ** 2))
-        ranges.append(np.arange(lo, hi + 1, dtype=np.int64))
-        size *= len(ranges[-1])
-    if size > GRID_GUARD:
-        raise EnumGuardExceeded(f"fast-path grid of {size} nodes exceeds guard")
-    if size == 0:
+    def orthogonal_to(vecs):
+        rows = [mat_vec(g, v) for v in vecs]
+        return hnf(kernel_basis([[int(x * lcm(*(y.denominator for y in row)))
+                                  for x in row] for row in rows]))
+
+    # P = L & span(t1, t2) and N = L & P^perp; in the coordinates of the
+    # basis [P; N], h spans L (its first two rows proj_P(L), the others N
+    # itself) and c is the lift
+    bp, bn = orthogonal_to(window.frame.negative), orthogonal_to(window.frame.positive)
+    binv = frac_mat_inv(bp + bn)
+    h = hnf_rational(binv)
+    c = mat_vec(transpose(binv), lift)
+
+    # N side: M = proj_N(L) has the basis mb; the rows of nb = mb^-1 are N
+    # in mb coordinates, and with U nb V = D in Smith form a row u has the
+    # class u V mod D in M/N, read on the factors above 1
+    mb = hnf_rational([row[2:] for row in h])
+    nb = [[int(x) for x in row] for row in frac_mat_inv(mb)]
+    dmat, _, vs = smith_normal_form(nb)
+    dmod = [dmat[k][k] for k in range(b) if dmat[k][k] > 1]
+    cmap = [[x % dmat[k][k] for k, x in enumerate(row) if dmat[k][k] > 1] for row in vs]
+    uu, a_red = lll_reduce_gram([[-x for x in row] for row in _gram_of(mb, _gram_of(bn, g))])
+    # y = c_N + z uu mb: sweep integer z with (z + s) a_red (z + s)^T =
+    # -2 Q(y) <= 2 (1 + rho^2) n_hi, scaled to v = zs a_int zs^T = sigma (-2 Q(y))
+    s = mat_vec(transpose(unimodular_inverse(uu)), mat_vec(transpose(nb), c[2:]))
+    ds = lcm(*(x.denominator for x in s), 1)
+    da = lcm(*(x.denominator for row in a_red for x in row), 1)
+    sigma = ds * ds * da
+    a_int = [[int(x * da) for x in row] for row in a_red]
+    bound = 2 * (1 + rho2) * n_hi
+    a_inv = frac_mat_inv(a_red)
+    ranges = [int_range_of_quadratic(-s[i], bound * a_inv[i][i]) for i in range(b)]
+    v_lo, v_hi = -((-2 * sigma * n_lo) // 1), (sigma * bound) // 1
+    width = v_hi - v_lo + 1
+
+    # P side: k in Z^2 gives p = (k + sp) hp, whose y lie in the class of
+    # k f, f the N parts of h's first two rows; with kk = dp (k + sp),
+    # tau 2 Q(p) = kk ap_int kk^T is an integer
+    hp = [row[:2] for row in h[:2]]
+    sp = mat_vec(transpose(frac_mat_inv(hp)), c[:2])
+    ap = _gram_of(hp, _gram_of(bp, g))
+    dp = lcm(*(x.denominator for x in sp), 1)
+    dap = lcm(*(x.denominator for row in ap for x in row), 1)
+    tau = dp * dp * dap
+
+    zmax = [max(abs(lo + x), abs(hi + x), 1) * ds for (lo, hi), x in zip(ranges, s)]
+    worst = sum(abs(a_int[i][j]) * zmax[i] * zmax[j] for i in range(b) for j in range(b))
+    if max(math.prod(dmod) * width, worst, tau * 2 * rho2 * n_hi) >= 1 << 63:
+        raise HyperboloidError("glued point keys would overflow int64")
+    size = math.prod(hi - lo + 1 for lo, hi in ranges)
+    if size > SWEEP_GUARD:
+        raise EnumGuardExceeded(f"N-side sweep of {size} points exceeds guard")
+
+    try:
+        ks = [k for k, _ in short_vectors(ap, 2 * rho2 * n_hi, sp, SWEEP_GUARD)]
+    except NodeGuardExceeded as exc:
+        raise EnumGuardExceeded(str(exc)) from None
+    if window.sector is not None:
+        # (x, t_i) = (p, t_i), so the sector test of x is that of p
+        hb = transpose(mat_mul(hp, bp))
+        ks = [k for k in ks if _sector_ok(window, mat_vec(hb, [ki + si for ki, si in zip(k, sp)]))]
+    if not ks:
         return [(0, 0)] * len(ns)
+    (a00, a01), (_, a11) = ([int(x * dap) for x in row] for row in ap)
+    kk = [(dp * k0 + int(sp[0] * dp), dp * k1 + int(sp[1] * dp)) for k0, k1 in ks]
+    p_values = np.array([a00 * x * x + 2 * a01 * x * y + a11 * y * y for x, y in kk],
+                        dtype=np.int64)
+    fc = np.array(mat_mul(mat_mul([row[2:] for row in h[:2]], nb), cmap), dtype=np.int64)
+    classes = np.broadcast_to(_class_index((np.array(ks, dtype=np.int64) @ fc).T, dmod),
+                              (len(ks),))
+    order = np.argsort(p_values, kind="stable")
+    p_values, classes = p_values[order], classes[order]
+    # the key of theta_N[class, sigma (2 n_lo + 2 Q(p))], an integer value
+    # since n + Q(x) is one for x in lift + L
+    num, den = n_lo.numerator, n_lo.denominator
+    base = np.array([cid * width - v_lo + sigma * (2 * num * tau + w * den) // (tau * den)
+                     for w, cid in zip(p_values.tolist(), classes.tolist())], dtype=np.int64)
 
-    # 2D histogram over (tau, |u|), built in chunks along the first axis.
-    # xy = t <= (s/2)^2 caps t at every norm; t_cap(n) - t0(n) grows with n,
-    # so the cap of the largest norm caps tau.  No window test of the range
-    # accepts |u| >= uw.
-    def t_cap(n):
-        return floor_sqrt_fraction(4 * rho2 * n) ** 2 // 4 + 1
-
-    tau_hi = t_cap(n_top) + int(n_top + q0)
-    uw = floor_sqrt_fraction(rho2 * n_top / c2_f) + 1
-    step = max(GRID_CHUNK * len(ranges[0]) // size, 1)
-    keys = []
-    for start in range(0, len(ranges[0]), step):
-        grids = np.meshgrid(ranges[0][start:start + step], *ranges[1:],
-                            indexing="ij")
-        kappa = np.stack([g.ravel() for g in grids], axis=1)
-        tau = -(((kappa @ gk) * kappa).sum(axis=1) // 2) - kappa @ wk
-        u_vals = np.abs(kappa @ u_coef + u_shift)
-        keep = (tau <= tau_hi) & (u_vals < uw)
-        # rows count down from tau_hi: the lowest tau is known only at the end
-        keys.append((tau_hi - tau[keep]) * uw + u_vals[keep])
-    keys = np.concatenate(keys)
-    if len(keys) == 0:
-        return [(0, 0)] * len(ns)
-    tw = int(keys.max()) // uw + 1
-    hist = np.bincount(keys, minlength=tw * uw).reshape(tw, uw)[::-1]
-    cum = hist.cumsum(axis=1)
-    tau_lo = tau_hi - tw + 1
+    keys = [np.zeros(0, dtype=np.int64)]
+    used = np.array(sorted(set(classes.tolist())), dtype=np.int64)
+    for v, cid in _sweep_n(ranges, ds, [int(x * ds) for x in s], a_int,
+                           mat_mul(uu, cmap), dmod):
+        keep = (v >= v_lo) & (v <= v_hi)
+        cid = cid[keep]
+        mine = np.isin(cid, used)
+        keys.append(cid[mine] * width + v[keep][mine] - v_lo)
+    keys = np.sort(np.concatenate(keys))
 
     out = []
-    for n, t0 in zip(ns, t0s):
-        rho2n = rho2 * n
-        scale = lcm(c1_f.denominator, c2_f.denominator, rho2n.denominator)
-        c1 = int(c1_f * scale)
-        c2 = int(c2_f * scale)
-        c3 = int(rho2n * scale)
-        s_hi = floor_sqrt_fraction(4 * rho2n)
-        t_min = tau_lo + t0
-        t_max = t_cap(n)
-        if t_min > t_max:
-            out.append((0, 0))
-            continue
-        count = 0
-        grazing = 0
-        for s in range(-s_hi, s_hi + 1):
-            budget = c3 - c1 * s * s
-            if budget < 0:
-                continue
-            u_max = isqrt(budget // c2)   # < uw
-            on_boundary = budget == c2 * u_max * u_max
-            # x+y = s, x-y = d: t = x y = (s^2-d^2)/4 needs d = s mod 2
-            d_hi_sq = s * s - 4 * t_min
-            if d_hi_sq < 0:
-                continue
-            d_hi = isqrt(d_hi_sq)
-            d_lo_sq = max(s * s - 4 * t_max, 0)
-            d_lo = isqrt(d_lo_sq)
-            if d_lo * d_lo < d_lo_sq:
-                d_lo += 1
-            d = np.arange(d_lo, d_hi + 1, dtype=np.int64)
-            d = d[(d & 1) == (s & 1)]
-            if len(d) == 0:
-                continue
-            weights = np.where(d > 0, 2, 1)  # (s, d) and (s, -d) swap x and y
-            tt = (s * s - d * d) // 4
-            idx = tt - t_min
-            count += int((cum[idx, u_max] * weights).sum())
-            if on_boundary:
-                grazing += int((hist[idx, u_max] * weights).sum())
-        out.append((count, grazing))
+    for n in ns:
+        rim = 2 * tau * rho2 * n
+        top = np.searchsorted(p_values, rim.numerator // rim.denominator, "right")
+        graze = np.searchsorted(p_values, -(-rim.numerator // rim.denominator), "left")
+        q = base[:top] + int(2 * sigma * (n - n_lo))
+        hits = np.searchsorted(keys, q, "right") - np.searchsorted(keys, q, "left")
+        out.append((int(hits.sum()), int(hits[graze:].sum())))
     return out
 
 
@@ -690,8 +688,7 @@ def admissible_values(V: IntegerLattice, gamma, lo, hi):
 def equidistribution_run(V: IntegerLattice, gamma, window: Window,
                          n_lo, n_hi, prime_bound: int = 100,
                          samples: int = 0, seed: int = 0,
-                         workers: int = 1,
-                         guard: int = ENUM_NODE_GUARD) -> ExperimentSummary:
+                         workers: int = 1) -> ExperimentSummary:
     """Empirical vs predicted counts over a range of admissible n.
 
     predicted(n) = mu_infty(window) * n^(b/2) * truncated singular series,
@@ -713,7 +710,7 @@ def equidistribution_run(V: IntegerLattice, gamma, window: Window,
         else:
             skipped.append((n, "not locally representable"))
     reports = []
-    for pc in count_range(lift, ns, window, guard):
+    for pc in count_range(lift, ns, window):
         n = pc.n
         ss = singular_series(lift, n, V, prime_bound)
         predicted = mu_val * float(n) ** (b / 2) * float(ss.truncated_product)

@@ -45,8 +45,9 @@ class IntegerLattice:
 
     Everything else is read off the Gram matrix: ``components`` is the
     orthogonal splitting the basis shows, which shapes the hyperboloid
-    frame, and ``hyperbolic_split`` the summand U that enables the fast point
-    counter.  ``name`` is a label only and does not affect equality.
+    frame, and ``hyperbolic_split`` the summand U, which only the shortcut
+    in ``densities.is_representable`` reads.  ``name`` is a label only and
+    does not affect equality.
     """
 
     gram: tuple[tuple[int, ...], ...]

@@ -468,3 +468,60 @@ def test_predict_with_boundary_loads_no_numpy():
                          "predict", "--lattice", "U+U+rank1(-8)", "--n", "4", "--mu-s", "1",
                          "--prime-bound", "20", "--boundary", "0:1", "--cusp-bound", "1")
     assert "numpy" not in got and "hyperlat.cusps" in got
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["count", "--lattice", "U+U+rank1(-2)", "--rho", "abc", "--nmin", "1", "--nmax", "2"],
+     "--rho wants a rational number, got 'abc'"),
+    (["count", "--lattice", "U+U+rank1(-2)", "--rho", "1", "--nmin", "abc", "--nmax", "2"],
+     "--nmin wants a rational number"),
+    (["count", "--lattice", "U+U+rank1(-2)", "--rho", "1", "--nmin", "1", "--nmax", "1/0"],
+     "--nmax wants a rational number, got '1/0'"),
+    (["density", "--lattice", "U+U+rank1(-8)", "--n", "abc", "--prime", "5"],
+     "--n wants a rational number"),
+    (["predict", "--lattice", "U+U+rank1(-2)", "--n", "abc", "--mu-s", "1"],
+     "--n wants a rational number"),
+    (["k3", "--two-d", "2", "--n", "abc", "--mu-s", "1"], "--n wants a rational number"),
+    (["theta", "--lattice", "E8(-1)", "--order", "abc"], "--order wants a rational number"),
+], ids=["count-rho", "count-nmin", "count-nmax", "density-n", "predict-n", "k3-n",
+        "theta-order"])
+def test_rational_flags_that_are_not_rationals_are_usage_errors(argv, message, capsys):
+    assert message in _usage_error(argv, capsys)
+
+
+def test_count_negative_rho_is_a_usage_error(capsys):
+    line = _usage_error(["count", "--lattice", "U+U+rank1(-2)", "--rho", "-1",
+                         "--nmin", "1", "--nmax", "2"], capsys)
+    assert "--rho -1: rho must be >= 0" in line
+
+
+@pytest.mark.parametrize("lattice, boundary, message", [
+    ("U+U+rank1(-2)", "99:1", "index 99 is not one of the 40 planes found at --cusp-bound 1"),
+    ("U+U+rank1(-2)", "0", "--boundary wants 'index:degree;...' with integers, got '0'"),
+    ("U+U+rank1(-2)", "0:1;x:1", "got 'x:1'"),
+    ("rank1(-2)+rank1(-4)", "0:1", "signature (2, b)"),
+], ids=["index", "no-degree", "not-integer", "signature"])
+def test_predict_bad_boundary_is_a_usage_error(lattice, boundary, message, capsys):
+    line = _usage_error(["predict", "--lattice", lattice, "--n", "1", "--mu-s", "1",
+                         "--boundary", boundary, "--cusp-bound", "1"], capsys)
+    assert message in line
+
+
+def test_closed_stdout_ends_quietly():
+    # `hyperlat weil ... | head -1`: the reader goes away after one line
+    import os
+    import subprocess
+    import sys
+
+    import hyperlat
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hyperlat.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.Popen([sys.executable, "-m", "hyperlat", "weil", "--lattice",
+                             "U+U+rank1(-200)"], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline().startswith(b"# lattice=U+U+rank1(-200)")
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=120) == 1
+    assert err == ""

@@ -20,7 +20,6 @@ from hyperlat.exactla import (
     rational_congruent_diagonal,
     short_vectors,
     smith_normal_form,
-    solve_fraction,
     solve_integer,
     transpose,
     unimodular_inverse,
@@ -97,8 +96,6 @@ def test_fraction_solvers():
     inv = frac_mat_inv(a)
     assert mat_mul(a, inv) == [[1, 0], [0, 1]]
     assert unimodular_inverse([[1, 1], [0, 1]]) == [[1, -1], [0, 1]]
-    x = solve_fraction([[2, 0], [0, 3], [2, 3]], [4, 9, 13])
-    assert x == [Fraction(2), Fraction(3)]
 
 
 def test_unimodular_inverse_matches_fraction_inverse():

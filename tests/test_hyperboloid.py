@@ -28,11 +28,32 @@ from hyperlat.hyperboloid import (
     _disk_samples,
 )
 from hyperlat.cli import main
-from hyperlat.lattices import IntegerLattice, direct_sum, hyperbolic_plane, rank1
+from hyperlat.lattices import IntegerLattice, direct_sum, hyperbolic_plane, rank1, rescale
 
 
 def _window(V, rho=1):
     return Window(splitting_frame(V), Fraction(rho))
+
+
+def _scrambled(L, seed, steps):
+    """L in the basis of random elementary row moves: one component, no U."""
+    rng = random.Random(seed)
+    r = L.rank
+    m = [[int(i == j) for j in range(r)] for i in range(r)]
+    for _ in range(steps):
+        i, j = rng.sample(range(r), 2)
+        f = rng.choice([-2, -1, 1, 2])
+        m[i] = [x + f * y for x, y in zip(m[i], m[j])]
+    return IntegerLattice(tuple(tuple(sum(m[i][a] * L.gram[a][b] * m[j][b]
+                                          for a in range(r) for b in range(r))
+                                      for j in range(r)) for i in range(r)))
+
+
+def _a2_a3():
+    """A2 + A3(-1): signature (2, 3), no U in any basis shown."""
+    a2 = IntegerLattice(((2, -1), (-1, 2)))
+    a3 = IntegerLattice(((-2, 1, 0), (1, -2, 1), (0, 1, -2)))
+    return direct_sum(a2, a3)
 
 
 def test_unit_sphere_area():
@@ -133,14 +154,22 @@ def test_mc_error_scaling(v_lattice):
 
 
 def test_counts_match_box_scan(v_lattice):
-    win = _window(v_lattice)
+    # U+U+<-2>, then bases whose frame has a large glue index [L : P + N]:
+    # U(2)+U+<-4>, A2 + A3(-1) and a scrambled copy of it
     zero = tuple(Fraction(0) for _ in range(5))
-    for n in (1, 2, 5, 9):
-        fast = enumerate_points(None, n, win)
-        gen = _count_generic(zero, Fraction(n), win, False, 10 ** 9)
-        box = box_scan_count(None, n, win)
-        assert fast.count == gen.count == box.count
-        assert fast.grazing == gen.grazing == box.grazing
+    U = hyperbolic_plane()
+    for V, rhos, norms in ((v_lattice, [1], (1, 2, 5, 9)),
+                           (direct_sum(rescale(U, 2), U, rank1(-4)), [Fraction(1, 2), 1], (1, 2, 3)),
+                           (_a2_a3(), [1], (1, 2, 3)),
+                           (_scrambled(_a2_a3(), 3, 6), [Fraction(1, 2)], (1, 2))):
+        for rho in rhos:
+            win = _window(V, rho)
+            for n in norms:
+                fast = enumerate_points(None, n, win)
+                gen = _count_generic(zero, Fraction(n), win, False, 10 ** 9)
+                box = box_scan_count(None, n, win, guard=10 ** 8)
+                assert fast.count == gen.count == box.count, (V.gram, rho, n)
+                assert fast.grazing == gen.grazing == box.grazing
 
 
 def test_counts_match_box_scan_nonzero_gamma(v_lattice):
@@ -148,10 +177,11 @@ def test_counts_match_box_scan_nonzero_gamma(v_lattice):
     sector = Window(win.frame, Fraction(1), sector=(0.4, 2.9))
     lift = tuple(v_lattice.discriminant_group().lift((1,)))
     for n in (Fraction(5, 4), Fraction(13, 4)):
-        fast = enumerate_points((1,), n, win)
-        box = box_scan_count((1,), n, win)
-        assert fast.count == box.count
-        assert fast.grazing == box.grazing
+        for w in (win, sector):
+            fast = enumerate_points((1,), n, w)
+            box = box_scan_count((1,), n, w)
+            assert fast.count == box.count
+            assert fast.grazing == box.grazing
         # the generic enumerator, with the full cap, a sector and kept points
         for w in (win, sector):
             gen = _count_generic(lift, n, w, True, 10 ** 9)
@@ -175,6 +205,8 @@ def test_counts_match_randomized(v8_lattice):
     (Fraction(1, 2), [1, 2, 3], [10, 12]),
     (Fraction(1), [1, 3], [8]),
     (Fraction(2), [1], [4]),
+    (Fraction(0), [1, 2, 3], [8, 16]),
+    (Fraction(3, 2), [2], [5, 6]),
 ])
 def test_count_range_matches_oracles(v_lattice, rho, box_ns, generic_ns):
     # one unsorted range with gaps: box scan at small n, the generic
@@ -219,7 +251,8 @@ def test_count_range_entries_are_independent(v_lattice, rho, gamma, lo, hi):
 
 
 def test_count_range_chunking_is_invisible(v_lattice, monkeypatch):
-    # chunks of 1000 points (one or more kappa rows), and of a single row
+    # chunks of 1000 points (one or more rows of the N-side box), and of a
+    # single row
     win = _window(v_lattice, Fraction(1, 2))
     ns = list(range(60, 81))
     whole = count_range(None, ns, win)
@@ -243,29 +276,40 @@ def test_count_range_empty(v_lattice, monkeypatch):
 
 
 def test_equidistribution_run_builds_one_grid(v_lattice, monkeypatch):
-    # the kappa box (one inverse of the complement's majorant) is built once
-    # for the largest norm and serves all 31 norms
+    # one N-side sweep, for the largest norm, serves all 31 norms; every
+    # count_range call sweeps once
     calls = []
-    inverse = hyp.frac_mat_inv
+    sweep = hyp._sweep_n
 
-    def counted(m):
-        calls.append(len(m))
-        return inverse(m)
+    def counted(ranges, *args):
+        calls.append(ranges)
+        return sweep(ranges, *args)
 
-    monkeypatch.setattr(hyp, "frac_mat_inv", counted)
-    summary = equidistribution_run(v_lattice, None, _window(v_lattice), 40, 70,
+    monkeypatch.setattr(hyp, "_sweep_n", counted)
+    win = _window(v_lattice)
+    summary = equidistribution_run(v_lattice, None, win, 40, 70,
                                    prime_bound=30, samples=1000, seed=2)
     assert len(summary.reports) == 31
-    assert calls == [3]
+    assert len(calls) == 1
+    count_range(None, [3, 5], win)
+    count_range((1,), [Fraction(5, 4)], win)
+    assert len(calls) == 3
 
 
 def test_grid_guard_at_largest_norm(v_lattice, monkeypatch):
-    # the kappa grid has 25047 points at n = 40 and 57319 at n = 70
-    monkeypatch.setattr(hyp, "GRID_GUARD", 40000)
+    # the N-side box has 20825 points at n = 40 and 50807 at n = 70
+    monkeypatch.setattr(hyp, "SWEEP_GUARD", 40000)
     win = _window(v_lattice)
     assert count_range(None, [40], win)[0].count > 0
-    with pytest.raises(EnumGuardExceeded, match="57319"):
+    with pytest.raises(EnumGuardExceeded, match="50807"):
         count_range(None, [40, 70], win)
+
+
+def test_keys_that_would_overflow_int64_raise(v_lattice):
+    # at n = 10^18 the corners of the N-side box reach 1.2e19 > 2^63
+    win = _window(v_lattice, 0)
+    with pytest.raises(HyperboloidError, match="overflow int64"):
+        count_range(None, [10 ** 18], win)
 
 
 def test_count_parity(v_lattice):
@@ -340,7 +384,8 @@ def _no_generic(monkeypatch):
 
 
 def test_json_lattice_without_metadata_takes_fast_path(v_lattice, tmp_path, monkeypatch):
-    # only the Gram matrix: the orthogonal U is found, not read from a key
+    # only the Gram matrix: the same rows as the named lattice, and the
+    # depth-first search never runs
     path = tmp_path / "plain.json"
     path.write_text(json.dumps({"gram": [list(r) for r in v_lattice.gram]}))
 
@@ -375,23 +420,15 @@ def test_split_on_non_adjacent_rows(monkeypatch):
 
 def test_scrambled_basis_counts_without_split(v8_lattice):
     # the basis of test_counts_ignore_the_basis: one component, no U shown,
-    # so the frame diagonalizes the whole form and the generic search counts
-    rng = random.Random(5)
-    L = v8_lattice
-    r = L.rank
-    m = [[int(i == j) for j in range(r)] for i in range(r)]
-    for _ in range(12):
-        i, j = rng.sample(range(r), 2)
-        f = rng.choice([-2, -1, 1, 2])
-        m[i] = [x + f * y for x, y in zip(m[i], m[j])]
-    M = IntegerLattice(tuple(tuple(sum(m[i][a] * L.gram[a][b] * m[j][b]
-                                       for a in range(r) for b in range(r))
-                                   for j in range(r)) for i in range(r)))
+    # so the frame diagonalizes the whole form; its glue index is 99360
+    M = _scrambled(v8_lattice, 5, 12)
+    r = M.rank
     assert M.components == (tuple(range(r)),) and M.hyperbolic_split is None
     win = _window(M, Fraction(1, 2))
-    assert hyp._fast_split_data(win) is None
-    # the skewed basis makes the oracle's box large: two small norms
+    zero = tuple(Fraction(0) for _ in range(r))
+    # the skewed basis makes the oracles' searches large: two small norms
     for n in (1, 2):
         got = enumerate_points(None, n, win)
         box = box_scan_count(None, n, win, guard=10 ** 8)
-        assert (got.count, got.grazing) == (box.count, box.grazing)
+        gen = _count_generic(zero, Fraction(n), win, False, 10 ** 9)
+        assert (got.count, got.grazing) == (box.count, box.grazing) == (gen.count, gen.grazing)
