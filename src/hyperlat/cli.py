@@ -14,6 +14,7 @@ import os
 import sys
 from fractions import Fraction
 
+from .exactla import NodeGuardExceeded
 from .lattices import (
     IntegerLattice,
     direct_sum,
@@ -220,6 +221,9 @@ def cmd_count(args, out):
     from .hyperboloid import HyperboloidError, Window, equidistribution_run, splitting_frame
 
     L = parse_lattice_spec(args.lattice)
+    if L.rank < 5:
+        raise argparse.ArgumentTypeError(
+            f"count wants signature (2, b) with b >= 3, got rank {L.rank}")
     gamma = parse_gamma(args.gamma, L)
     rho = parse_fraction(args.rho, "--rho")
     nmin, nmax = parse_fraction(args.nmin, "--nmin"), parse_fraction(args.nmax, "--nmax")
@@ -431,6 +435,9 @@ def main(argv=None, out=None) -> int:
         return code
     except argparse.ArgumentTypeError as exc:
         parser.error(str(exc))
+    except NodeGuardExceeded as exc:
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        return 3
     except BrokenPipeError:
         # the reader closed stdout (say `| head`): stop quietly, and send
         # what is still buffered to devnull so the flush at exit is silent

@@ -25,18 +25,18 @@ import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .exactla import NodeGuardExceeded
 from .fqm import discriminant_group
 from .lattices import IntegerLattice, _prime_factors
 
 ENUMERATION_GUARD = 10 ** 8
-_SMALL_PRIME_SWEEP = 50          # extra primes swept by is_representable
 
 
 class DensityError(ValueError):
     pass
 
 
-class GuardExceeded(DensityError):
+class GuardExceeded(DensityError, NodeGuardExceeded):
     pass
 
 
@@ -677,9 +677,9 @@ def is_representable(gamma, n, V: IntegerLattice,
                      guard: int = ENUMERATION_GUARD) -> bool:
     """Local representability of -n by Q on the coset gamma + V (n > 0).
 
-    Positive local density at every prime up to 50 and at every prime
-    dividing 2 * num(n) * den(n) * det certifies it: outside that set the
-    completion is unimodular of rank >= 5, where densities are positive.
+    Read off the singular series at prime bound 0, which runs over the
+    primes dividing 2 * num(n) * den(n) * det: at any other prime the
+    density p^(r-1) +- p^(r-1-k), k = r // 2 >= 1, is positive.
     """
     n = Fraction(n)
     if n <= 0:
@@ -687,13 +687,4 @@ def is_representable(gamma, n, V: IntegerLattice,
     lift = _gamma_lift(V, gamma)
     if not in_coset_support(lift, n, V):
         return False
-    if V.hyperbolic_split is not None:
-        # an orthogonal summand U represents everything at every prime
-        return True
-    ps = set(small_primes(_SMALL_PRIME_SWEEP))
-    ps.update(_prime_factors(2 * n.numerator * n.denominator * V.det))
-    for p in sorted(ps):
-        rep = local_density(lift, n, V, p, guard=guard)
-        if rep.density == 0:
-            return False
-    return True
+    return singular_series(lift, n, V, 0, guard=guard).truncated_product != 0

@@ -443,7 +443,8 @@ def lll_reduce_gram(g, delta=Fraction(3, 4)):
 
 
 class NodeGuardExceeded(ValueError):
-    pass
+    """Base of every refusal to run past a size guard; the command line
+    reports it with exit status 3."""
 
 
 def short_vectors(a, bound, shift=None, guard=None):

@@ -44,7 +44,7 @@ from .exactla import (
     transpose,
     unimodular_inverse,
 )
-from .densities import _gamma_lift, in_coset_support, is_representable, singular_series
+from .densities import _gamma_lift, in_coset_support, singular_series
 from .lattices import IntegerLattice
 
 FRAME_TOLERANCE = 1e-10
@@ -57,7 +57,7 @@ class HyperboloidError(ValueError):
     pass
 
 
-class EnumGuardExceeded(HyperboloidError):
+class EnumGuardExceeded(HyperboloidError, NodeGuardExceeded):
     pass
 
 
@@ -125,14 +125,14 @@ class SplittingFrame:
         r = self.lattice.rank
         return 2 ** (r / 2) / math.sqrt(abs(self.lattice.det))
 
+    def pairings(self, vec) -> list[Fraction]:
+        """(vec, t1) and (vec, t2) with the positive vectors; exact."""
+        return [self.lattice.pairing(vec, t) for t in self.positive]
+
     def radial_sq(self, vec) -> Fraction:
         """Q of the projection onto the positive plane; exact."""
-        L = self.lattice
-        out = Fraction(0)
-        for t in self.positive:
-            lt = L.pairing(vec, t)
-            out += lt * lt / (2 * L.pairing(t, t))
-        return out
+        return sum((lt * lt / (2 * self.lattice.pairing(t, t))
+                    for lt, t in zip(self.pairings(vec), self.positive)), Fraction(0))
 
 
 def splitting_frame(V: IntegerLattice) -> SplittingFrame:
@@ -497,7 +497,7 @@ def _count_glued(lift, ns, window: Window):
     zmax = [max(abs(lo + x), abs(hi + x), 1) * ds for (lo, hi), x in zip(ranges, s)]
     worst = sum(abs(a_int[i][j]) * zmax[i] * zmax[j] for i in range(b) for j in range(b))
     if max(math.prod(dmod) * width, worst, tau * 2 * rho2 * n_hi) >= 1 << 63:
-        raise HyperboloidError("glued point keys would overflow int64")
+        raise EnumGuardExceeded("glued point keys would overflow int64")
     size = math.prod(hi - lo + 1 for lo, hi in ranges)
     if size > SWEEP_GUARD:
         raise EnumGuardExceeded(f"N-side sweep of {size} points exceeds guard")
@@ -506,14 +506,21 @@ def _count_glued(lift, ns, window: Window):
         ks = [k for k, _ in short_vectors(ap, 2 * rho2 * n_hi, sp, SWEEP_GUARD)]
     except NodeGuardExceeded as exc:
         raise EnumGuardExceeded(str(exc)) from None
+    kk = [(dp * k0 + int(sp[0] * dp), dp * k1 + int(sp[1] * dp)) for k0, k1 in ks]
     if window.sector is not None:
-        # (x, t_i) = (p, t_i), so the sector test of x is that of p
-        hb = transpose(mat_mul(hp, bp))
-        ks = [k for k in ks if _sector_ok(window, mat_vec(hb, [ki + si for ki, si in zip(k, sp)]))]
+        # (x, t_i) = (p, t_i) = (k + sp) m_i, m = hp bp G (t1 t2): a rational
+        # 2 x 2 map of k, formed on the integers kk = dp (k + sp) and dm m
+        in_sector = _sector_test(window)
+        m = mat_mul(mat_mul(hp, bp), transpose([mat_vec(g, t) for t in window.frame.positive]))
+        dm = lcm(*(x.denominator for row in m for x in row), 1)
+        (m00, m01), (m10, m11) = ([int(x * dm) for x in row] for row in m)
+        kept = [(k, (x, y)) for k, (x, y) in zip(ks, kk)
+                if in_sector(Fraction(x * m00 + y * m10, dp * dm),
+                             Fraction(x * m01 + y * m11, dp * dm))]
+        ks, kk = [k for k, _ in kept], [x for _, x in kept]
     if not ks:
         return [(0, 0)] * len(ns)
     (a00, a01), (_, a11) = ([int(x * dap) for x in row] for row in ap)
-    kk = [(dp * k0 + int(sp[0] * dp), dp * k1 + int(sp[1] * dp)) for k0, k1 in ks]
     p_values = np.array([a00 * x * x + 2 * a01 * x * y + a11 * y * y for x, y in kk],
                         dtype=np.int64)
     fc = np.array(mat_mul(mat_mul([row[2:] for row in h[:2]], nb), cmap), dtype=np.int64)
@@ -562,6 +569,7 @@ def _count_generic(lift, n: Fraction, window: Window, keep_points: bool,
     counted = 0
     grazing = 0
     points = [] if keep_points else None
+    in_sector = _sector_test(window) if window.sector is not None else None
     try:
         for z, value in short_vectors(_majorant_matrix(window), bound, lift,
                                       guard):
@@ -571,7 +579,7 @@ def _count_generic(lift, n: Fraction, window: Window, keep_points: bool,
                 continue
             if window.sector is not None or points is not None:
                 vec = tuple(Fraction(xi, dl) for xi in x)
-                if window.sector is not None and not _sector_ok(window, vec):
+                if in_sector and not in_sector(*window.frame.pairings(vec)):
                     continue
                 if points is not None:
                     points.append(vec)
@@ -584,13 +592,18 @@ def _count_generic(lift, n: Fraction, window: Window, keep_points: bool,
                       tuple(points) if points is not None else None)
 
 
-def _sector_ok(window: Window, vec) -> bool:
+def _sector_test(window: Window):
+    """The sector test as a function of the exact pairings (x, t1), (x, t2):
+    the angle of x's positive-plane part in the normalized frame.  Every
+    counter hands it exact values, so all take the same float steps."""
     L = window.frame.lattice
-    t1, t2 = window.frame.positive
-    a1 = float(L.pairing(vec, t1)) / math.sqrt(float(2 * L.pairing(t1, t1)))
-    a2 = float(L.pairing(vec, t2)) / math.sqrt(float(2 * L.pairing(t2, t2)))
-    ang = math.atan2(a2, a1) % (2 * math.pi)
-    return (ang - window.sector[0]) % (2 * math.pi) <= window.sector_width
+    s1, s2 = (math.sqrt(float(2 * L.pairing(t, t))) for t in window.frame.positive)
+
+    def in_sector(l1, l2) -> bool:
+        ang = math.atan2(float(l2) / s2, float(l1) / s1) % (2 * math.pi)
+        return (ang - window.sector[0]) % (2 * math.pi) <= window.sector_width
+
+    return in_sector
 
 
 def box_scan_count(gamma, n, window: Window, guard: int = 10 ** 7,
@@ -629,12 +642,13 @@ def box_scan_count(gamma, n, window: Window, guard: int = 10 ** 7,
     coords = coords[qv2 == int(-2 * n * dl * dl)]
     count = grazing = 0
     points = []
+    in_sector = _sector_test(window) if window.sector is not None else None
     for row in coords:
         vec = tuple(Fraction(int(x), dl) for x in row)
         rad = window.frame.radial_sq(vec)
         if rad > rho2n:
             continue
-        if window.sector is not None and not _sector_ok(window, vec):
+        if in_sector and not in_sector(*window.frame.pairings(vec)):
             continue
         count += 1
         if rad == rho2n:
@@ -692,9 +706,10 @@ def equidistribution_run(V: IntegerLattice, gamma, window: Window,
     """Empirical vs predicted counts over a range of admissible n.
 
     predicted(n) = mu_infty(window) * n^(b/2) * truncated singular series,
-    with mu_infty in closed form.  Non-representable n are skipped with a
-    note.  With samples > 0 the Monte Carlo estimate of mu_infty is run from
-    the seed as a cross-check and carried in the summary; it enters no
+    with mu_infty in closed form.  One singular series per n: an n whose
+    product is 0 is not locally representable and is skipped with a note.
+    With samples > 0 the Monte Carlo estimate of mu_infty is run from the
+    seed as a cross-check and carried in the summary; it enters no
     prediction.  Counts are exact, all from one ``count_range`` call.
     """
     b = V.rank - 2
@@ -702,22 +717,21 @@ def equidistribution_run(V: IntegerLattice, gamma, window: Window,
     mu_val = mu_infty_closed(window)
     mc = (mu_infty(window, samples, seed=seed, workers=workers)
           if samples > 0 else None)
-    ns = []
+    products = {}
     skipped = []
     for n in admissible_values(V, lift, n_lo, n_hi):
-        if is_representable(lift, n, V):
-            ns.append(n)
+        product = singular_series(lift, n, V, prime_bound).truncated_product
+        if product:
+            products[n] = product
         else:
             skipped.append((n, "not locally representable"))
     reports = []
-    for pc in count_range(lift, ns, window):
-        n = pc.n
-        ss = singular_series(lift, n, V, prime_bound)
-        predicted = mu_val * float(n) ** (b / 2) * float(ss.truncated_product)
+    for pc in count_range(lift, list(products), window):
+        n, product = pc.n, products[pc.n]
+        predicted = mu_val * float(n) ** (b / 2) * float(product)
         ratio = pc.count / predicted if predicted else math.inf
         reports.append(CountReport(n, pc.count, predicted, ratio, mu_val,
-                                   ss.truncated_product, prime_bound,
-                                   pc.grazing))
+                                   product, prime_bound, pc.grazing))
     ratios = [r.ratio for r in reports]
     mean = sum(ratios) / len(ratios) if ratios else math.nan
     half = len(ratios) // 2

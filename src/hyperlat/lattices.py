@@ -43,11 +43,11 @@ class Signature:
 class IntegerLattice:
     """An even nondegenerate integral lattice given by its Gram matrix.
 
-    Everything else is read off the Gram matrix: ``components`` is the
-    orthogonal splitting the basis shows, which shapes the hyperboloid
-    frame, and ``hyperbolic_split`` the summand U, which only the shortcut
-    in ``densities.is_representable`` reads.  ``name`` is a label only and
-    does not affect equality.
+    Everything else is read off the Gram matrix.  ``components`` is the
+    orthogonal splitting the basis shows; it shapes the hyperboloid frame,
+    and so which cap is counted, but decides no count, density or
+    representability.  ``name`` is a label only and does not affect
+    equality.
     """
 
     gram: tuple[tuple[int, ...], ...]
@@ -124,16 +124,6 @@ class IntegerLattice:
                         todo.append(j)
             out.append(tuple(sorted(comp)))
         return tuple(out)
-
-    @cached_property
-    def hyperbolic_split(self) -> tuple[int, int] | None:
-        """Rows (i, j) of the first component with Gram matrix [[0, 1], [1, 0]]
-        (an orthogonal summand U), or None."""
-        g = self.gram
-        for comp in self.components:
-            if [[g[i][j] for j in comp] for i in comp] == [[0, 1], [1, 0]]:
-                return comp
-        return None
 
     # -- serialization -----------------------------------------------------
 

@@ -21,7 +21,6 @@ from .densities import (
     count_solutions_naive,
     eisenstein_coefficient,
     in_coset_support,
-    is_representable,
 )
 from .exactla import floor_sqrt_fraction
 from .fqm import discriminant_group, isotropic_subgroups
@@ -64,12 +63,12 @@ class PredictionResult:
     value: object                  # mpmath mpf
     error_order: str
     representable: bool
-    coefficient: object            # c(gamma, n), or None when n is not represented
+    coefficient: object            # c(gamma, n); no series for n <= 0 or off the coset
     prime_bound: int
 
     @property
     def series(self):
-        return self.coefficient.series if self.coefficient is not None else None
+        return self.coefficient.series
 
     def __float__(self):
         return float(self.value)
@@ -78,19 +77,17 @@ class PredictionResult:
 def main_term(V: IntegerLattice, gamma, n, mu_s: float, prime_bound: int,
               guard=None) -> PredictionResult:
     """-(mu(S)/2) c(gamma, n): mu(S) (2 pi)^(1+b/2) n^(b/2) / (sqrt|D|
-    Gamma(1+b/2)) times the truncated singular series."""
-    n = Fraction(n)
+    Gamma(1+b/2)) times the truncated singular series; exactly 0, and not
+    representable, when c(gamma, n) has no series or its product is 0."""
     b = V.rank - 2
     error_order = f"O(n^((2+b)/4+eps)) = O(n^({Fraction(2 + b, 4)}+eps)) for projective bases"
-    kwargs = {} if guard is None else {"guard": guard}
-    lift = _gamma_lift(V, gamma)
-    if n <= 0 or not is_representable(lift, n, V, **kwargs):
-        return PredictionResult(mpmath.mpf(0), error_order, False, None, prime_bound)
-    c = eisenstein_coefficient(lift, n, V, prime_bound, **kwargs)
+    c = eisenstein_coefficient(gamma, n, V, prime_bound,
+                               **({} if guard is None else {"guard": guard}))
+    if c.series is None or c.series.truncated_product == 0:
+        return PredictionResult(mpmath.mpf(0), error_order, False, c, prime_bound)
     with mpmath.workdps(50):
         val = -c.value * mpmath.mpf(mu_s) / 2
-    return PredictionResult(val, error_order, c.series.truncated_product > 0,
-                            c, prime_bound)
+    return PredictionResult(val, error_order, True, c, prime_bound)
 
 
 def predict_count(inp: PredictionInput, guard=None) -> PredictionResult:
@@ -110,9 +107,6 @@ def degree_prediction(inp: PredictionInput, guard=None):
     total = base.value
     rows = []
     c = base.coefficient
-    if c is None:   # main_term skips c(gamma, n) when n is not represented
-        c = eisenstein_coefficient(inp.gamma, inp.n, inp.lattice, inp.prime_bound,
-                                   **({} if guard is None else {"guard": guard}))
     b = inp.lattice.rank - 2
     theta_order = max(Fraction(inp.n), Fraction(0))
     thetas = {}   # one theta series per distinct K_F

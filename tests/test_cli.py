@@ -525,3 +525,24 @@ def test_closed_stdout_ends_quietly():
     err = proc.stderr.read().decode()
     assert proc.wait(timeout=120) == 1
     assert err == ""
+
+
+@pytest.mark.parametrize("lattice, nmin, nmax, prime_bound, message", [
+    ("U+U+rank1(-2)", "100000", "100000", "10",
+     "N-side sweep of 2864466295 points exceeds guard"),
+    ("rank1(4)+rank1(4)+rank1(-4)+rank1(-4)+rank1(-4)", "1", "12", "30",
+     "residual of rank 5 at p^s = 8192 exceeds guard"),
+], ids=["sweep", "residual"])
+def test_guard_errors_exit_3(lattice, nmin, nmax, prime_bound, message, capsys):
+    # a valid input too large for a guard of the computation: one line, exit 3
+    code = main(["count", "--lattice", lattice, "--rho", "1", "--nmin", nmin,
+                 "--nmax", nmax, "--prime-bound", prime_bound], out=io.StringIO())
+    lines = capsys.readouterr().err.splitlines()
+    assert code == 3 and len(lines) == 1
+    assert lines[0].startswith("hyperlat: error: ") and message in lines[0]
+
+
+def test_count_small_rank_is_a_usage_error(capsys):
+    line = _usage_error(["count", "--lattice", "U+U", "--rho", "1", "--nmin", "1",
+                         "--nmax", "2"], capsys)
+    assert "count wants signature (2, b) with b >= 3, got rank 4" in line

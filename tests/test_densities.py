@@ -22,7 +22,15 @@ from hyperlat.densities import (
 )
 from hyperlat.exactla import frac_mat_inv
 from hyperlat.fqm import discriminant_group
-from hyperlat.lattices import IntegerLattice, LatticeError, direct_sum, e8, hyperbolic_plane, rank1
+from hyperlat.lattices import (
+    IntegerLattice,
+    LatticeError,
+    _prime_factors,
+    direct_sum,
+    e8,
+    hyperbolic_plane,
+    rank1,
+)
 from hyperlat.predict import k3_lattices
 
 from conftest import small_test_lattices
@@ -116,11 +124,11 @@ def _legendre(x, p):
 
 def test_odd_rank_closed_form_at_good_primes(v_lattice):
     # r = 2k+1 and p prime to 2 n det: density 1 + ((-1)^k 2 det (-n) / p) p^-k.
-    # The K3 complement comes from explicit rows; its basis shows U at rows
-    # (1, 2).  s = 3 puts p^s far above 2^15 for the larger primes.
+    # The K3 complement comes from explicit rows.  s = 3 puts p^s far above
+    # 2^15 for the larger primes.
     from hyperlat.predict import _complement_of
     k3_complement = _complement_of([(1, 1) + (0,) * 20])
-    assert k3_complement.rank == 21 and k3_complement.hyperbolic_split == (1, 2)
+    assert k3_complement.rank == 21
     for L, norms in ((v_lattice, (1, 3, 7)), (k3_complement, (4,))):
         k = (L.rank - 1) // 2
         for n in norms:
@@ -205,7 +213,7 @@ def test_counts_ignore_the_basis():
     gram = tuple(tuple(sum(m[i][a] * L.gram[a][b] * m[j][b] for a in range(r) for b in range(r))
                        for j in range(r)) for i in range(r))
     M = IntegerLattice(gram)
-    assert M.components == (tuple(range(r)),) and M.hyperbolic_split is None
+    assert M.components == (tuple(range(r)),)
     assert any(g for row in gram for g in row if abs(g) > 2)
     minv = frac_mat_inv(m)
     D = discriminant_group(L)
@@ -388,6 +396,32 @@ def test_is_representable_without_split():
     # oracle: solvable mod 9 with the sharper density check
     rep3 = local_density(None, 1, L, 3)
     assert got == (rep3.density > 0)
+
+
+def test_is_representable_matches_the_prime_sweep():
+    # oracle: the sweep is_representable once made, a positive density at
+    # every prime up to 50 and at every prime dividing 2 num(n) den(n) det
+    def swept(lift, n, V):
+        ps = set(small_primes(50))
+        ps.update(_prime_factors(2 * n.numerator * n.denominator * V.det))
+        return all(local_density(lift, n, V, p).density > 0 for p in ps)
+
+    def diagonal(*ms):
+        return direct_sum(*(rank1(m) for m in ms))
+
+    seen = set()
+    for V in (diagonal(2, 6, -6, -6, -6), diagonal(2, 2, -6, -6, -6),
+              diagonal(2, 2, -2, -2, -2), direct_sum(hyperbolic_plane(), diagonal(6, -6, -18))):
+        D = discriminant_group(V)
+        for gamma in D.elements()[:3]:
+            lift = D.lift(gamma)
+            for k in range(5):
+                n = (-V.q_of(lift)) % 1 + k
+                if n > 0:
+                    got = is_representable(gamma, n, V)
+                    assert got == swept(lift, n, V), (V.name, gamma, n)
+                    seen.add(got)
+    assert seen == {True, False}
 
 
 def test_local_pieces_shared_across_norms(v_lattice):

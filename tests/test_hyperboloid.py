@@ -296,6 +296,28 @@ def test_equidistribution_run_builds_one_grid(v_lattice, monkeypatch):
     assert len(calls) == 3
 
 
+def test_equidistribution_run_reads_representability_off_the_series(monkeypatch):
+    # Q = x^2 + 3y^2 - 3(z^2 + w^2 + v^2) misses -n = 1 mod 3 at p = 3; one
+    # singular series per n both skips those n and predicts the others
+    import hyperlat.densities as dens
+
+    V = direct_sum(rank1(2), rank1(6), rank1(-6), rank1(-6), rank1(-6))
+    calls = []
+    density = dens.local_density
+
+    def counted(gamma, n, L, p, **kwargs):
+        calls.append((p, n))
+        return density(gamma, n, L, p, **kwargs)
+
+    monkeypatch.setattr(dens, "local_density", counted)
+    summary = equidistribution_run(V, None, _window(V), 1, 12, prime_bound=30)
+    assert [n for n, _ in summary.skipped] == [1, 4, 7, 10]
+    assert {reason for _, reason in summary.skipped} == {"not locally representable"}
+    assert [r.n for r in summary.reports] == [2, 3, 5, 6, 8, 9, 11, 12]
+    assert all(r.series_value > 0 for r in summary.reports)
+    assert len(calls) == len(set(calls))
+
+
 def test_grid_guard_at_largest_norm(v_lattice, monkeypatch):
     # the N-side box has 20825 points at n = 40 and 50807 at n = 70
     monkeypatch.setattr(hyp, "SWEEP_GUARD", 40000)
@@ -407,7 +429,6 @@ def test_split_on_non_adjacent_rows(monkeypatch):
     g[0][2] = g[2][0] = g[1][3] = g[3][1] = 1
     g[4][4] = -2
     V = IntegerLattice(tuple(map(tuple, g)))
-    assert V.hyperbolic_split == (0, 2)
     win = _window(V)
     assert win.frame.positive[0] == (1, 0, 1, 0, 0)
     _no_generic(monkeypatch)
@@ -423,7 +444,7 @@ def test_scrambled_basis_counts_without_split(v8_lattice):
     # so the frame diagonalizes the whole form; its glue index is 99360
     M = _scrambled(v8_lattice, 5, 12)
     r = M.rank
-    assert M.components == (tuple(range(r)),) and M.hyperbolic_split is None
+    assert M.components == (tuple(range(r)),)
     win = _window(M, Fraction(1, 2))
     zero = tuple(Fraction(0) for _ in range(r))
     # the skewed basis makes the oracles' searches large: two small norms

@@ -172,14 +172,13 @@ def test_file_format_roundtrip(tmp_path):
     text = V.to_json()
     back = lattice_from_json(text)
     assert back.gram == V.gram
-    assert back.hyperbolic_split == (0, 1)
     with pytest.raises(LatticeError):
         lattice_from_json(json.dumps({"gram": [[1, 0], [0, 2]]}))
     with pytest.raises(LatticeError):
         lattice_from_json(json.dumps({"gram": [[0, 1], [2, 0]]}))
-    # 2U is no summand U, whatever an old split key claims
+    # an old split key is ignored
     old = {"gram": [[0, 2], [2, 0]], "hyperbolic_split": {"rows": [0, 1]}}
-    assert lattice_from_json(json.dumps(old)).hyperbolic_split is None
+    assert lattice_from_json(json.dumps(old)) == IntegerLattice(((0, 2), (2, 0)))
 
 
 def test_components_of_named_lattices_and_sums():
@@ -187,28 +186,20 @@ def test_components_of_named_lattices_and_sums():
     k3 = k3_lattice()
     assert k3.components == ((0, 1), (2, 3), (4, 5), tuple(range(6, 14)),
                              tuple(range(14, 22)))
-    assert k3.hyperbolic_split == (0, 1)
     V = direct_sum(rank1(-2), e8(-1), U, U)
     assert V.components == ((0,), tuple(range(1, 9)), (9, 10), (11, 12))
-    assert V.hyperbolic_split == (9, 10)
-    assert rank1(-2).components == ((0,),) and rank1(-2).hyperbolic_split is None
+    assert rank1(-2).components == ((0,),)
     assert IntegerLattice(()).components == ()
-    # U(2) and U(-1) are no summand U in this basis
-    assert rescale(U, 2).hyperbolic_split is None
-    assert rescale(U, -1).hyperbolic_split is None
-    assert rescale(U, 1).hyperbolic_split == (0, 1)
 
 
 def test_hyperbolic_split_is_an_orthogonal_summand():
     # U on the non-adjacent rows 0 and 2, <-2> between them
     L = IntegerLattice(((0, 0, 1), (0, -2, 0), (1, 0, 0)))
-    assert L.components == ((0, 2), (1,)) and L.hyperbolic_split == (0, 2)
+    assert L.components == ((0, 2), (1,))
     # rows 0, 1 have the 2x2 entries of U, but row 1 meets row 2:
     # no orthogonal summand
     M = IntegerLattice(((0, 1, 0), (1, 0, 1), (0, 1, -2)))
-    assert M.components == ((0, 1, 2),) and M.hyperbolic_split is None
-    # [[0, 1], [1, 2]] is U in another basis; only the basis shown counts
-    assert IntegerLattice(((0, 1), (1, 2))).hyperbolic_split is None
+    assert M.components == ((0, 1, 2),)
 
 
 def test_old_metadata_keys_are_ignored(tmp_path):
@@ -221,7 +212,6 @@ def test_old_metadata_keys_are_ignored(tmp_path):
         "blocks": [[0, 2], [2, 2], [4, 1]]}))
     back = load_lattice(path)
     assert back == V and back.components == V.components
-    assert back.hyperbolic_split == (0, 1)
     assert not hasattr(back, "blocks")
     # keys the old format rejected (blocks that do not partition the basis,
     # a split on rows that are not U) no longer matter
@@ -229,4 +219,4 @@ def test_old_metadata_keys_are_ignored(tmp_path):
         "gram": [list(r) for r in V.gram],
         "blocks": [[0, 3]], "hyperbolic_split": {"rows": [0, 4]}}))
     back = load_lattice(path)
-    assert back == V and back.hyperbolic_split == (0, 1)
+    assert back == V

@@ -48,6 +48,16 @@ def test_predict_not_representable(v_lattice):
     assert float(pred) == 0 and not pred.representable
 
 
+def test_predict_zero_where_a_local_density_vanishes():
+    # -1 is not a value of x^2 + 3y^2 - 3(z^2 + w^2 + v^2) over Z_3
+    V = direct_sum(rank1(2), rank1(6), rank1(-6), rank1(-6), rank1(-6))
+    pred = predict_count(PredictionInput(V, None, 1, 1.0, prime_bound=30))
+    assert not pred.representable and pred.value == 0
+    assert pred.coefficient is not None
+    assert pred.series.truncated_product == 0 and pred.series.factors[3].density == 0
+    assert predict_count(PredictionInput(V, None, 2, 1.0, prime_bound=30)).representable
+
+
 def test_predict_scales_with_mass(v_lattice):
     one = predict_count(PredictionInput(v_lattice, (0,), 2, 1.0, prime_bound=30))
     three = predict_count(PredictionInput(v_lattice, (0,), 2, 3.0, prime_bound=30))
