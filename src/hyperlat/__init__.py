@@ -10,7 +10,7 @@ against the predicted main term.
 ``import hyperlat`` loads no submodule.  Each public name below is resolved
 on first access (``from hyperlat import theta_series`` imports
 ``hyperlat.qseries`` and nothing else of the package), so a program pays the
-import cost of numpy and mpmath only when it uses a module that needs them.
+import cost of numpy only when it uses a module that needs it.
 """
 
 import importlib

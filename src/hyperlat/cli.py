@@ -172,11 +172,15 @@ def cmd_cusp(args, out):
 
 
 def cmd_density(args, out):
-    from .densities import in_coset_support, local_density
+    from .densities import in_coset_support, is_prime, local_density
 
     L = parse_lattice_spec(args.lattice)
     gamma = parse_gamma(args.gamma, L)
     n = parse_fraction(args.n, "--n")
+    if not is_prime(args.prime):
+        raise argparse.ArgumentTypeError(f"--prime wants a prime, got {args.prime}")
+    if n <= 0:
+        raise argparse.ArgumentTypeError(f"--n wants a norm n > 0, got {n}")
     if not in_coset_support(gamma, n, L):
         shift = -L.discriminant_group().q_value(gamma) % 1
         raise argparse.ArgumentTypeError(
@@ -310,6 +314,9 @@ def cmd_k3(args, out):
     rows = None
     if args.p_rows:
         rows = [[int(x) for x in row.split(",")] for row in args.p_rows.split(";")]
+    elif args.two_d is None or args.two_d <= 0 or args.two_d % 2:
+        raise argparse.ArgumentTypeError(
+            f"--two-d wants a positive even integer (or give --p-rows), got {args.two_d}")
     gamma = None
     if args.gamma:
         # gamma lives in D(V) of the complement

@@ -23,6 +23,7 @@ from __future__ import annotations
 import functools
 import numbers
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 from .exactla import NodeGuardExceeded
@@ -30,6 +31,8 @@ from .fqm import discriminant_group
 from .lattices import IntegerLattice, _prime_factors
 
 ENUMERATION_GUARD = 10 ** 8
+# pi to 80 digits; the closed forms are evaluated in decimal at 50 digits or fewer
+PI = Decimal("3.1415926535897932384626433832795028841971693993751058209749445923078164062862")
 
 
 class DensityError(ValueError):
@@ -70,6 +73,30 @@ def small_primes(bound: int):
         if sieve[i]:
             sieve[i * i::i] = b"\x00" * len(sieve[i * i::i])
     return [i for i in range(2, bound + 1) if sieve[i]]
+
+
+def is_prime(m: int) -> bool:
+    """Miller-Rabin on the first twelve prime bases, which decides every
+    m < 3.18 * 10^23 (and is a strong probable-prime test beyond).  Trial
+    division would take minutes on a 19-digit prime, whose density the
+    closed form gives at once."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if m < 2 or m in bases:
+        return m in bases
+    if any(m % a == 0 for a in bases):
+        return False
+    d, s = m - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in bases:
+        x = pow(a, d, m)
+        for _ in range(s):
+            if x in (1, m - 1):
+                break
+            x = x * x % m
+        else:
+            return False
+    return True
 
 
 def _gamma_lift(L: IntegerLattice, gamma):
@@ -606,15 +633,16 @@ def gamma_half_integer(two_k: int):
     return Fraction(num, den), 1
 
 
-def _mpf_frac(x: Fraction):
-    import mpmath
-
-    return mpmath.mpf(x.numerator) / x.denominator
+def decimal_of(x) -> Decimal:
+    """An int, float, Fraction or Decimal as a Decimal, rounded to the
+    current decimal context."""
+    x = Fraction(x)
+    return Decimal(x.numerator) / x.denominator
 
 
 @dataclass(frozen=True)
 class EisensteinCoefficient:
-    value: object                 # mpmath mpf
+    value: Decimal
     exact: Fraction | None        # set when the value is exactly rational
     series: SingularSeries | None
     prime_bound: int
@@ -633,34 +661,34 @@ def eisenstein_coefficient(gamma, n, V: IntegerLattice, prime_bound: int,
     """Fourier coefficient of the weight 1 + b/2 Eisenstein vector.
 
     The constant term at (0, 0) is exactly 2.  For n > 0 the archimedean
-    constant is evaluated to 50 digits (Gamma at half integers through the
-    exact factorial ladder) times the truncated singular series; the result
-    carries an approximate flag because of the truncation.  For n < 0 and
+    constant (Gamma at half integers through the exact factorial ladder)
+    times the truncated singular series is evaluated in decimal to 50
+    digits; the result carries an approximate flag because of the
+    truncation.  For n < 0 and
     off the support n in -Q(gamma) + Z the coefficient is exactly 0.
     """
-    import mpmath
-
     n = Fraction(n)
     lift = _gamma_lift(V, gamma)
     if n == 0:
         if all(x == 0 for x in lift):
-            return EisensteinCoefficient(mpmath.mpf(2), Fraction(2), None, prime_bound)
-        return EisensteinCoefficient(mpmath.mpf(0), Fraction(0), None, prime_bound)
+            return EisensteinCoefficient(Decimal(2), Fraction(2), None, prime_bound)
+        return EisensteinCoefficient(Decimal(0), Fraction(0), None, prime_bound)
     if n < 0 or not in_coset_support(lift, n, V):
-        return EisensteinCoefficient(mpmath.mpf(0), Fraction(0), None, prime_bound)
+        return EisensteinCoefficient(Decimal(0), Fraction(0), None, prime_bound)
     b = V.rank - 2
     if b < 3:
         raise DensityError("Eisenstein coefficients want signature (2,b), b >= 3")
     ss = singular_series(lift, n, V, prime_bound, s_max=s_max, guard=guard)
     gamma_rat, sqrt_pi = gamma_half_integer(b + 2)
-    with mpmath.workdps(50):
-        pi_exp = mpmath.mpf(2 + b - sqrt_pi) / 2
-        arch = mpmath.mpf(2) ** (2 + mpmath.mpf(b) / 2)
-        arch *= mpmath.pi ** pi_exp
-        arch *= _mpf_frac(n) ** (mpmath.mpf(b) / 2)
-        arch /= mpmath.sqrt(abs(V.det))
-        arch /= _mpf_frac(gamma_rat)
-        value = -arch * _mpf_frac(ss.truncated_product)
+    # 2^(2+b/2) pi^((2+b-e)/2) n^(b/2) / (sqrt|D| Gamma(1+b/2)) times the
+    # product: a rational, an integer power of pi and the root of a rational
+    rational = 2 ** (2 + b // 2) * n ** (b // 2) / gamma_rat * ss.truncated_product
+    radicand = (2 * n) ** (b % 2) / abs(V.det)
+    with localcontext() as ctx:
+        ctx.prec = 50
+        # the magnitude is negated last, so a product of 0 gives +0, not -0
+        value = -(decimal_of(rational) * PI ** ((2 + b - sqrt_pi) // 2)
+                  * decimal_of(radicand).sqrt())
     return EisensteinCoefficient(value, None, ss, prime_bound)
 
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import localcontext
 from fractions import Fraction
 from math import lcm
 
@@ -44,7 +45,14 @@ from .exactla import (
     transpose,
     unimodular_inverse,
 )
-from .densities import _gamma_lift, in_coset_support, singular_series
+from .densities import (
+    PI,
+    _gamma_lift,
+    decimal_of,
+    gamma_half_integer,
+    in_coset_support,
+    singular_series,
+)
 from .lattices import IntegerLattice
 
 FRAME_TOLERANCE = 1e-10
@@ -198,19 +206,22 @@ class Window:
 
 def _closed_mass(window: Window, scale: float = 1.0) -> float:
     """scale * 2 pi s |S^(b-1)| ((rho^2 + 1)^(b/2) - 1) / b, evaluated in
-    mpmath at 30 digits and rounded once."""
-    import mpmath   # only the closed forms need it; count loads it here
-
+    decimal at 30 digits and rounded once.  With Gamma(b/2) = g pi^(e/2),
+    |S^(b-1)| = 2 pi^(b/2) / Gamma(b/2) = 2 pi^((b-e)/2) / g."""
     b = window.b
     if b < 2:
         raise HyperboloidError("measures want b >= 2")
-    with mpmath.workdps(30):
-        half_b = mpmath.mpf(b) / 2
-        sphere = 2 * mpmath.pi ** half_b / mpmath.gamma(half_b)
-        rho = mpmath.mpf(window.rho.numerator) / window.rho.denominator
-        mass = (2 * mpmath.pi * mpmath.mpf(window.sector_fraction()) * sphere
-                * ((rho * rho + 1) ** half_b - 1) / b)
-        return float(mass * mpmath.mpf(scale))
+    g, e = gamma_half_integer(b)
+    r2 = window.rho ** 2 + 1
+    with localcontext() as ctx:
+        ctx.prec = 30
+        growth = decimal_of(r2 ** (b // 2))
+        if b % 2:
+            growth *= decimal_of(r2).sqrt()
+        mass = (decimal_of(4 / (g * b)) * PI ** (1 + (b - e) // 2)
+                * decimal_of(window.sector_fraction()) * (growth - 1)
+                * decimal_of(scale))
+        return float(mass)
 
 
 def mu_a0_closed(window: Window) -> float:
@@ -500,7 +511,8 @@ def _count_glued(lift, ns, window: Window):
         raise EnumGuardExceeded("glued point keys would overflow int64")
     size = math.prod(hi - lo + 1 for lo, hi in ranges)
     if size > SWEEP_GUARD:
-        raise EnumGuardExceeded(f"N-side sweep of {size} points exceeds guard")
+        raise EnumGuardExceeded(
+            f"N-side sweep of {size} points exceeds guard {SWEEP_GUARD}")
 
     try:
         ks = [k for k, _ in short_vectors(ap, 2 * rho2 * n_hi, sp, SWEEP_GUARD)]
@@ -631,7 +643,7 @@ def box_scan_count(gamma, n, window: Window, guard: int = 10 ** 7,
         ranges.append(np.arange(lo, hi + 1, dtype=np.int64))
         size *= len(ranges[-1])
     if size > guard or size == 0:
-        raise EnumGuardExceeded(f"box of {size} nodes exceeds guard")
+        raise EnumGuardExceeded(f"box of {size} nodes exceeds guard {guard}")
     grids = np.meshgrid(*ranges, indexing="ij")
     # scaled coordinates: dl * (z + lift), all integers; the cheap vectorized
     # filter is the quadric equation, the few survivors get exact window tests

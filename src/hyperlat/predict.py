@@ -11,14 +11,14 @@ and a flagged local heuristic above that.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import isqrt
-
-import mpmath
 
 from .densities import (
     _gamma_lift,
     count_solutions_naive,
+    decimal_of,
     eisenstein_coefficient,
     in_coset_support,
 )
@@ -60,7 +60,7 @@ class PredictionInput:
 
 @dataclass(frozen=True)
 class PredictionResult:
-    value: object                  # mpmath mpf
+    value: Decimal
     error_order: str
     representable: bool
     coefficient: object            # c(gamma, n); no series for n <= 0 or off the coset
@@ -84,9 +84,10 @@ def main_term(V: IntegerLattice, gamma, n, mu_s: float, prime_bound: int,
     c = eisenstein_coefficient(gamma, n, V, prime_bound,
                                **({} if guard is None else {"guard": guard}))
     if c.series is None or c.series.truncated_product == 0:
-        return PredictionResult(mpmath.mpf(0), error_order, False, c, prime_bound)
-    with mpmath.workdps(50):
-        val = -c.value * mpmath.mpf(mu_s) / 2
+        return PredictionResult(Decimal(0), error_order, False, c, prime_bound)
+    with localcontext() as ctx:
+        ctx.prec = 50
+        val = -(c.value * decimal_of(mu_s)) / 2
     return PredictionResult(val, error_order, True, c, prime_bound)
 
 
@@ -104,7 +105,6 @@ def degree_prediction(inp: PredictionInput, guard=None):
     from . import qseries
 
     base = predict_count(inp, guard=guard)
-    total = base.value
     rows = []
     c = base.coefficient
     b = inp.lattice.rank - 2
@@ -115,12 +115,14 @@ def degree_prediction(inp: PredictionInput, guard=None):
         if key not in thetas:
             thetas[key] = qseries.theta_series(datum.kf_lattice, theta_order)
         u = qseries.u_coeff(inp.gamma, inp.n, datum, c, theta=thetas[key])
-        contrib = mpmath.mpf(float(u)) * degree
-        total = total + contrib
         order = (f"O(n^({Fraction(b, 2) - 1}+eps))" if datum.strongly_primitive
                  else f"O(n^({Fraction(b, 2)}))")
         rows.append({"cusp": datum, "degree": degree, "u": u,
                      "sharper_order": order})
+    with localcontext() as ctx:
+        ctx.prec = 50
+        total = base.value + sum(decimal_of(row["u"].value) * row["degree"]
+                                 for row in rows)
     return PredictionResult(total, base.error_order, base.representable,
                             base.coefficient, inp.prime_bound), rows
 
@@ -423,8 +425,7 @@ def elliptic_census_prediction(n_max, mu_s: float, two_d: int | None = None,
         if H.order > 1:
             raise PredictError("discriminant group has a nontrivial isotropic "
                                "subgroup; the census hypothesis fails")
-    out_rows = []
-    total = mpmath.mpf(0)
+    out_rows, values = [], []
     n_max = Fraction(n_max)
     for gamma in DP.elements():
         qg = DP.q_value(gamma)
@@ -436,7 +437,10 @@ def elliptic_census_prediction(n_max, mu_s: float, two_d: int | None = None,
                                  prime_bound=prime_bound, guard=guard)
                 out_rows.append(CensusRow(gamma, s, float(k3p.prediction.value),
                                           rep.exact))
-                total += k3p.prediction.value
+                values.append(k3p.prediction.value)
             s += 1
     out_rows.sort(key=lambda r: (r.s, r.gamma))
+    with localcontext() as ctx:
+        ctx.prec = 50
+        total = sum(values, Decimal(0))
     return total, out_rows

@@ -9,6 +9,7 @@ level of the underlying finite quadratic module; coefficients are Fractions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 from .exactla import frac_mat_inv, short_vectors
@@ -164,7 +165,7 @@ def pullback_series(f: VectorQSeries, big_module: FiniteQuadraticModule,
 
 @dataclass(frozen=True)
 class BoundaryCoefficient:
-    value: object                # mpmath mpf (or Fraction when exact)
+    value: Decimal | Fraction    # Fraction when exact
     exact: Fraction | None
     prime_bound: int | None
 
@@ -226,10 +227,10 @@ def u_coeff(gamma, n, F, c, theta=None) -> BoundaryCoefficient:
     if c.exact is not None:
         val = Fraction(c.exact, 2) * a00 - agn
         return BoundaryCoefficient(val, val, getattr(c, "prime_bound", None))
-    import mpmath
+    from .densities import decimal_of   # loaded already: c came from it
 
-    half_c = c.value / 2
-    a00_f = mpmath.mpf(a00.numerator) / a00.denominator
-    agn_f = mpmath.mpf(agn.numerator) / agn.denominator
-    return BoundaryCoefficient(half_c * a00_f - agn_f, None,
-                               getattr(c, "prime_bound", None))
+    # the two terms nearly cancel, so both are taken at 50 digits
+    with localcontext() as ctx:
+        ctx.prec = 50
+        val = c.value / 2 * decimal_of(a00) - decimal_of(agn)
+    return BoundaryCoefficient(val, None, getattr(c, "prime_bound", None))

@@ -1,10 +1,25 @@
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 from hyperlat.cli import main, parse_lattice_spec
+from hyperlat.densities import ENUMERATION_GUARD
+from hyperlat.hyperboloid import SWEEP_GUARD
 from hyperlat.lattices import direct_sum, hyperbolic_plane, rank1
+
+
+def _checkout_env() -> dict:
+    """The environment of a child interpreter that imports hyperlat from
+    this checkout."""
+    import hyperlat
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hyperlat.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
+    return env
 
 
 def run_cli(argv) -> str:
@@ -291,6 +306,36 @@ def test_density_off_coset_n_is_a_usage_error(capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("prime", ["0", "4", "9", "-5"])
+def test_density_non_prime_is_a_usage_error(prime, capsys):
+    line = _usage_error(["density", "--lattice", "U+U+rank1(-2)", "--n", "1",
+                         "--prime", prime], capsys)
+    assert line == f"hyperlat: error: --prime wants a prime, got {prime}"
+
+
+def test_density_prime_one_is_a_usage_error_not_a_hang():
+    # p = 1 never stabilizes: the density loop would run forever
+    env = _checkout_env()
+    proc = subprocess.run([sys.executable, "-m", "hyperlat", "density", "--lattice",
+                           "U+U+rank1(-2)", "--n", "1", "--prime", "1"],
+                          capture_output=True, text=True, env=env, timeout=30)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.splitlines()[-1] == "hyperlat: error: --prime wants a prime, got 1"
+
+
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_density_non_positive_n_is_a_usage_error(n, capsys):
+    line = _usage_error(["density", "--lattice", "U+U+rank1(-2)", "--n", n,
+                         "--prime", "5"], capsys)
+    assert line == f"hyperlat: error: --n wants a norm n > 0, got {n}"
+
+
+@pytest.mark.parametrize("two_d", ["0", "-2", "3"])
+def test_k3_bad_two_d_is_a_usage_error(two_d, capsys):
+    line = _usage_error(["k3", "--two-d", two_d, "--n", "4", "--mu-s", "1"], capsys)
+    assert f"--two-d wants a positive even integer (or give --p-rows), got {two_d}" in line
+
+
 def test_predict_off_coset_n_with_boundary_prints_the_zero_row():
     base = ["predict", "--lattice", "U+U+rank1(-8)", "--gamma", "1", "--n", "2",
             "--mu-s", "1"]
@@ -310,14 +355,7 @@ def test_predict_off_coset_n_with_boundary_prints_the_zero_row():
 def _fresh_modules(code, *args):
     """Run code in a new interpreter that imports hyperlat from this checkout;
     return the sorted numpy, mpmath and hyperlat.* modules it loaded."""
-    import os
-    import subprocess
-    import sys
-
-    import hyperlat
-    src = os.path.dirname(os.path.dirname(os.path.abspath(hyperlat.__file__)))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
+    env = _checkout_env()
     report = ("\nimport json, sys\nprint(json.dumps(sorted(m for m in sys.modules if m in "
               "('numpy', 'mpmath') or m.startswith('hyperlat.'))))")
     proc = subprocess.run([sys.executable, "-c", code + report, *args],
@@ -336,19 +374,20 @@ LOAD_SETS = [
     (["weil", "--lattice", "U+U+rank1(-2)"], {"fqm", "weil", "numpy"}),
     (["cusp", "--lattice", "U+U+rank1(-8)", "--bound", "1"], {"fqm", "cusps"}),
     (["eis", "--lattice", "U+U+rank1(-8)", "--gamma", "2", "--nmax", "3",
-      "--prime-bound", "20"], {"fqm", "densities", "mpmath"}),
+      "--prime-bound", "20"], {"fqm", "densities"}),
     (["k3", "--two-d", "2", "--n", "4", "--mu-s", "1", "--prime-bound", "20"],
-     {"fqm", "densities", "predict", "mpmath"}),
+     {"fqm", "densities", "predict"}),
     (["predict", "--lattice", "U+U+rank1(-8)", "--n", "4", "--mu-s", "1",
-      "--prime-bound", "20"], {"fqm", "densities", "predict", "mpmath"}),
+      "--prime-bound", "20"], {"fqm", "densities", "predict"}),
     (["count", "--lattice", "U+U+rank1(-2)", "--rho", "1", "--nmin", "3", "--nmax", "4",
-      "--prime-bound", "20"], {"fqm", "densities", "hyperboloid", "numpy", "mpmath"}),
+      "--prime-bound", "20"], {"fqm", "densities", "hyperboloid", "numpy"}),
 ]
 
 
 @pytest.mark.parametrize("argv, loaded", LOAD_SETS, ids=[a[0] for a, _ in LOAD_SETS])
 def test_commands_load_only_what_they_use(argv, loaded):
-    # numpy costs about 145 ms of start-up and mpmath about 45 ms
+    # numpy costs about 145 ms of start-up; mpmath, which no command loads,
+    # about 40 ms
     got = _fresh_modules("import io, sys\nfrom hyperlat.cli import main\n"
                          "main(sys.argv[1:], out=io.StringIO())", *argv)
     want = BASE_MODULES | {m if m in ("numpy", "mpmath") else f"hyperlat.{m}"
@@ -509,14 +548,7 @@ def test_predict_bad_boundary_is_a_usage_error(lattice, boundary, message, capsy
 
 def test_closed_stdout_ends_quietly():
     # `hyperlat weil ... | head -1`: the reader goes away after one line
-    import os
-    import subprocess
-    import sys
-
-    import hyperlat
-    src = os.path.dirname(os.path.dirname(os.path.abspath(hyperlat.__file__)))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
+    env = _checkout_env()
     proc = subprocess.Popen([sys.executable, "-m", "hyperlat", "weil", "--lattice",
                              "U+U+rank1(-200)"], stdout=subprocess.PIPE,
                             stderr=subprocess.PIPE, env=env)
@@ -527,19 +559,21 @@ def test_closed_stdout_ends_quietly():
     assert err == ""
 
 
-@pytest.mark.parametrize("lattice, nmin, nmax, prime_bound, message", [
+@pytest.mark.parametrize("lattice, nmin, nmax, prime_bound, message, limit", [
     ("U+U+rank1(-2)", "100000", "100000", "10",
-     "N-side sweep of 2864466295 points exceeds guard"),
+     "N-side sweep of 2864466295 points exceeds guard", SWEEP_GUARD),
     ("rank1(4)+rank1(4)+rank1(-4)+rank1(-4)+rank1(-4)", "1", "12", "30",
-     "residual of rank 5 at p^s = 8192 exceeds guard"),
+     "residual of rank 5 at p^s = 8192 exceeds guard", ENUMERATION_GUARD),
 ], ids=["sweep", "residual"])
-def test_guard_errors_exit_3(lattice, nmin, nmax, prime_bound, message, capsys):
-    # a valid input too large for a guard of the computation: one line, exit 3
+def test_guard_errors_exit_3(lattice, nmin, nmax, prime_bound, message, limit, capsys):
+    # a valid input too large for a guard of the computation: one line, exit 3,
+    # naming the limit it exceeded
     code = main(["count", "--lattice", lattice, "--rho", "1", "--nmin", nmin,
                  "--nmax", nmax, "--prime-bound", prime_bound], out=io.StringIO())
     lines = capsys.readouterr().err.splitlines()
     assert code == 3 and len(lines) == 1
     assert lines[0].startswith("hyperlat: error: ") and message in lines[0]
+    assert lines[0].endswith(f"exceeds guard {limit}")
 
 
 def test_count_small_rank_is_a_usage_error(capsys):

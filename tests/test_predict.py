@@ -3,7 +3,6 @@ import math
 import random
 from fractions import Fraction
 
-import mpmath
 import pytest
 
 from hyperlat.cusps import cusp_datum

@@ -195,6 +195,16 @@ def test_u_coeff_approximate_flag():
     assert abs(float(u) - expected) < 1e-9
 
 
+def test_u_coeff_keeps_its_digits_through_the_cancellation():
+    # u = (c/2) a(0,0,F) - a(0,5,F) = -21.99996... + 22: about six digits
+    # cancel.  The reference is the same difference with every step at 60
+    # digits; at 15 digits the relative error was 4.8e-12.
+    V, F = _canonical_cusp()
+    u = u_coeff((0,), 5, F, eisenstein_coefficient(None, 5, V, 60))
+    assert u.approximate
+    assert abs(float(u) / 3.7906633220604358079278028763e-05 - 1) < 1e-14
+
+
 def test_csv_dump_sorted():
     th = theta_series(rank1(-2), 3)
     lines = th.dump_csv().splitlines()
