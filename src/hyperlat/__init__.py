@@ -40,7 +40,7 @@ _EXPORTS = {
         "LocalDensityReport", "SingularSeries", "StabilizationError",
         "count_solutions_naive", "count_solutions_split",
         "eisenstein_coefficient", "is_representable", "local_density",
-        "quadratic_congruence_count", "singular_series",
+        "singular_series",
     ),
     "cusps": (
         "CuspDatum", "CuspError", "cusp_datum", "find_isotropic_planes",

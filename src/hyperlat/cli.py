@@ -185,8 +185,7 @@ def cmd_density(args, out):
         shift = -L.discriminant_group().q_value(gamma) % 1
         raise argparse.ArgumentTypeError(
             f"--n {n} is not in the coset -Q(gamma) + Z = {shift} + Z")
-    rep = local_density(gamma, n, L, args.prime, s_max=args.smax,
-                        guard=args.guard)
+    rep = local_density(gamma, n, L, args.prime, s_max=args.smax)
     print(_header(args, ["lattice", "gamma", "n", "prime", "smax"]), file=out)
     print("prime,s0,density,raw_counts", file=out)
     raw = ";".join(str(c) for c in rep.raw_counts)
@@ -208,8 +207,7 @@ def cmd_eis(args, out):
     frac = (-D.q_value(gamma)) % 1
     n = frac if frac > 0 else Fraction(1)
     while n <= args.nmax:
-        c = eisenstein_coefficient(gamma, n, L, args.prime_bound,
-                                   guard=args.guard)
+        c = eisenstein_coefficient(gamma, n, L, args.prime_bound)
         factors = ""
         if c.series is not None:
             factors = ";".join(f"{p}={r.density.numerator}/{r.density.denominator}"
@@ -292,7 +290,7 @@ def cmd_predict(args, out):
     print(_header(args, ["lattice", "gamma", "n", "mu_s", "prime_bound",
                          "boundary"]), file=out)
     if boundary:
-        result, rows = degree_prediction(inp, guard=args.guard)
+        result, rows = degree_prediction(inp)
         print("value,error_order,representable", file=out)
         print(f"{_fmt(result.value)},{result.error_order},{result.representable}",
               file=out)
@@ -301,7 +299,7 @@ def cmd_predict(args, out):
             print(f"# u={_fmt(float(row['u']))} degree={row['degree']} "
                   f"order={row['sharper_order']}", file=out)
     else:
-        result = predict_count(inp, guard=args.guard)
+        result = predict_count(inp)
         print("value,error_order,representable", file=out)
         print(f"{_fmt(result.value)},{result.error_order},{result.representable}",
               file=out)
@@ -323,7 +321,7 @@ def cmd_k3(args, out):
         gamma = parse_gamma(args.gamma, k3_lattices(args.two_d, rows)[1])
     res = k3_predict(gamma, parse_fraction(args.n, "--n"), args.mu_s,
                      two_d=args.two_d, rows=rows,
-                     prime_bound=args.prime_bound, guard=args.guard)
+                     prime_bound=args.prime_bound)
     print(_header(args, ["two_d", "gamma", "n", "mu_s", "prime_bound"]), file=out)
     print("rho,exponent,value,representable_2n,exact_test,disc_match", file=out)
     rep = res.coset_representable
@@ -337,15 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="hyperlat",
         description="Exact lattice invariants and hyperboloid point counts")
     sub = p.add_subparsers(dest="command", required=True)
-
-    def add_common(sp, prime_bound=True):
-        # default None: main fills in densities.ENUMERATION_GUARD, so that
-        # building the parser loads no densities
-        sp.add_argument("--guard", type=int, default=None,
-                        help="enumeration guard for exact counters")
-        if prime_bound:
-            sp.add_argument("--prime-bound", dest="prime_bound", type=int,
-                            default=100)
 
     sp = sub.add_parser("lattice", help="inspect a lattice")
     sp.add_argument("--lattice", required=True)
@@ -376,14 +365,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", required=True)
     sp.add_argument("--prime", type=int, required=True)
     sp.add_argument("--smax", type=int, default=None)
-    add_common(sp, prime_bound=False)
     sp.set_defaults(func=cmd_density)
 
     sp = sub.add_parser("eis", help="Eisenstein coefficients over a range")
     sp.add_argument("--lattice", required=True)
     sp.add_argument("--gamma", default="")
     sp.add_argument("--nmax", type=int, required=True)
-    add_common(sp)
+    sp.add_argument("--prime-bound", dest="prime_bound", type=int, default=100)
     sp.set_defaults(func=cmd_eis)
 
     sp = sub.add_parser("count", help="equidistribution experiment")
@@ -413,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="cusp corrections 'index:degree;...' over planes "
                          "found at --cusp-bound")
     sp.add_argument("--cusp-bound", dest="cusp_bound", type=int, default=1)
-    add_common(sp)
+    sp.add_argument("--prime-bound", dest="prime_bound", type=int, default=100)
     sp.set_defaults(func=cmd_predict)
 
     sp = sub.add_parser("k3", help="rank-22 unimodular specialization")
@@ -423,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--gamma", default="")
     sp.add_argument("--n", required=True)
     sp.add_argument("--mu-s", dest="mu_s", type=float, required=True)
-    add_common(sp)
+    sp.add_argument("--prime-bound", dest="prime_bound", type=int, default=100)
     sp.set_defaults(func=cmd_k3)
 
     return p
@@ -432,9 +420,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None, out=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "guard", 0) is None:
-        from .densities import ENUMERATION_GUARD
-        args.guard = ENUMERATION_GUARD
     out = out or sys.stdout
     try:
         code = args.func(args, out)

@@ -5,7 +5,10 @@ are computed exactly: a slow exhaustive counter, and a fast path that finds
 the Jordan splitting of L over Z_p from the Gram matrix alone.  Pieces whose
 counts depend only on the valuation of the target (planes, and pieces whose
 shift no translate absorbs) are folded in closed form; the remaining
-diagonal coordinates are counted by Hensel lifting.  No hand-written block
+diagonal coordinates, however many, are counted exactly by Hanke's
+reduction (Hensel lifting of the points with a unit coordinate, rescaling of
+the rest), so the split counter builds no residue table and needs no size
+guard; only the exhaustive oracle has one.  No hand-written block
 metadata is read.  Densities are the stabilized normalized counts;
 stabilization is always witnessed, never extrapolated.  At an odd prime
 prime to n and det the form is unimodular and every solution mod p is
@@ -315,91 +318,87 @@ def _convolve_valuation_values(f, g, p: int, s: int):
 # ---------------------------------------------------------------------------
 # the residual diagonal form
 
-def _hist_rank1(m: int, p: int, s: int):
-    """Histogram of m x^2 over Z/p^s, as an int64 array."""
-    import numpy as np
-
-    a = p ** s
-    x = np.arange(a, dtype=np.int64)
-    vals = m % a * x % a * x % a
-    return np.bincount(vals, minlength=a).astype(np.int64)
+def _legendre(x: int, p: int) -> int:
+    """The Legendre symbol (x / p) at an odd prime p, by Euler's criterion."""
+    r = pow(x % p, (p - 1) // 2, p)
+    return -1 if r == p - 1 else r
 
 
-def _cyclic_convolve(x, y, a: int):
-    # exact integer convolution of two arrays; Python ints when int64 could overflow
-    import numpy as np
+def _fp_count(p: int, u: int, d: int, t: int) -> int:
+    """#{y in F_p^u : sum m_i y_i^2 = t} for odd p and units m_i of product d."""
+    h = u // 2
+    if u % 2:
+        return p ** (u - 1) + p ** h * _legendre((-1) ** h * t * d, p)
+    nu = p - 1 if t % p == 0 else -1
+    return p ** (u - 1) + nu * p ** (h - 1) * _legendre((-1) ** h * d, p)
 
-    mx = int(x.max()) if len(x) else 0
-    my = int(y.max()) if len(y) else 0
-    if x.dtype == object or y.dtype == object or mx * my * a >= (1 << 62):
-        full = np.convolve(x.astype(object), y.astype(object))
-    else:
-        full = np.convolve(x, y)
-    out = full[:a].copy()
-    if len(full) > a:
-        out[:len(full) - a] += full[a:]
+
+_SQUARES_MOD_8 = (0, 1, 4, 1, 0, 1, 4, 1)
+
+
+def _conv8(f, g):
+    out = [0] * 8
+    for i, x in enumerate(f):
+        if x:
+            for j, y in enumerate(g):
+                out[(i + j) % 8] += x * y
     return out
 
 
-def quadratic_congruence_count(m: int, w: int, c: int, p: int, e: int) -> int:
-    """#{x mod p^e : m x^2 + w x + c = 0 mod p^e}, exactly.
+def _unit_points_mod8(ms):
+    """Histogram over y mod 8, by the value of sum m_i y_i^2 mod 8, of the
+    points with y_i odd for some odd m_i."""
+    full = [1] + [0] * 7
+    even = [1] + [0] * 7
+    for m in ms:
+        hist = [0] * 8
+        evens = [0] * 8
+        for y, sq in enumerate(_SQUARES_MOD_8):
+            hist[m * sq % 8] += 1
+            if m % 2 == 0 or y % 2 == 0:
+                evens[m * sq % 8] += 1
+        full, even = _conv8(full, hist), _conv8(even, evens)
+    return [x - y for x, y in zip(full, even)]
 
-    Hensel recursion: simple roots lift uniquely, degenerate roots descend
-    to a smaller exponent.  O(p * e) instead of O(p^e); checked against the
-    exhaustive counter in the tests.
+
+def _diagonal_count(ms, t: int, p: int, c: int) -> int:
+    """N(m, t, c) = #{y mod p^c : sum m_i y_i^2 = t mod p^c}, exactly."""
+    a = p ** c
+    return _reduced_count(tuple(sorted(m % a for m in ms)), t % a, p, c)
+
+
+@functools.lru_cache(maxsize=4096)
+def _reduced_count(ms, t: int, p: int, c: int) -> int:
+    """N(m, t, c) with ms sorted and reduced mod p^c (Hanke's reduction).
+
+    If p divides every m_i, N is 0 unless p | t, and p^k N(m/p, t/p, c-1)
+    otherwise.  Else the solutions in which some y_i of unit m_i is a unit
+    lift by Hensel: at odd p each point over F_p gives p^((k-1)(c-1)), at
+    p = 2 each point mod 8 gives 2^((k-1)(c-3)).  In the rest every such y_i
+    is p z_i, which multiplies m_i by p^2 and falls into the first case.
     """
-    if e <= 0:
+    if c == 0:
         return 1
-
-    def vp(x):
-        if x == 0:
-            return e
-        v = 0
-        while x % p == 0 and v < e:
-            x //= p
-            v += 1
-        return v
-
-    gamma = min(vp(m), vp(w), vp(c))
-    if gamma >= e:
-        return p ** e
-    if gamma:
-        q = p ** gamma
-        return q * quadratic_congruence_count(m // q, w // q, c // q, p, e - gamma)
-    total = 0
-    for x0 in range(p):
-        if (m * x0 * x0 + w * x0 + c) % p:
-            continue
-        if (2 * m * x0 + w) % p:
-            total += 1  # unique lift to p^e
-        elif e == 1:
-            total += 1
+    k = len(ms)
+    units = [m for m in ms if m % p]
+    lifted = 0
+    if units:
+        if p == 2:
+            hist = _unit_points_mod8(ms)
+            if c >= 3:
+                lifted = hist[t % 8] << ((k - 1) * (c - 3))
+            else:
+                lifted = sum(hist[t % 2 ** c::2 ** c]) >> (k * (3 - c))
         else:
-            f0 = m * x0 * x0 + w * x0 + c
-            if f0 % (p * p):
-                continue
-            d = (2 * m * x0 + w) // p
-            # x = x0 + p y: condition m y^2 + d y + f0/p^2 = 0 mod p^(e-2),
-            # with y running mod p^(e-1)
-            total += p * quadratic_congruence_count(m, d, f0 // (p * p), p, e - 2)
-    return total
-
-
-def _residual_counts(ms, target: int, p: int, s: int, guard: int):
-    """W_c = #{y mod p^s : sum m_i y_i^2 = target mod p^c} for c = 0..s."""
-    a = p ** s
-    if not ms:
-        return [int(target % p ** c == 0) for c in range(s + 1)]
-    if len(ms) == 1:
-        return [p ** (s - c) * quadratic_congruence_count(ms[0], 0, -target, p, c)
-                for c in range(s + 1)]
-    if (len(ms) - 1) * a * a > guard:
-        raise GuardExceeded(f"residual of rank {len(ms)} at p^s = {a} exceeds "
-                            f"guard {guard}")
-    hist = _hist_rank1(ms[0], p, s)
-    for m in ms[1:]:
-        hist = _cyclic_convolve(hist, _hist_rank1(m, p, s), a)
-    return [int(hist[target % p ** c::p ** c].sum()) for c in range(s + 1)]
+            d = 1
+            for m in units:
+                d = d * m % p
+            base = p ** (k - len(units)) * (_fp_count(p, len(units), d, t) - (t % p == 0))
+            lifted = base * p ** ((k - 1) * (c - 1))
+    if t % p:
+        return lifted
+    rest = tuple(m * p if m % p else m // p for m in ms)
+    return lifted + p ** (k - len(units)) * _diagonal_count(rest, t // p, p, c - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -457,24 +456,23 @@ def _local_pieces(gram, p: int, w):
         by_scale.setdefault(rational_valuation(m, p), []).append(m)
     for k, ms in sorted(by_scale.items()):
         for m1, m2 in zip(ms[::2], ms[1::2]):
-            # a square -m1 m2 / p^2k (Euler's criterion) makes the plane split
-            split = pow(_mod(-m1 * m2 / p ** (2 * k), p), (p - 1) // 2, p) == 1
+            # a square -m1 m2 / p^2k makes the plane split
+            split = _legendre(_mod(-m1 * m2 / p ** (2 * k), p), p) == 1
             radial.append((_plane_values, (k, split)))
         if len(ms) % 2:
             residual.append(ms[-1])
     return tuple(radial), tuple(residual), offset
 
 
-def count_solutions_split(gamma, n, L: IntegerLattice, p: int, s: int,
-                          guard: int = ENUMERATION_GUARD) -> int:
+def count_solutions_split(gamma, n, L: IntegerLattice, p: int, s: int) -> int:
     """Same count as count_solutions_naive at a = p^s, from the Jordan splitting.
 
     The radial pieces fold into one function R_c of c = min(v_p(t), s); the
-    residual is counted as W_c = #{y : residual(y) = target mod p^c}, by
-    Hensel lifting for one coordinate and by a guarded histogram over Z/p^s
-    for several.  The count is sum_c R_c (W_c - W_{c+1}) over the valuation
-    classes c of target - residual(y), so with at most one residual
-    coordinate nothing of size p^s is built.
+    k residual coordinates give W_c = #{y mod p^s : residual(y) = target
+    mod p^c} = p^(k(s-c)) N(m, target, c), each N by the reduction of
+    ``_reduced_count``.  The count is sum_c R_c (W_c - W_{c+1}) over the
+    valuation classes c of target - residual(y), so nothing of size p^s is
+    built.
     """
     lift = _gamma_lift(L, gamma)
     w, c0 = _count_data(L.gram, lift, Fraction(n))
@@ -484,7 +482,10 @@ def count_solutions_split(gamma, n, L: IntegerLattice, p: int, s: int,
     values = [0] * s + [1]  # the empty form
     for fn, args in radial:
         values = _convolve_valuation_values(values, fn(p, s, *args), p, s)
-    big_w = _residual_counts([_mod(m, a) for m in residual], _mod(-const, a), p, s, guard)
+    ms = [_mod(m, a) for m in residual]
+    target = _mod(-const, a)
+    k = len(ms)
+    big_w = [p ** (k * (s - c)) * _diagonal_count(ms, target, p, c) for c in range(s + 1)]
     return values[s] * big_w[s] + sum(values[c] * (big_w[c] - big_w[c + 1])
                                       for c in range(s))
 
@@ -501,8 +502,7 @@ class LocalDensityReport:
 
 
 def local_density(gamma, n, L: IntegerLattice, p: int,
-                  s_max: int | None = None,
-                  guard: int = ENUMERATION_GUARD) -> LocalDensityReport:
+                  s_max: int | None = None) -> LocalDensityReport:
     """Stabilized local density with the witnessing raw counts.
 
     The normalization exponent is rank - 1 (= 1 + b in signature (2, b)).
@@ -519,7 +519,7 @@ def local_density(gamma, n, L: IntegerLattice, p: int,
     if L.rank and (2 * n.numerator * n.denominator * L.det) % p:
         _count_data(L.gram, lift, n)   # gamma in the dual, n in -Q(gamma) + Z
         return _unramified_density(n, L, p)
-    return _counted_density(lift, n, L, p, s_max, guard)
+    return _counted_density(lift, n, L, p, s_max)
 
 
 def _unramified_density(n: Fraction, L: IntegerLattice, p: int) -> LocalDensityReport:
@@ -528,27 +528,19 @@ def _unramified_density(n: Fraction, L: IntegerLattice, p: int) -> LocalDensityR
     L is unimodular at p and the lift of gamma p-integral, so a translate
     removes gamma; every solution mod p is non-singular (the gradient G x
     vanishes mod p only at x = 0, where Q = 0 is not -n), so the count
-    stabilizes at s0 = 1.  With r = rank and eps a Legendre symbol taken by
-    Euler's criterion: N(p) = p^(2k) + eps p^k, eps = ((-1)^k 2 det (-n) / p),
-    for r = 2k + 1, and N(p) = p^(2k-1) - eps p^(k-1), eps = ((-1)^k det / p),
-    for r = 2k.  N(p^2) = N(p) p^(r-1).
+    stabilizes at s0 = 1.  Over Z_p, Q is a diagonal form of rank r whose
+    coefficients have product det / 2^r up to a square, so N(p) is the
+    Legendre-symbol count of ``_fp_count`` at t = -n, and N(p^2) = N(p) p^(r-1).
     """
     r = L.rank
-    k = r // 2
-    if r % 2:
-        a = (-1) ** k * 2 * L.det * -n.numerator * n.denominator
-        sign = 1
-    else:
-        a = (-1) ** k * L.det
-        sign = -1
-    eps = 1 if pow(a % p, (p - 1) // 2, p) == 1 else -1
-    count = p ** (r - 1) + sign * eps * p ** (r - 1 - k)
+    t = -n.numerator * pow(n.denominator, -1, p)
+    count = _fp_count(p, r, L.det * pow(2, -r, p), t)
     norm = p ** (r - 1)
     return LocalDensityReport(p, 1, (count, count * norm), Fraction(count, norm))
 
 
 def _counted_density(lift, n: Fraction, L: IntegerLattice, p: int,
-                     s_max: int | None, guard: int) -> LocalDensityReport:
+                     s_max: int | None) -> LocalDensityReport:
     """The stabilized density from counts on the Jordan splitting."""
     norm_exp = L.rank - 1
     x = 2 * n * abs(L.det)
@@ -562,7 +554,7 @@ def _counted_density(lift, n: Fraction, L: IntegerLattice, p: int,
     def extend_to(s):
         while len(counts) < s:
             snew = len(counts) + 1
-            counts.append(count_solutions_split(lift, n, L, p, snew, guard=guard))
+            counts.append(count_solutions_split(lift, n, L, p, snew))
             norms.append(Fraction(counts[-1], p ** (norm_exp * snew)))
 
     for s0 in range(floor, s_max + 1):
@@ -588,8 +580,7 @@ def series_primes(n: Fraction, det: int, prime_bound: int):
 
 
 def singular_series(gamma, n, V: IntegerLattice, prime_bound: int,
-                    s_max: int | None = None,
-                    guard: int = ENUMERATION_GUARD) -> SingularSeries:
+                    s_max: int | None = None) -> SingularSeries:
     """Truncated Euler product of local densities.
 
     Includes every prime up to the bound plus all primes dividing
@@ -602,7 +593,7 @@ def singular_series(gamma, n, V: IntegerLattice, prime_bound: int,
     factors = {}
     product = Fraction(1)
     for p in series_primes(n, V.det, prime_bound):
-        rep = local_density(lift, n, V, p, s_max=s_max, guard=guard)
+        rep = local_density(lift, n, V, p, s_max=s_max)
         factors[p] = rep
         product *= rep.density
         if rep.density == 0:
@@ -656,8 +647,7 @@ class EisensteinCoefficient:
 
 
 def eisenstein_coefficient(gamma, n, V: IntegerLattice, prime_bound: int,
-                           s_max: int | None = None,
-                           guard: int = ENUMERATION_GUARD) -> EisensteinCoefficient:
+                           s_max: int | None = None) -> EisensteinCoefficient:
     """Fourier coefficient of the weight 1 + b/2 Eisenstein vector.
 
     The constant term at (0, 0) is exactly 2.  For n > 0 the archimedean
@@ -678,7 +668,7 @@ def eisenstein_coefficient(gamma, n, V: IntegerLattice, prime_bound: int,
     b = V.rank - 2
     if b < 3:
         raise DensityError("Eisenstein coefficients want signature (2,b), b >= 3")
-    ss = singular_series(lift, n, V, prime_bound, s_max=s_max, guard=guard)
+    ss = singular_series(lift, n, V, prime_bound, s_max=s_max)
     gamma_rat, sqrt_pi = gamma_half_integer(b + 2)
     # 2^(2+b/2) pi^((2+b-e)/2) n^(b/2) / (sqrt|D| Gamma(1+b/2)) times the
     # product: a rational, an integer power of pi and the root of a rational
@@ -701,8 +691,7 @@ def in_coset_support(gamma, n, V: IntegerLattice) -> bool:
     return (V.q_of(lift) + Fraction(n)).denominator == 1
 
 
-def is_representable(gamma, n, V: IntegerLattice,
-                     guard: int = ENUMERATION_GUARD) -> bool:
+def is_representable(gamma, n, V: IntegerLattice) -> bool:
     """Local representability of -n by Q on the coset gamma + V (n > 0).
 
     Read off the singular series at prime bound 0, which runs over the
@@ -715,4 +704,4 @@ def is_representable(gamma, n, V: IntegerLattice,
     lift = _gamma_lift(V, gamma)
     if not in_coset_support(lift, n, V):
         return False
-    return singular_series(lift, n, V, 0, guard=guard).truncated_product != 0
+    return singular_series(lift, n, V, 0).truncated_product != 0

@@ -74,15 +74,14 @@ class PredictionResult:
         return float(self.value)
 
 
-def main_term(V: IntegerLattice, gamma, n, mu_s: float, prime_bound: int,
-              guard=None) -> PredictionResult:
+def main_term(V: IntegerLattice, gamma, n, mu_s: float,
+              prime_bound: int) -> PredictionResult:
     """-(mu(S)/2) c(gamma, n): mu(S) (2 pi)^(1+b/2) n^(b/2) / (sqrt|D|
     Gamma(1+b/2)) times the truncated singular series; exactly 0, and not
     representable, when c(gamma, n) has no series or its product is 0."""
     b = V.rank - 2
     error_order = f"O(n^((2+b)/4+eps)) = O(n^({Fraction(2 + b, 4)}+eps)) for projective bases"
-    c = eisenstein_coefficient(gamma, n, V, prime_bound,
-                               **({} if guard is None else {"guard": guard}))
+    c = eisenstein_coefficient(gamma, n, V, prime_bound)
     if c.series is None or c.series.truncated_product == 0:
         return PredictionResult(Decimal(0), error_order, False, c, prime_bound)
     with localcontext() as ctx:
@@ -91,12 +90,11 @@ def main_term(V: IntegerLattice, gamma, n, mu_s: float, prime_bound: int,
     return PredictionResult(val, error_order, True, c, prime_bound)
 
 
-def predict_count(inp: PredictionInput, guard=None) -> PredictionResult:
-    return main_term(inp.lattice, inp.gamma, inp.n, inp.mu_s, inp.prime_bound,
-                     guard=guard)
+def predict_count(inp: PredictionInput) -> PredictionResult:
+    return main_term(inp.lattice, inp.gamma, inp.n, inp.mu_s, inp.prime_bound)
 
 
-def degree_prediction(inp: PredictionInput, guard=None):
+def degree_prediction(inp: PredictionInput):
     """Main term plus the boundary corrections sum_F u(gamma, n, F) deg_F.
 
     Strongly primitive cusps are annotated with the sharper error order
@@ -104,7 +102,7 @@ def degree_prediction(inp: PredictionInput, guard=None):
     """
     from . import qseries
 
-    base = predict_count(inp, guard=guard)
+    base = predict_count(inp)
     rows = []
     c = base.coefficient
     b = inp.lattice.rank - 2
@@ -376,7 +374,7 @@ def k3_lattices(two_d: int | None = None, rows=None):
 
 
 def k3_predict(gamma, n, mu_s: float, two_d: int | None = None, rows=None,
-               prime_bound: int = 100, guard=None) -> K3Prediction:
+               prime_bound: int = 100) -> K3Prediction:
     """Prediction for norm-n classes in a family with generic Picard lattice P.
 
     Builds V as the orthogonal complement of P (``k3_lattices``), evaluates
@@ -396,7 +394,7 @@ def k3_predict(gamma, n, mu_s: float, two_d: int | None = None, rows=None,
     assert exponent == Fraction(b, 2)
     if gamma is None:
         gamma = DV.zero
-    pred = main_term(V, gamma, n, mu_s, prime_bound, guard=guard)
+    pred = main_term(V, gamma, n, mu_s, prime_bound)
     # gamma residues are read in both discriminant groups through their
     # matching invariant factors (checked by disc_match)
     rep = represents_on_coset(P, DP.reduce(gamma) if DP.ngens else (), 2 * n)
@@ -412,8 +410,7 @@ class CensusRow:
 
 
 def elliptic_census_prediction(n_max, mu_s: float, two_d: int | None = None,
-                               rows=None, prime_bound: int = 100,
-                               guard=None):
+                               rows=None, prime_bound: int = 100):
     """Cumulative prediction over all classes of norm up to n_max.
 
     Requires the sublattice's discriminant group to have no nontrivial
@@ -434,7 +431,7 @@ def elliptic_census_prediction(n_max, mu_s: float, two_d: int | None = None,
             rep = represents_on_coset(P, gamma, 2 * s)
             if rep.representable:
                 k3p = k3_predict(gamma, s, mu_s, two_d=two_d, rows=rows,
-                                 prime_bound=prime_bound, guard=guard)
+                                 prime_bound=prime_bound)
                 out_rows.append(CensusRow(gamma, s, float(k3p.prediction.value),
                                           rep.exact))
                 values.append(k3p.prediction.value)

@@ -7,7 +7,6 @@ import sys
 import pytest
 
 from hyperlat.cli import main, parse_lattice_spec
-from hyperlat.densities import ENUMERATION_GUARD
 from hyperlat.hyperboloid import SWEEP_GUARD
 from hyperlat.lattices import direct_sum, hyperbolic_plane, rank1
 
@@ -225,11 +224,19 @@ def test_gamma_with_wrong_residue_count_is_a_usage_error(argv, capsys):
     assert "Traceback" not in err
 
 
-def test_count_takes_no_guard(capsys):
-    # count never read --guard, so passing it is an error
+@pytest.mark.parametrize("argv", [
+    ["count", "--rho", "1", "--nmin", "3", "--nmax", "3"],
+    ["density", "--n", "1", "--prime", "2"],
+    ["eis", "--nmax", "2"],
+    ["predict", "--n", "1", "--mu-s", "1"],
+    ["k3", "--two-d", "2", "--n", "4", "--mu-s", "1"],
+], ids=lambda argv: argv[0])
+def test_count_takes_no_guard(argv, capsys):
+    # no local count has a size guard, so no command takes --guard
+    if argv[0] != "k3":
+        argv = argv[:1] + ["--lattice", "U+U+rank1(-2)"] + argv[1:]
     with pytest.raises(SystemExit) as exc:
-        main(["count", "--lattice", "U+U+rank1(-2)", "--guard", "1", "--rho", "1",
-              "--nmin", "3", "--nmax", "3", "--samples", "1000"], out=io.StringIO())
+        main(argv + ["--guard", "1"], out=io.StringIO())
     assert exc.value.code == 2
     assert "unrecognized arguments: --guard" in capsys.readouterr().err
 
@@ -381,6 +388,9 @@ LOAD_SETS = [
       "--prime-bound", "20"], {"fqm", "densities", "predict"}),
     (["count", "--lattice", "U+U+rank1(-2)", "--rho", "1", "--nmin", "3", "--nmax", "4",
       "--prime-bound", "20"], {"fqm", "densities", "hyperboloid", "numpy"}),
+    # five 2-adic residual coordinates: counted with no array
+    (["density", "--lattice", "rank1(2)+rank1(2)+rank1(-2)+rank1(-2)+rank1(-2)",
+      "--n", "1", "--prime", "2"], {"fqm", "densities"}),
 ]
 
 
@@ -409,7 +419,7 @@ PUBLIC_NAMES = {
     "densities": "DensityError EisensteinCoefficient GuardExceeded LocalDensityReport "
                  "SingularSeries StabilizationError count_solutions_naive "
                  "count_solutions_split eisenstein_coefficient is_representable "
-                 "local_density quadratic_congruence_count singular_series",
+                 "local_density singular_series",
     "cusps": "CuspDatum CuspError cusp_datum find_isotropic_planes isotropic_planes "
              "project_class",
     "hyperboloid": "CountReport ExperimentSummary PointCount SplittingFrame Window "
@@ -562,9 +572,7 @@ def test_closed_stdout_ends_quietly():
 @pytest.mark.parametrize("lattice, nmin, nmax, prime_bound, message, limit", [
     ("U+U+rank1(-2)", "100000", "100000", "10",
      "N-side sweep of 2864466295 points exceeds guard", SWEEP_GUARD),
-    ("rank1(4)+rank1(4)+rank1(-4)+rank1(-4)+rank1(-4)", "1", "12", "30",
-     "residual of rank 5 at p^s = 8192 exceeds guard", ENUMERATION_GUARD),
-], ids=["sweep", "residual"])
+], ids=["sweep"])
 def test_guard_errors_exit_3(lattice, nmin, nmax, prime_bound, message, limit, capsys):
     # a valid input too large for a guard of the computation: one line, exit 3,
     # naming the limit it exceeded
@@ -574,6 +582,36 @@ def test_guard_errors_exit_3(lattice, nmin, nmax, prime_bound, message, limit, c
     assert code == 3 and len(lines) == 1
     assert lines[0].startswith("hyperlat: error: ") and message in lines[0]
     assert lines[0].endswith(f"exceeds guard {limit}")
+
+
+def test_residual_of_two_coordinates_at_p3_is_counted():
+    # stabilization at 2 n det = 2^4 3^7 wants s = 9 at p = 3, where two
+    # unpaired coordinates remain: counted by reduction, with no table
+    out = io.StringIO()
+    assert main(["count", "--lattice", "rank1(2)+rank1(6)+rank1(-6)+rank1(-6)+rank1(-6)",
+                 "--gamma", "0,0,1,2,2", "--rho", "1", "--nmin", "27/4", "--nmax", "27/4",
+                 "--prime-bound", "10"], out=out) == 0
+    rows = [l.split(",") for l in out.getvalue().splitlines()[2:] if not l.startswith("#")]
+    assert len(rows) == 1
+    n, empirical, _, _, _, series, grazing = rows[0]
+    assert (n, empirical, series, grazing) == ("27/4", "51", "1152/1225", "0")
+
+
+@pytest.mark.parametrize("n", ["4", "8", "16"])
+def test_density_of_six_two_adic_units_is_counted(n):
+    # six <-2> coordinates stay one 2-adic residual; its raw counts agree with
+    # the exhaustive counter wherever that fits its guard
+    from hyperlat.densities import count_solutions_naive
+
+    lattice = "U+U+" + "+".join(["rank1(-2)"] * 6)
+    out = io.StringIO()
+    assert main(["density", "--lattice", lattice, "--n", n, "--prime", "2"], out=out) == 0
+    prime, s0, density, raw = out.getvalue().splitlines()[-1].split(",")
+    counts = [int(x) for x in raw.split(";")]
+    assert prime == "2" and len(counts) == int(s0) + 1
+    L = parse_lattice_spec(lattice)
+    for s in (1, 2):
+        assert counts[s - 1] == count_solutions_naive(None, int(n), L, 2 ** s)
 
 
 def test_count_small_rank_is_a_usage_error(capsys):

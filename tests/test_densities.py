@@ -11,10 +11,10 @@ from hyperlat.densities import (
     eisenstein_coefficient,
     is_representable,
     local_density,
-    quadratic_congruence_count,
     singular_series,
     small_primes,
     _counted_density,
+    _diagonal_count,
     _gamma_lift,
     _local_pieces,
     _pair_count_exact,
@@ -115,6 +115,19 @@ def test_split_equals_naive_structured():
         s = rng.randint(1, 2)
         assert count_solutions_naive(gamma, n, L, p ** s) == \
             count_solutions_split(gamma, n, L, p, s)
+    # residuals of two or more coordinates: four 2-adic units, and at odd p
+    # unpaired coordinates of several scales
+    diagonal = lambda *ms: direct_sum(*(rank1(m) for m in ms))
+    for L, p, s_max in ((direct_sum(U, diagonal(-2, -2, -2, -2)), 2, 3),
+                        (diagonal(2, 6, -6, -18), 3, 3),
+                        (diagonal(2, 10, -50, -2), 5, 2)):
+        D = discriminant_group(L)
+        for gamma in rng.sample(D.elements(), min(4, D.order)):
+            base = -L.q_of(D.lift(gamma)) % 1
+            for n in (base + 1, base + p, base + p * p):
+                for s in range(1, s_max + 1):
+                    assert count_solutions_naive(gamma, n, L, p ** s) == \
+                        count_solutions_split(gamma, n, L, p, s), (L.name, gamma, n, s)
 
 
 def _legendre(x, p):
@@ -161,7 +174,7 @@ def test_closed_form_equals_counted_density_at_good_primes():
                         if (2 * n.numerator * n.denominator * L.det) % p]
                 for p in good:
                     rep = local_density(gamma, n, L, p)
-                    assert rep == _counted_density(lift, n, L, p, None, 10 ** 8), \
+                    assert rep == _counted_density(lift, n, L, p, None), \
                         (L.rank, gamma, n, p)
                     assert rep.stabilization_exponent == 1
                     for s, count in enumerate(rep.raw_counts, 1):
@@ -229,24 +242,46 @@ def test_counts_ignore_the_basis():
                 assert local_density(lift_m, n, M, p) == local_density(lift, n, L, p)
 
 
-def test_residual_guard():
-    # x^2 + y^2 is two odd-type coordinates at p = 2: a histogram over Z/2^s
+def test_two_coordinate_residual_at_high_exponent():
+    # x^2 + y^2 is two odd-type coordinates at p = 2, counted with no table
     L = direct_sum(rank1(2), rank1(2))
-    assert count_solutions_split(None, 1, L, 2, 3) == count_solutions_naive(None, 1, L, 8)
-    with pytest.raises(GuardExceeded):
-        count_solutions_split(None, 1, L, 2, 10, guard=10 ** 5)
+    for s in (3, 10):
+        assert count_solutions_split(None, 1, L, 2, s) == \
+            count_solutions_naive(None, 1, L, 2 ** s)
 
 
-def test_quadratic_congruence_count_brute():
+def _brute_diagonal(ms, t, p, c):
+    """#{y mod p^c : sum m_i y_i^2 = t mod p^c}, over every y: the histogram
+    of the form, built one coordinate at a time."""
+    import numpy as np
+
+    a = p ** c
+    hist = np.zeros(a, dtype=np.int64)
+    hist[0] = 1
+    for m in ms:
+        one = np.bincount(m % a * np.arange(a, dtype=np.int64) ** 2 % a, minlength=a)
+        full = np.convolve(hist, one)
+        hist = full[:a].copy()
+        hist[:len(full) - a] += full[a:]
+    return int(hist[t % a])
+
+
+def test_residual_count_brute():
+    # the reduction against the exhaustive count, for up to four coordinates
+    # with zero coefficients and coefficients divisible by p and p^2
     rng = random.Random(1)
-    for _ in range(300):
-        p = rng.choice([2, 3, 5, 7])
-        e = rng.randint(0, 4)
-        m, w, c = (rng.randint(-20, 20) for _ in range(3))
-        a = p ** e
-        brute = sum(1 for x in range(a) if (m * x * x + w * x + c) % a == 0) \
-            if e else 1
-        assert quadratic_congruence_count(m, w, c, p, e) == brute
+    cases = 0
+    for p in (2, 3, 5, 7):
+        for c in range(5):
+            for k in range(5):
+                for _ in range(6):
+                    ms = [rng.choice([0, rng.randint(-60, 60), p * rng.randint(-9, 9),
+                                      p * p * rng.randint(-5, 5)]) for _ in range(k)]
+                    t = rng.choice([0, rng.randint(-60, 60), p * rng.randint(-9, 9)])
+                    assert _diagonal_count(ms, t, p, c) == _brute_diagonal(ms, t, p, c), \
+                        (ms, t, p, c)
+                    cases += 1
+    assert cases == 4 * 5 * 5 * 6
 
 
 def test_pair_count_brute():
