@@ -24,6 +24,7 @@ one per invariant factor.
 from __future__ import annotations
 
 import functools
+import math
 import numbers
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
@@ -390,11 +391,8 @@ def _reduced_count(ms, t: int, p: int, c: int) -> int:
             else:
                 lifted = sum(hist[t % 2 ** c::2 ** c]) >> (k * (3 - c))
         else:
-            d = 1
-            for m in units:
-                d = d * m % p
-            base = p ** (k - len(units)) * (_fp_count(p, len(units), d, t) - (t % p == 0))
-            lifted = base * p ** ((k - 1) * (c - 1))
+            points = _fp_count(p, len(units), math.prod(units), t) - (t % p == 0)
+            lifted = points * p ** (k - len(units) + (k - 1) * (c - 1))
     if t % p:
         return lifted
     rest = tuple(m * p if m % p else m // p for m in ms)
