@@ -247,9 +247,11 @@ def cmd_count(args, out):
               file=out)
     for n, reason in summary.skipped:
         print(f"# skipped n={_fmt(n)}: {reason}", file=out)
-    print(f"# mean_ratio={_fmt(summary.mean_ratio)} "
-          f"first_half={_fmt(summary.first_half_mean)} "
-          f"second_half={_fmt(summary.second_half_mean)}", file=out)
+    halves = ""
+    if summary.first_half_mean is not None and summary.second_half_mean is not None:
+        halves = (f" first_half={_fmt(summary.first_half_mean)}"
+                  f" second_half={_fmt(summary.second_half_mean)}")
+    print(f"# mean_ratio={_fmt(summary.mean_ratio)}{halves}", file=out)
     if summary.mu_infty_mc is not None:
         est, err = summary.mu_infty_mc
         z = (est - summary.mu_infty) / err if err else float("nan")

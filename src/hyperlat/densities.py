@@ -11,9 +11,12 @@ the rest), so the split counter builds no residue table and needs no size
 guard; only the exhaustive oracle has one.  No hand-written block
 metadata is read.  Densities are the stabilized normalized counts;
 stabilization is always witnessed, never extrapolated.  At an odd prime
-prime to n and det the form is unimodular and every solution mod p is
+prime to det (and to den(n)) the form is unimodular, equivalent to
+<1, ..., 1, det/2^r>: prime to num(n) as well, every solution mod p is
 non-singular, so the density and its witnesses are one Legendre symbol in
-closed form; the counters stay as its oracles.
+closed form; dividing num(n), each count is Hanke's reduction on that
+diagonal form.  Only p = 2 and the primes dividing det are counted on the
+Jordan splitting, which stays the oracle of both shortcuts.
 
 Every function takes the coset gamma + L one way, decided by type: None is
 the zero class, a tuple holding a Fraction is a dual vector with one entry
@@ -462,24 +465,35 @@ def _local_pieces(gram, p: int, w):
     return tuple(radial), tuple(residual), offset
 
 
+@functools.lru_cache(maxsize=1024)
+def _radial_fold(radial, p: int, s: int):
+    """The radial pieces folded into one function of c = min(v_p(t), s).
+
+    It depends on the pieces, p and s alone, not on the norm, so one entry
+    serves every norm of a coset.
+    """
+    values = [0] * s + [1]  # the empty form
+    for fn, args in radial:
+        values = _convolve_valuation_values(values, fn(p, s, *args), p, s)
+    return tuple(values)
+
+
 def count_solutions_split(gamma, n, L: IntegerLattice, p: int, s: int) -> int:
     """Same count as count_solutions_naive at a = p^s, from the Jordan splitting.
 
-    The radial pieces fold into one function R_c of c = min(v_p(t), s); the
-    k residual coordinates give W_c = #{y mod p^s : residual(y) = target
-    mod p^c} = p^(k(s-c)) N(m, target, c), each N by the reduction of
-    ``_reduced_count``.  The count is sum_c R_c (W_c - W_{c+1}) over the
-    valuation classes c of target - residual(y), so nothing of size p^s is
-    built.
+    The radial pieces fold into one function R_c of c = min(v_p(t), s)
+    (``_radial_fold``); the k residual coordinates give W_c = #{y mod p^s :
+    residual(y) = target mod p^c} = p^(k(s-c)) N(m, target, c), each N by
+    the reduction of ``_reduced_count``.  The count is
+    sum_c R_c (W_c - W_{c+1}) over the valuation classes c of
+    target - residual(y), so nothing of size p^s is built.
     """
     lift = _gamma_lift(L, gamma)
     w, c0 = _count_data(L.gram, lift, Fraction(n))
     radial, residual, offset = _local_pieces(L.gram, p, w)
     const = c0 + offset
     a = p ** s
-    values = [0] * s + [1]  # the empty form
-    for fn, args in radial:
-        values = _convolve_valuation_values(values, fn(p, s, *args), p, s)
+    values = _radial_fold(radial, p, s)
     ms = [_mod(m, a) for m in residual]
     target = _mod(-const, a)
     k = len(ms)
@@ -504,19 +518,24 @@ def local_density(gamma, n, L: IntegerLattice, p: int,
     """Stabilized local density with the witnessing raw counts.
 
     The normalization exponent is rank - 1 (= 1 + b in signature (2, b)).
-    At p prime to 2 num(n) den(n) det the density has a closed form
-    (``_unramified_density``); at the other primes it is counted.  The
-    stabilization exponent starts at 1 + v_p(2 n det): the first pair of
-    consecutive exponents at or past it with equal normalized counts wins.
-    Running past s_max without stabilizing is an error, not an extrapolation.
+    At an odd p prime to den(n) det, L is unimodular over Z_p: at p prime to
+    num(n) too the density has a closed form (``_unramified_density``), and
+    at p | num(n) it is counted on the diagonal form <1, ..., 1, det/2^r>
+    (``_unimodular_density``).  Only at p = 2 and the p dividing det is it
+    counted on the Jordan splitting.  The stabilization exponent starts at
+    1 + v_p(2 n det): the first pair of consecutive exponents at or past it
+    with equal normalized counts wins.  Running past s_max without
+    stabilizing is an error, not an extrapolation.
     """
     n = Fraction(n)
     if n <= 0:
         raise DensityError("local density wants n > 0")
     lift = _gamma_lift(L, gamma)
-    if L.rank and (2 * n.numerator * n.denominator * L.det) % p:
+    if L.rank and (2 * n.denominator * L.det) % p:
         _count_data(L.gram, lift, n)   # gamma in the dual, n in -Q(gamma) + Z
-        return _unramified_density(n, L, p)
+        if n.numerator % p:
+            return _unramified_density(n, L, p)
+        return _unimodular_density(n, L, p, s_max)
     return _counted_density(lift, n, L, p, s_max)
 
 
@@ -537,9 +556,32 @@ def _unramified_density(n: Fraction, L: IntegerLattice, p: int) -> LocalDensityR
     return LocalDensityReport(p, 1, (count, count * norm), Fraction(count, norm))
 
 
+def _unimodular_density(n: Fraction, L: IntegerLattice, p: int,
+                        s_max: int | None) -> LocalDensityReport:
+    """The stabilized density at an odd p prime to den(n) det, p | num(n).
+
+    L is unimodular over Z_p and the lift of gamma p-integral, so a translate
+    removes gamma, and Q is equivalent to <1, ..., 1, d> with d = det / 2^r
+    up to a unit square, for instance det 2^(r mod 2).  Each raw count is
+    N(<1, ..., 1, d>, -n, s) by Hanke's reduction, with no Jordan splitting
+    and no radial fold.
+    """
+    r = L.rank
+    ms = (1,) * (r - 1) + (L.det * 2 ** (r % 2),)
+    return _stabilized_density(
+        lambda s: _diagonal_count(ms, _mod(-n, p ** s), p, s), n, L, p, s_max)
+
+
 def _counted_density(lift, n: Fraction, L: IntegerLattice, p: int,
                      s_max: int | None) -> LocalDensityReport:
     """The stabilized density from counts on the Jordan splitting."""
+    return _stabilized_density(
+        lambda s: count_solutions_split(lift, n, L, p, s), n, L, p, s_max)
+
+
+def _stabilized_density(count, n: Fraction, L: IntegerLattice, p: int,
+                        s_max: int | None) -> LocalDensityReport:
+    """The first stable normalized count of count(s) = N(gamma, n, L, p^s)."""
     norm_exp = L.rank - 1
     x = 2 * n * abs(L.det)
     floor = 1 + max(0, rational_valuation(x, p))
@@ -552,7 +594,7 @@ def _counted_density(lift, n: Fraction, L: IntegerLattice, p: int,
     def extend_to(s):
         while len(counts) < s:
             snew = len(counts) + 1
-            counts.append(count_solutions_split(lift, n, L, p, snew))
+            counts.append(count(snew))
             norms.append(Fraction(counts[-1], p ** (norm_exp * snew)))
 
     for s0 in range(floor, s_max + 1):

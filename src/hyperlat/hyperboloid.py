@@ -518,7 +518,8 @@ def _count_glued(lift, ns, window: Window):
         ks = [k for k, _ in short_vectors(ap, 2 * rho2 * n_hi, sp, SWEEP_GUARD)]
     except NodeGuardExceeded as exc:
         raise EnumGuardExceeded(str(exc)) from None
-    kk = [(dp * k0 + int(sp[0] * dp), dp * k1 + int(sp[1] * dp)) for k0, k1 in ks]
+    sp0, sp1 = (int(x * dp) for x in sp)
+    kk = [(dp * k0 + sp0, dp * k1 + sp1) for k0, k1 in ks]
     if window.sector is not None:
         # (x, t_i) = (p, t_i) = (k + sp) m_i, m = hp bp G (t1 t2): a rational
         # 2 x 2 map of k, formed on the integers kk = dp (k + sp) and dm m
@@ -690,8 +691,8 @@ class ExperimentSummary:
     reports: tuple[CountReport, ...]
     skipped: tuple
     mean_ratio: float
-    first_half_mean: float
-    second_half_mean: float
+    first_half_mean: float | None           # None when the half is empty
+    second_half_mean: float | None
     mu_infty: float                         # the closed form
     mu_infty_mc: tuple[float, float] | None  # (estimate, standard error)
 
@@ -747,7 +748,7 @@ def equidistribution_run(V: IntegerLattice, gamma, window: Window,
     ratios = [r.ratio for r in reports]
     mean = sum(ratios) / len(ratios) if ratios else math.nan
     half = len(ratios) // 2
-    first = sum(ratios[:half]) / half if half else math.nan
-    second = sum(ratios[half:]) / (len(ratios) - half) if len(ratios) - half else math.nan
+    first = sum(ratios[:half]) / half if half else None
+    second = sum(ratios[half:]) / (len(ratios) - half) if len(ratios) - half else None
     return ExperimentSummary(tuple(reports), tuple(skipped), mean, first,
                              second, mu_val, mc)

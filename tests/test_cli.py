@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -595,6 +596,25 @@ def test_residual_of_two_coordinates_at_p3_is_counted():
     assert len(rows) == 1
     n, empirical, _, _, _, series, grazing = rows[0]
     assert (n, empirical, series, grazing) == ("27/4", "51", "1152/1225", "0")
+
+
+def test_one_norm_count_prints_no_nan():
+    # one norm leaves the first half empty: its mean is not printed as nan,
+    # and the row is the same as with both halves printed
+    text = run_cli(["count", "--lattice", "rank1(2)+rank1(6)+rank1(-6)+rank1(-6)+rank1(-6)",
+                    "--gamma", "0,0,1,2,2", "--rho", "1", "--nmin", "27/4",
+                    "--nmax", "27/4", "--prime-bound", "10"])
+    lines = text.splitlines()
+    assert lines[2] == "27/4,51,44.0905663683,1.15671002214,2.67345961444,1152/1225,0"
+    assert lines[3:] == ["# mean_ratio=1.15671002214"]
+    assert "nan" not in re.split(r"[\s,;=]+", text)
+
+
+def test_count_prints_both_halves():
+    text = run_cli(["count", "--lattice", "U+U+rank1(-2)", "--rho", "1", "--nmin", "1",
+                    "--nmax", "3", "--prime-bound", "10"])
+    last = text.splitlines()[-1].split()
+    assert [x.split("=")[0] for x in last[1:]] == ["mean_ratio", "first_half", "second_half"]
 
 
 @pytest.mark.parametrize("n", ["4", "8", "16"])

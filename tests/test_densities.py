@@ -11,6 +11,7 @@ from hyperlat.densities import (
     eisenstein_coefficient,
     is_representable,
     local_density,
+    rational_valuation,
     singular_series,
     small_primes,
     _counted_density,
@@ -154,16 +155,21 @@ def test_odd_rank_closed_form_at_good_primes(v_lattice):
                 assert Fraction(count, p ** (3 * (L.rank - 1))) == want, (L.rank, n, p)
 
 
-def test_closed_form_equals_counted_density_at_good_primes():
-    # every good p < 100: the closed form of local_density against the
-    # stabilized Jordan count, report for report (s0, raw counts, density);
-    # at p <= 7 the raw counts also against the exhaustive counter
+def _shortcut_lattices():
+    """Lattices of both rank parities for the shortcuts of local_density."""
     U = hyperbolic_plane()
     lattices = [L for L in small_test_lattices() if L.rank >= 5]
     lattices += [direct_sum(U, U, rank1(-2), rank1(-4)),     # even rank, D = Z/2 x Z/4
                  k3_lattices(two_d=2)[1], k3_lattices(two_d=4)[1]]
     assert {L.rank % 2 for L in lattices} == {0, 1}
-    for L in lattices:
+    return lattices
+
+
+def test_closed_form_equals_counted_density_at_good_primes():
+    # every good p < 100: the closed form of local_density against the
+    # stabilized Jordan count, report for report (s0, raw counts, density);
+    # at p <= 7 the raw counts also against the exhaustive counter
+    for L in _shortcut_lattices():
         D = discriminant_group(L)
         classes = [D.zero] + [g for g in D.elements() if g != D.zero][-1:]
         for gamma in classes:
@@ -179,6 +185,32 @@ def test_closed_form_equals_counted_density_at_good_primes():
                     assert rep.stabilization_exponent == 1
                     for s, count in enumerate(rep.raw_counts, 1):
                         if p <= 7 and p ** (s * L.rank) <= 10 ** 6:
+                            assert count == count_solutions_naive(lift, n, L, p ** s), \
+                                (L.rank, gamma, n, p, s)
+
+
+def test_unimodular_density_equals_counted_density():
+    # odd p prime to det dividing num(n), v_p(n) = 1..3: the counts on
+    # <1, ..., 1, det/2^r> against the stabilized Jordan count, report for
+    # report, also at an s_max below the floor 1 + v_p(n); the raw counts
+    # against the exhaustive counter where it is small
+    for L in _shortcut_lattices():
+        D = discriminant_group(L)
+        classes = [D.zero] + [g for g in D.elements() if g != D.zero][-1:]
+        for gamma in classes:
+            lift = _gamma_lift(L, gamma)
+            base = -L.q_of(lift) % 1
+            for p in (p for p in (3, 5, 7) if L.det % p):
+                for v in (1, 2, 3):
+                    n = next(base + m for m in range(1, p ** (v + 2))
+                             if rational_valuation(base + m, p) == v)
+                    for s_max in (None, 1):
+                        rep = local_density(gamma, n, L, p, s_max)
+                        assert rep == _counted_density(lift, n, L, p, s_max), \
+                            (L.rank, gamma, n, p, s_max)
+                    assert rep.stabilization_exponent >= 1 + v
+                    for s, count in enumerate(rep.raw_counts, 1):
+                        if p ** (s * L.rank) <= 10 ** 6:
                             assert count == count_solutions_naive(lift, n, L, p ** s), \
                                 (L.rank, gamma, n, p, s)
 
@@ -461,9 +493,25 @@ def test_is_representable_matches_the_prime_sweep():
 
 def test_local_pieces_shared_across_norms(v_lattice):
     # c0 only shifts the constant, so one Jordan-piece entry per prime
-    # serves every norm of the coset
+    # counted on the splitting (p = 2 and the p dividing det) serves every
+    # norm of the coset
     _local_pieces.cache_clear()
     primes = set()
     for n in range(300, 331):
         primes.update(singular_series(None, n, v_lattice, 100).factors)
     assert 0 < _local_pieces.cache_info().currsize <= len(primes)
+
+
+def test_unimodular_primes_build_no_jordan_splitting(v_lattice):
+    # det = -2: the odd p dividing n are counted on <1, 1, 1, 1, -2> with no
+    # Jordan splitting, so p = 2 builds the only one; its radial fold is
+    # built once per exponent and then reused across the norms
+    import hyperlat.densities as dens
+
+    for cache in (dens._jordan_splitting, dens._local_pieces, dens._radial_fold,
+                  dens._reduced_count, dens._count_data):
+        cache.cache_clear()
+    for n in range(300, 331):
+        singular_series(None, n, v_lattice, 100)
+    assert dens._jordan_splitting.cache_info().currsize == 1
+    assert dens._radial_fold.cache_info().hits > 0

@@ -235,6 +235,23 @@ def test_count_range_fractional_norms(v8_lattice):
     assert got == count_range(lift, small + [Fraction(4), moderate], win)
 
 
+@pytest.mark.parametrize("gamma, counts", [
+    ((1, 1, 0, 0, 0), [0, 12, 48, 32, 24]),   # P-shift (1/2, 1/6)
+    ((0, 3, 0, 0, 0), [0, 12, 0, 48, 24]),    # P-shift (0, 1/2)
+])
+def test_count_range_non_integral_p_shift(gamma, counts):
+    # on <2>+<6>+3<-6> the P-vectors of these cosets have denominators 6 and
+    # 2: the P side is scaled by dp > 1 before its values are keyed
+    L = direct_sum(rank1(2), rank1(6), rank1(-6), rank1(-6), rank1(-6))
+    ns = admissible_values(L, gamma, 1, 6)
+    assert len(ns) == 5
+    win = _window(L)
+    for w in (win, Window(win.frame, Fraction(1), sector=(0.4, 2.9))):
+        got = count_range(gamma, ns, w)
+        assert got == tuple(box_scan_count(gamma, n, w) for n in ns)
+    assert [pc.count for pc in count_range(gamma, ns, win)] == counts
+
+
 @pytest.mark.parametrize("rho, gamma, lo, hi", [
     (Fraction(1, 2), None, 1, 80),
     (Fraction(1), None, 40, 60),
