@@ -16,6 +16,7 @@ import cost of numpy only when it uses a module that needs it.
 import importlib
 
 _EXPORTS = {
+    "exactla": ("InputError", "NodeGuardExceeded"),
     "lattices": (
         "IntegerLattice", "LatticeError", "Signature", "direct_sum", "e8",
         "hyperbolic_plane", "is_anisotropic_over_q", "k3_lattice",

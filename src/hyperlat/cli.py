@@ -10,20 +10,14 @@ byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
+import math
 import os
 import sys
 from fractions import Fraction
 
-from .exactla import NodeGuardExceeded
-from .lattices import (
-    IntegerLattice,
-    direct_sum,
-    e8,
-    hyperbolic_plane,
-    k3_lattice,
-    load_lattice,
-    rank1,
-)
+from .exactla import InputError, NodeGuardExceeded
+from .lattices import NAMED_LATTICES, IntegerLattice, direct_sum, load_lattice, make_named
 
 def _fmt(x) -> str:
     if isinstance(x, Fraction):
@@ -34,22 +28,17 @@ def _fmt(x) -> str:
 
 
 def parse_lattice_spec(spec: str) -> IntegerLattice:
-    """Either a JSON file path or a '+'-joined list of named blocks.
+    """Either a JSON file path or a '+'-joined list of the names that
+    ``lattices.make_named`` knows, rank1 written rank1(2m).
 
     A spec that names no lattice raises ArgumentTypeError, which main
     reports as a usage error."""
-    named = {"U": hyperbolic_plane, "E8": lambda: e8(1),
-             "E8(-1)": lambda: e8(-1), "K3": k3_lattice}
     try:
-        parts = []
-        for tok in spec.split("+"):
-            tok = tok.strip()
-            if tok in named:
-                parts.append(named[tok]())
-            elif tok.startswith("rank1(") and tok.endswith(")"):
-                parts.append(rank1(int(tok[6:-1])))
-            else:
-                return load_lattice(spec)
+        blocks = [("rank1", [int(tok[6:-1])]) if tok.startswith("rank1(") and tok.endswith(")")
+                  else (tok, []) for tok in map(str.strip, spec.split("+"))]
+        if any(name not in NAMED_LATTICES for name, _ in blocks):
+            return load_lattice(spec)
+        parts = [make_named(name, params) for name, params in blocks]
         return parts[0] if len(parts) == 1 else direct_sum(*parts)
     except FileNotFoundError:
         raise argparse.ArgumentTypeError(
@@ -86,6 +75,28 @@ def parse_fraction(text: str, flag: str) -> Fraction:
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(
             f"{flag} wants a rational number, got {text!r}") from None
+
+
+def _flag_type(convert, wants: str, ok=lambda value: True):
+    """An argparse type: convert(text), refused where that fails or ok(value) is false."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"wants {wants}, got {text!r}")
+    return parse
+
+
+_NATURAL = _flag_type(int, "an integer >= 0", lambda value: value >= 0)
+_POSITIVE = _flag_type(int, "an integer >= 1", lambda value: value >= 1)
+_FINITE = _flag_type(float, "a finite number", math.isfinite)
+# --p-rows 'a,b,...;c,d,...'; None when empty
+_ROWS = _flag_type(lambda text: [[int(x) for x in row.split(",")]
+                                 for row in text.split(";")] if text else None,
+                   "integer rows 'a,b,...;c,d,...'")
 
 
 def _header(args, keys) -> str:
@@ -136,29 +147,20 @@ def cmd_weil(args, out):
 
 
 def cmd_theta(args, out):
-    from .qseries import QSeriesInputError, theta_series
+    from .qseries import theta_series
 
     L = parse_lattice_spec(args.lattice)
-    try:
-        series = theta_series(L, parse_fraction(args.order, "--order"))
-    except QSeriesInputError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+    series = theta_series(L, parse_fraction(args.order, "--order"))
     print(_header(args, ["lattice", "order"]), file=out)
     print(series.dump_csv(), file=out)
     return 0
 
 
 def cmd_cusp(args, out):
-    from .cusps import CuspInputError, find_isotropic_planes
+    from .cusps import find_isotropic_planes
 
     L = parse_lattice_spec(args.lattice)
-    # a negative bound would search nothing and print an empty table
-    if args.bound < 0:
-        raise argparse.ArgumentTypeError(f"--bound must be >= 0, got {args.bound}")
-    try:
-        data = find_isotropic_planes(L, args.bound)
-    except CuspInputError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+    data = find_isotropic_planes(L, args.bound)
     print(_header(args, ["lattice", "bound"]), file=out)
     print("index,plane_rows,imprimitivity,kf_gram,strongly_primitive,det_identity",
           file=out)
@@ -172,19 +174,13 @@ def cmd_cusp(args, out):
 
 
 def cmd_density(args, out):
-    from .densities import in_coset_support, is_prime, local_density
+    from .densities import is_prime, local_density
 
     L = parse_lattice_spec(args.lattice)
     gamma = parse_gamma(args.gamma, L)
     n = parse_fraction(args.n, "--n")
     if not is_prime(args.prime):
         raise argparse.ArgumentTypeError(f"--prime wants a prime, got {args.prime}")
-    if n <= 0:
-        raise argparse.ArgumentTypeError(f"--n wants a norm n > 0, got {n}")
-    if not in_coset_support(gamma, n, L):
-        shift = -L.discriminant_group().q_value(gamma) % 1
-        raise argparse.ArgumentTypeError(
-            f"--n {n} is not in the coset -Q(gamma) + Z = {shift} + Z")
     rep = local_density(gamma, n, L, args.prime, s_max=args.smax)
     print(_header(args, ["lattice", "gamma", "n", "prime", "smax"]), file=out)
     print("prime,s0,density,raw_counts", file=out)
@@ -220,21 +216,14 @@ def cmd_eis(args, out):
 
 
 def cmd_count(args, out):
-    from .hyperboloid import HyperboloidError, Window, equidistribution_run, splitting_frame
+    from .hyperboloid import Window, equidistribution_run, splitting_frame
 
     L = parse_lattice_spec(args.lattice)
-    if L.rank < 5:
-        raise argparse.ArgumentTypeError(
-            f"count wants signature (2, b) with b >= 3, got rank {L.rank}")
     gamma = parse_gamma(args.gamma, L)
     rho = parse_fraction(args.rho, "--rho")
     nmin, nmax = parse_fraction(args.nmin, "--nmin"), parse_fraction(args.nmax, "--nmax")
-    try:
-        window = Window(splitting_frame(L), rho)
-    except HyperboloidError as exc:
-        raise argparse.ArgumentTypeError(f"--rho {args.rho}: {exc}") from None
     summary = equidistribution_run(
-        L, gamma, window, nmin, nmax,
+        L, gamma, Window(splitting_frame(L), rho), nmin, nmax,
         prime_bound=args.prime_bound, samples=args.samples, seed=args.seed,
         workers=args.workers)
     print(_header(args, ["lattice", "gamma", "rho", "nmin", "nmax",
@@ -251,12 +240,14 @@ def cmd_count(args, out):
     if summary.first_half_mean is not None and summary.second_half_mean is not None:
         halves = (f" first_half={_fmt(summary.first_half_mean)}"
                   f" second_half={_fmt(summary.second_half_mean)}")
-    print(f"# mean_ratio={_fmt(summary.mean_ratio)}{halves}", file=out)
+    if summary.mean_ratio is not None:
+        print(f"# mean_ratio={_fmt(summary.mean_ratio)}{halves}", file=out)
     if summary.mu_infty_mc is not None:
         est, err = summary.mu_infty_mc
-        z = (est - summary.mu_infty) / err if err else float("nan")
+        # a z-score needs a spread: one sample has none
+        z = f" z={(est - summary.mu_infty) / err:.2f}" if err else ""
         print(f"# mu_infty monte_carlo={_fmt(est)} stderr={_fmt(err)} "
-              f"closed_form={_fmt(summary.mu_infty)} z={z:.2f}", file=sys.stderr)
+              f"closed_form={_fmt(summary.mu_infty)}{z}", file=sys.stderr)
     return 0
 
 
@@ -267,12 +258,9 @@ def cmd_predict(args, out):
     gamma = parse_gamma(args.gamma, L)
     boundary = ()
     if args.boundary:
-        from .cusps import CuspInputError, cusp_datum, isotropic_planes
+        from .cusps import cusp_datum, isotropic_planes
 
-        try:
-            planes = isotropic_planes(L, args.cusp_bound)
-        except CuspInputError as exc:
-            raise argparse.ArgumentTypeError(str(exc)) from None
+        planes = isotropic_planes(L, args.cusp_bound)
         pairs = []
         for part in args.boundary.split(";"):
             try:
@@ -291,38 +279,28 @@ def cmd_predict(args, out):
                           prime_bound=args.prime_bound)
     print(_header(args, ["lattice", "gamma", "n", "mu_s", "prime_bound",
                          "boundary"]), file=out)
+    # only the boundary terms need theta series, so only they load qseries
+    result, rows = degree_prediction(inp) if boundary else (predict_count(inp), [])
+    print("value,error_order,representable", file=out)
+    print(f"{_fmt(result.value)},{result.error_order},{result.representable}",
+          file=out)
     if boundary:
-        result, rows = degree_prediction(inp)
-        print("value,error_order,representable", file=out)
-        print(f"{_fmt(result.value)},{result.error_order},{result.representable}",
-              file=out)
         print("# cusp corrections", file=out)
-        for row in rows:
-            print(f"# u={_fmt(float(row['u']))} degree={row['degree']} "
-                  f"order={row['sharper_order']}", file=out)
-    else:
-        result = predict_count(inp)
-        print("value,error_order,representable", file=out)
-        print(f"{_fmt(result.value)},{result.error_order},{result.representable}",
-              file=out)
+    for row in rows:
+        print(f"# u={_fmt(float(row['u']))} degree={row['degree']} "
+              f"order={row['sharper_order']}", file=out)
     return 0
 
 
 def cmd_k3(args, out):
     from .predict import k3_lattices, k3_predict
 
-    rows = None
-    if args.p_rows:
-        rows = [[int(x) for x in row.split(",")] for row in args.p_rows.split(";")]
-    elif args.two_d is None or args.two_d <= 0 or args.two_d % 2:
-        raise argparse.ArgumentTypeError(
-            f"--two-d wants a positive even integer (or give --p-rows), got {args.two_d}")
     gamma = None
     if args.gamma:
         # gamma lives in D(V) of the complement
-        gamma = parse_gamma(args.gamma, k3_lattices(args.two_d, rows)[1])
+        gamma = parse_gamma(args.gamma, k3_lattices(args.two_d, args.p_rows)[1])
     res = k3_predict(gamma, parse_fraction(args.n, "--n"), args.mu_s,
-                     two_d=args.two_d, rows=rows,
+                     two_d=args.two_d, rows=args.p_rows,
                      prime_bound=args.prime_bound)
     print(_header(args, ["two_d", "gamma", "n", "mu_s", "prime_bound"]), file=out)
     print("rho,exponent,value,representable_2n,exact_test,disc_match", file=out)
@@ -332,90 +310,82 @@ def cmd_k3(args, out):
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Its usage errors, a subcommand's too, end in one 'hyperlat: error:' line."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(2, f"hyperlat: error: {message}\n")
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    """The parser of every command, built once: parsing leaves it as it was."""
+    p = _Parser(
         prog="hyperlat",
         description="Exact lattice invariants and hyperboloid point counts")
     sub = p.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("lattice", help="inspect a lattice")
-    sp.add_argument("--lattice", required=True)
-    sp.set_defaults(func=cmd_lattice)
+    def command(name, func, help_text, lattice=True, gamma=False):
+        sp = sub.add_parser(name, help=help_text)
+        if lattice:
+            sp.add_argument("--lattice", required=True)
+        if gamma:
+            sp.add_argument("--gamma", default="")
+        sp.set_defaults(func=func)
+        return sp
 
-    sp = sub.add_parser("fqm", help="discriminant group with Q values")
-    sp.add_argument("--lattice", required=True)
-    sp.set_defaults(func=cmd_fqm)
-
-    sp = sub.add_parser("weil", help="Weil representation matrices")
-    sp.add_argument("--lattice", required=True)
+    command("lattice", cmd_lattice, "inspect a lattice")
+    command("fqm", cmd_fqm, "discriminant group with Q values")
+    sp = command("weil", cmd_weil, "Weil representation matrices")
     sp.add_argument("--dual", action="store_true")
-    sp.set_defaults(func=cmd_weil)
-
-    sp = sub.add_parser("theta", help="theta series of a definite lattice")
-    sp.add_argument("--lattice", required=True)
+    sp = command("theta", cmd_theta, "theta series of a definite lattice")
     sp.add_argument("--order", required=True)
-    sp.set_defaults(func=cmd_theta)
+    sp = command("cusp", cmd_cusp, "primitive isotropic planes and cusp data")
+    sp.add_argument("--bound", type=_NATURAL, default=1)
 
-    sp = sub.add_parser("cusp", help="primitive isotropic planes and cusp data")
-    sp.add_argument("--lattice", required=True)
-    sp.add_argument("--bound", type=int, default=1)
-    sp.set_defaults(func=cmd_cusp)
-
-    sp = sub.add_parser("density", help="one local density with witnesses")
-    sp.add_argument("--lattice", required=True)
-    sp.add_argument("--gamma", default="")
+    sp = command("density", cmd_density, "one local density with witnesses", gamma=True)
     sp.add_argument("--n", required=True)
     sp.add_argument("--prime", type=int, required=True)
-    sp.add_argument("--smax", type=int, default=None)
-    sp.set_defaults(func=cmd_density)
+    sp.add_argument("--smax", type=_POSITIVE, default=None)
 
-    sp = sub.add_parser("eis", help="Eisenstein coefficients over a range")
-    sp.add_argument("--lattice", required=True)
-    sp.add_argument("--gamma", default="")
-    sp.add_argument("--nmax", type=int, required=True)
-    sp.add_argument("--prime-bound", dest="prime_bound", type=int, default=100)
-    sp.set_defaults(func=cmd_eis)
+    eis = command("eis", cmd_eis, "Eisenstein coefficients over a range", gamma=True)
+    eis.add_argument("--nmax", type=int, required=True)
 
-    sp = sub.add_parser("count", help="equidistribution experiment")
-    sp.add_argument("--lattice", required=True)
-    sp.add_argument("--gamma", default="")
-    sp.add_argument("--rho", required=True)
-    sp.add_argument("--nmin", required=True)
-    sp.add_argument("--nmax", required=True)
-    sp.add_argument("--seed", type=int, default=0,
-                    help="seed of the Monte Carlo cross-check")
-    sp.add_argument("--workers", type=int, default=1,
-                    help="number of Monte Carlo RNG substreams; the "
-                         "substreams run one after another, not in parallel")
-    sp.add_argument("--samples", type=int, default=0,
-                    help="Monte Carlo samples for a cross-check of the closed-"
-                         "form mu_infty, reported on stderr; 0 (the default) "
-                         "skips it.  The CSV never depends on it")
-    sp.add_argument("--prime-bound", dest="prime_bound", type=int, default=100)
-    sp.set_defaults(func=cmd_count)
+    count = command("count", cmd_count, "equidistribution experiment", gamma=True)
+    count.add_argument("--rho", required=True)
+    count.add_argument("--nmin", required=True)
+    count.add_argument("--nmax", required=True)
+    count.add_argument("--seed", type=_NATURAL, default=0,
+                       help="seed of the Monte Carlo cross-check")
+    count.add_argument("--workers", type=_POSITIVE, default=1,
+                       help="number of Monte Carlo RNG substreams; the "
+                            "substreams run one after another, not in parallel")
+    count.add_argument("--samples", type=_NATURAL, default=0,
+                       help="Monte Carlo samples for a cross-check of the closed-"
+                            "form mu_infty, reported on stderr; 0 (the default) "
+                            "skips it.  The CSV never depends on it")
 
-    sp = sub.add_parser("predict", help="predicted count for one (gamma, n)")
-    sp.add_argument("--lattice", required=True)
-    sp.add_argument("--gamma", default="")
-    sp.add_argument("--n", required=True)
-    sp.add_argument("--mu-s", dest="mu_s", type=float, required=True)
-    sp.add_argument("--boundary", default="",
-                    help="cusp corrections 'index:degree;...' over planes "
-                         "found at --cusp-bound")
-    sp.add_argument("--cusp-bound", dest="cusp_bound", type=int, default=1)
-    sp.add_argument("--prime-bound", dest="prime_bound", type=int, default=100)
-    sp.set_defaults(func=cmd_predict)
+    predict = command("predict", cmd_predict, "predicted count for one (gamma, n)",
+                      gamma=True)
+    predict.add_argument("--n", required=True)
+    predict.add_argument("--mu-s", dest="mu_s", type=_FINITE, required=True)
+    predict.add_argument("--boundary", default="",
+                         help="cusp corrections 'index:degree;...' over planes "
+                              "found at --cusp-bound")
+    predict.add_argument("--cusp-bound", dest="cusp_bound", type=_NATURAL, default=1)
 
-    sp = sub.add_parser("k3", help="rank-22 unimodular specialization")
-    sp.add_argument("--two-d", dest="two_d", type=int, default=None)
-    sp.add_argument("--p-rows", dest="p_rows", default="",
+    k3 = command("k3", cmd_k3, "rank-22 unimodular specialization", lattice=False)
+    k3.add_argument("--two-d", dest="two_d", type=int, default=None)
+    k3.add_argument("--p-rows", dest="p_rows", type=_ROWS, default="",
                     help="explicit sublattice rows 'a,b,...;c,d,...'")
-    sp.add_argument("--gamma", default="")
-    sp.add_argument("--n", required=True)
-    sp.add_argument("--mu-s", dest="mu_s", type=float, required=True)
-    sp.add_argument("--prime-bound", dest="prime_bound", type=int, default=100)
-    sp.set_defaults(func=cmd_k3)
+    k3.add_argument("--gamma", default="")
+    k3.add_argument("--n", required=True)
+    k3.add_argument("--mu-s", dest="mu_s", type=_FINITE, required=True)
 
+    for sp in (eis, count, predict, k3):
+        sp.add_argument("--prime-bound", dest="prime_bound", type=_NATURAL,
+                        default=100)
     return p
 
 
@@ -427,7 +397,7 @@ def main(argv=None, out=None) -> int:
         code = args.func(args, out)
         out.flush()
         return code
-    except argparse.ArgumentTypeError as exc:
+    except (InputError, argparse.ArgumentTypeError) as exc:
         parser.error(str(exc))
     except NodeGuardExceeded as exc:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)

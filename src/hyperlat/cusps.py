@@ -16,6 +16,8 @@ from fractions import Fraction
 from math import gcd
 
 from .exactla import (
+    InputError,
+    NodeGuardExceeded,
     hnf,
     kernel_basis,
     mat_mul,
@@ -34,8 +36,12 @@ class CuspError(ValueError):
     pass
 
 
-class CuspInputError(CuspError):
+class CuspInputError(CuspError, InputError):
     """A plane search asked of a lattice not of signature (2, b)."""
+
+
+class CuspGuardExceeded(CuspError, NodeGuardExceeded):
+    """A plane search whose box of coefficient vectors exceeds the guard."""
 
 
 @dataclass(frozen=True)
@@ -184,8 +190,10 @@ def project_class(F: CuspDatum, elt):
 
 def _primitive_null_vectors(V: IntegerLattice, bound: int):
     r = V.rank
-    if (2 * bound + 1) ** r > _PLANE_SEARCH_GUARD:
-        raise CuspError("search box too large; lower the bound")
+    size = (2 * bound + 1) ** r
+    if size > _PLANE_SEARCH_GUARD:
+        raise CuspGuardExceeded(f"plane search box of {size} vectors exceeds guard "
+                                f"{_PLANE_SEARCH_GUARD}; lower the bound")
     entries = [(i, j, gij) for i, row in enumerate(V.gram)
                for j, gij in enumerate(row) if gij]
     out = []

@@ -3,9 +3,9 @@
 Counts N(gamma, n, L, a) = #{alpha in L/aL : Q(alpha+gamma) + n = 0 mod a}
 are computed exactly: a slow exhaustive counter, and a fast path that finds
 the Jordan splitting of L over Z_p from the Gram matrix alone.  Pieces whose
-counts depend only on the valuation of the target (planes, and pieces whose
-shift no translate absorbs) are folded in closed form; the remaining
-diagonal coordinates, however many, are counted exactly by Hanke's
+counts depend only on the valuation of the target (the 2-adic planes, and
+pieces whose shift no translate absorbs) are folded in closed form; every
+other diagonal coordinate, however many, is counted exactly by Hanke's
 reduction (Hensel lifting of the points with a unit coordinate, rescaling of
 the rest), so the split counter builds no residue table and needs no size
 guard; only the exhaustive oracle has one.  No hand-written block
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
-from .exactla import NodeGuardExceeded
+from .exactla import InputError, NodeGuardExceeded
 from .fqm import discriminant_group
 from .lattices import IntegerLattice, _prime_factors
 
@@ -44,6 +44,10 @@ PI = Decimal("3.1415926535897932384626433832795028841971693993751058209749445923
 
 class DensityError(ValueError):
     pass
+
+
+class DensityInputError(DensityError, InputError):
+    """A malformed gamma, a coset n is not in, n <= 0, or too small a rank."""
 
 
 class GuardExceeded(DensityError, NodeGuardExceeded):
@@ -118,17 +122,17 @@ def _gamma_lift(L: IntegerLattice, gamma):
     gamma = tuple(gamma)
     if any(isinstance(x, Fraction) for x in gamma):
         if len(gamma) != L.rank:
-            raise DensityError(f"a dual vector gamma needs {L.rank} entries, "
-                               f"got {len(gamma)}")
+            raise DensityInputError(f"a dual vector gamma needs {L.rank} entries, "
+                                    f"got {len(gamma)}")
         if all(isinstance(x, Fraction) for x in gamma):
             return gamma
         return tuple(Fraction(x) for x in gamma)
     D = discriminant_group(L)
     if all(isinstance(x, numbers.Integral) for x in gamma) and len(gamma) == D.ngens:
         return D.lift(gamma)
-    raise DensityError(f"gamma must be {D.ngens} integer residues in the "
-                       f"discriminant group or a dual vector of {L.rank} "
-                       f"Fractions, got {gamma!r}")
+    raise DensityInputError(f"gamma must be {D.ngens} integer residues in the "
+                            f"discriminant group or a dual vector of {L.rank} "
+                            f"Fractions, got {gamma!r}")
 
 
 @functools.lru_cache(maxsize=256)
@@ -138,12 +142,22 @@ def _count_data(gram, lift, n: Fraction):
     for row in gram:
         x = sum((g * y for g, y in zip(row, lift) if g), Fraction(0))
         if x.denominator != 1:
-            raise DensityError("gamma is not in the dual lattice")
+            raise DensityInputError("gamma is not in the dual lattice")
         w.append(int(x))
     c0 = sum((Fraction(y) * x for y, x in zip(lift, w)), Fraction(0)) / 2 + n
     if c0.denominator != 1:
-        raise DensityError("n is not in -Q(gamma) + Z")
+        # c0 = Q(gamma) + n, so n - c0 = -Q(gamma) mod 1
+        raise DensityInputError(f"n = {n} is not in -Q(gamma) + Z = {(n - c0) % 1} + Z")
     return tuple(w), int(c0)
+
+
+def _checked_lift(L: IntegerLattice, gamma, n: Fraction):
+    """The dual vector of gamma + L, once n > 0 is known to lie in -Q(gamma) + Z."""
+    if n <= 0:
+        raise DensityInputError(f"the norm n must be > 0, got {n}")
+    lift = _gamma_lift(L, gamma)
+    _count_data(L.gram, lift, n)
+    return lift
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +167,7 @@ def count_solutions_naive(gamma, n, L: IntegerLattice, a: int,
                           guard: int = ENUMERATION_GUARD) -> int:
     """Exact count of alpha in L/aL with Q(alpha+gamma)+n = 0 mod a."""
     if a <= 0:
-        raise DensityError("modulus must be positive")
+        raise DensityInputError("modulus must be positive")
     r = L.rank
     if a ** r > guard:
         raise GuardExceeded(f"a^rank = {a}^{r} exceeds guard {guard}")
@@ -414,17 +428,17 @@ def _local_pieces(gram, p: int, w):
     entry serves every norm.  A piece whose shift is B v for a p-integral v
     is translated by v, since Q(y) + (y, v) = Q(y + v) - Q(v).
     ``radial`` lists (values function, extra arguments) for the pieces whose
-    counts depend only on v_p(t): translated planes, and untranslatable
-    pieces, whose values cover p^e Z_p evenly.  ``residual`` holds the
-    coefficients m of the translated rank-1 pieces m y^2 left unpaired: at
-    odd p at most one per scale, since two of one scale form a plane.
+    counts depend only on v_p(t): translated planes (2x2 blocks, which only
+    p = 2 has), and untranslatable pieces, whose values cover p^e Z_p
+    evenly.  ``residual`` holds the coefficients m of every translated
+    rank-1 piece m y^2, at every p.
     """
     trans, pieces = _jordan_splitting(gram, p)
     r = len(gram)
     shift = [sum(trans[i][j] * w[i] for i in range(r) if w[i]) for j in range(r)]
     offset = Fraction(0)
     radial = []
-    rank1 = []
+    residual = []
     for idx, block in pieces:
         u = [shift[i] for i in idx]
         if len(idx) == 1:
@@ -442,26 +456,13 @@ def _local_pieces(gram, p: int, w):
         offset -= sum(vi * bij * vj for vi, row in zip(v, block)
                      for bij, vj in zip(row, v)) / 2
         if len(idx) == 1:
-            rank1.append(block[0][0] / 2)
+            residual.append(block[0][0] / 2)
         else:
             # Q = 2^k (a x^2 + b xy + c y^2), b odd: 2^k U when ac is even
             # (b^2 - 4ac = 1 mod 8), else 2^k V
             k = rational_valuation(y, 2)
             split = x * z == 0 or rational_valuation(x * z, 2) >= 2 * k + 3
             radial.append((_plane_values, (k, split)))
-    if p == 2:
-        return tuple(radial), tuple(rank1), offset
-    residual = []
-    by_scale = {}
-    for m in rank1:
-        by_scale.setdefault(rational_valuation(m, p), []).append(m)
-    for k, ms in sorted(by_scale.items()):
-        for m1, m2 in zip(ms[::2], ms[1::2]):
-            # a square -m1 m2 / p^2k makes the plane split
-            split = _legendre(_mod(-m1 * m2 / p ** (2 * k), p), p) == 1
-            radial.append((_plane_values, (k, split)))
-        if len(ms) % 2:
-            residual.append(ms[-1])
     return tuple(radial), tuple(residual), offset
 
 
@@ -528,11 +529,13 @@ def local_density(gamma, n, L: IntegerLattice, p: int,
     stabilizing is an error, not an extrapolation.
     """
     n = Fraction(n)
-    if n <= 0:
-        raise DensityError("local density wants n > 0")
-    lift = _gamma_lift(L, gamma)
+    return _local_density(_checked_lift(L, gamma, n), n, L, p, s_max)
+
+
+def _local_density(lift, n: Fraction, L: IntegerLattice, p: int,
+                   s_max: int | None) -> LocalDensityReport:
+    """``local_density`` of a coset already checked by ``_checked_lift``."""
     if L.rank and (2 * n.denominator * L.det) % p:
-        _count_data(L.gram, lift, n)   # gamma in the dual, n in -Q(gamma) + Z
         if n.numerator % p:
             return _unramified_density(n, L, p)
         return _unimodular_density(n, L, p, s_max)
@@ -624,16 +627,18 @@ def singular_series(gamma, n, V: IntegerLattice, prime_bound: int,
     """Truncated Euler product of local densities.
 
     Includes every prime up to the bound plus all primes dividing
-    2 * num(n) * den(n) * det; omitted factors are taken to be 1.
+    2 * num(n) * den(n) * det; omitted factors are taken to be 1.  The
+    coset is checked once, not once per prime.
     """
     if V.rank < 5:
-        raise DensityError("singular series wants signature (2,b) with b >= 3")
+        raise DensityInputError("singular series wants signature (2,b) with b >= 3, "
+                                f"got rank {V.rank}")
     n = Fraction(n)
-    lift = _gamma_lift(V, gamma)
+    lift = _checked_lift(V, gamma, n)
     factors = {}
     product = Fraction(1)
     for p in series_primes(n, V.det, prime_bound):
-        rep = local_density(lift, n, V, p, s_max=s_max)
+        rep = _local_density(lift, n, V, p, s_max)
         factors[p] = rep
         product *= rep.density
         if rep.density == 0:
@@ -707,7 +712,8 @@ def eisenstein_coefficient(gamma, n, V: IntegerLattice, prime_bound: int,
         return EisensteinCoefficient(Decimal(0), Fraction(0), None, prime_bound)
     b = V.rank - 2
     if b < 3:
-        raise DensityError("Eisenstein coefficients want signature (2,b), b >= 3")
+        raise DensityInputError("Eisenstein coefficients want signature (2,b) with b >= 3, "
+                                f"got rank {V.rank}")
     ss = singular_series(lift, n, V, prime_bound, s_max=s_max)
     gamma_rat, sqrt_pi = gamma_half_integer(b + 2)
     # 2^(2+b/2) pi^((2+b-e)/2) n^(b/2) / (sqrt|D| Gamma(1+b/2)) times the

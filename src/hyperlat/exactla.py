@@ -442,9 +442,14 @@ def lll_reduce_gram(g, delta=Fraction(3, 4)):
     return u, cur
 
 
+class InputError(ValueError):
+    """Base of every refusal of an input as the caller's mistake; the
+    command line reports it with exit status 2."""
+
+
 class NodeGuardExceeded(ValueError):
-    """Base of every refusal to run past a size guard; the command line
-    reports it with exit status 3."""
+    """Base of every refusal to run past a size guard, whose message names
+    the size; the command line reports it with exit status 3."""
 
 
 def short_vectors(a, bound, shift=None, guard=None):

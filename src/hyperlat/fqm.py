@@ -21,6 +21,7 @@ from math import gcd
 from operator import mod, mul
 
 from .exactla import (
+    NodeGuardExceeded,
     hnf_rational,
     mat_mul,
     mat_vec,
@@ -34,6 +35,10 @@ ENUMERATION_GUARD = 10 ** 4
 
 class FqmError(ValueError):
     pass
+
+
+class FqmGuardExceeded(FqmError, NodeGuardExceeded):
+    """A module too large to list its elements."""
 
 
 @dataclass(frozen=True)
@@ -86,7 +91,8 @@ class FiniteQuadraticModule:
     def elements(self):
         """All elements in lexicographic residue order."""
         if self.order > ENUMERATION_GUARD:
-            raise FqmError(f"module order {self.order} exceeds enumeration guard")
+            raise FqmGuardExceeded(f"listing a module of order {self.order} exceeds "
+                                   f"guard {ENUMERATION_GUARD}")
         return [tuple(r) for r in itertools.product(*(range(d) for d in self.invariant_factors))]
 
     def reduce(self, elt) -> tuple[int, ...]:

@@ -29,6 +29,7 @@ from math import lcm
 import numpy as np
 
 from .exactla import (
+    InputError,
     NodeGuardExceeded,
     floor_sqrt_fraction,
     frac_mat_inv,
@@ -63,6 +64,10 @@ GRID_CHUNK = 1 << 15    # box points that sweep builds at once
 
 class HyperboloidError(ValueError):
     pass
+
+
+class HyperboloidInputError(HyperboloidError, InputError):
+    """A signature not (2, b), rho < 0, n <= 0, or an experiment with nothing to compare."""
 
 
 class EnumGuardExceeded(HyperboloidError, NodeGuardExceeded):
@@ -149,7 +154,8 @@ def splitting_frame(V: IntegerLattice) -> SplittingFrame:
     diagonalization."""
     sig = V.signature()
     if sig.positive != 2:
-        raise HyperboloidError("frames are for signature (2, b) lattices")
+        raise HyperboloidInputError("frames are for signature (2, b) lattices, got "
+                                    f"({sig.positive},{sig.negative})")
     pos, neg = [], []
     for idx in V.components:
         sub = [[Fraction(V.gram[i][j]) for j in idx] for i in idx]
@@ -182,7 +188,7 @@ class Window:
 
     def __post_init__(self):
         if self.rho < 0:
-            raise HyperboloidError("rho must be >= 0")
+            raise HyperboloidInputError(f"rho must be >= 0, got {self.rho}")
         object.__setattr__(self, "rho", Fraction(self.rho))
 
     @property
@@ -373,7 +379,7 @@ def enumerate_points(gamma, n, window: Window, keep_points: bool = False,
         return count_range(gamma, [n], window)[0]
     n = Fraction(n)
     if n <= 0:
-        raise HyperboloidError("point enumeration wants n > 0")
+        raise HyperboloidInputError("point enumeration wants n > 0")
     L = window.frame.lattice
     lift = _gamma_lift(L, gamma)
     if not in_coset_support(lift, n, L):
@@ -392,7 +398,7 @@ def count_range(gamma, ns, window: Window) -> tuple[PointCount, ...]:
     """
     ns = [Fraction(n) for n in ns]
     if any(n <= 0 for n in ns):
-        raise HyperboloidError("point enumeration wants n > 0")
+        raise HyperboloidInputError("point enumeration wants n > 0")
     L = window.frame.lattice
     lift = _gamma_lift(L, gamma)
     support = [n for n in ns if in_coset_support(lift, n, L)]
@@ -514,10 +520,7 @@ def _count_glued(lift, ns, window: Window):
         raise EnumGuardExceeded(
             f"N-side sweep of {size} points exceeds guard {SWEEP_GUARD}")
 
-    try:
-        ks = [k for k, _ in short_vectors(ap, 2 * rho2 * n_hi, sp, SWEEP_GUARD)]
-    except NodeGuardExceeded as exc:
-        raise EnumGuardExceeded(str(exc)) from None
+    ks = [k for k, _ in short_vectors(ap, 2 * rho2 * n_hi, sp, SWEEP_GUARD)]
     sp0, sp1 = (int(x * dp) for x in sp)
     kk = [(dp * k0 + sp0, dp * k1 + sp1) for k0, k1 in ks]
     if window.sector is not None:
@@ -583,24 +586,20 @@ def _count_generic(lift, n: Fraction, window: Window, keep_points: bool,
     grazing = 0
     points = [] if keep_points else None
     in_sector = _sector_test(window) if window.sector is not None else None
-    try:
-        for z, value in short_vectors(_majorant_matrix(window), bound, lift,
-                                      guard):
-            x = [dl * zi + bi for zi, bi in zip(z, base)]
-            if sum(xi * sum(gij * xj for gij, xj in zip(gi, x))
-                   for xi, gi in zip(x, g)) != target:
+    for z, value in short_vectors(_majorant_matrix(window), bound, lift, guard):
+        x = [dl * zi + bi for zi, bi in zip(z, base)]
+        if sum(xi * sum(gij * xj for gij, xj in zip(gi, x))
+               for xi, gi in zip(x, g)) != target:
+            continue
+        if window.sector is not None or points is not None:
+            vec = tuple(Fraction(xi, dl) for xi in x)
+            if in_sector and not in_sector(*window.frame.pairings(vec)):
                 continue
-            if window.sector is not None or points is not None:
-                vec = tuple(Fraction(xi, dl) for xi in x)
-                if in_sector and not in_sector(*window.frame.pairings(vec)):
-                    continue
-                if points is not None:
-                    points.append(vec)
-            counted += 1
-            if value == bound:
-                grazing += 1
-    except NodeGuardExceeded as exc:
-        raise EnumGuardExceeded(str(exc)) from None
+            if points is not None:
+                points.append(vec)
+        counted += 1
+        if value == bound:
+            grazing += 1
     return PointCount(n, counted, grazing,
                       tuple(points) if points is not None else None)
 
@@ -690,7 +689,7 @@ class CountReport:
 class ExperimentSummary:
     reports: tuple[CountReport, ...]
     skipped: tuple
-    mean_ratio: float
+    mean_ratio: float | None                # None when every norm is skipped
     first_half_mean: float | None           # None when the half is empty
     second_half_mean: float | None
     mu_infty: float                         # the closed form
@@ -699,17 +698,9 @@ class ExperimentSummary:
 
 def admissible_values(V: IntegerLattice, gamma, lo, hi):
     """Values n in -Q(gamma)+Z inside [lo, hi]."""
-    lift = _gamma_lift(V, gamma)
-    frac = (-V.q_of(lift)) % 1
-    lo, hi = Fraction(lo), Fraction(hi)
-    start = lo - (lo % 1) - 1 + frac
-    out = []
-    x = start
-    while x <= hi:
-        if x >= lo:
-            out.append(x)
-        x += 1
-    return out
+    frac = -V.q_of(_gamma_lift(V, gamma)) % 1
+    first = frac + math.ceil(Fraction(lo) - frac)
+    return [first + k for k in range(max(0, math.floor(Fraction(hi) - first) + 1))]
 
 
 def equidistribution_run(V: IntegerLattice, gamma, window: Window,
@@ -726,13 +717,22 @@ def equidistribution_run(V: IntegerLattice, gamma, window: Window,
     prediction.  Counts are exact, all from one ``count_range`` call.
     """
     b = V.rank - 2
+    if b < 3:
+        raise HyperboloidInputError("the experiment wants signature (2, b) with b >= 3, "
+                                    f"got rank {V.rank}")
     lift = _gamma_lift(V, gamma)
+    norms = admissible_values(V, lift, n_lo, n_hi)
+    if not norms:
+        raise HyperboloidInputError(f"no n in [{n_lo}, {n_hi}] lies in -Q(gamma) + Z = "
+                                    f"{-V.q_of(lift) % 1} + Z")
+    if window.rho == 0:
+        raise HyperboloidInputError("the experiment wants rho > 0: a cap of radius 0 predicts 0")
     mu_val = mu_infty_closed(window)
     mc = (mu_infty(window, samples, seed=seed, workers=workers)
           if samples > 0 else None)
     products = {}
     skipped = []
-    for n in admissible_values(V, lift, n_lo, n_hi):
+    for n in norms:
         product = singular_series(lift, n, V, prime_bound).truncated_product
         if product:
             products[n] = product
@@ -746,7 +746,7 @@ def equidistribution_run(V: IntegerLattice, gamma, window: Window,
         reports.append(CountReport(n, pc.count, predicted, ratio, mu_val,
                                    product, prime_bound, pc.grazing))
     ratios = [r.ratio for r in reports]
-    mean = sum(ratios) / len(ratios) if ratios else math.nan
+    mean = sum(ratios) / len(ratios) if ratios else None
     half = len(ratios) // 2
     first = sum(ratios[:half]) / half if half else None
     second = sum(ratios[half:]) / (len(ratios) - half) if len(ratios) - half else None

@@ -192,21 +192,18 @@ def k3_lattice() -> IntegerLattice:
     return direct_sum(U, U, U, e8(-1), e8(-1))
 
 
+NAMED_LATTICES = {"U": hyperbolic_plane, "E8": e8, "E8(-1)": lambda: e8(-1),
+                  "K3": k3_lattice, "rank1": rank1}
+
+
 def make_named(name: str, params=()) -> IntegerLattice:
-    params = list(params)
-    if name == "U":
-        return hyperbolic_plane()
-    if name == "rank1":
-        if len(params) != 1:
-            raise LatticeError("rank1 takes one parameter 2m")
-        return rank1(params[0])
-    if name == "E8":
-        return e8(1)
-    if name == "E8(-1)":
-        return e8(-1)
-    if name == "K3":
-        return k3_lattice()
-    raise LatticeError(f"unknown lattice name {name!r}")
+    """The lattice of a name in NAMED_LATTICES; rank1 takes one parameter 2m."""
+    if name not in NAMED_LATTICES:
+        raise LatticeError(f"unknown lattice name {name!r}")
+    params = list(params) if name == "rank1" else []
+    if name == "rank1" and len(params) != 1:
+        raise LatticeError("rank1 takes one parameter 2m")
+    return NAMED_LATTICES[name](*params)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from .densities import (
     eisenstein_coefficient,
     in_coset_support,
 )
-from .exactla import floor_sqrt_fraction
+from .exactla import InputError, floor_sqrt_fraction
 from .fqm import discriminant_group, isotropic_subgroups
 from .lattices import (
     IntegerLattice,
@@ -42,6 +42,10 @@ class PredictError(ValueError):
     pass
 
 
+class PredictInputError(PredictError, InputError):
+    """Too small a rank, or a K3 sublattice that fails the hypotheses."""
+
+
 @dataclass(frozen=True)
 class PredictionInput:
     lattice: IntegerLattice
@@ -55,7 +59,8 @@ class PredictionInput:
         object.__setattr__(self, "n", Fraction(self.n))
         b = self.lattice.rank - 2
         if b < 3:
-            raise PredictError("predictions want signature (2,b) with b >= 3")
+            raise PredictInputError("predictions want signature (2,b) with b >= 3, "
+                                    f"got rank {self.lattice.rank}")
 
 
 @dataclass(frozen=True)
@@ -311,19 +316,20 @@ def k3_sublattice(two_d: int | None = None, rows=None) -> tuple[IntegerLattice, 
     """
     if rows is None:
         if two_d is None or two_d <= 0 or two_d % 2:
-            raise PredictError("canonical sublattice wants a positive even square")
+            raise PredictInputError("the canonical sublattice wants a positive even "
+                                    f"square 2d (or explicit rows), got {two_d}")
         d = two_d // 2
         row = [1, d] + [0] * (_K3_RANK - 2)
         return rank1(two_d), (tuple(row),)
     rows = tuple(tuple(int(x) for x in r) for r in rows)
     amb = k3_lattice()
     if any(len(r) != _K3_RANK for r in rows):
-        raise PredictError("sublattice rows must have 22 coordinates")
+        raise PredictInputError(f"sublattice rows must have {_K3_RANK} coordinates")
     gram = [[int(amb.pairing(x, y)) for y in rows] for x in rows]
     try:
         return IntegerLattice(tuple(tuple(r) for r in gram)), rows
     except LatticeError as exc:
-        raise PredictError(f"sublattice rows are degenerate: {exc}") from exc
+        raise PredictInputError(f"sublattice rows are degenerate: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -355,14 +361,14 @@ def k3_lattices(two_d: int | None = None, rows=None):
     Lorentzian, anisotropic, rank <= 4)."""
     P, prows = k3_sublattice(two_d, rows)
     if P.rank > 4:
-        raise PredictError("sublattice rank must be <= 4")
+        raise PredictInputError("sublattice rank must be <= 4")
     sig = P.signature()
     if sig.positive != 1:
-        raise PredictError("sublattice is not Lorentzian")
+        raise PredictInputError("sublattice is not Lorentzian")
     if saturation_index([list(r) for r in prows]) != 1:
-        raise PredictError("sublattice is not primitively embedded")
+        raise PredictInputError("sublattice is not primitively embedded")
     if not is_anisotropic_over_q(P):
-        raise PredictError("sublattice is isotropic over Q")
+        raise PredictInputError("sublattice is isotropic over Q")
     if rows is None:
         V = _canonical_k3_complement(two_d)
         check = _complement_of(prows)
@@ -420,8 +426,8 @@ def elliptic_census_prediction(n_max, mu_s: float, two_d: int | None = None,
     DP = discriminant_group(P)
     for H in isotropic_subgroups(DP):
         if H.order > 1:
-            raise PredictError("discriminant group has a nontrivial isotropic "
-                               "subgroup; the census hypothesis fails")
+            raise PredictInputError("discriminant group has a nontrivial isotropic "
+                                    "subgroup; the census hypothesis fails")
     out_rows, values = [], []
     n_max = Fraction(n_max)
     for gamma in DP.elements():

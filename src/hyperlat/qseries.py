@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
-from .exactla import frac_mat_inv, short_vectors
+from .exactla import InputError, frac_mat_inv, short_vectors
 from .fqm import FiniteQuadraticModule, discriminant_group
 from .lattices import IntegerLattice
 
@@ -21,9 +21,8 @@ class QSeriesError(ValueError):
     pass
 
 
-class QSeriesInputError(QSeriesError):
-    """A series asked for at a negative order, or a theta series of a
-    lattice that is not negative definite."""
+class QSeriesInputError(QSeriesError, InputError):
+    """A negative order, or a theta series of a lattice not negative definite."""
 
 
 _TRIVIAL_MODULE = FiniteQuadraticModule((), 1, (), ())

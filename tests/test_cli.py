@@ -335,13 +335,14 @@ def test_density_prime_one_is_a_usage_error_not_a_hang():
 def test_density_non_positive_n_is_a_usage_error(n, capsys):
     line = _usage_error(["density", "--lattice", "U+U+rank1(-2)", "--n", n,
                          "--prime", "5"], capsys)
-    assert line == f"hyperlat: error: --n wants a norm n > 0, got {n}"
+    # local_density's own precondition, in its own words
+    assert line == f"hyperlat: error: the norm n must be > 0, got {n}"
 
 
 @pytest.mark.parametrize("two_d", ["0", "-2", "3"])
 def test_k3_bad_two_d_is_a_usage_error(two_d, capsys):
     line = _usage_error(["k3", "--two-d", two_d, "--n", "4", "--mu-s", "1"], capsys)
-    assert f"--two-d wants a positive even integer (or give --p-rows), got {two_d}" in line
+    assert f"wants a positive even square 2d (or explicit rows), got {two_d}" in line
 
 
 def test_predict_off_coset_n_with_boundary_prints_the_zero_row():
@@ -407,6 +408,7 @@ def test_commands_load_only_what_they_use(argv, loaded):
 
 
 PUBLIC_NAMES = {
+    "exactla": "InputError NodeGuardExceeded",
     "lattices": "IntegerLattice LatticeError Signature direct_sum e8 hyperbolic_plane "
                 "is_anisotropic_over_q k3_lattice lattice_from_json load_lattice "
                 "make_named orthogonal_complement rank1 rescale",
@@ -486,7 +488,8 @@ def test_bad_lattice_spec_is_a_usage_error(spec, message, tmp_path, monkeypatch,
     (["theta", "--lattice", "rank1(-2)", "--order", "-1"], "order must be >= 0"),
     (["theta", "--lattice", "U", "--order", "1"], "negative definite"),
     (["cusp", "--lattice", "rank1(-2)", "--bound", "1"], "signature (2, b)"),
-    (["cusp", "--lattice", "U+U+rank1(-2)", "--bound", "-1"], "--bound must be >= 0"),
+    (["cusp", "--lattice", "U+U+rank1(-2)", "--bound", "-1"],
+     "argument --bound: wants an integer >= 0, got '-1'"),
 ], ids=["theta-order", "theta-indefinite", "cusp-signature", "cusp-bound"])
 def test_theta_and_cusp_preconditions_are_usage_errors(argv, message, capsys):
     assert message in _usage_error(argv, capsys)
@@ -542,7 +545,7 @@ def test_rational_flags_that_are_not_rationals_are_usage_errors(argv, message, c
 def test_count_negative_rho_is_a_usage_error(capsys):
     line = _usage_error(["count", "--lattice", "U+U+rank1(-2)", "--rho", "-1",
                          "--nmin", "1", "--nmax", "2"], capsys)
-    assert "--rho -1: rho must be >= 0" in line
+    assert "rho must be >= 0, got -1" in line
 
 
 @pytest.mark.parametrize("lattice, boundary, message", [
@@ -637,4 +640,78 @@ def test_density_of_six_two_adic_units_is_counted(n):
 def test_count_small_rank_is_a_usage_error(capsys):
     line = _usage_error(["count", "--lattice", "U+U", "--rho", "1", "--nmin", "1",
                          "--nmax", "2"], capsys)
-    assert "count wants signature (2, b) with b >= 3, got rank 4" in line
+    assert "the experiment wants signature (2, b) with b >= 3, got rank 4" in line
+
+
+def _refusal(argv, capsys):
+    """(exit status, the one 'hyperlat: error:' line) of a refused command."""
+    try:
+        code = main(argv, out=io.StringIO())
+    except SystemExit as exc:
+        code = exc.code
+    err = capsys.readouterr().err
+    errors = [l for l in err.splitlines() if l.startswith("hyperlat: error:")]
+    assert len(errors) == 1 and "Traceback" not in err, err
+    return code, errors[0]
+
+
+UU2 = ["--lattice", "U+U+rank1(-2)"]
+COUNT = ["count"] + UU2 + ["--rho", "1", "--nmin", "1", "--nmax", "2"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["cusp"] + UU2 + ["--bound", "100"],
+     "plane search box of 328080401001 vectors exceeds guard 10000000"),
+    (["weil", "--lattice", "U+U+rank1(-20000)"],
+     "listing a module of order 20000 exceeds guard 10000"),
+    (["fqm", "--lattice", "U+U+rank1(-20000)"],
+     "listing a module of order 20000 exceeds guard 10000"),
+], ids=["cusp-box", "weil-order", "fqm-order"])
+def test_size_refusals_exit_3(argv, message, capsys):
+    code, line = _refusal(argv, capsys)
+    assert code == 3 and message in line
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["k3", "--p-rows", "1,0", "--n", "1", "--mu-s", "1"],
+     "sublattice rows must have 22 coordinates"),
+    (["k3", "--p-rows", "abc", "--n", "1", "--mu-s", "1"], "argument --p-rows"),
+    (["k3", "--p-rows", "1/2", "--n", "1", "--mu-s", "1"], "argument --p-rows"),
+    (["k3", "--p-rows", "0:1", "--n", "1", "--mu-s", "1"], "argument --p-rows"),
+    (["k3", "--p-rows", ";", "--n", "1", "--mu-s", "1"], "argument --p-rows"),
+    (["predict"] + UU2 + ["--n", "1", "--mu-s", "nan"],
+     "argument --mu-s: wants a finite number, got 'nan'"),
+    (["predict", "--lattice", "rank1(-2)", "--n", "1", "--mu-s", "1"],
+     "predictions want signature (2,b) with b >= 3, got rank 1"),
+    (["eis", "--lattice", "rank1(-2)", "--nmax", "2"],
+     "Eisenstein coefficients want signature (2,b) with b >= 3, got rank 1"),
+    (COUNT + ["--workers", "0", "--samples", "10"],
+     "argument --workers: wants an integer >= 1, got '0'"),
+    (COUNT + ["--workers", "-1", "--samples", "1"], "argument --workers"),
+    (COUNT + ["--samples", "-5"], "argument --samples: wants an integer >= 0, got '-5'"),
+    (COUNT + ["--prime-bound", "-5"], "argument --prime-bound"),
+    (COUNT + ["--seed", "-1", "--samples", "10"], "argument --seed"),
+    (["density"] + UU2 + ["--n", "1", "--prime", "5", "--smax", "-1"],
+     "argument --smax: wants an integer >= 1, got '-1'"),
+    (["count"] + UU2 + ["--rho", "1", "--nmin", "600", "--nmax", "300"],
+     "no n in [600, 300] lies in -Q(gamma) + Z = 0 + Z"),
+    (["count", "--lattice", "U+U+rank1(-8)", "--gamma", "1", "--rho", "1", "--nmin", "2",
+      "--nmax", "2"], "no n in [2, 2] lies in -Q(gamma) + Z = 1/16 + Z"),
+    (["count"] + UU2 + ["--rho", "1", "--nmin", "0", "--nmax", "2"],
+     "the norm n must be > 0, got 0"),
+], ids=["k3-row-length", "k3-rows-abc", "k3-rows-fraction", "k3-rows-colon", "k3-rows-empty",
+        "predict-mu-nan", "predict-rank", "eis-rank", "count-workers-0", "count-workers-neg",
+        "count-samples", "count-prime-bound", "count-seed", "density-smax",
+        "count-reversed", "count-off-coset", "count-nmin-0"])
+def test_input_errors_exit_2(argv, message, capsys):
+    code, line = _refusal(argv, capsys)
+    assert code == 2 and message in line, line
+
+
+def test_count_with_every_norm_skipped_prints_no_mean():
+    # n = 1 is not represented over Z_3: one skipped line, and no mean of nothing
+    text = run_cli(["count", "--lattice", "rank1(2)+rank1(6)+rank1(-6)+rank1(-6)+rank1(-6)",
+                    "--rho", "1", "--nmin", "1", "--nmax", "1", "--prime-bound", "30"])
+    lines = text.splitlines()
+    assert lines[2:] == ["# skipped n=1: not locally representable"]
+    assert "nan" not in re.split(r"[\s,;=]+", text)

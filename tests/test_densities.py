@@ -117,10 +117,11 @@ def test_split_equals_naive_structured():
         assert count_solutions_naive(gamma, n, L, p ** s) == \
             count_solutions_split(gamma, n, L, p, s)
     # residuals of two or more coordinates: four 2-adic units, and at odd p
-    # unpaired coordinates of several scales
+    # every coordinate, of one scale or of several
     diagonal = lambda *ms: direct_sum(*(rank1(m) for m in ms))
     for L, p, s_max in ((direct_sum(U, diagonal(-2, -2, -2, -2)), 2, 3),
                         (diagonal(2, 6, -6, -18), 3, 3),
+                        (diagonal(2, 6, -6, -6, -6), 3, 2),
                         (diagonal(2, 10, -50, -2), 5, 2)):
         D = discriminant_group(L)
         for gamma in rng.sample(D.elements(), min(4, D.order)):
@@ -417,6 +418,27 @@ def test_singular_series(v_lattice):
     # primes dividing n beyond the bound are included
     ss2 = singular_series(None, 101, v_lattice, 10)
     assert 101 in ss2.factors
+
+
+def test_singular_series_checks_the_coset_once(v_lattice, monkeypatch):
+    # (gamma, n) is checked once for all 25 primes: only the counts at p = 2
+    # read the count data again, for their own sake
+    import hyperlat.densities as dens
+
+    checks, splits = [], []
+    data, split = dens._count_data.__wrapped__, dens.count_solutions_split
+    monkeypatch.setattr(dens, "_count_data", lambda *a: checks.append(a) or data(*a))
+    monkeypatch.setattr(dens, "count_solutions_split",
+                        lambda *a: splits.append(a) or split(*a))
+    assert len(singular_series(None, 1, v_lattice, 100).factors) == 25
+    assert splits and len(checks) == 1 + len(splits)
+
+
+def test_odd_primes_pair_no_coordinates():
+    # at odd p every translated rank-1 piece is a residual coordinate
+    L = direct_sum(*(rank1(m) for m in (2, 6, -6, -6, -6)))
+    radial, residual, _ = _local_pieces(L.gram, 3, (0,) * 5)
+    assert radial == () and sorted(residual) == [-3, -3, -3, 1, 3]
 
 
 def test_singular_series_rank_guard():

@@ -28,6 +28,7 @@ from hyperlat.hyperboloid import (
     _disk_samples,
 )
 from hyperlat.cli import main
+from hyperlat.exactla import InputError
 from hyperlat.lattices import IntegerLattice, direct_sum, hyperbolic_plane, rank1, rescale
 
 
@@ -285,9 +286,10 @@ def test_count_range_empty(v_lattice, monkeypatch):
     monkeypatch.setattr(hyp, "frac_mat_inv", no_grid)
     win = _window(v_lattice)
     assert count_range(None, [], win) == ()
-    summary = equidistribution_run(v_lattice, None, win, 60, 40,
-                                   prime_bound=30, samples=1000, seed=2)
-    assert summary.reports == () and math.isnan(summary.mean_ratio)
+    # a range with no norm in it is the caller's mistake, not a nan mean
+    with pytest.raises(InputError, match=r"no n in \[60, 40\]"):
+        equidistribution_run(v_lattice, None, win, 60, 40,
+                             prime_bound=30, samples=1000, seed=2)
     with pytest.raises(HyperboloidError):
         count_range(None, [3, 0], win)
 
@@ -320,19 +322,19 @@ def test_equidistribution_run_reads_representability_off_the_series(monkeypatch)
 
     V = direct_sum(rank1(2), rank1(6), rank1(-6), rank1(-6), rank1(-6))
     calls = []
-    density = dens.local_density
+    density = dens._local_density   # the per-prime density of singular_series
 
-    def counted(gamma, n, L, p, **kwargs):
+    def counted(lift, n, L, p, s_max):
         calls.append((p, n))
-        return density(gamma, n, L, p, **kwargs)
+        return density(lift, n, L, p, s_max)
 
-    monkeypatch.setattr(dens, "local_density", counted)
+    monkeypatch.setattr(dens, "_local_density", counted)
     summary = equidistribution_run(V, None, _window(V), 1, 12, prime_bound=30)
     assert [n for n, _ in summary.skipped] == [1, 4, 7, 10]
     assert {reason for _, reason in summary.skipped} == {"not locally representable"}
     assert [r.n for r in summary.reports] == [2, 3, 5, 6, 8, 9, 11, 12]
     assert all(r.series_value > 0 for r in summary.reports)
-    assert len(calls) == len(set(calls))
+    assert calls and len(calls) == len(set(calls))
 
 
 def test_grid_guard_at_largest_norm(v_lattice, monkeypatch):
