@@ -121,8 +121,9 @@ def cmd_fqm(args, out):
     from .fqm import discriminant_group
 
     L = parse_lattice_spec(args.lattice)
+    text = discriminant_group(L).dump_text()
     print(_header(args, ["lattice"]), file=out)
-    print(discriminant_group(L).dump_text(), file=out)
+    print(text, file=out)
     return 0
 
 
@@ -133,9 +134,9 @@ def cmd_weil(args, out):
     L = parse_lattice_spec(args.lattice)
     D = discriminant_group(L)
     w = WeilAction(D, L.signature(), dual=args.dual)
-    print(_header(args, ["lattice", "dual"]), file=out)
     matrices = {"T": rho_T(w), "S": rho_S(w)}
     report = verify_relations(w, s=matrices["S"], t=matrices["T"])
+    print(_header(args, ["lattice", "dual"]), file=out)
     print(f"# relations unitarity={report['unitarity']:.3e} "
           f"braid={report['braid']:.3e} t_order={report['t_order']:.3e} "
           f"level={report['level']}", file=out)
@@ -197,11 +198,12 @@ def cmd_eis(args, out):
     L = parse_lattice_spec(args.lattice)
     gamma = parse_gamma(args.gamma, L)
     D = discriminant_group(L)
-    print(_header(args, ["lattice", "gamma", "nmax", "prime_bound"]), file=out)
-    print("gamma_index,n_num,n_den,c_value,prime_bound,local_factors", file=out)
     gamma_index = D.elements().index(gamma)
     frac = (-D.q_value(gamma)) % 1
     n = frac if frac > 0 else Fraction(1)
+    # every row is computed before the first line is printed, so a refused
+    # norm leaves stdout empty
+    rows = []
     while n <= args.nmax:
         c = eisenstein_coefficient(gamma, n, L, args.prime_bound)
         factors = ""
@@ -209,9 +211,13 @@ def cmd_eis(args, out):
             factors = ";".join(f"{p}={r.density.numerator}/{r.density.denominator}"
                                for p, r in sorted(c.series.factors.items()))
         val = _fmt(c.exact) if c.exact is not None else _fmt(c.value)
-        print(f"{gamma_index},{n.numerator},{n.denominator},{val},"
-              f"{args.prime_bound},{factors}", file=out)
+        rows.append(f"{gamma_index},{n.numerator},{n.denominator},{val},"
+                    f"{args.prime_bound},{factors}")
         n += 1
+    print(_header(args, ["lattice", "gamma", "nmax", "prime_bound"]), file=out)
+    print("gamma_index,n_num,n_den,c_value,prime_bound,local_factors", file=out)
+    for row in rows:
+        print(row, file=out)
     return 0
 
 
@@ -277,10 +283,10 @@ def cmd_predict(args, out):
     inp = PredictionInput(L, gamma, parse_fraction(args.n, "--n"), args.mu_s,
                           boundary_degrees=boundary,
                           prime_bound=args.prime_bound)
-    print(_header(args, ["lattice", "gamma", "n", "mu_s", "prime_bound",
-                         "boundary"]), file=out)
     # only the boundary terms need theta series, so only they load qseries
     result, rows = degree_prediction(inp) if boundary else (predict_count(inp), [])
+    print(_header(args, ["lattice", "gamma", "n", "mu_s", "prime_bound",
+                         "boundary"]), file=out)
     print("value,error_order,representable", file=out)
     print(f"{_fmt(result.value)},{result.error_order},{result.representable}",
           file=out)

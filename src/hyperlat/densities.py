@@ -2,14 +2,14 @@
 
 Counts N(gamma, n, L, a) = #{alpha in L/aL : Q(alpha+gamma) + n = 0 mod a}
 are computed exactly: a slow exhaustive counter, and a fast path that finds
-the Jordan splitting of L over Z_p from the Gram matrix alone.  Pieces whose
-counts depend only on the valuation of the target (the 2-adic planes, and
-pieces whose shift no translate absorbs) are folded in closed form; every
-other diagonal coordinate, however many, is counted exactly by Hanke's
-reduction (Hensel lifting of the points with a unit coordinate, rescaling of
-the rest), so the split counter builds no residue table and needs no size
-guard; only the exhaustive oracle has one.  No hand-written block
-metadata is read.  Densities are the stabilized normalized counts;
+the Jordan splitting of L over Z_p from the Gram matrix alone.  A piece whose
+shift no translate absorbs takes values that cover p^e Z_p evenly, so it
+only lowers the modulus to p^e.  Every other piece, a diagonal coordinate or
+a 2-adic plane 2^k U or 2^k V, however many, is counted exactly by one
+reduction (Hanke's: Hensel lifting of the points with a unit coordinate,
+rescaling of the rest), so the split counter builds no residue table and
+needs no size guard; only the exhaustive oracle has one.  No hand-written
+block metadata is read.  Densities are the stabilized normalized counts;
 stabilization is always witnessed, never extrapolated.  At an odd prime
 prime to det (and to den(n)) the form is unimodular, equivalent to
 <1, ..., 1, det/2^r>: prime to num(n) as well, every solution mod p is
@@ -47,7 +47,8 @@ class DensityError(ValueError):
 
 
 class DensityInputError(DensityError, InputError):
-    """A malformed gamma, a coset n is not in, n <= 0, or too small a rank."""
+    """A malformed gamma, a coset n is not in, n <= 0, too small a rank, or
+    an Eisenstein coefficient of a lattice not of signature (2, b)."""
 
 
 class GuardExceeded(DensityError, NodeGuardExceeded):
@@ -252,89 +253,7 @@ def _mod(x: Fraction, a: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# valuation-radial counts on Z/p^s, listed by c = min(v_p(t), s)
-
-def _hyperbolic_histogram_values(p: int, s: int):
-    """H(t) = #{(x,y) mod p^s : xy = t} as a function of min(v_p(t), s)."""
-    a = p ** s
-    unit_count = a - a // p
-    vals = [(k + 1) * unit_count for k in range(s)]
-    vals.append(s * unit_count + a)  # t = 0
-    return vals
-
-
-def _anisotropic_values(p: int, s: int):
-    """Counts of the norm form of the unramified quadratic extension of Q_p.
-
-    Units are norms, each hit (p + 1) p^(s-1) times; the form is 0 mod p
-    only on p Z_p^2, where it is p^2 times itself, so valuation 1 is missed.
-    """
-    if s == 0:
-        return [1]
-    if s == 1:
-        return [p + 1, 1]
-    return ([(p + 1) * p ** (s - 1), 0]
-            + [p * p * x for x in _anisotropic_values(p, s - 2)])
-
-
-def _plane_values(p: int, s: int, k: int, split: bool):
-    """Counts of p^k F on (Z/p^s)^2, F = xy (split) or anisotropic."""
-    if k >= s:
-        return [0] * s + [p ** (2 * s)]
-    inner = (_hyperbolic_histogram_values if split else _anisotropic_values)(p, s - k)
-    return [0] * k + [p ** (2 * k) * x for x in inner]
-
-
-def _uniform_values(p: int, s: int, dim: int, e: int):
-    """Counts of a rank-dim piece whose values cover p^e Z_p evenly."""
-    e = min(e, s)
-    return [0] * e + [p ** ((dim - 1) * s + e)] * (s + 1 - e)
-
-
-def phi_count(p: int, s: int, k: int) -> int:
-    """Number of residues mod p^s with valuation exactly k (k = s: just 0)."""
-    if k >= s:
-        return 1
-    return p ** (s - k) - p ** (s - k - 1)
-
-
-def _pair_count_exact(p: int, s: int, c: int, k: int, j: int) -> int:
-    """#{m mod p^s : v(m) = k, v(t-m) = j} for a fixed t with v(t) = c."""
-    if k < j:
-        return phi_count(p, s, j) if c == k else 0
-    if j < k:
-        return phi_count(p, s, k) if c == j else 0
-    if k == s:  # m = 0 and t = 0
-        return 1 if c == s else 0
-    if c < k:
-        return 0
-    if c == k:
-        # both m and t - m have valuation exactly k = v(t)
-        full = phi_count(p, s, k)
-        collide = p ** (s - k - 1)  # units congruent to t/p^k mod p
-        return full - collide
-    return phi_count(p, s, k)
-
-
-def _convolve_valuation_values(f, g, p: int, s: int):
-    """Convolution of two valuation-radial functions on Z/p^s, by classes."""
-    out = []
-    for c in range(s + 1):
-        total = 0
-        for k in range(s + 1):
-            fk = f[k]
-            if not fk:
-                continue
-            for j in range(s + 1):
-                cnt = _pair_count_exact(p, s, c, k, j)
-                if cnt:
-                    total += cnt * fk * g[j]
-        out.append(total)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# the residual diagonal form
+# the residual form: diagonal coordinates and 2-adic planes
 
 def _legendre(x: int, p: int) -> int:
     """The Legendre symbol (x / p) at an odd prime p, by Euler's criterion."""
@@ -351,9 +270,6 @@ def _fp_count(p: int, u: int, d: int, t: int) -> int:
     return p ** (u - 1) + nu * p ** (h - 1) * _legendre((-1) ** h * d, p)
 
 
-_SQUARES_MOD_8 = (0, 1, 4, 1, 0, 1, 4, 1)
-
-
 def _conv8(f, g):
     out = [0] * 8
     for i, x in enumerate(f):
@@ -363,57 +279,76 @@ def _conv8(f, g):
     return out
 
 
-def _unit_points_mod8(ms):
-    """Histogram over y mod 8, by the value of sum m_i y_i^2 mod 8, of the
-    points with y_i odd for some odd m_i."""
+@functools.lru_cache(maxsize=1024)
+def _unit_points_mod8(ms, planes):
+    """Histogram over the points mod 8, by the value of the form mod 8, of
+    the points with a unit coordinate: y_i odd for some odd m_i, or an odd
+    coordinate in a plane of scale 0."""
+    blocks = [[(m * y * y % 8, m * y % 2) for y in range(8)] for m in ms]
+    blocks += [[(((x * y if split else x * x + x * y + y * y) << k) % 8,
+                 k == 0 and (x | y) % 2) for x in range(8) for y in range(8)]
+               for k, split in planes]
     full = [1] + [0] * 7
     even = [1] + [0] * 7
-    for m in ms:
+    for points in blocks:
         hist = [0] * 8
         evens = [0] * 8
-        for y, sq in enumerate(_SQUARES_MOD_8):
-            hist[m * sq % 8] += 1
-            if m % 2 == 0 or y % 2 == 0:
-                evens[m * sq % 8] += 1
+        for v, unit in points:
+            hist[v] += 1
+            if not unit:
+                evens[v] += 1
         full, even = _conv8(full, hist), _conv8(even, evens)
     return [x - y for x, y in zip(full, even)]
 
 
-def _diagonal_count(ms, t: int, p: int, c: int) -> int:
-    """N(m, t, c) = #{y mod p^c : sum m_i y_i^2 = t mod p^c}, exactly."""
+def _diagonal_count(ms, t: int, p: int, c: int, planes=()) -> int:
+    """N(m, planes, t, c), exactly: the points mod p^c at which
+    sum m_i y_i^2 + sum_j 2^k_j F_j(x_j) = t mod p^c.  Each plane is (k,
+    split), F = xy when split, else x^2 + xy + y^2; only p = 2 has them."""
     a = p ** c
-    return _reduced_count(tuple(sorted(m % a for m in ms)), t % a, p, c)
+    return _reduced_count(tuple(sorted(m % a for m in ms)),
+                          tuple(sorted((min(k, c), split) for k, split in planes)),
+                          t % a, p, c)
 
 
 @functools.lru_cache(maxsize=4096)
-def _reduced_count(ms, t: int, p: int, c: int) -> int:
-    """N(m, t, c) with ms sorted and reduced mod p^c (Hanke's reduction).
+def _reduced_count(ms, planes, t: int, p: int, c: int) -> int:
+    """N(m, planes, t, c) with ms and planes sorted and reduced mod p^c
+    (Hanke's reduction).
 
-    If p divides every m_i, N is 0 unless p | t, and p^k N(m/p, t/p, c-1)
-    otherwise.  Else the solutions in which some y_i of unit m_i is a unit
-    lift by Hensel: at odd p each point over F_p gives p^((k-1)(c-1)), at
-    p = 2 each point mod 8 gives 2^((k-1)(c-3)).  In the rest every such y_i
-    is p z_i, which multiplies m_i by p^2 and falls into the first case.
+    A unit coordinate is a y_i of unit m_i, or a coordinate of a plane of
+    scale 0.  The solutions in which some unit coordinate is a unit lift by
+    Hensel: at odd p each point over F_p gives p^((K-1)(c-1)), at p = 2 each
+    point mod 8 gives 2^((K-1)(c-3)), K the number of coordinates (a point
+    with an odd plane coordinate lifts from mod 2 on already, so mod 8 counts
+    it as well).  In the rest every unit coordinate is p z, which multiplies m_i by p^2 and a
+    plane of scale 0 by 4; then p divides every coefficient, so N is 0
+    unless p | t, and p^f N(m/p, planes/2, t/p, c-1) otherwise, f the
+    number of coordinates that were not units.  A plane's scale so drops by
+    one, except that scale 0 goes to 1.
     """
     if c == 0:
         return 1
-    k = len(ms)
+    k = len(ms) + 2 * len(planes)
     units = [m for m in ms if m % p]
+    unit_planes = sum(1 for scale, _ in planes if scale == 0)
     lifted = 0
-    if units:
-        if p == 2:
-            hist = _unit_points_mod8(ms)
+    if p == 2:
+        if units or unit_planes:
+            hist = _unit_points_mod8(tuple(m % 8 for m in ms), planes)
             if c >= 3:
                 lifted = hist[t % 8] << ((k - 1) * (c - 3))
             else:
                 lifted = sum(hist[t % 2 ** c::2 ** c]) >> (k * (3 - c))
-        else:
-            points = _fp_count(p, len(units), math.prod(units), t) - (t % p == 0)
-            lifted = points * p ** (k - len(units) + (k - 1) * (c - 1))
+    elif units:
+        points = _fp_count(p, len(units), math.prod(units), t) - (t % p == 0)
+        lifted = points * p ** (k - len(units) + (k - 1) * (c - 1))
     if t % p:
         return lifted
     rest = tuple(m * p if m % p else m // p for m in ms)
-    return lifted + p ** (k - len(units)) * _diagonal_count(rest, t // p, p, c - 1)
+    lowered = tuple((scale - 1 if scale else 1, split) for scale, split in planes)
+    free = k - len(units) - 2 * unit_planes
+    return lifted + p ** free * _diagonal_count(rest, t // p, p, c - 1, lowered)
 
 
 # ---------------------------------------------------------------------------
@@ -423,22 +358,23 @@ def _reduced_count(ms, t: int, p: int, c: int) -> int:
 def _local_pieces(gram, p: int, w):
     """Split t(alpha) = Q(alpha) + alpha.w + c0 over Z_p into pieces.
 
-    Returns (radial, residual, offset): in Jordan coordinates t is the sum of
-    the piece values plus c0 + offset.  c0 is left to the caller, so one
-    entry serves every norm.  A piece whose shift is B v for a p-integral v
-    is translated by v, since Q(y) + (y, v) = Q(y + v) - Q(v).
-    ``radial`` lists (values function, extra arguments) for the pieces whose
-    counts depend only on v_p(t): translated planes (2x2 blocks, which only
-    p = 2 has), and untranslatable pieces, whose values cover p^e Z_p
-    evenly.  ``residual`` holds the coefficients m of every translated
-    rank-1 piece m y^2, at every p.
+    Returns (uniform, residual, planes, offset): in Jordan coordinates t is
+    the sum of the piece values plus c0 + offset.  c0 is left to the caller,
+    so one entry serves every norm.  A piece whose shift is B v for a
+    p-integral v is translated by v, since Q(y) + (y, v) = Q(y + v) - Q(v).
+    ``uniform`` lists (dim, e) for each piece no translate absorbs: its
+    values cover p^e Z_p evenly.  ``residual`` holds the coefficients m of
+    every translated rank-1 piece m y^2, at every p, and ``planes`` the
+    sorted (k, split) of every translated 2x2 block, which only p = 2 has:
+    2^k xy when split, else 2^k (x^2 + xy + y^2).
     """
     trans, pieces = _jordan_splitting(gram, p)
     r = len(gram)
     shift = [sum(trans[i][j] * w[i] for i in range(r) if w[i]) for j in range(r)]
     offset = Fraction(0)
-    radial = []
+    uniform = []
     residual = []
+    planes = []
     for idx, block in pieces:
         u = [shift[i] for i in idx]
         if len(idx) == 1:
@@ -451,7 +387,7 @@ def _local_pieces(gram, p: int, w):
             e = min(rational_valuation(ui, p) for ui in u if ui)
             if len(idx) == 1 and p == 2 and e == rational_valuation(block[0][0], 2) - 1:
                 e += 1  # m y^2 + u y with v(m) = v(u): y(m y + u) is even
-            radial.append((_uniform_values, (len(idx), e)))
+            uniform.append((len(idx), e))
             continue
         offset -= sum(vi * bij * vj for vi, row in zip(v, block)
                      for bij, vj in zip(row, v)) / 2
@@ -462,45 +398,29 @@ def _local_pieces(gram, p: int, w):
             # (b^2 - 4ac = 1 mod 8), else 2^k V
             k = rational_valuation(y, 2)
             split = x * z == 0 or rational_valuation(x * z, 2) >= 2 * k + 3
-            radial.append((_plane_values, (k, split)))
-    return tuple(radial), tuple(residual), offset
-
-
-@functools.lru_cache(maxsize=1024)
-def _radial_fold(radial, p: int, s: int):
-    """The radial pieces folded into one function of c = min(v_p(t), s).
-
-    It depends on the pieces, p and s alone, not on the norm, so one entry
-    serves every norm of a coset.
-    """
-    values = [0] * s + [1]  # the empty form
-    for fn, args in radial:
-        values = _convolve_valuation_values(values, fn(p, s, *args), p, s)
-    return tuple(values)
+            planes.append((k, split))
+    return tuple(uniform), tuple(residual), tuple(sorted(planes)), offset
 
 
 def count_solutions_split(gamma, n, L: IntegerLattice, p: int, s: int) -> int:
     """Same count as count_solutions_naive at a = p^s, from the Jordan splitting.
 
-    The radial pieces fold into one function R_c of c = min(v_p(t), s)
-    (``_radial_fold``); the k residual coordinates give W_c = #{y mod p^s :
-    residual(y) = target mod p^c} = p^(k(s-c)) N(m, target, c), each N by
-    the reduction of ``_reduced_count``.  The count is
-    sum_c R_c (W_c - W_{c+1}) over the valuation classes c of
-    target - residual(y), so nothing of size p^s is built.
+    The uniform pieces, of total dimension D, sum to values that cover
+    p^e Z_p evenly, e the least of their exponents and of s.  So the K
+    residual and plane coordinates need only hit the target mod p^e, and
+    the count is p^(Ds - s + e + K(s - e)) N(target mod p^e), N by the
+    reduction of ``_reduced_count``.  Nothing of size p^s is built.
     """
     lift = _gamma_lift(L, gamma)
     w, c0 = _count_data(L.gram, lift, Fraction(n))
-    radial, residual, offset = _local_pieces(L.gram, p, w)
-    const = c0 + offset
-    a = p ** s
-    values = _radial_fold(radial, p, s)
-    ms = [_mod(m, a) for m in residual]
-    target = _mod(-const, a)
-    k = len(ms)
-    big_w = [p ** (k * (s - c)) * _diagonal_count(ms, target, p, c) for c in range(s + 1)]
-    return values[s] * big_w[s] + sum(values[c] * (big_w[c] - big_w[c + 1])
-                                      for c in range(s))
+    uniform, residual, planes, offset = _local_pieces(L.gram, p, w)
+    dim = sum(d for d, _ in uniform)
+    e = min([s] + [exp for _, exp in uniform])
+    k = len(residual) + 2 * len(planes)
+    a = p ** e
+    count = _diagonal_count([_mod(m, a) for m in residual], _mod(-(c0 + offset), a),
+                            p, e, planes)
+    return p ** (dim * s - s + e + k * (s - e)) * count
 
 
 # ---------------------------------------------------------------------------
@@ -566,8 +486,7 @@ def _unimodular_density(n: Fraction, L: IntegerLattice, p: int,
     L is unimodular over Z_p and the lift of gamma p-integral, so a translate
     removes gamma, and Q is equivalent to <1, ..., 1, d> with d = det / 2^r
     up to a unit square, for instance det 2^(r mod 2).  Each raw count is
-    N(<1, ..., 1, d>, -n, s) by Hanke's reduction, with no Jordan splitting
-    and no radial fold.
+    N(<1, ..., 1, d>, -n, s) by Hanke's reduction, with no Jordan splitting.
     """
     r = L.rank
     ms = (1,) * (r - 1) + (L.det * 2 ** (r % 2),)
@@ -649,6 +568,16 @@ def singular_series(gamma, n, V: IntegerLattice, prime_bound: int,
 # ---------------------------------------------------------------------------
 # Eisenstein coefficients
 
+def _check_signature_2b(V: IntegerLattice, what: str, error) -> None:
+    """Raise error unless V has signature (2, b) with b >= 3."""
+    if V.rank < 5:
+        raise error(f"{what} want signature (2,b) with b >= 3, got rank {V.rank}")
+    sig = V.signature()
+    if sig.positive != 2:
+        raise error(f"{what} want signature (2,b) with b >= 3, "
+                    f"got signature ({sig.positive},{sig.negative})")
+
+
 def gamma_half_integer(two_k: int):
     """Gamma(two_k / 2) as (rational, e) meaning rational * pi^(e/2), e in {0,1}."""
     if two_k <= 0:
@@ -710,10 +639,8 @@ def eisenstein_coefficient(gamma, n, V: IntegerLattice, prime_bound: int,
         return EisensteinCoefficient(Decimal(0), Fraction(0), None, prime_bound)
     if n < 0 or not in_coset_support(lift, n, V):
         return EisensteinCoefficient(Decimal(0), Fraction(0), None, prime_bound)
+    _check_signature_2b(V, "Eisenstein coefficients", DensityInputError)
     b = V.rank - 2
-    if b < 3:
-        raise DensityInputError("Eisenstein coefficients want signature (2,b) with b >= 3, "
-                                f"got rank {V.rank}")
     ss = singular_series(lift, n, V, prime_bound, s_max=s_max)
     gamma_rat, sqrt_pi = gamma_half_integer(b + 2)
     # 2^(2+b/2) pi^((2+b-e)/2) n^(b/2) / (sqrt|D| Gamma(1+b/2)) times the

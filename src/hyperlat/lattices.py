@@ -90,6 +90,11 @@ class IntegerLattice:
         return self.pairing(x, x) / 2
 
     def signature(self) -> Signature:
+        return self._signature
+
+    @cached_property
+    def _signature(self) -> Signature:
+        # once per lattice, as det: eis checks it at every norm
         _, diag = rational_congruent_diagonal([list(r) for r in self.gram])
         if any(d == 0 for d in diag):
             raise LatticeError("gram matrix is degenerate")

@@ -16,6 +16,7 @@ from fractions import Fraction
 from math import isqrt
 
 from .densities import (
+    _check_signature_2b,
     _gamma_lift,
     count_solutions_naive,
     decimal_of,
@@ -43,7 +44,8 @@ class PredictError(ValueError):
 
 
 class PredictInputError(PredictError, InputError):
-    """Too small a rank, or a K3 sublattice that fails the hypotheses."""
+    """A lattice not of signature (2, b) with b >= 3, or a K3 sublattice
+    that fails the hypotheses."""
 
 
 @dataclass(frozen=True)
@@ -57,10 +59,7 @@ class PredictionInput:
 
     def __post_init__(self):
         object.__setattr__(self, "n", Fraction(self.n))
-        b = self.lattice.rank - 2
-        if b < 3:
-            raise PredictInputError("predictions want signature (2,b) with b >= 3, "
-                                    f"got rank {self.lattice.rank}")
+        _check_signature_2b(self.lattice, "predictions", PredictInputError)
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,9 @@ class QSeriesInputError(QSeriesError, InputError):
 
 
 _TRIVIAL_MODULE = FiniteQuadraticModule((), 1, (), ())
+# candidates of the short-vector search behind one theta series, a few
+# seconds of enumeration; E8(-1) to order 8 takes about 6 * 10^5
+THETA_NODE_GUARD = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -81,6 +84,7 @@ def theta_series(K: IntegerLattice, order) -> VectorQSeries:
     The coefficient at (gamma, m) counts dual vectors x in gamma + K with
     -Q(x) = m; complete for m <= order.  Enumeration is exact (short vectors
     of the positive form -G^{-1}); coefficients are nonnegative integers.
+    A search past THETA_NODE_GUARD candidates raises NodeGuardExceeded.
     """
     order = Fraction(order)
     if order < 0:
@@ -96,7 +100,7 @@ def theta_series(K: IntegerLattice, order) -> VectorQSeries:
         return VectorQSeries(D, 1, coeffs, order)
     # a dual vector y = G^{-1} m has -2 Q(y) = m^T (-G^{-1}) m
     a = [[-x for x in row] for row in frac_mat_inv(K.gram)]
-    for m, value in short_vectors(a, 2 * order):
+    for m, value in short_vectors(a, 2 * order, guard=THETA_NODE_GUARD):
         key = (D.class_of_pairings(m), value)
         coeffs[key] = coeffs.get(key, 0) + 1
     coeffs = {(cls, value / 2): Fraction(c)

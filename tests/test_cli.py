@@ -644,14 +644,17 @@ def test_count_small_rank_is_a_usage_error(capsys):
 
 
 def _refusal(argv, capsys):
-    """(exit status, the one 'hyperlat: error:' line) of a refused command."""
+    """(exit status, the one 'hyperlat: error:' line) of a refused command,
+    which must print nothing to stdout."""
+    out = io.StringIO()
     try:
-        code = main(argv, out=io.StringIO())
+        code = main(argv, out=out)
     except SystemExit as exc:
         code = exc.code
     err = capsys.readouterr().err
     errors = [l for l in err.splitlines() if l.startswith("hyperlat: error:")]
     assert len(errors) == 1 and "Traceback" not in err, err
+    assert out.getvalue() == "", out.getvalue()
     return code, errors[0]
 
 
@@ -666,7 +669,10 @@ COUNT = ["count"] + UU2 + ["--rho", "1", "--nmin", "1", "--nmax", "2"]
      "listing a module of order 20000 exceeds guard 10000"),
     (["fqm", "--lattice", "U+U+rank1(-20000)"],
      "listing a module of order 20000 exceeds guard 10000"),
-], ids=["cusp-box", "weil-order", "fqm-order"])
+    # 4 * 10^7 candidates on the one level, refused before the first
+    (["theta", "--lattice", "rank1(-2)", "--order", "100000000000000"],
+     "enumeration exceeded 1000000 nodes"),
+], ids=["cusp-box", "weil-order", "fqm-order", "theta-nodes"])
 def test_size_refusals_exit_3(argv, message, capsys):
     code, line = _refusal(argv, capsys)
     assert code == 3 and message in line
@@ -685,6 +691,10 @@ def test_size_refusals_exit_3(argv, message, capsys):
      "predictions want signature (2,b) with b >= 3, got rank 1"),
     (["eis", "--lattice", "rank1(-2)", "--nmax", "2"],
      "Eisenstein coefficients want signature (2,b) with b >= 3, got rank 1"),
+    (["eis", "--lattice", "E8", "--nmax", "1", "--prime-bound", "5"],
+     "Eisenstein coefficients want signature (2,b) with b >= 3, got signature (8,0)"),
+    (["predict", "--lattice", "U+E8", "--n", "1", "--mu-s", "1"],
+     "predictions want signature (2,b) with b >= 3, got signature (9,1)"),
     (COUNT + ["--workers", "0", "--samples", "10"],
      "argument --workers: wants an integer >= 1, got '0'"),
     (COUNT + ["--workers", "-1", "--samples", "1"], "argument --workers"),
@@ -700,7 +710,8 @@ def test_size_refusals_exit_3(argv, message, capsys):
     (["count"] + UU2 + ["--rho", "1", "--nmin", "0", "--nmax", "2"],
      "the norm n must be > 0, got 0"),
 ], ids=["k3-row-length", "k3-rows-abc", "k3-rows-fraction", "k3-rows-colon", "k3-rows-empty",
-        "predict-mu-nan", "predict-rank", "eis-rank", "count-workers-0", "count-workers-neg",
+        "predict-mu-nan", "predict-rank", "eis-rank", "eis-signature", "predict-signature",
+        "count-workers-0", "count-workers-neg",
         "count-samples", "count-prime-bound", "count-seed", "density-smax",
         "count-reversed", "count-off-coset", "count-nmin-0"])
 def test_input_errors_exit_2(argv, message, capsys):

@@ -18,8 +18,6 @@ from hyperlat.densities import (
     _diagonal_count,
     _gamma_lift,
     _local_pieces,
-    _pair_count_exact,
-    _plane_values,
 )
 from hyperlat.exactla import frac_mat_inv
 from hyperlat.fqm import discriminant_group
@@ -130,6 +128,12 @@ def test_split_equals_naive_structured():
                 for s in range(1, s_max + 1):
                     assert count_solutions_naive(gamma, n, L, p ** s) == \
                         count_solutions_split(gamma, n, L, p, s), (L.name, gamma, n, s)
+    # gamma = 1/4 in <-4> leaves a piece no translate absorbs at p = 2, beside
+    # the planes of U and E8(-1)
+    L = direct_sum(U, e8(-1), rank1(-4))
+    for s in (1, 2):
+        assert count_solutions_naive((1,), Fraction(17, 8), L, 2 ** s) == \
+            count_solutions_split((1,), Fraction(17, 8), L, 2, s), s
 
 
 def _legendre(x, p):
@@ -216,35 +220,6 @@ def test_unimodular_density_equals_counted_density():
                                 (L.rank, gamma, n, p, s)
 
 
-def _brute_radial(form, p, s):
-    """Counts of a binary form on (Z/p^s)^2, checked radial, by min(v_p(t), s)."""
-    a = p ** s
-    hist = [0] * a
-    for x in range(a):
-        for y in range(a):
-            hist[form(x, y) % a] += 1
-    by_class = {}
-    for t in range(a):
-        c = s if t == 0 else next(k for k in range(s) if t % p ** (k + 1))
-        assert by_class.setdefault(c, hist[t]) == hist[t], (p, s, t)
-    return [by_class[c] for c in range(s + 1)]
-
-
-def test_plane_values_brute():
-    for p, s in ((2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (5, 2), (7, 2)):
-        nonsquare = next(u for u in range(2, p) if _legendre(u, p) == -1) if p > 2 else None
-        for k in range(s + 2):
-            q = p ** k
-            if p == 2:
-                split = lambda x, y: q * x * y                        # 2^k U
-                aniso = lambda x, y: q * (x * x + x * y + y * y)      # 2^k V
-            else:
-                split = lambda x, y: q * (x * x - y * y)
-                aniso = lambda x, y: q * (x * x - nonsquare * y * y)
-            assert _plane_values(p, s, k, True) == _brute_radial(split, p, s), (p, s, k)
-            assert _plane_values(p, s, k, False) == _brute_radial(aniso, p, s), (p, s, k)
-
-
 def test_counts_ignore_the_basis():
     # a unimodular change of basis hides every plane: one component, no U
     rng = random.Random(5)
@@ -283,16 +258,21 @@ def test_two_coordinate_residual_at_high_exponent():
             count_solutions_naive(None, 1, L, 2 ** s)
 
 
-def _brute_diagonal(ms, t, p, c):
-    """#{y mod p^c : sum m_i y_i^2 = t mod p^c}, over every y: the histogram
-    of the form, built one coordinate at a time."""
+def _brute_diagonal(ms, t, p, c, planes=()):
+    """#{points mod p^c : sum m_i y_i^2 + sum 2^k F(x) = t mod p^c}, over
+    every point: the histogram of the form, built one coordinate or plane
+    at a time.  F is xy for a split plane, else x^2 + xy + y^2."""
     import numpy as np
 
     a = p ** c
+    y = np.arange(a, dtype=np.int64)
+    x = y[:, None]
+    ones = [np.bincount(m % a * y ** 2 % a, minlength=a) for m in ms]
+    ones += [np.bincount(((x * y if split else x * x + x * y + y * y) << k).ravel() % a,
+                         minlength=a) for k, split in planes]
     hist = np.zeros(a, dtype=np.int64)
     hist[0] = 1
-    for m in ms:
-        one = np.bincount(m % a * np.arange(a, dtype=np.int64) ** 2 % a, minlength=a)
+    for one in ones:
         full = np.convolve(hist, one)
         hist = full[:a].copy()
         hist[:len(full) - a] += full[a:]
@@ -317,31 +297,23 @@ def test_residual_count_brute():
     assert cases == 4 * 5 * 5 * 6
 
 
-def test_pair_count_brute():
-    for p in (2, 3, 5):
-        for s in (1, 2, 3):
-            a = p ** s
-
-            def val(x):
-                x %= a
-                if x == 0:
-                    return s
-                k = 0
-                while x % p == 0:
-                    x //= p
-                    k += 1
-                return k
-
-            for c in range(s + 1):
-                t = p ** c if c < s else 0
-                brute = {}
-                for m in range(a):
-                    key = (val(m), val(t - m))
-                    brute[key] = brute.get(key, 0) + 1
-                for k in range(s + 1):
-                    for j in range(s + 1):
-                        assert _pair_count_exact(p, s, c, k, j) == \
-                            brute.get((k, j), 0)
+def test_plane_count_brute():
+    # the reduction with 2-adic planes of scale 0 to 2, split and anisotropic,
+    # with and without diagonal coefficients, against the exhaustive count
+    rng = random.Random(2)
+    cases = 0
+    for c in range(5):
+        for nplanes in (1, 2):
+            for k in range(3):
+                for _ in range(6):
+                    planes = [(rng.randint(0, 2), rng.random() < 0.5) for _ in range(nplanes)]
+                    ms = [rng.choice([rng.randint(-40, 40), 2 * rng.randint(-9, 9)])
+                          for _ in range(k)]
+                    t = rng.choice([0, rng.randint(-60, 60), 4 * rng.randint(-9, 9)])
+                    assert _diagonal_count(ms, t, 2, c, planes) == \
+                        _brute_diagonal(ms, t, 2, c, planes), (ms, planes, t, c)
+                    cases += 1
+    assert cases == 5 * 2 * 3 * 6
 
 
 def test_lift_independence_of_counts():
@@ -437,8 +409,8 @@ def test_singular_series_checks_the_coset_once(v_lattice, monkeypatch):
 def test_odd_primes_pair_no_coordinates():
     # at odd p every translated rank-1 piece is a residual coordinate
     L = direct_sum(*(rank1(m) for m in (2, 6, -6, -6, -6)))
-    radial, residual, _ = _local_pieces(L.gram, 3, (0,) * 5)
-    assert radial == () and sorted(residual) == [-3, -3, -3, 1, 3]
+    uniform, residual, planes, _ = _local_pieces(L.gram, 3, (0,) * 5)
+    assert uniform == planes == () and sorted(residual) == [-3, -3, -3, 1, 3]
 
 
 def test_singular_series_rank_guard():
@@ -526,14 +498,15 @@ def test_local_pieces_shared_across_norms(v_lattice):
 
 def test_unimodular_primes_build_no_jordan_splitting(v_lattice):
     # det = -2: the odd p dividing n are counted on <1, 1, 1, 1, -2> with no
-    # Jordan splitting, so p = 2 builds the only one; its radial fold is
-    # built once per exponent and then reused across the norms
+    # Jordan splitting, so p = 2 builds the only one; its pieces are split
+    # once and then reused across the norms
     import hyperlat.densities as dens
 
-    for cache in (dens._jordan_splitting, dens._local_pieces, dens._radial_fold,
-                  dens._reduced_count, dens._count_data):
+    for cache in (dens._jordan_splitting, dens._local_pieces, dens._reduced_count,
+                  dens._count_data):
         cache.cache_clear()
     for n in range(300, 331):
         singular_series(None, n, v_lattice, 100)
     assert dens._jordan_splitting.cache_info().currsize == 1
-    assert dens._radial_fold.cache_info().hits > 0
+    assert dens._local_pieces.cache_info().currsize == 1
+    assert dens._local_pieces.cache_info().hits > 0
