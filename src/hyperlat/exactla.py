@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, isqrt, lcm
+from operator import add, mul
 
 
 # ---------------------------------------------------------------------------
@@ -362,24 +363,6 @@ def floor_sqrt_fraction(x: Fraction) -> int:
     return isqrt(x.numerator * x.denominator) // x.denominator
 
 
-def int_range_of_quadratic(center: Fraction, radius_sq: Fraction):
-    """Integers z with (z - center)^2 <= radius_sq, as an inclusive range.
-
-    Returns (lo, hi) with lo > hi when the interval holds no integer.
-    """
-    if radius_sq < 0:
-        return 0, -1
-    center = Fraction(center)
-    r = floor_sqrt_fraction(radius_sq)
-    lo = center.numerator // center.denominator - r - 2
-    hi = -((-center.numerator) // center.denominator) + r + 2
-    while lo <= hi and (lo - center) ** 2 > radius_sq:
-        lo += 1
-    while hi >= lo and (hi - center) ** 2 > radius_sq:
-        hi -= 1
-    return lo, hi
-
-
 def gram_schmidt_ldl(g):
     """Exact LDL data for a symmetric positive definite Fraction matrix.
 
@@ -452,66 +435,93 @@ class NodeGuardExceeded(ValueError):
     the size; the command line reports it with exit status 3."""
 
 
-def short_vectors(a, bound, shift=None, guard=None):
-    """Every integer z with (z+shift)^T a (z+shift) <= bound, with that value.
+class ShortVectorRows:
+    """Fincke-Pohst search for every integer z with
+    (z+shift)^T a (z+shift) <= bound, by the rows of its last level.
 
     a is positive definite and rational, shift rational (default zero).
-    Yields (z, value): a tuple of ints and an exact Fraction.  Fincke-Pohst
-    depth-first search on the LLL-reduced form, whose LDL data, shift and
-    bound are put over one common denominator once, so centres, budgets and
-    isqrt ranges are ints; one Fraction is built per distinct value.  Raises
-    NodeGuardExceeded past ``guard`` candidates, counted over all levels.
+    The depth-first search runs on the LLL-reduced form, whose LDL data,
+    shift and bound are put over one common denominator once, so centres,
+    budgets and isqrt ranges are ints.  Iterating yields rows
+    (prefix, lo, hi, offset, centre): the vectors prefix + k step for k in
+    lo..hi, of values (offset + d0 (e k - centre)^2) / scale, whose
+    numerators lie in [offset, top].  Raises NodeGuardExceeded past
+    ``guard`` candidates, counted over all levels.
     """
-    n = len(a)
-    bound = Fraction(bound)
-    if n == 0:
+
+    def __init__(self, a, bound, shift=None, guard=None):
+        n = len(a)
+        bound = Fraction(bound)
+        shift = [Fraction(x) for x in shift or [0] * n]
+        # reduced coordinates: x = u^T x'; integer z' maps back to z = u^T z'
+        u, a_red = lll_reduce_gram(a)
+        uinv = unimodular_inverse(u)
+        s = [sum(uinv[j][i] * shift[j] for j in range(n)) for i in range(n)]
+        mu, d = gram_schmidt_ldl(a_red)
+        # the centre of level j is const_j - sum_{i>j} mu[i][j] z'_i; scaled by e
+        const = [-s[j] - sum(mu[i][j] * s[i] for i in range(j + 1, n))
+                 for j in range(n)]
+        e = lcm(*(x.denominator for x in const),
+                *(mu[i][j].denominator for i in range(n) for j in range(i)))
+        # budgets scaled by e^2 dl: d_j (e z'_j - centre)^2 dl is an int
+        dl = lcm(bound.denominator, *(x.denominator for x in d))
+        dd = [int(x * dl) for x in d]
+        self.step, self.d0, self.e, self.scale = tuple(u[0]), dd[0], e, e * e * dl
+        self.top = int(bound * self.scale)
+        self._search = (u, [int(x * e) for x in const], dd, guard,
+                        [[int(mu[i][j] * e) for i in range(n)] for j in range(n)])
+
+    def __iter__(self):
+        (u, cc, dd, guard, mm), e, top = self._search, self.e, self.top
+        zr = [0] * len(u)
+        nodes = 0
+
+        def rec(j, budget, acc):
+            # z'_i fixed for i > j; acc = sum_{i>j} z'_i u[i] in old coordinates
+            nonlocal nodes
+            # mm[j][i] = 0 for i <= j, and zr[i] = 0 for i < j
+            centre = cc[j] - sum(map(mul, mm[j], zr))
+            rad = isqrt(budget // dd[j])
+            lo, hi = -((rad - centre) // e), (centre + rad) // e
+            nodes += max(hi - lo + 1, 0)
+            if guard is not None and nodes > guard:
+                raise NodeGuardExceeded(f"enumeration exceeded {guard} nodes")
+            if not j:
+                if lo <= hi:
+                    yield acc, lo, hi, top - budget, centre
+                return
+            w = e * lo - centre
+            for z in range(lo, hi + 1):
+                zr[j] = z
+                yield from rec(j - 1, budget - dd[j] * w * w,
+                               [x + z * y for x, y in zip(acc, u[j])])
+                w += e
+            zr[j] = 0
+
+        if top >= 0:
+            yield from rec(len(u) - 1, top, [0] * len(u))
+
+
+def short_vectors(a, bound, shift=None, guard=None):
+    """Every integer z with (z+shift)^T a (z+shift) <= bound, with that value:
+    a tuple of ints and an exact Fraction, one built per distinct value.
+    The rows of ``ShortVectorRows(a, bound, shift, guard)``, expanded.
+    """
+    if not a:
         if bound >= 0:
             yield (), Fraction(0)
         return
-    shift = [Fraction(x) for x in shift or [0] * n]
-    # reduced coordinates: x = u^T x'; integer z' maps back to z = u^T z'
-    u, a_red = lll_reduce_gram(a)
-    uinv = unimodular_inverse(u)
-    s = [sum(uinv[j][i] * shift[j] for j in range(n)) for i in range(n)]
-    mu, d = gram_schmidt_ldl(a_red)
-    # the centre of level j is const_j - sum_{i>j} mu[i][j] z'_i; scaled by e
-    const = [-s[j] - sum(mu[i][j] * s[i] for i in range(j + 1, n))
-             for j in range(n)]
-    e = lcm(*(x.denominator for x in const),
-            *(mu[i][j].denominator for i in range(n) for j in range(i)))
-    cc = [int(x * e) for x in const]
-    mm = [[int(mu[i][j] * e) for i in range(n)] for j in range(n)]
-    # budgets scaled by e^2 dl: d_j (e z'_j - centre)^2 dl is an int
-    dl = lcm(bound.denominator, *(x.denominator for x in d))
-    dd = [int(x * dl) for x in d]
-    k_scale = e * e * dl
-    top = int(bound * k_scale)
-    if top < 0:
-        return
+    rows = ShortVectorRows(a, bound, shift, guard)
+    step, d0, e, scale = rows.step, rows.d0, rows.e, rows.scale
     values = {}
-    zr = [0] * n
-    nodes = 0
-
-    def rec(j, budget, acc):
-        # z'_i fixed for i > j; acc = sum_{i>j} z'_i u[i] in old coordinates
-        nonlocal nodes
-        centre = cc[j] - sum(mm[j][i] * zr[i] for i in range(j + 1, n))
-        rad = isqrt(budget // dd[j])
-        lo, hi = -((rad - centre) // e), (centre + rad) // e
-        nodes += max(hi - lo + 1, 0)
-        if guard is not None and nodes > guard:
-            raise NodeGuardExceeded(f"enumeration exceeded {guard} nodes")
-        for z in range(lo, hi + 1):
-            left = budget - dd[j] * (e * z - centre) ** 2
-            row = [x + z * y for x, y in zip(acc, u[j])]
-            if j:
-                zr[j] = z
-                yield from rec(j - 1, left, row)
-            else:
-                value = values.get(top - left)
-                if value is None:
-                    value = values[top - left] = Fraction(top - left, k_scale)
-                yield tuple(row), value
-        zr[j] = 0
-
-    yield from rec(n - 1, top, [0] * n)
+    for prefix, lo, hi, offset, centre in rows:
+        z = [x + (lo - 1) * y for x, y in zip(prefix, step)]
+        w = e * lo - centre
+        for _ in range(hi - lo + 1):
+            z = tuple(map(add, z, step))
+            v = offset + d0 * w * w
+            w += e
+            value = values.get(v)
+            if value is None:
+                value = values[v] = Fraction(v, scale)
+            yield z, value

@@ -11,16 +11,18 @@ them are kept as their oracle.
 ``count_range`` counts a whole list of norms at once, for any basis, frame
 and sector.  A point splits into its parts p in the frame's positive plane P
 and y in the complement N, and the count is a theta convolution over the
-glue classes of L modulo L & P + L & N: one sweep of the N side for the
-largest norm, keyed by class and value, and one short-vector search on the
-P side serve every norm.  ``enumerate_points`` is its single-norm case; with
-``keep_points`` it lists the points by the depth-first search, which with
-``box_scan_count`` is kept as an oracle.
+glue classes of L modulo L & P + L & N: one walk of the N side's ellipsoid
+for the largest norm, by the rows of the Fincke-Pohst search that every
+enumerator here shares, keyed by class and value, and one short-vector
+search on the P side serve every norm.  ``enumerate_points`` is its
+single-norm case; with ``keep_points`` it lists the points by the
+depth-first search, which with ``box_scan_count`` is kept as an oracle.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from decimal import localcontext
 from fractions import Fraction
@@ -35,16 +37,14 @@ from .exactla import (
     frac_mat_inv,
     hnf,
     hnf_rational,
-    int_range_of_quadratic,
     kernel_basis,
-    lll_reduce_gram,
     mat_mul,
     mat_vec,
     rational_congruent_diagonal,
+    ShortVectorRows,
     short_vectors,
     smith_normal_form,
     transpose,
-    unimodular_inverse,
 )
 from .densities import (
     PI,
@@ -58,8 +58,8 @@ from .lattices import IntegerLattice
 
 FRAME_TOLERANCE = 1e-10
 ENUM_NODE_GUARD = 10 ** 9
-SWEEP_GUARD = 10 ** 8   # points of count_range's N-side box, and P-side nodes
-GRID_CHUNK = 1 << 15    # box points that sweep builds at once
+SWEEP_GUARD = 10 ** 8   # points of count_range's N-side ellipsoid, and P-side nodes
+GRID_CHUNK = 1 << 15    # N-side points expanded into arrays at once
 
 
 class HyperboloidError(ValueError):
@@ -393,8 +393,8 @@ def count_range(gamma, ns, window: Window) -> tuple[PointCount, ...]:
 
     Any basis, frame and sector: the counts are a theta convolution over the
     glue classes of the frame's plane P and its complement N (``_count_glued``),
-    from one sweep of N for the largest norm.  Norms outside -Q(gamma) + Z
-    count 0.
+    from one walk of N's ellipsoid for the largest norm.  Norms outside
+    -Q(gamma) + Z count 0.
     """
     ns = [Fraction(n) for n in ns]
     if any(n <= 0 for n in ns):
@@ -419,32 +419,6 @@ def _class_index(parts, d):
     return out
 
 
-def _sweep_n(ranges, ds, shift, a_int, cmap, d):
-    """Chunks (v, cid) over the integer box z in ranges: v = zs a_int zs^T
-    with zs = ds z + shift, and cid the class index of z cmap mod d.  A chunk
-    is whole rows along the first axis, its b axes broadcast against each
-    other, so no array of points is built."""
-    b = len(ranges)
-    axes = [np.arange(lo, hi + 1, dtype=np.int64) for lo, hi in ranges]
-    size = math.prod(len(axis) for axis in axes)
-    if not size:
-        return
-    step = max(GRID_CHUNK * len(axes[0]) // size, 1)
-    for start in range(0, len(axes[0]), step):
-        zz = [x.reshape([-1 if i == j else 1 for j in range(b)]) for i, x in
-              enumerate([axes[0][start:start + step]] + axes[1:])]
-        zs = [z * ds + x for z, x in zip(zz, shift)]
-        v = 0
-        for i in range(b):
-            row = a_int[i][i] * zs[i]
-            for j in range(i + 1, b):
-                if a_int[i][j]:
-                    row = row + 2 * a_int[i][j] * zs[j]
-            v = v + row * zs[i]
-        parts = [sum(z * row[k] for z, row in zip(zz, cmap)) for k in range(len(d))]
-        yield v, np.broadcast_to(_class_index(parts, d), v.shape)
-
-
 def _count_glued(lift, ns, window: Window):
     """(count, grazing) for every n in ns, all in the coset support.
 
@@ -456,9 +430,13 @@ def _count_glued(lift, ns, window: Window):
 
     theta_N counting the y of a class by -Q(y), and the grazing points are
     the terms with Q(p) = rho^2 n: the theta series of a glued lattice as a
-    sum over glue classes (Conway & Sloane, ch. 4).  theta_N is one sweep of
-    proj_N(lift + L) up to (1 + rho^2) max(ns), each y keyed by its class
-    and its exact scaled value; the P side is one short-vector search up to
+    sum over glue classes (Conway & Sloane, ch. 4).  theta_N comes from the
+    rows of the Fincke-Pohst search (``ShortVectorRows``) of proj_N(lift + L)
+    up to (1 + rho^2) max(ns): along a row the scaled value is a quadratic
+    and the class an affine map of the index, so the rows are expanded in
+    numpy, GRID_CHUNK points at a time, each y keyed by its class and its
+    exact scaled value.  The guard reads the rows' point total before any
+    array is built.  The P side is one short-vector search up to
     rho^2 max(ns), filtered by the sector; a norm is one sorted lookup.
     """
     L = window.frame.lattice
@@ -473,11 +451,12 @@ def _count_glued(lift, ns, window: Window):
 
     # P = L & span(t1, t2) and N = L & P^perp; in the coordinates of the
     # basis [P; N], h spans L (its first two rows proj_P(L), the others N
-    # itself) and c is the lift
+    # itself) and c is the lift, taken in [0, 1)^r, which keeps the
+    # coordinates below small
     bp, bn = orthogonal_to(window.frame.negative), orthogonal_to(window.frame.positive)
     binv = frac_mat_inv(bp + bn)
     h = hnf_rational(binv)
-    c = mat_vec(transpose(binv), lift)
+    c = mat_vec(transpose(binv), [x % 1 for x in lift])
 
     # N side: M = proj_N(L) has the basis mb; the rows of nb = mb^-1 are N
     # in mb coordinates, and with U nb V = D in Smith form a row u has the
@@ -487,19 +466,14 @@ def _count_glued(lift, ns, window: Window):
     dmat, _, vs = smith_normal_form(nb)
     dmod = [dmat[k][k] for k in range(b) if dmat[k][k] > 1]
     cmap = [[x % dmat[k][k] for k, x in enumerate(row) if dmat[k][k] > 1] for row in vs]
-    uu, a_red = lll_reduce_gram([[-x for x in row] for row in _gram_of(mb, _gram_of(bn, g))])
-    # y = c_N + z uu mb: sweep integer z with (z + s) a_red (z + s)^T =
-    # -2 Q(y) <= 2 (1 + rho^2) n_hi, scaled to v = zs a_int zs^T = sigma (-2 Q(y))
-    s = mat_vec(transpose(unimodular_inverse(uu)), mat_vec(transpose(nb), c[2:]))
-    ds = lcm(*(x.denominator for x in s), 1)
-    da = lcm(*(x.denominator for row in a_red for x in row), 1)
-    sigma = ds * ds * da
-    a_int = [[int(x * da) for x in row] for row in a_red]
-    bound = 2 * (1 + rho2) * n_hi
-    a_inv = frac_mat_inv(a_red)
-    ranges = [int_range_of_quadratic(-s[i], bound * a_inv[i][i]) for i in range(b)]
-    v_lo, v_hi = -((-2 * sigma * n_lo) // 1), (sigma * bound) // 1
+    # y = (z + c_N nb) mb: the rows of the integer z with -2 Q(y) <=
+    # 2 (1 + rho^2) n_hi, whose scaled values v = sigma (-2 Q(y)) are integers
+    a_n = [[-x for x in row] for row in _gram_of(mb, _gram_of(bn, g))]
+    rows = ShortVectorRows(a_n, 2 * (1 + rho2) * n_hi, mat_vec(transpose(nb), c[2:]))
+    sigma, d0, e = rows.scale, rows.d0, rows.e
+    v_lo, v_hi = -((-2 * sigma * n_lo) // 1), rows.top
     width = v_hi - v_lo + 1
+    dmax = max(dmod, default=1)
 
     # P side: k in Z^2 gives p = (k + sp) hp, whose y lie in the class of
     # k f, f the N parts of h's first two rows; with kk = dp (k + sp),
@@ -511,14 +485,19 @@ def _count_glued(lift, ns, window: Window):
     dap = lcm(*(x.denominator for row in ap for x in row), 1)
     tau = dp * dp * dap
 
-    zmax = [max(abs(lo + x), abs(hi + x), 1) * ds for (lo, hi), x in zip(ranges, s)]
-    worst = sum(abs(a_int[i][j]) * zmax[i] * zmax[j] for i in range(b) for j in range(b))
-    if max(math.prod(dmod) * width, worst, tau * 2 * rho2 * n_hi) >= 1 << 63:
+    if max(math.prod(dmod) * width, v_hi, tau * 2 * rho2 * n_hi,
+           (b + 1) * dmax ** 2) >= 1 << 63:
         raise EnumGuardExceeded("glued point keys would overflow int64")
-    size = math.prod(hi - lo + 1 for lo, hi in ranges)
-    if size > SWEEP_GUARD:
-        raise EnumGuardExceeded(
-            f"N-side sweep of {size} points exceeds guard {SWEEP_GUARD}")
+    # each row as int64: its length, its offset, u0 = e lo - centre (the
+    # value at lo + i is offset + d0 (e i + u0)^2), lo and its prefix
+    table = array("q")
+    total = 0
+    for prefix, lo, hi, offset, centre in rows:
+        total += hi - lo + 1
+        if total > SWEEP_GUARD:
+            raise EnumGuardExceeded(f"N-side ellipsoid of at least {total} points "
+                                    f"exceeds guard {SWEEP_GUARD}")
+        table.extend((hi - lo + 1, offset, e * lo - centre, lo, *prefix))
 
     ks = [k for k, _ in short_vectors(ap, 2 * rho2 * n_hi, sp, SWEEP_GUARD)]
     sp0, sp1 = (int(x * dp) for x in sp)
@@ -552,13 +531,32 @@ def _count_glued(lift, ns, window: Window):
 
     keys = [np.zeros(0, dtype=np.int64)]
     used = np.array(sorted(set(classes.tolist())), dtype=np.int64)
-    for v, cid in _sweep_n(ranges, ds, [int(x * ds) for x in s], a_int,
-                           mat_mul(uu, cmap), dmod):
-        keep = (v >= v_lo) & (v <= v_hi)
-        cid = cid[keep]
+    table = np.frombuffer(table, dtype=np.int64).reshape(-1, 4 + b).T
+    lengths, offsets, u0 = table[:3]
+    ends = np.cumsum(lengths)
+    # point i of a row is z = prefix + (lo + i) step, of class
+    # (lo, prefix) (step cmap; cmap) + i step cmap mod dmod
+    step_cls = [x % dk for x, dk in zip(mat_vec(transpose(cmap), rows.step), dmod)]
+    coeff = np.array([step_cls] + cmap, dtype=np.int64).reshape(b + 1, len(dmod))
+    first = (table[3:].T % dmax @ coeff % np.array(dmod, dtype=np.int64)).T
+    starts = ends - lengths
+    for start in range(0, total, GRID_CHUNK):
+        # point i of row r, for the points start.. of the rows laid end to end
+        i = np.arange(start, min(start + GRID_CHUNK, total), dtype=np.int64)
+        r = np.searchsorted(ends, i, "right")
+        i -= starts[r]
+        v = e * i + u0[r]
+        v *= v
+        v *= d0
+        v += offsets[r]
+        keep = v >= v_lo
+        r, i, v = r[keep], i[keep], v[keep]
+        cid = np.broadcast_to(_class_index((x[r] + i * sk for x, sk in zip(first, step_cls)),
+                                           dmod), v.shape)
         mine = np.isin(cid, used)
-        keys.append(cid[mine] * width + v[keep][mine] - v_lo)
-    keys = np.sort(np.concatenate(keys))
+        keys.append(cid[mine] * width + v[mine] - v_lo)
+    keys = np.concatenate(keys)
+    keys.sort()
 
     out = []
     for n in ns:
@@ -638,8 +636,8 @@ def box_scan_count(gamma, n, window: Window, guard: int = 10 ** 7,
     ranges = []
     size = 1
     for k in range(r):
-        rad = floor_sqrt_fraction(2 * mmax * ainv[k][k])
-        lo, hi = int_range_of_quadratic(-lift[k], Fraction((rad + 1) ** 2))
+        rad = floor_sqrt_fraction(2 * mmax * ainv[k][k]) + 1
+        lo, hi = math.ceil(-lift[k] - rad), math.floor(rad - lift[k])
         ranges.append(np.arange(lo, hi + 1, dtype=np.int64))
         size *= len(ranges[-1])
     if size > guard or size == 0:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 
 from .densities import (
     _check_signature_2b,
@@ -23,7 +23,7 @@ from .densities import (
     eisenstein_coefficient,
     in_coset_support,
 )
-from .exactla import InputError, floor_sqrt_fraction
+from .exactla import InputError, NodeGuardExceeded, short_vectors
 from .fqm import discriminant_group, isotropic_subgroups
 from .lattices import (
     IntegerLattice,
@@ -252,7 +252,9 @@ def _represents_rank2(P: IntegerLattice, lift, two_n, box_guard):
     """Bounded exact search: in eigencoordinates of the stable automorph the
     quantity u^2 + disc v^2 scales by the eigenvalue squared along an orbit,
     and its product structure pins some orbit representative inside a window
-    of size (eigenvalue^2 + 1) |4 a n|; searching that window is complete."""
+    of size (eigenvalue^2 + 1) |4 a n|; searching that window is complete.
+    The window is the short vectors of the majorant
+    ((2aX + bY)^2 + disc Y^2) / (4|a|) >= |Q| on lift + Z^2."""
     mm = _stable_automorph(P)
     a = Fraction(P.gram[0][0], 2)
     b = Fraction(P.gram[0][1])
@@ -262,34 +264,20 @@ def _represents_rank2(P: IntegerLattice, lift, two_n, box_guard):
     trace = abs(mm[0][0] + mm[1][1])
     mu2 = Fraction(trace * trace + 1)  # safe overestimate of eigenvalue^2
     bound = (mu2 + 2) * (abs(n) + 1)
-    # majorant: R = (|2aX + bY|^2 + disc Y^2) / (4a') style; use coordinates
-    # through u = 2aX + bY, v = Y: Q = (u^2 - disc v^2)/(4a): R = (u^2 + disc v^2)/(4|a|)
-    scale = 4 * abs(a)
-    rmax = bound * scale
-    vmax = floor_sqrt_fraction(rmax / disc)
-    searched = 0
-    for yz in range(-int(vmax) - 2, int(vmax) + 3):
-        yy = yz + lift[1]
-        rem = rmax - disc * yy * yy
-        if rem < 0:
-            continue
-        umax = floor_sqrt_fraction(rem)
-        # u = 2 a X + b Y with X = xz + lift[0]
-        # X range from |u| <= umax
-        lo = (-umax - b * yy) / (2 * a) - lift[0]
-        hi = (umax - b * yy) / (2 * a) - lift[0]
-        if lo > hi:
-            lo, hi = hi, lo
-        xz = int(lo) - 2
-        while xz <= int(hi) + 2:
-            searched += 1
-            if searched > box_guard:
-                return RepresentabilityResult(
-                    _locally_plausible(P, lift, two_n), False)
-            xx = xz + lift[0]
-            if a * xx * xx + b * xx * yy + c * yy * yy == n:
-                return RepresentabilityResult(True, True, (xx, yy))
-            xz += 1
+    k = 4 * abs(a)
+    majorant = [[4 * a * a / k, 2 * a * b / k], [2 * a * b / k, (b * b + disc) / k]]
+    # test 2 dl^2 Q = two_n dl^2 on the integers (x, y) = dl (z + lift)
+    dl = lcm(*(x.denominator for x in lift))
+    l0, l1 = (int(x * dl) for x in lift)
+    (g00, g01), (_, g11) = P.gram
+    target = two_n * dl * dl
+    try:
+        for (xz, yz), _ in short_vectors(majorant, bound, lift, box_guard):
+            x, y = dl * xz + l0, dl * yz + l1
+            if g00 * x * x + 2 * g01 * x * y + g11 * y * y == target:
+                return RepresentabilityResult(True, True, (Fraction(x, dl), Fraction(y, dl)))
+    except NodeGuardExceeded:
+        return RepresentabilityResult(_locally_plausible(P, lift, two_n), False)
     return RepresentabilityResult(False, True)
 
 

@@ -575,7 +575,7 @@ def test_closed_stdout_ends_quietly():
 
 @pytest.mark.parametrize("lattice, nmin, nmax, prime_bound, message, limit", [
     ("U+U+rank1(-2)", "100000", "100000", "10",
-     "N-side sweep of 2864466295 points exceeds guard", SWEEP_GUARD),
+     "N-side ellipsoid of at least 100000034 points exceeds guard", SWEEP_GUARD),
 ], ids=["sweep"])
 def test_guard_errors_exit_3(lattice, nmin, nmax, prime_bound, message, limit, capsys):
     # a valid input too large for a guard of the computation: one line, exit 3,

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 from math import lcm
 
@@ -11,13 +12,14 @@ from hyperlat.exactla import (
     frac_mat_inv,
     gram_schmidt_ldl,
     hnf,
-    int_range_of_quadratic,
+    identity,
     invariant_factors,
     kernel_basis,
     lll_reduce_gram,
     NodeGuardExceeded,
     mat_mul,
     rational_congruent_diagonal,
+    ShortVectorRows,
     short_vectors,
     smith_normal_form,
     solve_integer,
@@ -118,16 +120,6 @@ def test_unimodular_inverse_matches_fraction_inverse():
             unimodular_inverse(bad)
 
 
-def test_int_range_of_quadratic():
-    lo, hi = int_range_of_quadratic(Fraction(1, 2), Fraction(1, 10))
-    assert lo > hi  # no integer within sqrt(0.1) of 0.5
-    lo, hi = int_range_of_quadratic(Fraction(0), Fraction(9))
-    assert (lo, hi) == (-3, 3)
-    lo, hi = int_range_of_quadratic(Fraction(-7, 3), Fraction(4))
-    vals = [z for z in range(-10, 10) if (Fraction(z) + Fraction(7, 3)) ** 2 <= 4]
-    assert list(range(lo, hi + 1)) == vals
-
-
 def test_floor_sqrt_fraction():
     assert floor_sqrt_fraction(Fraction(35, 1)) == 5
     assert floor_sqrt_fraction(Fraction(36, 1)) == 6
@@ -166,12 +158,24 @@ def _random_posdef(rng, n):
 
 def test_short_vectors_against_brute_force():
     rng = random.Random(17)
+    # x^2 + 6xy + 10y^2 and a rank-3 form built from a skewed basis: their
+    # LLL reduction changes the basis, so the rows step along a new vector
+    skewed = [[Fraction(1), Fraction(3)], [Fraction(3), Fraction(10)]]
+    skewed3 = mat_mul(transpose([[1, 0, 0], [4, 1, 0], [-3, 5, 1]]),
+                      [[1, 0, 0], [4, 1, 0], [-3, 5, 1]])
+    for form in (skewed, skewed3):
+        assert lll_reduce_gram(form)[0] != identity(len(form))
+    cases = [(skewed, [Fraction(1, 3), Fraction(-5, 2)], Fraction(9)),
+             (skewed3, [Fraction(7, 4), Fraction(0), Fraction(-1, 3)], Fraction(17, 2))]
     for _ in range(60):
         n = rng.randint(1, 3)
         a = _random_posdef(rng, n)
         shift = [Fraction(rng.randint(-3, 3), rng.randint(1, 4))
                  for _ in range(n)]
         bound = Fraction(rng.randint(0, 20), rng.randint(1, 4))
+        cases.append((a, shift, bound))
+    for a, shift, bound in cases:
+        n = len(a)
         got = {}
         for z, value in short_vectors(a, bound, shift):
             assert z not in got
@@ -197,6 +201,18 @@ def test_short_vectors_against_brute_force():
             if num <= limit:
                 want[z] = Fraction(num, scale)
         assert got == want
+        # every vector lies on exactly one row, whose scaled value is the
+        # quadratic of the row index
+        rows = ShortVectorRows(a, bound, shift)
+        on_rows = Counter()
+        for prefix, lo, hi, offset, centre in rows:
+            for k in range(lo, hi + 1):
+                z = tuple(p + k * s for p, s in zip(prefix, rows.step))
+                on_rows[z] += 1
+                v = offset + rows.d0 * (rows.e * k - centre) ** 2
+                assert offset <= v <= rows.top
+                assert v == want[z] * rows.scale
+        assert on_rows == Counter(want.keys())
 
 
 def test_short_vectors_guard_and_edges():

@@ -29,7 +29,7 @@ from hyperlat.hyperboloid import (
 )
 from hyperlat.cli import main
 from hyperlat.exactla import InputError
-from hyperlat.lattices import IntegerLattice, direct_sum, hyperbolic_plane, rank1, rescale
+from hyperlat.lattices import IntegerLattice, direct_sum, e8, hyperbolic_plane, rank1, rescale
 
 
 def _window(V, rho=1):
@@ -253,6 +253,15 @@ def test_count_range_non_integral_p_shift(gamma, counts):
     assert [pc.count for pc in count_range(gamma, ns, win)] == counts
 
 
+def test_count_range_reaches_u_u_e8():
+    # b = 10: N is <-2> + <-2> + E8(-1), whose ellipsoid the rows walk
+    # directly (a box around it holds about 400 times its points).  The
+    # figures are _count_generic's; at n = 2 it takes about 140 s
+    V = direct_sum(hyperbolic_plane(), hyperbolic_plane(), e8(-1))
+    got = count_range(None, [1, 2], Window(splitting_frame(V), Fraction(1)))
+    assert [(pc.count, pc.grazing) for pc in got] == [(18516, 12496), (516812, 212176)]
+
+
 @pytest.mark.parametrize("rho, gamma, lo, hi", [
     (Fraction(1, 2), None, 1, 80),
     (Fraction(1), None, 40, 60),
@@ -269,8 +278,8 @@ def test_count_range_entries_are_independent(v_lattice, rho, gamma, lo, hi):
 
 
 def test_count_range_chunking_is_invisible(v_lattice, monkeypatch):
-    # chunks of 1000 points (one or more rows of the N-side box), and of a
-    # single row
+    # batches of 1000 points (rows of the N-side ellipsoid, or parts of
+    # them), and of a single point
     win = _window(v_lattice, Fraction(1, 2))
     ns = list(range(60, 81))
     whole = count_range(None, ns, win)
@@ -295,16 +304,16 @@ def test_count_range_empty(v_lattice, monkeypatch):
 
 
 def test_equidistribution_run_builds_one_grid(v_lattice, monkeypatch):
-    # one N-side sweep, for the largest norm, serves all 31 norms; every
-    # count_range call sweeps once
+    # one N-side walk, for the largest norm, serves all 31 norms; every
+    # count_range call walks the rows of N's ellipsoid once
     calls = []
-    sweep = hyp._sweep_n
 
-    def counted(ranges, *args):
-        calls.append(ranges)
-        return sweep(ranges, *args)
+    class Counted(hyp.ShortVectorRows):
+        def __iter__(self):
+            calls.append(self.top)
+            return super().__iter__()
 
-    monkeypatch.setattr(hyp, "_sweep_n", counted)
+    monkeypatch.setattr(hyp, "ShortVectorRows", Counted)
     win = _window(v_lattice)
     summary = equidistribution_run(v_lattice, None, win, 40, 70,
                                    prime_bound=30, samples=1000, seed=2)
@@ -338,18 +347,25 @@ def test_equidistribution_run_reads_representability_off_the_series(monkeypatch)
 
 
 def test_grid_guard_at_largest_norm(v_lattice, monkeypatch):
-    # the N-side box has 20825 points at n = 40 and 50807 at n = 70
-    monkeypatch.setattr(hyp, "SWEEP_GUARD", 40000)
+    # the N-side ellipsoid holds 11877 points at n = 40 and 27787 at n = 70;
+    # the guard reads the point total of the largest norm
+    monkeypatch.setattr(hyp, "SWEEP_GUARD", 27786)
     win = _window(v_lattice)
     assert count_range(None, [40], win)[0].count > 0
-    with pytest.raises(EnumGuardExceeded, match="50807"):
+    with pytest.raises(EnumGuardExceeded, match="at least 27787 points exceeds guard 27786"):
         count_range(None, [40, 70], win)
+    monkeypatch.setattr(hyp, "SWEEP_GUARD", 27787)
+    assert count_range(None, [40, 70], win)[1].count > 0
 
 
 def test_keys_that_would_overflow_int64_raise(v_lattice):
-    # at n = 10^18 the corners of the N-side box reach 1.2e19 > 2^63
+    # the scaled bound sigma 2 n of the N side passes 2^63 at n = 10^19
+    # (sigma = 2); at n = 10^18 it does not, and the ellipsoid's point
+    # guard refuses instead
     win = _window(v_lattice, 0)
     with pytest.raises(HyperboloidError, match="overflow int64"):
+        count_range(None, [10 ** 19], win)
+    with pytest.raises(EnumGuardExceeded, match="exceeds guard"):
         count_range(None, [10 ** 18], win)
 
 
