@@ -538,7 +538,8 @@ def _count_glued(lift, ns, window: Window):
     # (lo, prefix) (step cmap; cmap) + i step cmap mod dmod
     step_cls = [x % dk for x, dk in zip(mat_vec(transpose(cmap), rows.step), dmod)]
     coeff = np.array([step_cls] + cmap, dtype=np.int64).reshape(b + 1, len(dmod))
-    first = (table[3:].T % dmax @ coeff % np.array(dmod, dtype=np.int64)).T
+    table[3:] %= dmax
+    first = (table[3:].T @ coeff % np.array(dmod, dtype=np.int64)).T
     starts = ends - lengths
     for start in range(0, total, GRID_CHUNK):
         # point i of row r, for the points start.. of the rows laid end to end
