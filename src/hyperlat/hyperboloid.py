@@ -11,10 +11,12 @@ them are kept as their oracle.
 ``count_range`` counts a whole list of norms at once, for any basis, frame
 and sector.  A point splits into its parts p in the frame's positive plane P
 and y in the complement N, and the count is a theta convolution over the
-glue classes of L modulo L & P + L & N: one walk of the N side's ellipsoid
-for the largest norm, by the rows of the Fincke-Pohst search that every
-enumerator here shares, keyed by class and value, and one short-vector
-search on the P side serve every norm.  ``enumerate_points`` is its
+glue classes of L modulo L & P + L & N.  N splits into the orthogonal
+components its reduced Gram shows; one walk of each distinct component's
+ellipsoid for the largest norm, by the rows of the Fincke-Pohst search that
+every enumerator here shares, fills a dense table of its theta series by
+class and norm, and the product of those series, with one short-vector
+search on the P side, serves every norm.  ``enumerate_points`` is its
 single-norm case; with ``keep_points`` it lists the points by the
 depth-first search, which with ``box_scan_count`` is kept as an oracle.
 """
@@ -38,6 +40,7 @@ from .exactla import (
     hnf,
     hnf_rational,
     kernel_basis,
+    lll_reduce_gram,
     mat_mul,
     mat_vec,
     rational_congruent_diagonal,
@@ -54,12 +57,12 @@ from .densities import (
     in_coset_support,
     singular_series,
 )
-from .lattices import IntegerLattice
+from .lattices import IntegerLattice, gram_components
 
 FRAME_TOLERANCE = 1e-10
 ENUM_NODE_GUARD = 10 ** 9
-SWEEP_GUARD = 10 ** 8   # points of count_range's N-side ellipsoid, and P-side nodes
-GRID_CHUNK = 1 << 15    # N-side points expanded into arrays at once
+SWEEP_GUARD = 10 ** 8   # table entries, P-vectors and N-side points of one count_range
+GRID_CHUNK = 1 << 15    # points of short-vector rows expanded into arrays at once
 
 
 class HyperboloidError(ValueError):
@@ -393,8 +396,8 @@ def count_range(gamma, ns, window: Window) -> tuple[PointCount, ...]:
 
     Any basis, frame and sector: the counts are a theta convolution over the
     glue classes of the frame's plane P and its complement N (``_count_glued``),
-    from one walk of N's ellipsoid for the largest norm.  Norms outside
-    -Q(gamma) + Z count 0.
+    from one walk of each distinct orthogonal component of N for the largest
+    norm.  Norms outside -Q(gamma) + Z count 0.
     """
     ns = [Fraction(n) for n in ns]
     if any(n <= 0 for n in ns):
@@ -430,144 +433,246 @@ def _count_glued(lift, ns, window: Window):
 
     theta_N counting the y of a class by -Q(y), and the grazing points are
     the terms with Q(p) = rho^2 n: the theta series of a glued lattice as a
-    sum over glue classes (Conway & Sloane, ch. 4).  theta_N comes from the
-    rows of the Fincke-Pohst search (``ShortVectorRows``) of proj_N(lift + L)
-    up to (1 + rho^2) max(ns): along a row the scaled value is a quadratic
-    and the class an affine map of the index, so the rows are expanded in
-    numpy, GRID_CHUNK points at a time, each y keyed by its class and its
-    exact scaled value.  The guard reads the rows' point total before any
-    array is built.  The P side is one short-vector search up to
-    rho^2 max(ns), filtered by the sector; a norm is one sorted lookup.
+    sum over glue classes (Conway & Sloane, ch. 4).  N is split into the
+    orthogonal components N_i that its LLL-reduced Gram shows.  A class of
+    M = proj_N(lift + L) modulo N is a tuple of classes of the M_i =
+    proj_{N_i}(M) modulo N_i, so theta_N of a class is the product of the
+    components' series (``_convolve``), and each component's series comes
+    from one walk of its own ellipsoid up to (1 + rho^2) max(ns)
+    (``_theta_table``); equal components share one walk.  The P side is the
+    rows of one short-vector search up to rho^2 max(ns), expanded in numpy
+    and filtered by the exact sector test.  A norm is then one gather from
+    the glued table.  SWEEP_GUARD bounds the table entries, P-vectors and
+    N_i points together, each read before its array is built.
     """
     L = window.frame.lattice
-    g, b = L.gram, L.rank - 2
+    g = L.gram
     rho2 = window.rho * window.rho
     n_lo, n_hi = min(ns), max(ns)
+    width = math.floor((1 + rho2) * n_hi) + 1
+    spent = 0
+
+    def spend(k):
+        nonlocal spent
+        spent += k
+        if spent > SWEEP_GUARD:
+            raise EnumGuardExceeded(f"count of at least {spent} points and table entries "
+                                    f"exceeds guard {SWEEP_GUARD}")
 
     def orthogonal_to(vecs):
         rows = [mat_vec(g, v) for v in vecs]
         return hnf(kernel_basis([[int(x * lcm(*(y.denominator for y in row)))
                                   for x in row] for row in rows]))
 
-    # P = L & span(t1, t2) and N = L & P^perp; in the coordinates of the
-    # basis [P; N], h spans L (its first two rows proj_P(L), the others N
-    # itself) and c is the lift, taken in [0, 1)^r, which keeps the
-    # coordinates below small
+    # P = L & span(t1, t2) and N = L & P^perp, N in the LLL-reduced basis
+    # whose Gram -gn shows its orthogonal components, ordered by them; in
+    # the coordinates of the basis [P; N], h spans L (its first two rows
+    # proj_P(L), the others N itself) and c is the lift, taken in [0, 1)^r,
+    # which keeps the coordinates below small
     bp, bn = orthogonal_to(window.frame.negative), orthogonal_to(window.frame.positive)
+    u, gn = lll_reduce_gram([[-x for x in row] for row in _gram_of(bn, g)])
+    comps = gram_components(gn)
+    bn = [mat_vec(transpose(bn), u[i]) for comp in comps for i in comp]
     binv = frac_mat_inv(bp + bn)
     h = hnf_rational(binv)
     c = mat_vec(transpose(binv), [x % 1 for x in lift])
 
-    # N side: M = proj_N(L) has the basis mb; the rows of nb = mb^-1 are N
-    # in mb coordinates, and with U nb V = D in Smith form a row u has the
-    # class u V mod D in M/N, read on the factors above 1
-    mb = hnf_rational([row[2:] for row in h])
-    nb = [[int(x) for x in row] for row in frac_mat_inv(mb)]
-    dmat, _, vs = smith_normal_form(nb)
-    dmod = [dmat[k][k] for k in range(b) if dmat[k][k] > 1]
-    cmap = [[x % dmat[k][k] for k, x in enumerate(row) if dmat[k][k] > 1] for row in vs]
-    # y = (z + c_N nb) mb: the rows of the integer z with -2 Q(y) <=
-    # 2 (1 + rho^2) n_hi, whose scaled values v = sigma (-2 Q(y)) are integers
-    a_n = [[-x for x in row] for row in _gram_of(mb, _gram_of(bn, g))]
-    rows = ShortVectorRows(a_n, 2 * (1 + rho2) * n_hi, mat_vec(transpose(nb), c[2:]))
-    sigma, d0, e = rows.scale, rows.d0, rows.e
-    v_lo, v_hi = -((-2 * sigma * n_lo) // 1), rows.top
-    width = v_hi - v_lo + 1
-    dmax = max(dmod, default=1)
+    # N_i side: M_i = proj_{N_i}(L) has the basis mb; the rows of nb = mb^-1
+    # are N_i in mb coordinates, and with U nb V = D in Smith form a row z
+    # has the class z V mod D in M_i/N_i, read on the factors above 1.  The
+    # y_i = (z + c_i nb) mb with -2 Q(y_i) <= 2 (1 + rho^2) n_hi are walked,
+    # and the P-vector k has its y_i in the class of k f_i nb, f_i the N_i
+    # parts of h's first two rows
+    walks, parts = {}, []
+    col = 2
+    for comp in comps:
+        cols = slice(col, col + len(comp))
+        col += len(comp)
+        mb = hnf_rational([row[cols] for row in h])
+        nb = [[int(x) for x in row] for row in frac_mat_inv(mb)]
+        dmat, _, vs = smith_normal_form(nb)
+        dmod = tuple(dmat[k][k] for k in range(len(comp)) if dmat[k][k] > 1)
+        cmap = tuple(tuple(x % dmat[k][k] for k, x in enumerate(row) if dmat[k][k] > 1)
+                     for row in vs)
+        a = _gram_of(mb, [[gn[i][j] for j in comp] for i in comp])
+        shift = mat_vec(transpose(nb), c[cols])
+        key = (tuple(map(tuple, a)), tuple(shift), cmap, dmod)
+        if key not in walks:
+            walks[key] = ShortVectorRows(a, 2 * (1 + rho2) * n_hi, shift)
+        fc = mat_mul(mat_mul([row[cols] for row in h[:2]], nb), cmap)
+        parts.append((key, [[int(x) % dk for x, dk in zip(row, dmod)] for row in fc], dmod))
 
-    # P side: k in Z^2 gives p = (k + sp) hp, whose y lie in the class of
-    # k f, f the N parts of h's first two rows; with kk = dp (k + sp),
-    # tau 2 Q(p) = kk ap_int kk^T is an integer
+    # P side: k in Z^2 gives p = (k + sp) hp, of value 2 Q(p) = v / scale
+    # along the rows of its search
     hp = [row[:2] for row in h[:2]]
     sp = mat_vec(transpose(frac_mat_inv(hp)), c[:2])
-    ap = _gram_of(hp, _gram_of(bp, g))
-    dp = lcm(*(x.denominator for x in sp), 1)
-    dap = lcm(*(x.denominator for row in ap for x in row), 1)
-    tau = dp * dp * dap
+    p_rows = ShortVectorRows(_gram_of(hp, _gram_of(bp, g)), 2 * rho2 * n_hi, sp)
+    two_s = 2 * p_rows.scale
+    dmax = max((dk for *_, dmod in parts for dk in dmod), default=1)
+    if max(width, p_rows.top, (p_rows.top + two_s * n_hi) * n_lo.denominator,
+           *(rows.top for rows in walks.values()), (L.rank + 1) * dmax ** 2) >= 1 << 63:
+        raise EnumGuardExceeded("glued table indices would overflow int64")
+    # the component tables' slots are known before any walk
+    spend(width * sum(math.prod(dmod) for *_, dmod in walks))
 
-    if max(math.prod(dmod) * width, v_hi, tau * 2 * rho2 * n_hi,
-           (b + 1) * dmax ** 2) >= 1 << 63:
-        raise EnumGuardExceeded("glued point keys would overflow int64")
-    # each row as int64: its length, its offset, u0 = e lo - centre (the
-    # value at lo + i is offset + d0 (e i + u0)^2), lo and its prefix
-    table = array("q")
-    total = 0
-    for prefix, lo, hi, offset, centre in rows:
-        total += hi - lo + 1
-        if total > SWEEP_GUARD:
-            raise EnumGuardExceeded(f"N-side ellipsoid of at least {total} points "
-                                    f"exceeds guard {SWEEP_GUARD}")
-        table.extend((hi - lo + 1, offset, e * lo - centre, lo, *prefix))
-
-    ks = [k for k, _ in short_vectors(ap, 2 * rho2 * n_hi, sp, SWEEP_GUARD)]
-    sp0, sp1 = (int(x * dp) for x in sp)
-    kk = [(dp * k0 + sp0, dp * k1 + sp1) for k0, k1 in ks]
+    rec = array("q")
+    for prefix, lo, hi, offset, centre in p_rows:
+        spend(hi - lo + 1)
+        rec.extend((hi - lo + 1, offset, p_rows.e * lo - centre, lo, *prefix))
+    rec = np.frombuffer(rec, dtype=np.int64).reshape(-1, 6).T
+    batches = list(_row_points(p_rows, rec))
+    if not batches:
+        return [(0, 0)] * len(ns)
+    r, i, v = (np.concatenate(x) for x in zip(*batches))
+    k0, k1 = ((i0 + rec[3] * st)[r] + i * st for i0, st in zip(rec[4:], p_rows.step))
     if window.sector is not None:
         # (x, t_i) = (p, t_i) = (k + sp) m_i, m = hp bp G (t1 t2): a rational
         # 2 x 2 map of k, formed on the integers kk = dp (k + sp) and dm m
         in_sector = _sector_test(window)
         m = mat_mul(mat_mul(hp, bp), transpose([mat_vec(g, t) for t in window.frame.positive]))
+        dp = lcm(*(x.denominator for x in sp), 1)
+        sp0, sp1 = (int(x * dp) for x in sp)
         dm = lcm(*(x.denominator for row in m for x in row), 1)
         (m00, m01), (m10, m11) = ([int(x * dm) for x in row] for row in m)
-        kept = [(k, (x, y)) for k, (x, y) in zip(ks, kk)
-                if in_sector(Fraction(x * m00 + y * m10, dp * dm),
-                             Fraction(x * m01 + y * m11, dp * dm))]
-        ks, kk = [k for k, _ in kept], [x for _, x in kept]
-    if not ks:
+        keep = np.array([in_sector(Fraction(x * m00 + y * m10, dp * dm),
+                                   Fraction(x * m01 + y * m11, dp * dm))
+                         for x, y in zip((dp * k0 + sp0).tolist(), (dp * k1 + sp1).tolist())],
+                        dtype=bool)
+        v, k0, k1 = v[keep], k0[keep], k1[keep]
+    if not len(v):
         return [(0, 0)] * len(ns)
-    (a00, a01), (_, a11) = ([int(x * dap) for x in row] for row in ap)
-    p_values = np.array([a00 * x * x + 2 * a01 * x * y + a11 * y * y for x, y in kk],
-                        dtype=np.int64)
-    fc = np.array(mat_mul(mat_mul([row[2:] for row in h[:2]], nb), cmap), dtype=np.int64)
-    classes = np.broadcast_to(_class_index((np.array(ks, dtype=np.int64) @ fc).T, dmod),
-                              (len(ks),))
-    order = np.argsort(p_values, kind="stable")
-    p_values, classes = p_values[order], classes[order]
-    # the key of theta_N[class, sigma (2 n_lo + 2 Q(p))], an integer value
-    # since n + Q(x) is one for x in lift + L
-    num, den = n_lo.numerator, n_lo.denominator
-    base = np.array([cid * width - v_lo + sigma * (2 * num * tau + w * den) // (tau * den)
-                     for w, cid in zip(p_values.tolist(), classes.tolist())], dtype=np.int64)
+    order = np.argsort(v, kind="stable")
+    v, k0, k1 = v[order], k0[order], k1[order]
+    # tid numbers the tuples of component classes that the P-vectors meet,
+    # and tuples[j][t] is the class in N_j of tuple t; the largest Smith
+    # factor of a component is a multiple of its others
+    tid, cids = np.zeros(len(v), dtype=np.int64), []
+    for _, fc, dmod in parts:
+        x0, x1 = k0 % max(dmod, default=1), k1 % max(dmod, default=1)
+        cids.append(np.broadcast_to(_class_index((x0 * f0 + x1 * f1 for f0, f1 in zip(*fc)),
+                                                 dmod), v.shape))
+        _, first, tid = np.unique(tid * math.prod(dmod) + cids[-1], return_index=True,
+                                  return_inverse=True)
+    tid = tid.reshape(-1)
+    tuples = [cid[first].tolist() for cid in cids]
+    spend(len(first) * width)
 
-    keys = [np.zeros(0, dtype=np.int64)]
-    used = np.array(sorted(set(classes.tolist())), dtype=np.int64)
-    table = np.frombuffer(table, dtype=np.int64).reshape(-1, 4 + b).T
-    lengths, offsets, u0 = table[:3]
+    tables = {}
+    for key, rows in walks.items():
+        *_, cmap, dmod = key
+        tables[key] = _theta_table(rows, cmap, dmod, width, spend)
+    # theta_N of a class, indexed by floor(-Q(y)) = sum_i m_i + floor(sum_i F_i)
+    # with -Q(y_i) = m_i + F_i; its sums are bounded before any is formed
+    rows_of = [[(tables[key][0][cid], Fraction(int(tables[key][1][cid]), 2 * walks[key].scale))
+                for cid in col] for col, (key, *_) in zip(tuples, parts)]
+    uses = np.bincount(tid, minlength=len(first)).tolist()
+    totals = [[int(row.sum()) for row, _ in col] for col in rows_of]
+    if sum(k * math.prod(col[t] for col in totals) for t, k in enumerate(uses)) >= 1 << 63:
+        raise EnumGuardExceeded("glued theta sums would overflow int64")
+    glued = np.zeros((len(first), width), dtype=np.int64)
+    for t in range(len(first)):
+        factors = sorted((col[t] for col in rows_of), key=lambda f: np.count_nonzero(f[0]))
+        prod = np.zeros(width, dtype=np.int64)
+        prod[0] = 1
+        for row, _ in factors:
+            prod = _convolve(prod, row)
+        carry = math.floor(sum((frac for _, frac in factors), Fraction(0)))
+        glued[t, carry:] = prod[:max(width - carry, 0)]
+    glued = glued.reshape(-1)
+
+    # P-vector p reads theta_N[class(p), floor(n + Q(p))]
+    num, den = n_lo.numerator, n_lo.denominator
+    base = tid * width + (v * den + two_s * num) // (two_s * den)
+    out = []
+    for n in ns:
+        rim = two_s * rho2 * n
+        top = np.searchsorted(v, rim.numerator // rim.denominator, "right")
+        graze = np.searchsorted(v, -(-rim.numerator // rim.denominator), "left")
+        hits = glued[base[:top] + int(n - n_lo)]
+        out.append((int(hits.sum()), int(hits[graze:].sum())))
+    return out
+
+
+def _convolve(x, y):
+    """The product of two nonnegative series, truncated to their common
+    length: one slice-add per nonzero entry of the sparser factor."""
+    nx, ny = np.flatnonzero(x), np.flatnonzero(y)
+    if len(nx) > len(ny):
+        x, y, nx = y, x, ny
+    out = np.zeros_like(y)
+    w = len(y)
+    for i in nx.tolist():
+        out[i:] += x[i] * y[:w - i]
+    return out
+
+
+def _row_points(rows, rec):
+    """The points of the rows of a ``ShortVectorRows`` walk, GRID_CHUNK at a
+    time: rec holds each row's length, offset and u0 = e lo - centre in its
+    first three rows, and point i of row r has the scaled value
+    v = offset + d0 (e i + u0)^2.  Yields (r, i, v) for the rows laid end
+    to end."""
+    lengths, offsets, u0 = rec[:3]
     ends = np.cumsum(lengths)
-    # point i of a row is z = prefix + (lo + i) step, of class
-    # (lo, prefix) (step cmap; cmap) + i step cmap mod dmod
-    step_cls = [x % dk for x, dk in zip(mat_vec(transpose(cmap), rows.step), dmod)]
-    coeff = np.array([step_cls] + cmap, dtype=np.int64).reshape(b + 1, len(dmod))
-    table[3:] %= dmax
-    first = (table[3:].T @ coeff % np.array(dmod, dtype=np.int64)).T
     starts = ends - lengths
+    total = int(ends[-1]) if len(ends) else 0
     for start in range(0, total, GRID_CHUNK):
-        # point i of row r, for the points start.. of the rows laid end to end
         i = np.arange(start, min(start + GRID_CHUNK, total), dtype=np.int64)
         r = np.searchsorted(ends, i, "right")
         i -= starts[r]
-        v = e * i + u0[r]
+        v = rows.e * i + u0[r]
         v *= v
-        v *= d0
+        v *= rows.d0
         v += offsets[r]
-        keep = v >= v_lo
-        r, i, v = r[keep], i[keep], v[keep]
-        cid = np.broadcast_to(_class_index((x[r] + i * sk for x, sk in zip(first, step_cls)),
-                                           dmod), v.shape)
-        mine = np.isin(cid, used)
-        keys.append(cid[mine] * width + v[mine] - v_lo)
-    keys = np.concatenate(keys)
-    keys.sort()
+        yield r, i, v
 
-    out = []
-    for n in ns:
-        rim = 2 * tau * rho2 * n
-        top = np.searchsorted(p_values, rim.numerator // rim.denominator, "right")
-        graze = np.searchsorted(p_values, -(-rim.numerator // rim.denominator), "left")
-        q = base[:top] + int(2 * sigma * (n - n_lo))
-        hits = np.searchsorted(keys, q, "right") - np.searchsorted(keys, q, "left")
-        out.append((int(hits.sum()), int(hits[graze:].sum())))
-    return out
+
+def _theta_table(rows, cmap, dmod, width, spend):
+    """The class-wise theta series of one component of N, from one walk.
+
+    rows walks the z with (z + shift) a (z + shift)^T = -2 Q(y) <= top /
+    scale; z has the class z cmap mod dmod.  Returns (table, frac): table
+    [cid, m] counts the z of class cid with floor(-Q(y)) = m < width, and
+    -Q(y) = m + frac[cid] / (2 scale) on the class, whose fractional part
+    is fixed since N is even.  The rows are expanded GRID_CHUNK points at a
+    time as the walk goes, each point counted by ``spend`` first.
+    """
+    classes = math.prod(dmod)
+    table = np.zeros(classes * width, dtype=np.int64)
+    frac = np.zeros(classes, dtype=np.int64)
+    two_s, e = 2 * rows.scale, rows.e
+    # point i of a row is z = prefix + (lo + i) step, of class
+    # (lo, prefix) (step cmap; cmap) + i step cmap mod dmod
+    step_cls = [x % dk for x, dk in zip(mat_vec(transpose(cmap), rows.step), dmod)]
+    coeff = np.array([step_cls, *cmap], dtype=np.int64).reshape(len(cmap) + 1, len(dmod))
+    mods = np.array(dmod, dtype=np.int64)
+    dmax = max(dmod, default=1)
+    ncols = 4 + len(cmap) if dmod else 3
+
+    def expand(rec):
+        # each row as int64: its length, offset and u0, and with classes lo
+        # and its prefix
+        rec = np.frombuffer(rec, dtype=np.int64).reshape(-1, ncols).T
+        first = (rec[3:].T % dmax @ coeff % mods).T if dmod else ()
+        for r, i, v in _row_points(rows, rec):
+            cid = np.broadcast_to(_class_index((x[r] + i * sk for x, sk in zip(first, step_cls)),
+                                               dmod), v.shape)
+            np.add.at(table, cid * width + v // two_s, 1)
+            frac[cid] = v % two_s
+
+    rec, pending = array("q"), 0
+    for prefix, lo, hi, offset, centre in rows:
+        spend(hi - lo + 1)
+        rec.extend((hi - lo + 1, offset, e * lo - centre))
+        if dmod:
+            rec.extend((lo, *prefix))
+        pending += hi - lo + 1
+        if pending >= GRID_CHUNK:
+            expand(rec)
+            rec, pending = array("q"), 0
+    if pending:
+        expand(rec)
+    return table.reshape(classes, width), frac
 
 
 def _count_generic(lift, n: Fraction, window: Window, keep_points: bool,

@@ -109,26 +109,9 @@ class IntegerLattice:
 
     @cached_property
     def components(self) -> tuple[tuple[int, ...], ...]:
-        """Index sets of the connected components of the Gram matrix's
-        nonzero pattern, in order of their first index: the finest
-        orthogonal splitting the basis shows."""
-        g = self.gram
-        seen = set()
-        out = []
-        for start in range(self.rank):
-            if start in seen:
-                continue
-            seen.add(start)
-            comp, todo = [], [start]
-            while todo:
-                i = todo.pop()
-                comp.append(i)
-                for j, x in enumerate(g[i]):
-                    if x and j not in seen:
-                        seen.add(j)
-                        todo.append(j)
-            out.append(tuple(sorted(comp)))
-        return tuple(out)
+        """The finest orthogonal splitting the basis shows
+        (``gram_components`` of the Gram matrix)."""
+        return gram_components(self.gram)
 
     # -- serialization -----------------------------------------------------
 
@@ -137,6 +120,28 @@ class IntegerLattice:
         if self.name:
             obj["name"] = self.name
         return json.dumps(obj, indent=1)
+
+
+def gram_components(g) -> tuple[tuple[int, ...], ...]:
+    """Index sets of the connected components of a square matrix's nonzero
+    pattern, in order of their first index: for a Gram matrix, the finest
+    orthogonal splitting its basis shows."""
+    seen = set()
+    out = []
+    for start in range(len(g)):
+        if start in seen:
+            continue
+        seen.add(start)
+        comp, todo = [], [start]
+        while todo:
+            i = todo.pop()
+            comp.append(i)
+            for j, x in enumerate(g[i]):
+                if x and j not in seen:
+                    seen.add(j)
+                    todo.append(j)
+        out.append(tuple(sorted(comp)))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -574,8 +574,8 @@ def test_closed_stdout_ends_quietly():
 
 
 @pytest.mark.parametrize("lattice, nmin, nmax, prime_bound, message, limit", [
-    ("U+U+rank1(-2)", "100000", "100000", "10",
-     "N-side ellipsoid of at least 100000034 points exceeds guard", SWEEP_GUARD),
+    ("U+U+rank1(-2)", "1000000000", "1000000000", "10",
+     "count of at least 6000000003 points and table entries exceeds guard", SWEEP_GUARD),
 ], ids=["sweep"])
 def test_guard_errors_exit_3(lattice, nmin, nmax, prime_bound, message, limit, capsys):
     # a valid input too large for a guard of the computation: one line, exit 3,

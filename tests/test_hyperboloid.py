@@ -262,6 +262,58 @@ def test_count_range_reaches_u_u_e8():
     assert [(pc.count, pc.grazing) for pc in got] == [(18516, 12496), (516812, 212176)]
 
 
+def test_count_range_reaches_k3_complement():
+    # the K3 complement at 2d = 2: N is <-2>^3 + E8(-1) + E8(-1), and the
+    # two E8(-1) summands share one walk.  The figures are those of the
+    # single walk of N's whole ellipsoid, which took 274 s
+    V = direct_sum(rank1(-2), hyperbolic_plane(), hyperbolic_plane(), e8(-1), e8(-1))
+    got = count_range(None, [1, 2], Window(splitting_frame(V), Fraction(1)))
+    assert [(pc.count, pc.grazing) for pc in got] == [(271318, 259248), (87995244, 59898264)]
+
+
+def _tables(monkeypatch):
+    """The component tables that count_range builds, with their ranks."""
+    built = []
+    theta_table = hyp._theta_table
+
+    def recorded(rows, *args):
+        table, frac = theta_table(rows, *args)
+        built.append((len(rows.step), table, frac))
+        return table, frac
+
+    monkeypatch.setattr(hyp, "_theta_table", recorded)
+    return built
+
+
+def test_count_range_split_is_invisible(v8_lattice, monkeypatch):
+    # with N taken as one block, one walk of its whole ellipsoid gives the
+    # same counts as the product of its components' series (on each
+    # lattice the two <-2> glued to the U's share one table)
+    e8_sum = direct_sum(hyperbolic_plane(), hyperbolic_plane(), e8(-1))
+    cases = [(v8_lattice, (1,), admissible_values(v8_lattice, (1,), 1, 30), Fraction(3, 2)),
+             (e8_sum, None, [1], Fraction(1))]
+    built = _tables(monkeypatch)
+    split = [count_range(gamma, ns, _window(V, rho)) for V, gamma, ns, rho in cases]
+    assert sorted(rank for rank, *_ in built) == [1, 1, 1, 8]
+    built.clear()
+    monkeypatch.setattr(hyp, "gram_components", lambda g: (tuple(range(len(g))),))
+    whole = [count_range(gamma, ns, _window(V, rho)) for V, gamma, ns, rho in cases]
+    assert sorted(rank for rank, *_ in built) == [3, 10]
+    assert whole == split
+    assert split[0][0].count > 0 and split[1][0].count == 18516
+
+
+def test_e8_component_table_is_240_sigma3(monkeypatch):
+    # at n = 3, rho = 1 the table runs to m = 6: r(E8, 2m) = 240 sigma_3(m)
+    built = _tables(monkeypatch)
+    V = direct_sum(hyperbolic_plane(), hyperbolic_plane(), e8(-1))
+    count_range(None, [3], _window(V))
+    (table, frac), = [(table, frac) for rank, table, frac in built if rank == 8]
+    sigma3 = [sum(d ** 3 for d in range(1, m + 1) if m % d == 0) for m in range(1, 7)]
+    assert table.tolist() == [[1] + [240 * x for x in sigma3]]
+    assert frac.tolist() == [0]
+
+
 @pytest.mark.parametrize("rho, gamma, lo, hi", [
     (Fraction(1, 2), None, 1, 80),
     (Fraction(1), None, 40, 60),
@@ -278,8 +330,8 @@ def test_count_range_entries_are_independent(v_lattice, rho, gamma, lo, hi):
 
 
 def test_count_range_chunking_is_invisible(v_lattice, monkeypatch):
-    # batches of 1000 points (rows of the N-side ellipsoid, or parts of
-    # them), and of a single point
+    # batches of 1000 points (rows of the P side and of N's components, or
+    # parts of them), and of a single point
     win = _window(v_lattice, Fraction(1, 2))
     ns = list(range(60, 81))
     whole = count_range(None, ns, win)
@@ -304,13 +356,14 @@ def test_count_range_empty(v_lattice, monkeypatch):
 
 
 def test_equidistribution_run_builds_one_grid(v_lattice, monkeypatch):
-    # one N-side walk, for the largest norm, serves all 31 norms; every
-    # count_range call walks the rows of N's ellipsoid once
+    # one walk per distinct component of N, for the largest norm, serves all
+    # 31 norms: N is <-2>^3, and the two summands glued to the U's are equal
+    # and share one walk; the P side is the one rank-2 walk
     calls = []
 
     class Counted(hyp.ShortVectorRows):
         def __iter__(self):
-            calls.append(self.top)
+            calls.append(len(self.step))
             return super().__iter__()
 
     monkeypatch.setattr(hyp, "ShortVectorRows", Counted)
@@ -318,10 +371,10 @@ def test_equidistribution_run_builds_one_grid(v_lattice, monkeypatch):
     summary = equidistribution_run(v_lattice, None, win, 40, 70,
                                    prime_bound=30, samples=1000, seed=2)
     assert len(summary.reports) == 31
-    assert len(calls) == 1
+    assert sorted(calls) == [1, 1, 2]
     count_range(None, [3, 5], win)
     count_range((1,), [Fraction(5, 4)], win)
-    assert len(calls) == 3
+    assert sorted(calls) == [1] * 6 + [2] * 3
 
 
 def test_equidistribution_run_reads_representability_off_the_series(monkeypatch):
@@ -347,26 +400,42 @@ def test_equidistribution_run_reads_representability_off_the_series(monkeypatch)
 
 
 def test_grid_guard_at_largest_norm(v_lattice, monkeypatch):
-    # the N-side ellipsoid holds 11877 points at n = 40 and 27787 at n = 70;
-    # the guard reads the point total of the largest norm
-    monkeypatch.setattr(hyp, "SWEEP_GUARD", 27786)
+    # the guard reads what the count allocates and walks for the largest
+    # norm: table entries, P-vectors and component points, 1124 at n = 40
+    # and 1934 at n = 70
+    monkeypatch.setattr(hyp, "SWEEP_GUARD", 1933)
     win = _window(v_lattice)
     assert count_range(None, [40], win)[0].count > 0
-    with pytest.raises(EnumGuardExceeded, match="at least 27787 points exceeds guard 27786"):
+    with pytest.raises(EnumGuardExceeded,
+                       match="at least 1934 points and table entries exceeds guard 1933"):
         count_range(None, [40, 70], win)
-    monkeypatch.setattr(hyp, "SWEEP_GUARD", 27787)
+    monkeypatch.setattr(hyp, "SWEEP_GUARD", 1934)
     assert count_range(None, [40, 70], win)[1].count > 0
+    monkeypatch.setattr(hyp, "SWEEP_GUARD", 1123)
+    with pytest.raises(EnumGuardExceeded, match="at least 1124 points"):
+        count_range(None, [40], win)
 
 
-def test_keys_that_would_overflow_int64_raise(v_lattice):
-    # the scaled bound sigma 2 n of the N side passes 2^63 at n = 10^19
-    # (sigma = 2); at n = 10^18 it does not, and the ellipsoid's point
-    # guard refuses instead
+def test_keys_that_would_overflow_int64_raise(v_lattice, monkeypatch):
+    # at rho = 0 the table width n + 1 passes 2^63 at n = 10^19; at n = 10^18
+    # it does not, and the table-size guard refuses at once: 3 (10^18 + 1)
+    # entries, two classes of the glued <-2> and one of the other
     win = _window(v_lattice, 0)
     with pytest.raises(HyperboloidError, match="overflow int64"):
         count_range(None, [10 ** 19], win)
-    with pytest.raises(EnumGuardExceeded, match="exceeds guard"):
+    with pytest.raises(EnumGuardExceeded,
+                       match="at least 3000000000000000003 points and table entries exceeds"):
         count_range(None, [10 ** 18], win)
+
+    # component tables whose products could pass 2^63 are refused before
+    # any product is formed, so no count wraps
+    def huge(rows, cmap, dmod, width, spend):
+        return (np.full((math.prod(dmod), width), 1 << 40, dtype=np.int64),
+                np.zeros(math.prod(dmod), dtype=np.int64))
+
+    monkeypatch.setattr(hyp, "_theta_table", huge)
+    with pytest.raises(EnumGuardExceeded, match="sums would overflow int64"):
+        count_range(None, [3], _window(v_lattice))
 
 
 def test_count_parity(v_lattice):
