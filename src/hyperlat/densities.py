@@ -35,7 +35,7 @@ from fractions import Fraction
 
 from .exactla import InputError, NodeGuardExceeded
 from .fqm import discriminant_group
-from .lattices import IntegerLattice, _prime_factors
+from .lattices import IntegerLattice, _prime_factors, legendre, valuation
 
 ENUMERATION_GUARD = 10 ** 8
 # pi to 80 digits; the closed forms are evaluated in decimal at 50 digits or fewer
@@ -62,18 +62,8 @@ class StabilizationError(DensityError):
 # ---------------------------------------------------------------------------
 # shared setup
 
-def _valuation(x: int, p: int) -> int:
-    if x == 0:
-        raise ValueError("valuation of zero")
-    v = 0
-    while x % p == 0:
-        x //= p
-        v += 1
-    return v
-
-
 def rational_valuation(x: Fraction, p: int) -> int:
-    return _valuation(x.numerator, p) - _valuation(x.denominator, p)
+    return valuation(x.numerator, p) - valuation(x.denominator, p)
 
 
 def small_primes(bound: int):
@@ -97,9 +87,8 @@ def is_prime(m: int) -> bool:
         return m in bases
     if any(m % a == 0 for a in bases):
         return False
-    d, s = m - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
+    s = valuation(m - 1, 2)
+    d = (m - 1) >> s
     for a in bases:
         x = pow(a, d, m)
         for _ in range(s):
@@ -255,19 +244,13 @@ def _mod(x: Fraction, a: int) -> int:
 # ---------------------------------------------------------------------------
 # the residual form: diagonal coordinates and 2-adic planes
 
-def _legendre(x: int, p: int) -> int:
-    """The Legendre symbol (x / p) at an odd prime p, by Euler's criterion."""
-    r = pow(x % p, (p - 1) // 2, p)
-    return -1 if r == p - 1 else r
-
-
 def _fp_count(p: int, u: int, d: int, t: int) -> int:
     """#{y in F_p^u : sum m_i y_i^2 = t} for odd p and units m_i of product d."""
     h = u // 2
     if u % 2:
-        return p ** (u - 1) + p ** h * _legendre((-1) ** h * t * d, p)
+        return p ** (u - 1) + p ** h * legendre((-1) ** h * t * d, p)
     nu = p - 1 if t % p == 0 else -1
-    return p ** (u - 1) + nu * p ** (h - 1) * _legendre((-1) ** h * d, p)
+    return p ** (u - 1) + nu * p ** (h - 1) * legendre((-1) ** h * d, p)
 
 
 def _conv8(f, g):
@@ -541,13 +524,13 @@ def series_primes(n: Fraction, det: int, prime_bound: int):
     return sorted(ps)
 
 
-def singular_series(gamma, n, V: IntegerLattice, prime_bound: int,
-                    s_max: int | None = None) -> SingularSeries:
+def singular_series(gamma, n, V: IntegerLattice, prime_bound: int) -> SingularSeries:
     """Truncated Euler product of local densities.
 
     Includes every prime up to the bound plus all primes dividing
     2 * num(n) * den(n) * det; omitted factors are taken to be 1.  The
-    coset is checked once, not once per prime.
+    coset is checked once, not once per prime, and each density runs to
+    ``local_density``'s default s_max.
     """
     if V.rank < 5:
         raise DensityInputError("singular series wants signature (2,b) with b >= 3, "
@@ -557,7 +540,7 @@ def singular_series(gamma, n, V: IntegerLattice, prime_bound: int,
     factors = {}
     product = Fraction(1)
     for p in series_primes(n, V.det, prime_bound):
-        rep = _local_density(lift, n, V, p, s_max)
+        rep = _local_density(lift, n, V, p, None)
         factors[p] = rep
         product *= rep.density
         if rep.density == 0:
@@ -620,8 +603,8 @@ class EisensteinCoefficient:
         return float(self.value)
 
 
-def eisenstein_coefficient(gamma, n, V: IntegerLattice, prime_bound: int,
-                           s_max: int | None = None) -> EisensteinCoefficient:
+def eisenstein_coefficient(gamma, n, V: IntegerLattice,
+                           prime_bound: int) -> EisensteinCoefficient:
     """Fourier coefficient of the weight 1 + b/2 Eisenstein vector.
 
     The constant term at (0, 0) is exactly 2.  For n > 0 the archimedean
@@ -641,7 +624,7 @@ def eisenstein_coefficient(gamma, n, V: IntegerLattice, prime_bound: int,
         return EisensteinCoefficient(Decimal(0), Fraction(0), None, prime_bound)
     _check_signature_2b(V, "Eisenstein coefficients", DensityInputError)
     b = V.rank - 2
-    ss = singular_series(lift, n, V, prime_bound, s_max=s_max)
+    ss = singular_series(lift, n, V, prime_bound)
     gamma_rat, sqrt_pi = gamma_half_integer(b + 2)
     # 2^(2+b/2) pi^((2+b-e)/2) n^(b/2) / (sqrt|D| Gamma(1+b/2)) times the
     # product: a rational, an integer power of pi and the root of a rational

@@ -387,8 +387,12 @@ def gram_schmidt_ldl(g):
     return mu, d
 
 
-def lll_reduce_gram(g, delta=Fraction(3, 4)):
-    """LLL-reduce a positive definite Gram matrix given exactly.
+LLL_DELTA = Fraction(3, 4)
+
+
+def lll_reduce_gram(g):
+    """LLL-reduce a positive definite Gram matrix given exactly, with
+    Lovasz constant LLL_DELTA.
 
     Returns (u, g2) with u unimodular (rows are the new basis in the old
     coordinates) and g2 = u g u^T the reduced Gram.  Each basis move is
@@ -413,7 +417,7 @@ def lll_reduce_gram(g, delta=Fraction(3, 4)):
                 mu[k][j] -= r
                 for i in range(j):
                     mu[k][i] -= r * mu[j][i]
-        if d[k] >= (delta - mu[k][k - 1] ** 2) * d[k - 1]:
+        if d[k] >= (LLL_DELTA - mu[k][k - 1] ** 2) * d[k - 1]:
             k += 1
         else:
             u[k], u[k - 1] = u[k - 1], u[k]

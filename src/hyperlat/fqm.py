@@ -14,6 +14,7 @@ modules (quotients) do not.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -189,8 +190,13 @@ class FiniteQuadraticModule:
         return "\n".join(lines)
 
 
+@functools.lru_cache(maxsize=64)
 def discriminant_group(L: IntegerLattice) -> FiniteQuadraticModule:
-    """The finite quadratic module of a lattice, via Smith normal form."""
+    """The finite quadratic module of a lattice, via Smith normal form.
+
+    Built once per Gram matrix: equal lattices share one (immutable) module,
+    since cusp data and coset lifts ask for the same one many times.
+    """
     g = [list(r) for r in L.gram]
     n = L.rank
     if n == 0:

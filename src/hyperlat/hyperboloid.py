@@ -3,8 +3,8 @@
 A splitting frame fixes an orthogonal decomposition of V x R into a positive
 definite plane and a negative definite complement, built from exact rational
 vectors (so window membership of lattice points is an exact integer
-comparison) and normalized in floating point only for the Monte Carlo
-measure estimates.  Point counts are exact; the two invariant measures of a
+comparison) and normalized in floating point only where a sector's angle
+is measured.  Point counts are exact; the two invariant measures of a
 cap have closed forms, and seeded, reproducible Monte Carlo estimates of
 them are kept as their oracle.
 
@@ -17,8 +17,9 @@ ellipsoid for the largest norm, by the rows of the Fincke-Pohst search that
 every enumerator here shares, fills a dense table of its theta series by
 class and norm, and the product of those series, with one short-vector
 search on the P side, serves every norm.  ``enumerate_points`` is its
-single-norm case; with ``keep_points`` it lists the points by the
-depth-first search, which with ``box_scan_count`` is kept as an oracle.
+single-norm case.  A depth-first search that can also list the points
+(``_count_generic``) and a full box scan (``box_scan_count``) are kept as
+the tests' oracles.
 """
 
 from __future__ import annotations
@@ -59,8 +60,7 @@ from .densities import (
 )
 from .lattices import IntegerLattice, gram_components
 
-FRAME_TOLERANCE = 1e-10
-ENUM_NODE_GUARD = 10 ** 9
+SHELL_EPS = 1e-3        # half-thickness of mu_infty's Monte Carlo shell
 SWEEP_GUARD = 10 ** 8   # table entries, P-vectors and N-side points of one count_range
 GRID_CHUNK = 1 << 15    # points of short-vector rows expanded into arrays at once
 
@@ -100,8 +100,8 @@ class SplittingFrame:
     """Exact rational orthogonal splitting of V x R, positive plane first.
 
     positive: two rational vectors with Q > 0; negative: b rational vectors
-    with Q < 0; all pairwise orthogonal.  The float frame (vectors scaled to
-    Q = +-1) is only used for Monte Carlo sampling.
+    with Q < 0; all pairwise orthogonal, which the exact checks on
+    construction enforce.
     """
 
     lattice: IntegerLattice
@@ -120,21 +120,6 @@ class SplittingFrame:
             for j in range(i + 1, len(vecs)):
                 if L.pairing(v, vecs[j]) != 0:
                     raise HyperboloidError("frame vectors are not orthogonal")
-        m = self.float_frame()
-        g = np.array(L.gram, dtype=float)
-        gram = m.T @ g @ m / 2
-        target = np.diag([1.0, 1.0] + [-1.0] * (L.rank - 2))
-        if np.abs(gram - target).max() > FRAME_TOLERANCE:
-            raise HyperboloidError("normalized frame fails the Gram check")
-
-    def float_frame(self) -> np.ndarray:
-        """Columns are the frame vectors scaled so Q = +-1, lattice coordinates."""
-        L = self.lattice
-        cols = []
-        for v in list(self.positive) + list(self.negative):
-            qv = abs(L.q_of(v))
-            cols.append([float(x) / math.sqrt(qv) for x in v])
-        return np.array(cols, dtype=float).T
 
     def lattice_jacobian(self) -> float:
         """|det| of the frame-to-lattice coordinate change: 2^(r/2)/sqrt|det V|."""
@@ -309,9 +294,8 @@ def mu_a0(window: Window, samples: int, seed: int = 0, workers: int = 1):
     return 2.0 * const * mean, 2.0 * const * se
 
 
-def mu_infty(window: Window, samples: int, eps_shell: float = 1e-3,
-             seed: int = 0, workers: int = 1):
-    """Thin-shell Lebesgue estimate of the window mass, over 2 eps.
+def mu_infty(window: Window, samples: int, seed: int = 0, workers: int = 1):
+    """Thin-shell Lebesgue estimate of the window mass, over 2 SHELL_EPS.
 
     Lebesgue measure is normalized so the lattice has covolume 1 (the exact
     frame-change determinant).  The shell thickness in the xi_1 direction is
@@ -324,7 +308,7 @@ def mu_infty(window: Window, samples: int, eps_shell: float = 1e-3,
     rho = float(window.rho)
     if rho == 0 or samples <= 0:
         return 0.0, 0.0
-    eps = float(eps_shell)
+    eps = SHELL_EPS
     radius = math.sqrt(rho * rho + 1.0 + eps)
     area = math.pi * rho * rho * window.sector_fraction()
     ball = unit_ball_volume(b - 1) * radius ** (b - 1)
@@ -370,24 +354,13 @@ def _majorant_matrix(window: Window):
     return a
 
 
-def enumerate_points(gamma, n, window: Window, keep_points: bool = False,
-                     guard: int = ENUM_NODE_GUARD) -> PointCount:
+def enumerate_points(gamma, n, window: Window) -> PointCount:
     """Exact count of lambda in gamma+V with Q(lambda) = -n inside the cap.
 
-    The single-norm case of ``count_range``.  Kept points come from the
-    depth-first search, under the node guard.  Boundary points (radius
+    The single-norm case of ``count_range``.  Boundary points (radius
     exactly rho sqrt(n)) are included in the count and reported separately.
     """
-    if not keep_points:
-        return count_range(gamma, [n], window)[0]
-    n = Fraction(n)
-    if n <= 0:
-        raise HyperboloidInputError("point enumeration wants n > 0")
-    L = window.frame.lattice
-    lift = _gamma_lift(L, gamma)
-    if not in_coset_support(lift, n, L):
-        return PointCount(n, 0, 0, ())
-    return _count_generic(lift, n, window, True, guard)
+    return count_range(gamma, [n], window)[0]
 
 
 def count_range(gamma, ns, window: Window) -> tuple[PointCount, ...]:
@@ -399,6 +372,9 @@ def count_range(gamma, ns, window: Window) -> tuple[PointCount, ...]:
     from one walk of each distinct orthogonal component of N for the largest
     norm.  Norms outside -Q(gamma) + Z count 0.
     """
+    if window.b < 1:
+        raise HyperboloidInputError("point counts want signature (2, b) with b >= 1, "
+                                    f"got (2,{window.b})")
     ns = [Fraction(n) for n in ns]
     if any(n <= 0 for n in ns):
         raise HyperboloidInputError("point enumeration wants n > 0")

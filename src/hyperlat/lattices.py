@@ -3,6 +3,8 @@
 A lattice is its Gram matrix.  All arithmetic is exact: Python ints and
 Fractions throughout, no floating point.  Vectors are coordinate tuples in
 the lattice basis; dual vectors are Fraction tuples in the same basis.
+The elementary number theory the other modules use (valuations, Legendre
+symbols, rational square roots, trial division) lives here, once.
 """
 
 from __future__ import annotations
@@ -11,6 +13,8 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from math import isqrt
+
 from .exactla import (
     bareiss_det,
     hnf,
@@ -256,22 +260,34 @@ def orthogonal_complement(L: IntegerLattice, sub_rows) -> IntegerLattice:
 
 
 # ---------------------------------------------------------------------------
-# rational isotropy (Hasse-Minkowski for rank <= 4)
+# elementary number theory, shared by the densities and predictions
 
-def _square_free_part(x: Fraction) -> int:
-    n = x.numerator * x.denominator
-    out = 1
-    d = 2
-    m = abs(n)
-    while d * d <= m:
-        while m % (d * d) == 0:
-            m //= d * d
-        if m % d == 0:
-            m //= d
-            out *= d
-        d += 1
-    out *= m
-    return out if n > 0 else -out
+def valuation(x: int, p: int) -> int:
+    """The exponent of the prime p in a nonzero integer x."""
+    if x == 0:
+        raise ValueError("valuation of zero")
+    v = 0
+    while x % p == 0:
+        x //= p
+        v += 1
+    return v
+
+
+def legendre(x: int, p: int) -> int:
+    """The Legendre symbol (x / p) at an odd prime p, by Euler's criterion."""
+    r = pow(x % p, (p - 1) // 2, p)
+    return -1 if r == p - 1 else r
+
+
+def rational_sqrt(x) -> Fraction | None:
+    """The root r >= 0 with r^2 = x when the rational x is a square, else None."""
+    x = Fraction(x)
+    if x < 0:
+        return None
+    num, den = isqrt(x.numerator), isqrt(x.denominator)
+    if num * num != x.numerator or den * den != x.denominator:
+        return None
+    return Fraction(num, den)
 
 
 def _prime_factors(n: int):
@@ -289,22 +305,26 @@ def _prime_factors(n: int):
     return out
 
 
+# ---------------------------------------------------------------------------
+# rational isotropy (Hasse-Minkowski for rank <= 4)
+
+def _square_free_part(x: Fraction) -> int:
+    n = x.numerator * x.denominator
+    out = 1 if n > 0 else -1
+    for p in _prime_factors(n):
+        if valuation(n, p) % 2:
+            out *= p
+    return out
+
+
 def hilbert_symbol(a: int, b: int, p) -> int:
     """Hilbert symbol (a, b)_p for nonzero integers; p a prime or 'oo'."""
     if a == 0 or b == 0:
         raise ValueError("hilbert symbol needs nonzero arguments")
     if p == "oo":
         return -1 if (a < 0 and b < 0) else 1
-
-    def split(x):
-        v = 0
-        while x % p == 0:
-            x //= p
-            v += 1
-        return v, x
-
-    alpha, u = split(a)
-    beta, v = split(b)
+    alpha, beta = valuation(a, p), valuation(b, p)
+    u, v = a // p ** alpha, b // p ** beta
     if p == 2:
         def eps(x):
             return ((x - 1) // 2) % 2
@@ -314,16 +334,12 @@ def hilbert_symbol(a: int, b: int, p) -> int:
 
         e = eps(u) * eps(v) + alpha * omega(v) + beta * omega(u)
         return -1 if e % 2 else 1
-    legendre_u = pow(u % p, (p - 1) // 2, p)
-    legendre_v = pow(v % p, (p - 1) // 2, p)
-    lu = -1 if legendre_u == p - 1 else 1
-    lv = -1 if legendre_v == p - 1 else 1
     sign = 1
     if (alpha * beta) % 2 and (p - 1) // 2 % 2:
         sign = -sign
-    if beta % 2 and lu == -1:
+    if beta % 2 and legendre(u, p) == -1:
         sign = -sign
-    if alpha % 2 and lv == -1:
+    if alpha % 2 and legendre(v, p) == -1:
         sign = -sign
     return sign
 
@@ -331,15 +347,13 @@ def hilbert_symbol(a: int, b: int, p) -> int:
 def _is_padic_square(d: int, p) -> bool:
     if p == "oo":
         return d > 0
-    v = 0
-    while d % p == 0:
-        d //= p
-        v += 1
+    v = valuation(d, p)
     if v % 2:
         return False
+    d //= p ** v
     if p == 2:
         return d % 8 == 1
-    return pow(d % p, (p - 1) // 2, p) == 1
+    return legendre(d, p) == 1
 
 
 def _isotropic_over_qp(diag: list[int], p) -> bool:
@@ -380,11 +394,7 @@ def is_anisotropic_over_q(L: IntegerLattice) -> bool:
     if L.rank == 1:
         return True
     if L.rank == 2:
-        prod = -sq[0] * sq[1]
-        if prod < 0:
-            return True
-        from math import isqrt
-        return isqrt(prod) ** 2 != prod
+        return rational_sqrt(-sq[0] * sq[1]) is None
     places = ["oo", 2]
     support = 1
     for x in sq:

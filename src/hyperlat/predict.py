@@ -35,8 +35,11 @@ from .lattices import (
     k3_lattice,
     orthogonal_complement,
     rank1,
+    rational_sqrt,
     saturation_index,
 )
+
+RANK2_GUARD = 10 ** 7   # candidates of the bounded rank-2 representability search
 
 
 class PredictError(ValueError):
@@ -137,9 +140,9 @@ def _pell_fundamental(d: int):
 
     Continued fraction expansion of sqrt(d).
     """
-    a0 = isqrt(d)
-    if a0 * a0 == d:
+    if rational_sqrt(d) is not None:
         raise ValueError("d is a square")
+    a0 = isqrt(d)
     m, den, a = 0, 1, a0
     num1, num = 1, a0
     den1, den2 = 0, 1
@@ -159,35 +162,28 @@ class RepresentabilityResult:
     witness: tuple | None = None
 
 
-def represents_on_coset(P: IntegerLattice, gamma, two_n,
-                        box_guard: int = 10 ** 7) -> RepresentabilityResult:
+def represents_on_coset(P: IntegerLattice, gamma, two_n) -> RepresentabilityResult:
     """Does some t in gamma + P have (t.t) = two_n?
 
     Exact for rank 1 (square condition) and rank 2 (search bounded through
     the stable automorph of the Pell equation); for higher rank, or when the
-    bounded search would exceed the guard, local solvability is reported
-    with exact=False.
+    bounded search would exceed RANK2_GUARD candidates, local solvability is
+    reported with exact=False.
     """
     two_n = Fraction(two_n)
     lift = _gamma_lift(P, gamma)
     if not in_coset_support(lift, -two_n / 2, P):
         return RepresentabilityResult(False, True)
     if P.rank == 1:
-        d = Fraction(P.gram[0][0], 2)
-        target = two_n / (2 * d)
-        if target < 0:
+        root = rational_sqrt(two_n / P.gram[0][0])
+        if root is None:
             return RepresentabilityResult(False, True)
-        root_num = isqrt(target.numerator)
-        root_den = isqrt(target.denominator)
-        if root_num ** 2 != target.numerator or root_den ** 2 != target.denominator:
-            return RepresentabilityResult(False, True)
-        root = Fraction(root_num, root_den)
         for sgn in (root, -root):
             if (sgn - lift[0]).denominator == 1:
                 return RepresentabilityResult(True, True, (sgn,))
         return RepresentabilityResult(False, True)
     if P.rank == 2:
-        return _represents_rank2(P, lift, two_n, box_guard)
+        return _represents_rank2(P, lift, two_n)
     # higher rank: local solvability of the shifted form (heuristic)
     return RepresentabilityResult(_locally_plausible(P, lift, two_n), False)
 
@@ -202,7 +198,7 @@ def _stable_automorph(P: IntegerLattice):
     b = Fraction(P.gram[0][1])
     c = Fraction(P.gram[1][1], 2)
     disc = b * b - 4 * a * c
-    if disc <= 0 or floor_is_square(disc):
+    if disc <= 0 or rational_sqrt(disc) is not None:
         raise PredictError("form is not anisotropic Lorentzian of rank 2")
     dd = int(disc)
     x, y = _pell_fundamental(dd)
@@ -241,14 +237,7 @@ def _acts_trivially(P, D, m) -> bool:
     return all(mt_g_m[i][j] == g[i][j] for i in range(2) for j in range(2))
 
 
-def floor_is_square(x: Fraction) -> bool:
-    if x < 0 or x.denominator != 1:
-        return False
-    r = isqrt(x.numerator)
-    return r * r == x.numerator
-
-
-def _represents_rank2(P: IntegerLattice, lift, two_n, box_guard):
+def _represents_rank2(P: IntegerLattice, lift, two_n):
     """Bounded exact search: in eigencoordinates of the stable automorph the
     quantity u^2 + disc v^2 scales by the eigenvalue squared along an orbit,
     and its product structure pins some orbit representative inside a window
@@ -272,7 +261,7 @@ def _represents_rank2(P: IntegerLattice, lift, two_n, box_guard):
     (g00, g01), (_, g11) = P.gram
     target = two_n * dl * dl
     try:
-        for (xz, yz), _ in short_vectors(majorant, bound, lift, box_guard):
+        for (xz, yz), _ in short_vectors(majorant, bound, lift, RANK2_GUARD):
             x, y = dl * xz + l0, dl * yz + l1
             if g00 * x * x + 2 * g01 * x * y + g11 * y * y == target:
                 return RepresentabilityResult(True, True, (Fraction(x, dl), Fraction(y, dl)))

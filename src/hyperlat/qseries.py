@@ -203,13 +203,12 @@ def _a_from_theta(theta_v, gamma, n: Fraction, F) -> Fraction:
     return Fraction(F.imprimitivity, 24) * total
 
 
-def a_coeff(gamma, n, F, order=None) -> Fraction:
+def a_coeff(gamma, n, F) -> Fraction:
     """Boundary theta coefficient: (N_F / 24) (E2 . p* Theta_F)(gamma, n)."""
     n = Fraction(n)
     if n < 0:
         return Fraction(0)
-    order = n if order is None else max(Fraction(order), n)
-    return _a_from_theta(_cusp_pullback_theta(F, order), gamma, n, F)
+    return _a_from_theta(_cusp_pullback_theta(F, n), gamma, n, F)
 
 
 def u_coeff(gamma, n, F, c, theta=None) -> BoundaryCoefficient:

@@ -503,9 +503,9 @@ def test_cusp_bound_zero_prints_the_empty_table():
 
 @pytest.mark.parametrize("argv, digest", [
     (["weil", "--lattice", "U+U+rank1(-200)"],
-     "bbd04d81954d74234e09aa1fbe0f33802cb05e634af6f2456a06360e40c37a8b"),
+     "c073399828b8f806f55aaebca7798e82bc4f7467a726dab84a038f892801007a"),
     (["weil", "--lattice", "U+U+rank1(-200)", "--dual"],
-     "619ac8b7415a45c899a5d51cf63de0c8e5d1287c5e9ccd3a17dbbb48925ed1a2"),
+     "049e9629b6b403f538c23900469ec92b9702ccd33677fd60b539b6bd2d961d6c"),
     (["cusp", "--lattice", "U+U+rank1(-8)", "--bound", "2"],
      "0ebfaae8083f05456efba61d3a8a2121321e22dae16e0050bd5d2a0b7bb3ed0a"),
 ], ids=["weil", "weil-dual", "cusp"])
@@ -513,6 +513,30 @@ def test_weil_and_cusp_output_is_pinned(argv, digest):
     import hashlib
 
     assert hashlib.sha256(run_cli(argv).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv, builds", [
+    (["cusp", "--lattice", "U+U+rank1(-8)", "--bound", "2"], 3),
+    (["eis", "--lattice", "U+U+rank1(-8)", "--gamma", "2", "--nmax", "40",
+      "--prime-bound", "100"], 1),
+], ids=["cusp", "eis"])
+def test_discriminant_group_is_built_once_per_gram(argv, builds, monkeypatch):
+    # cusp asks for three distinct Grams (V and two K_F) 320 times, and eis
+    # for V's once per norm; each module is built from its Gram once
+    from hyperlat import fqm
+
+    built = []
+    post_init = fqm.FiniteQuadraticModule.__post_init__
+
+    def counted(self):
+        post_init(self)
+        if self.lattice is not None:
+            built.append(self.lattice.gram)
+
+    monkeypatch.setattr(fqm.FiniteQuadraticModule, "__post_init__", counted)
+    fqm.discriminant_group.cache_clear()
+    run_cli(argv)
+    assert len(built) == len(set(built)) == builds
 
 
 def test_predict_with_boundary_loads_no_numpy():

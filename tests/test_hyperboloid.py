@@ -12,6 +12,7 @@ from hyperlat.hyperboloid import (
     EnumGuardExceeded,
     HyperboloidError,
     PointCount,
+    SplittingFrame,
     Window,
     admissible_values,
     box_scan_count,
@@ -79,6 +80,21 @@ def test_frame_construction(v_lattice):
 def test_frame_requires_two_positive():
     with pytest.raises(HyperboloidError):
         splitting_frame(direct_sum(hyperbolic_plane(), rank1(-2)))
+
+
+def test_frame_refuses_a_wrong_sign_non_orthogonal_vectors_and_a_wrong_count(v_lattice):
+    # the exact checks alone carry the frame: sign of Q, orthogonality, count
+    fr = splitting_frame(v_lattice)
+    (t1, t2), neg = fr.positive, fr.negative
+    with pytest.raises(HyperboloidError, match="wrong sign"):
+        SplittingFrame(v_lattice, (t1, neg[0]), (t2,) + neg[1:])
+    # t1 + t2 keeps Q > 0 but pairs with t1
+    sum12 = tuple(x + y for x, y in zip(t1, t2))
+    assert v_lattice.q_of(sum12) > 0
+    with pytest.raises(HyperboloidError, match="not orthogonal"):
+        SplittingFrame(v_lattice, (t1, sum12), neg)
+    with pytest.raises(HyperboloidError, match="2 positive and b negative"):
+        SplittingFrame(v_lattice, (t1, t2), neg[:-1])
 
 
 def test_degenerate_window(v_lattice):
@@ -355,6 +371,13 @@ def test_count_range_empty(v_lattice, monkeypatch):
         count_range(None, [3, 0], win)
 
 
+def test_count_range_refuses_signature_2_0():
+    # N has rank 0: refused by name, not an IndexError from the row walk
+    win = _window(direct_sum(rank1(2), rank1(2)))
+    with pytest.raises(hyp.HyperboloidInputError, match=r"got \(2,0\)"):
+        count_range(None, [1, 2], win)
+
+
 def test_equidistribution_run_builds_one_grid(v_lattice, monkeypatch):
     # one walk per distinct component of N, for the largest norm, serves all
     # 31 norms: N is <-2>^3, and the two summands glued to the U's are equal
@@ -448,7 +471,7 @@ def test_count_parity(v_lattice):
 
 def test_point_list_exactness(v_lattice):
     win = _window(v_lattice)
-    pc = enumerate_points(None, 2, win, keep_points=True)
+    pc = _count_generic((Fraction(0),) * 5, Fraction(2), win, True, 10 ** 9)
     assert pc.points and len(pc.points) == pc.count
     rho2n = win.rho ** 2 * 2
     for vec in pc.points:
@@ -459,7 +482,6 @@ def test_point_list_exactness(v_lattice):
 def test_window_depends_only_on_plane(v_lattice):
     # scaling the positive frame vectors leaves the cap, hence counts, alone
     fr = splitting_frame(v_lattice)
-    from hyperlat.hyperboloid import SplittingFrame
     scaled = SplittingFrame(
         v_lattice,
         tuple(tuple(3 * x for x in t) for t in fr.positive),
