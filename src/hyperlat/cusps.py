@@ -22,7 +22,6 @@ from .exactla import (
     kernel_basis,
     mat_mul,
     smith_normal_form,
-    solve_integer,
     transpose,
     unimodular_inverse,
 )
@@ -100,14 +99,15 @@ def cusp_datum(V: IntegerLattice, plane_rows) -> CuspDatum:
     if not h_sub.is_isotropic():
         raise CuspError("internal error: I^#/I is not isotropic")
 
-    # I-perp and a transversal completing I
-    perp_rows = kernel_basis(m)
-    coords = []
-    for row in b:
-        c = solve_integer(transpose(perp_rows), row)
-        if c is None:
-            raise CuspError("internal error: plane not inside its own orthogonal")
-        coords.append(c)
+    # I-perp and a transversal completing I.  I-perp is the right kernel of
+    # bG, spanned by the columns of v past the first two; b lies in it, so
+    # its coordinates v^-1 b^T vanish in the first two rows and their tail
+    # is b written in the I-perp rows
+    perp_rows = transpose(v)[2:]
+    coords = mat_mul(unimodular_inverse(v), transpose(b))
+    if any(coords[0]) or any(coords[1]):
+        raise CuspError("internal error: plane not inside its own orthogonal")
+    coords = transpose(coords[2:])
     d2m, _, v2 = smith_normal_form(coords)
     if d2m[0][0] != 1 or d2m[1][1] != 1:
         raise CuspError("internal error: plane not saturated in its orthogonal")

@@ -221,28 +221,6 @@ def kernel_basis(a):
     return [[v[r][j] for r in range(cols)] for j in range(rank, cols)]
 
 
-def solve_integer(a, b):
-    """One integer solution x of a x = b, or None if unsolvable over Z."""
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    d, u, v = smith_normal_form(a)
-    c = mat_vec(u, b)
-    y = [0] * cols
-    for i in range(min(rows, cols)):
-        di = d[i][i]
-        if di == 0:
-            if c[i] != 0:
-                return None
-        else:
-            if c[i] % di:
-                return None
-            y[i] = c[i] // di
-    for i in range(cols, rows):
-        if c[i] != 0:
-            return None
-    return mat_vec(v, y)
-
-
 def hnf(a):
     """Row-style Hermite normal form of an integer matrix (zero rows dropped).
 

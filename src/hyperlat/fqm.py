@@ -8,8 +8,9 @@ residue tuples; lists of them are paired by integer row products mod N in
 Python integers, exact at every level and without numpy, so the subgroup
 and cusp algebra loads no array library.  Modules built from a lattice
 carry generator lifts in the dual lattice and their integer pairings G l_j
-with the basis, so classes of dual vectors can be computed; abstract
-modules (quotients) do not.
+with the basis, so classes of dual vectors can be computed.  Quotients
+H-perp/H are built as the discriminant group of the overlattice and carry
+them too; only modules built by hand from numerators do not.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from operator import mod, mul
 
 from .exactla import (
@@ -321,68 +322,33 @@ def _verify_isotropic(D, H):
 def quotient_with_projection(D: FiniteQuadraticModule, H: Subgroup):
     """The induced module on (orthogonal of H)/H plus the projection table.
 
+    By Nikulin (Integral symmetric bilinear forms and some of their
+    applications, 1979, 1.4), H-perp/H is the discriminant group of the
+    overlattice L_H that H glues onto D's lattice L, so K is built as that
+    group.  A lift x of an element of D pairs integrally with L_H's basis B
+    (the rows of B G x are integers) exactly when the element is orthogonal
+    to H, and then B G x are the pairings that name its class in K.
+
     Returns (K, proj) where proj maps every element of the orthogonal of H to
-    its residue tuple in K.  H is re-verified to be isotropic.
+    its residue tuple in K.  H is re-verified to be isotropic; a module with
+    no lattice raises FqmError.
     """
-    _verify_isotropic(D, H)
-    perp = orthogonal_subgroup(D, H)
-    if H.order * perp.order != D.order:
-        raise FqmError("internal error: |H| * |H perp| != |D|")
-    # generating set of the orthogonal subgroup
-    gens = []
-    spanned = {D.zero}
-    for x in perp.elements:
-        if x not in spanned:
-            gens.append(x)
-            spanned = set(subgroup_generated(D, gens).elements)
-    k = len(gens)
-    hset = set(H.elements)
-    if k == 0:
-        K = FiniteQuadraticModule((), 1, (), ())
-        return K, {D.zero: ()}
-    # relation lattice {c in Z^k : sum c_i g_i in H}
-    orders = []
-    for g in gens:
-        m = 1
-        cur = g
-        while cur != D.zero:
-            cur = D.add(cur, g)
-            m += 1
-        orders.append(m)
-    relations = [[orders[i] if j == i else 0 for j in range(k)] for i in range(k)]
-    for combo in itertools.product(*(range(o) for o in orders)):
-        elt = D.zero
-        for c, g in zip(combo, gens):
-            for _ in range(c):
-                elt = D.add(elt, g)
-        if elt in hset and any(combo):
-            relations.append(list(combo))
-    d, _, v = smith_normal_form(relations)
-    diag = [d[i][i] for i in range(k)]
-    new_gens = []
-    facs = []
-    for i, di in enumerate(diag):
-        if di > 1:
-            elt = D.zero
-            for t in range(k):
-                c = v[t][i] % orders[t]
-                for _ in range(c):
-                    elt = D.add(elt, gens[t])
-            new_gens.append(elt)
-            facs.append(di)
-    q_num = tuple(D.q_numerators(new_gens))
-    b_num = tuple(map(tuple, D.pairing_numerators(new_gens, new_gens)))
-    K = FiniteQuadraticModule(tuple(facs), D.level, q_num, b_num)
+    if D.lattice is None:
+        raise FqmError("module has no lattice backing")
+    glued, basis = overlattice_with_basis(D.lattice, H)
+    K = discriminant_group(glued)
+    # B G x is linear in x's residues: the sum of x_j B (G l_j) over the
+    # generator lifts l_j, scaled to integers by one common denominator
+    cols = [mat_vec(basis, p) for p in D.lift_pairings]
+    den = lcm(*(c.denominator for col in cols for c in col))
+    rows = [[int(c * den) for c in row] for row in zip(*cols)]
     proj = {}
-    for res in itertools.product(*(range(f) for f in facs)):
-        base = D.zero
-        for r, g in zip(res, new_gens):
-            for _ in range(r):
-                base = D.add(base, g)
-        for h in H.elements:
-            proj[D.add(base, h)] = tuple(res)
-    if set(proj) != set(perp.elements):
-        raise FqmError("internal error: projection does not cover the orthogonal")
+    for x in D.elements():
+        m = [sum(map(mul, row, x)) for row in rows]
+        if not any(v % den for v in m):
+            proj[x] = K.class_of_pairings([v // den for v in m])
+    if len(proj) * H.order != D.order:
+        raise FqmError("internal error: |H| * |H perp| != |D|")
     return K, proj
 
 

@@ -396,9 +396,10 @@ def elliptic_census_prediction(n_max, mu_s: float, two_d: int | None = None,
     """Cumulative prediction over all classes of norm up to n_max.
 
     Requires the sublattice's discriminant group to have no nontrivial
-    isotropic subgroup; sums the main terms over gamma and admissible s.
+    isotropic subgroup; sums the main terms on V over gamma and admissible s,
+    with P and V built once (``k3_lattices``).
     """
-    P, prows = k3_sublattice(two_d, rows)
+    P, V = k3_lattices(two_d, rows)
     DP = discriminant_group(P)
     for H in isotropic_subgroups(DP):
         if H.order > 1:
@@ -412,11 +413,9 @@ def elliptic_census_prediction(n_max, mu_s: float, two_d: int | None = None,
         while s <= n_max:
             rep = represents_on_coset(P, gamma, 2 * s)
             if rep.representable:
-                k3p = k3_predict(gamma, s, mu_s, two_d=two_d, rows=rows,
-                                 prime_bound=prime_bound)
-                out_rows.append(CensusRow(gamma, s, float(k3p.prediction.value),
-                                          rep.exact))
-                values.append(k3p.prediction.value)
+                value = main_term(V, gamma, s, mu_s, prime_bound).value
+                out_rows.append(CensusRow(gamma, s, float(value), rep.exact))
+                values.append(value)
             s += 1
     out_rows.sort(key=lambda r: (r.s, r.gamma))
     with localcontext() as ctx:

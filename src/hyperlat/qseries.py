@@ -44,7 +44,6 @@ class VectorQSeries:
     denominator: int
     coefficients: dict
     truncation_order: Fraction
-    support_sign: int = -1
 
     def __post_init__(self):
         for (elt, e), c in self.coefficients.items():
@@ -123,8 +122,7 @@ def multiply(f, g: VectorQSeries) -> VectorQSeries:
     """Cauchy product; f may be a rational scalar or a scalar series."""
     if isinstance(f, (int, Fraction)):
         coeffs = {k: Fraction(f) * c for k, c in g.coefficients.items()}
-        return VectorQSeries(g.module, g.denominator, coeffs,
-                             g.truncation_order, g.support_sign)
+        return VectorQSeries(g.module, g.denominator, coeffs, g.truncation_order)
     if not isinstance(f, VectorQSeries):
         raise QSeriesError("left factor must be scalar or a scalar series")
     if not f.is_scalar():
@@ -143,24 +141,7 @@ def multiply(f, g: VectorQSeries) -> VectorQSeries:
             key = (elt, e)
             coeffs[key] = coeffs.get(key, Fraction(0)) + cf * cg
     coeffs = {k: c for k, c in coeffs.items() if c != 0}
-    return VectorQSeries(g.module, g.denominator, coeffs, order, g.support_sign)
-
-
-def pullback_series(f: VectorQSeries, big_module: FiniteQuadraticModule,
-                    projection: dict) -> VectorQSeries:
-    """Reindex a series over K along p: coefficients (delta, e) = f(p(delta), e).
-
-    ``projection`` maps elements of the glued subgroup's orthogonal inside
-    big_module to elements of f's module; other elements get coefficient 0.
-    """
-    coeffs = {}
-    for delta, img in projection.items():
-        for (elt, e), c in f.coefficients.items():
-            if elt == img:
-                coeffs[(delta, e)] = c
-    level = big_module.level
-    return VectorQSeries(big_module, level if level else 1, coeffs,
-                         f.truncation_order, f.support_sign)
+    return VectorQSeries(g.module, g.denominator, coeffs, order)
 
 
 # ---------------------------------------------------------------------------
@@ -180,24 +161,21 @@ class BoundaryCoefficient:
         return float(self.value)
 
 
-def _cusp_pullback_theta(F, order) -> VectorQSeries:
-    theta = theta_series(F.kf_lattice, order)
-    return pullback_series(theta, F.ambient_disc, F.projection_to_kf)
-
-
-def _a_from_theta(theta_v, gamma, n: Fraction, F) -> Fraction:
-    """(N_F / 24) (E2 . theta_v)(gamma, n) for a pulled-back theta series
-    theta_v complete to order >= n."""
+def _a_from_theta(theta, gamma, n: Fraction, F) -> Fraction:
+    """(N_F / 24) (E2 . p* theta)(gamma, n) for the theta series of F's K_F
+    complete to order >= n.  The pullback p* theta is theta at the class
+    p(gamma) that gamma projects to, and 0 off the orthogonal of I^#/I."""
     D = F.ambient_disc
     gamma = D.reduce(gamma)
     if n < 0 or gamma not in F.projection_to_kf:
         return Fraction(0)
     if (n + D.q_value(gamma)).denominator != 1:
         return Fraction(0)
+    cls = F.projection_to_kf[gamma]
     e2 = e2_series(int(n) + 1)
     total = Fraction(0)
     for k in range(int(n) + 1):
-        te = theta_v.coefficients.get((gamma, n - k))
+        te = theta.coefficients.get((cls, n - k))
         if te:
             total += e2.coefficient((), k) * te
     return Fraction(F.imprimitivity, 24) * total
@@ -208,7 +186,7 @@ def a_coeff(gamma, n, F) -> Fraction:
     n = Fraction(n)
     if n < 0:
         return Fraction(0)
-    return _a_from_theta(_cusp_pullback_theta(F, n), gamma, n, F)
+    return _a_from_theta(theta_series(F.kf_lattice, n), gamma, n, F)
 
 
 def u_coeff(gamma, n, F, c, theta=None) -> BoundaryCoefficient:
@@ -216,16 +194,16 @@ def u_coeff(gamma, n, F, c, theta=None) -> BoundaryCoefficient:
 
     ``c`` is an EisensteinCoefficient; when it is exact the result is an
     exact rational, otherwise it inherits the truncated-product flag.  Both
-    coefficients are read from one pulled-back theta series.  ``theta`` is
-    the theta series of F's K_F lattice to order >= n, for callers that
-    share it between cusps with the same K_F; by default it is built here.
+    coefficients are read from one theta series of F's K_F lattice, at the
+    classes that 0 and gamma project to.  ``theta`` is that series to order
+    >= n, for callers that share it between cusps with the same K_F; by
+    default it is built here.
     """
     n = Fraction(n)
     if theta is None:
         theta = theta_series(F.kf_lattice, max(n, Fraction(0)))
-    theta_v = pullback_series(theta, F.ambient_disc, F.projection_to_kf)
-    a00 = _a_from_theta(theta_v, F.ambient_disc.zero, Fraction(0), F)
-    agn = _a_from_theta(theta_v, gamma, n, F)
+    a00 = _a_from_theta(theta, F.ambient_disc.zero, Fraction(0), F)
+    agn = _a_from_theta(theta, gamma, n, F)
     if c.exact is not None:
         val = Fraction(c.exact, 2) * a00 - agn
         return BoundaryCoefficient(val, val, getattr(c, "prime_bound", None))

@@ -14,14 +14,21 @@ from fractions import Fraction
 
 import numpy as np
 
+from .exactla import NodeGuardExceeded
 from .fqm import FiniteQuadraticModule
 from .lattices import Signature
 
 TOLERANCE = 1e-9
+# entries of one |D| x |D| matrix: |D| = 2000 took 16.7 s and 459 MB
+MATRIX_GUARD = 4 * 10 ** 6
 
 
 class WeilError(ValueError):
     pass
+
+
+class WeilGuardExceeded(WeilError, NodeGuardExceeded):
+    """A module whose Weil matrices are too large to hold."""
 
 
 @dataclass(frozen=True)
@@ -33,6 +40,9 @@ class WeilAction:
 
     def __post_init__(self):
         object.__setattr__(self, "_elements", tuple(self.module.elements()))
+        if self.dim ** 2 > MATRIX_GUARD:
+            raise WeilGuardExceeded(f"Weil matrices of a module of order {self.dim} have "
+                                    f"{self.dim ** 2} entries each, past guard {MATRIX_GUARD}")
 
     @property
     def elements(self):
@@ -124,13 +134,9 @@ def pullback_matrix(w_big: WeilAction, w_small: WeilAction, projection: dict) ->
 
 
 def pushforward_matrix(w_big: WeilAction, w_small: WeilAction, projection: dict) -> np.ndarray:
-    """Matrix of v_delta -> v_{p(delta)} if delta is in the orthogonal, else 0."""
-    m = np.zeros((w_small.dim, w_big.dim))
-    small_index = {e: i for i, e in enumerate(w_small.elements)}
-    for a, delta in enumerate(w_big.elements):
-        if delta in projection:
-            m[small_index[projection[delta]], a] = 1.0
-    return m
+    """Matrix of v_delta -> v_{p(delta)} if delta is in the orthogonal, else 0:
+    the transpose of the pullback."""
+    return pullback_matrix(w_big, w_small, projection).T
 
 
 def intertwining_defect(w_big: WeilAction, w_small: WeilAction, projection: dict) -> float:

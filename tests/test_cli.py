@@ -693,10 +693,13 @@ COUNT = ["count"] + UU2 + ["--rho", "1", "--nmin", "1", "--nmax", "2"]
      "listing a module of order 20000 exceeds guard 10000"),
     (["fqm", "--lattice", "U+U+rank1(-20000)"],
      "listing a module of order 20000 exceeds guard 10000"),
+    # listed (|D| = 2592), but each matrix would hold 6.7 * 10^6 entries
+    (["weil", "--lattice", "rank1(2)+rank1(6)+rank1(-6)+rank1(-6)+rank1(-6)"],
+     "Weil matrices of a module of order 2592 have 6718464 entries each, past guard 4000000"),
     # 4 * 10^7 candidates on the one level, refused before the first
     (["theta", "--lattice", "rank1(-2)", "--order", "100000000000000"],
      "enumeration exceeded 1000000 nodes"),
-], ids=["cusp-box", "weil-order", "fqm-order", "theta-nodes"])
+], ids=["cusp-box", "weil-order", "fqm-order", "weil-matrix", "theta-nodes"])
 def test_size_refusals_exit_3(argv, message, capsys):
     code, line = _refusal(argv, capsys)
     assert code == 3 and message in line

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from hyperlat.fqm import (
     subgroup_generated,
 )
 from hyperlat.lattices import direct_sum, e8, hyperbolic_plane, rank1
+from hyperlat.weil import WeilAction, intertwining_defect
 from conftest import small_test_lattices
 
 
@@ -235,3 +237,52 @@ def test_integer_pairings_match_the_scalar_forms():
             [[D.bilinear(x, y) for y in xs[:5]] for x in xs] == \
             [[L.pairing(D.lift(x), D.lift(y)) % 1 for y in xs[:5]] for x in xs]
     assert D.level ** 2 > 2 ** 63
+
+
+def _quotient_cases():
+    """(L, H) for every isotropic H of each small module of order <= 400, of
+    U+U+<-8>+<-8> (D = (Z/8)^2) and of U+<-4>+<-4>+<-8> (D = (Z/4)^2 x Z/8),
+    whose H = <(2, 2, 4)> a quotient by repeated additions missed."""
+    U = hyperbolic_plane()
+    extra = [direct_sum(U, U, rank1(-8), rank1(-8)),
+             direct_sum(U, rank1(-4), rank1(-4), rank1(-8))]
+    cases = []
+    for L in small_test_lattices() + extra:
+        D = discriminant_group(L)
+        if D.order <= 400:
+            cases += [(L, H) for H in isotropic_subgroups(D)]
+    return cases
+
+
+def test_quotient_is_the_overlattice_discriminant_group():
+    cases = _quotient_cases()
+    assert len(cases) == 23
+    assert any(H.order == 2 and (2, 2, 4) in H for _, H in cases)
+    for L, H in cases:
+        D = H.module
+        K, proj = quotient_with_projection(D, H)
+        VL = overlattice(L, H)
+        assert K == discriminant_group(VL)
+        assert set(proj) == set(orthogonal_subgroup(D, H).elements)
+        assert all(K.q_value(k) == D.q_value(x) for x, k in proj.items())
+        fibres = Counter(proj.values())
+        assert set(fibres) == set(K.elements())
+        assert set(fibres.values()) == {H.order}
+        defect = intertwining_defect(WeilAction(D, L.signature()),
+                                     WeilAction(K, VL.signature()), proj)
+        assert defect <= 1e-9
+
+
+def test_quotient_by_the_trivial_subgroup_is_the_module():
+    U = hyperbolic_plane()
+    for L in small_test_lattices() + [direct_sum(U, U, rank1(-8), rank1(-8))]:
+        D = discriminant_group(L)
+        K, proj = quotient_with_projection(D, subgroup_generated(D, []))
+        assert K == D
+        assert proj == {x: x for x in D.elements()}
+
+
+def test_quotient_of_a_module_without_lattice_is_refused():
+    M = FiniteQuadraticModule((2,), 4, (3,), ((2,),))
+    with pytest.raises(FqmError, match="no lattice backing"):
+        quotient_with_projection(M, subgroup_generated(M, []))
