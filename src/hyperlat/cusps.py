@@ -19,7 +19,6 @@ from .exactla import (
     InputError,
     NodeGuardExceeded,
     hnf,
-    kernel_basis,
     mat_mul,
     smith_normal_form,
     transpose,
@@ -225,10 +224,10 @@ def _minors_gcd(v, w) -> int:
 
 
 def _saturate_plane(rows):
-    """Saturation of the span of two integer rows (double kernel), as HNF."""
-    ker = kernel_basis(rows)
-    sat = kernel_basis(ker) if ker else hnf(rows)
-    return hnf(sat)
+    """Saturation of the span of independent integer rows A, as HNF: A =
+    u^-1 D v^-1 for u A v = D in Smith form, so A's rows span the first rows
+    of v^-1 over Q, and those are a basis of the saturation."""
+    return hnf(unimodular_inverse(smith_normal_form(rows)[2])[:len(rows)])
 
 
 def isotropic_planes(V: IntegerLattice, search_bound: int):
@@ -255,19 +254,16 @@ def isotropic_planes(V: IntegerLattice, search_bound: int):
                 continue
             rows = [list(vi), list(vj)]
             # the gcd of the 2x2 minors is the index of the span in its
-            # saturation, so a gcd of 1 means the span is already primitive
+            # saturation, so a gcd of 1 means the span is already primitive;
+            # a saturation stays in the rational span, so it is isotropic
             if _minors_gcd(vi, vj) == 1:
                 plane = hnf(rows)
             else:
                 plane = _saturate_plane(rows)
-            if len(plane) != 2:
-                continue
             key = tuple(tuple(row) for row in plane)
             if key in seen:
                 continue
             seen.add(key)
-            if not _is_isotropic_pair(g, plane):
-                continue  # saturation can only extend within the rational span
             planes.append(key)
     planes.sort()
     return planes

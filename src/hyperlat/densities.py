@@ -648,16 +648,21 @@ def in_coset_support(gamma, n, V: IntegerLattice) -> bool:
 
 
 def is_representable(gamma, n, V: IntegerLattice) -> bool:
-    """Local representability of -n by Q on the coset gamma + V (n > 0).
+    """Local representability of -n by Q on gamma + V (n > 0), V of any rank
+    >= 2: of signature (2, b), or a Picard lattice P as P(-1), where Q_P = n.
 
-    Read off the singular series at prime bound 0, which runs over the
-    primes dividing 2 * num(n) * den(n) * det: at any other prime the
-    density p^(r-1) +- p^(r-1-k), k = r // 2 >= 1, is positive.
+    At infinity -n wants a negative direction.  At a prime, local solvability
+    is a positive density (Hanke, Duke Math. J. 124, 2004), read at the primes
+    ``singular_series(..., 0)`` visits, those dividing 2 * num(n) * den(n) *
+    det: at any other the density 1 +- p^-(r // 2) is positive.  A density of
+    0 is a count of 0 at some modulus, so False is a proof.
     """
     n = Fraction(n)
     if n <= 0:
         return False
+    if V.rank < 2:
+        raise DensityInputError(f"local representability wants rank >= 2, got rank {V.rank}")
     lift = _gamma_lift(V, gamma)
-    if not in_coset_support(lift, n, V):
+    if not in_coset_support(lift, n, V) or not V.signature().negative:
         return False
-    return singular_series(lift, n, V, 0).truncated_product != 0
+    return all(_local_density(lift, n, V, p, None).density for p in series_primes(n, V.det, 0))

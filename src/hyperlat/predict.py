@@ -4,8 +4,8 @@ and the K3-lattice specializations.
 The main term is mu(S) (2 pi)^(1+b/2) n^(b/2) / (sqrt|D| Gamma(1+b/2)) times
 the truncated singular series; geometric inputs (the mass mu(S), boundary
 degrees) are user-supplied scalars.  Representability of a norm on a coset
-of a Lorentzian sublattice is exact in ranks 1 and 2 (Pell-bounded search)
-and a flagged local heuristic above that.
+of a Lorentzian sublattice is exact in ranks 1 and 2 (Pell-bounded search);
+above that it is read off the local densities, exact only when it fails.
 """
 
 from __future__ import annotations
@@ -18,13 +18,13 @@ from math import isqrt, lcm
 from .densities import (
     _check_signature_2b,
     _gamma_lift,
-    count_solutions_naive,
     decimal_of,
     eisenstein_coefficient,
     in_coset_support,
+    is_representable,
 )
 from .exactla import InputError, NodeGuardExceeded, short_vectors
-from .fqm import discriminant_group, isotropic_subgroups
+from .fqm import discriminant_group
 from .lattices import (
     IntegerLattice,
     LatticeError,
@@ -36,6 +36,7 @@ from .lattices import (
     orthogonal_complement,
     rank1,
     rational_sqrt,
+    rescale,
     saturation_index,
 )
 
@@ -158,7 +159,7 @@ def _pell_fundamental(d: int):
 @dataclass(frozen=True)
 class RepresentabilityResult:
     representable: bool
-    exact: bool                   # False means local-solvability heuristic
+    exact: bool                   # False: locally solvable, globally undecided
     witness: tuple | None = None
 
 
@@ -166,9 +167,8 @@ def represents_on_coset(P: IntegerLattice, gamma, two_n) -> RepresentabilityResu
     """Does some t in gamma + P have (t.t) = two_n?
 
     Exact for rank 1 (square condition) and rank 2 (search bounded through
-    the stable automorph of the Pell equation); for higher rank, or when the
-    bounded search would exceed RANK2_GUARD candidates, local solvability is
-    reported with exact=False.
+    the stable automorph of the Pell equation).  For higher rank, or past
+    RANK2_GUARD candidates, it is local solvability (``_local_answer``).
     """
     two_n = Fraction(two_n)
     lift = _gamma_lift(P, gamma)
@@ -184,8 +184,7 @@ def represents_on_coset(P: IntegerLattice, gamma, two_n) -> RepresentabilityResu
         return RepresentabilityResult(False, True)
     if P.rank == 2:
         return _represents_rank2(P, lift, two_n)
-    # higher rank: local solvability of the shifted form (heuristic)
-    return RepresentabilityResult(_locally_plausible(P, lift, two_n), False)
+    return _local_answer(P, lift, two_n)
 
 
 def _stable_automorph(P: IntegerLattice):
@@ -266,15 +265,22 @@ def _represents_rank2(P: IntegerLattice, lift, two_n):
             if g00 * x * x + 2 * g01 * x * y + g11 * y * y == target:
                 return RepresentabilityResult(True, True, (Fraction(x, dl), Fraction(y, dl)))
     except NodeGuardExceeded:
-        return RepresentabilityResult(_locally_plausible(P, lift, two_n), False)
+        return _local_answer(P, lift, two_n)
     return RepresentabilityResult(False, True)
 
 
-def _locally_plausible(P: IntegerLattice, lift, two_n) -> bool:
-    """Necessary congruence conditions at small moduli (heuristic): Q = n
-    is solvable on lift + P modulo each."""
-    moduli = (4, 9, 25, 49, 8, 27, 16) if P.rank <= 2 else (4, 8, 9, 5, 7)
-    return all(count_solutions_naive(lift, -Fraction(two_n) / 2, P, a) for a in moduli)
+def _local_answer(P: IntegerLattice, lift, two_n) -> RepresentabilityResult:
+    """Q = two_n / 2 on lift + P is Q = -|two_n| / 2 on lift + P(-1), or on
+    lift + P when two_n < 0.  A local obstruction is a proof, so False is
+    exact; True leaves the global question open.  Norm 0 is the zero vector,
+    the only isotropic one when P is anisotropic over Q."""
+    if two_n:
+        local = is_representable(lift, abs(two_n) / 2, P if two_n < 0 else rescale(P, -1))
+        return RepresentabilityResult(local, not local)
+    zero = all(x.denominator == 1 for x in lift)
+    if not (zero or is_anisotropic_over_q(P)):
+        raise PredictError("norm 0 on a nonzero coset of a lattice isotropic over Q is not decided")
+    return RepresentabilityResult(zero, True, (Fraction(0),) * P.rank if zero else None)
 
 
 # ---------------------------------------------------------------------------
@@ -319,12 +325,6 @@ class K3Prediction:
     disc_match: bool
 
 
-def _complement_of(rows) -> IntegerLattice:
-    amb = k3_lattice()
-    comp = orthogonal_complement(amb, [list(r) for r in rows])
-    return comp
-
-
 def _canonical_k3_complement(two_d: int) -> IntegerLattice:
     """Complement of e + d f in the first block: rank1(-2d) + U + U + 2 E8(-1)."""
     U = hyperbolic_plane()
@@ -345,13 +345,12 @@ def k3_lattices(two_d: int | None = None, rows=None):
         raise PredictInputError("sublattice is not primitively embedded")
     if not is_anisotropic_over_q(P):
         raise PredictInputError("sublattice is isotropic over Q")
+    V = orthogonal_complement(k3_lattice(), [list(r) for r in prows])
     if rows is None:
-        V = _canonical_k3_complement(two_d)
-        check = _complement_of(prows)
-        if abs(check.det) != abs(V.det):
+        canonical = _canonical_k3_complement(two_d)
+        if abs(V.det) != abs(canonical.det):
             raise PredictError("internal error: complement determinant mismatch")
-    else:
-        V = _complement_of(prows)
+        V = canonical
     return P, V
 
 
@@ -401,10 +400,10 @@ def elliptic_census_prediction(n_max, mu_s: float, two_d: int | None = None,
     """
     P, V = k3_lattices(two_d, rows)
     DP = discriminant_group(P)
-    for H in isotropic_subgroups(DP):
-        if H.order > 1:
-            raise PredictInputError("discriminant group has a nontrivial isotropic "
-                                    "subgroup; the census hypothesis fails")
+    # some nonzero x has Q(x) = 0 exactly when a nontrivial subgroup is isotropic
+    if DP.q_numerators(DP.elements()).count(0) > 1:
+        raise PredictInputError("discriminant group has a nontrivial isotropic "
+                                "subgroup; the census hypothesis fails")
     out_rows, values = [], []
     n_max = Fraction(n_max)
     for gamma in DP.elements():

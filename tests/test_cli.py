@@ -139,6 +139,21 @@ def test_k3_command():
     assert fields[3] == "True"  # 2n = 8 = 2*2^2 on the coset
 
 
+# <2>+<-22>+<-22> in the K3 lattice, spanned by e1+f1, e2-11f2 and e3-11f3
+_ZEROS = ",0" * 16
+K3_RANK3_ROWS = f"1,1,0,0,0,0{_ZEROS};0,0,1,-11,0,0{_ZEROS};0,0,0,0,1,-11{_ZEROS}"
+
+def test_k3_rank3_coset_read_off_local_densities():
+    # 2n = 4: x^2 - 11 y^2 - 11 z^2 = 2 fails mod 11, so False is exact;
+    # 2n = 2 is locally solvable, and the global question stays open
+    def last_line(n):
+        return run_cli(["k3", "--p-rows", K3_RANK3_ROWS, "--n", n, "--mu-s", "1",
+                        "--prime-bound", "20"]).splitlines()[-1]
+
+    assert last_line("2") == "3,17/2,3731.97026002,False,True,True"
+    assert last_line("1") == "3,17/2,10.3071721819,True,False,True"
+
+
 def test_k3_rows_match_two_d():
     # the complement of explicit rows has a basis of its own; densities must not care
     def data_row(argv):
@@ -386,6 +401,9 @@ LOAD_SETS = [
       "--prime-bound", "20"], {"fqm", "densities"}),
     (["k3", "--two-d", "2", "--n", "4", "--mu-s", "1", "--prime-bound", "20"],
      {"fqm", "densities", "predict"}),
+    # a rank-3 P, <2>+<-22>+<-22>: its coset is decided by local densities
+    (["k3", "--p-rows", K3_RANK3_ROWS, "--n", "2", "--mu-s", "1", "--prime-bound", "20"],
+     {"fqm", "densities", "predict"}),
     (["predict", "--lattice", "U+U+rank1(-8)", "--n", "4", "--mu-s", "1",
       "--prime-bound", "20"], {"fqm", "densities", "predict"}),
     (["count", "--lattice", "U+U+rank1(-2)", "--rho", "1", "--nmin", "3", "--nmax", "4",
@@ -396,7 +414,8 @@ LOAD_SETS = [
 ]
 
 
-@pytest.mark.parametrize("argv, loaded", LOAD_SETS, ids=[a[0] for a, _ in LOAD_SETS])
+@pytest.mark.parametrize("argv, loaded", LOAD_SETS,
+                         ids=[a[0] + "-p-rows" * ("--p-rows" in a) for a, _ in LOAD_SETS])
 def test_commands_load_only_what_they_use(argv, loaded):
     # numpy costs about 145 ms of start-up; mpmath, which no command loads,
     # about 40 ms

@@ -145,8 +145,7 @@ def test_odd_rank_closed_form_at_good_primes(v_lattice):
     # r = 2k+1 and p prime to 2 n det: density 1 + ((-1)^k 2 det (-n) / p) p^-k.
     # The K3 complement comes from explicit rows.  s = 3 puts p^s far above
     # 2^15 for the larger primes.
-    from hyperlat.predict import _complement_of
-    k3_complement = _complement_of([(1, 1) + (0,) * 20])
+    k3_complement = k3_lattices(rows=[(1, 1) + (0,) * 20])[1]
     assert k3_complement.rank == 21
     for L, norms in ((v_lattice, (1, 3, 7)), (k3_complement, (4,))):
         k = (L.rank - 1) // 2
@@ -457,6 +456,34 @@ def test_is_representable_without_split():
     # oracle: solvable mod 9 with the sharper density check
     rep3 = local_density(None, 1, L, 3)
     assert got == (rep3.density > 0)
+
+
+def test_is_representable_in_ranks_2_to_4():
+    # genera of one class, where local and global agree: -(x^2 - 2 y^2),
+    # sums of three squares (Legendre: n not 4^a (8 b + 7)) and of four
+    def diagonal(*ms):
+        return direct_sum(*(rank1(m) for m in ms))
+
+    def two_squares_minus(n, box=40):
+        return any(x * x - 2 * y * y == n for x in range(-box, box + 1)
+                   for y in range(-box, box + 1))
+
+    def legendre_three(n):
+        while n % 4 == 0:
+            n //= 4
+        return n % 8 != 7
+
+    for n in range(1, 33):
+        assert is_representable(None, n, diagonal(-2, 4)) == two_squares_minus(n), n
+        assert is_representable(None, n, diagonal(-2, -2, -2)) == legendre_three(n), n
+        assert is_representable(None, n, diagonal(-2, -2, -2, -2)), n
+        # no negative direction: -n < 0 is not a value at infinity
+        assert not is_representable(None, n, diagonal(2, 2, 2))
+    # x^2 - 11 (y^2 + z^2) = 2 fails mod 11, = 1 is solvable everywhere
+    P11 = diagonal(-2, 22, 22)
+    assert not is_representable(None, 2, P11) and is_representable(None, 1, P11)
+    with pytest.raises(DensityError, match="rank >= 2"):
+        is_representable(None, 1, rank1(-2))
 
 
 def test_is_representable_matches_the_prime_sweep():

@@ -172,29 +172,50 @@ def test_large_levels_pair_exactly():
     assert not subgroup_generated(D, [(31250000,)]).is_isotropic()    # order 64
 
 
+def _order_in(D, x, hs):
+    """The least k >= 1 with k x in the set hs."""
+    k, y = 1, x
+    while y not in hs:
+        k, y = k + 1, D.add(y, x)
+    return k
+
+
+def _listed_quotient(D, H):
+    """H-perp/H by listing, independent of any overlattice: its order, its
+    sorted Q values, and how many of its elements have each order, with Q
+    read on one representative of each H-coset of orthogonal_subgroup(D, H)."""
+    hs = set(H.elements)
+    reps, covered = [], set()
+    for x in orthogonal_subgroup(D, H).elements:
+        if x not in covered:
+            reps.append(x)
+            covered.update(D.add(x, h) for h in hs)
+    return (len(reps), sorted(D.q_value(x) for x in reps),
+            Counter(_order_in(D, x, hs) for x in reps))
+
+
+def _listed(K):
+    return _listed_quotient(K, subgroup_generated(K, []))
+
+
 @pytest.mark.parametrize("m, h", [(8, (4,)), (32, (8,))])
 def test_quotient_numerators_match_overlattice(m, h):
-    # quotient_module builds K from integer pairings; the overlattice's
-    # discriminant group computes the same numerators from its Gram matrix
+    # quotient_module builds K as the overlattice's discriminant group; the
+    # H-cosets of H-perp, listed, are the independent side
     L = direct_sum(hyperbolic_plane(), hyperbolic_plane(), rank1(-m))
     D = discriminant_group(L)
     H = subgroup_generated(D, [h])
-    K = quotient_module(D, H)
-    DV = discriminant_group(overlattice(L, H))
-    assert K.invariant_factors == DV.invariant_factors
-    assert (K.level, K.q_num, K.b_num) == (DV.level, DV.q_num, DV.b_num)
+    assert _listed(quotient_module(D, H)) == _listed_quotient(D, H)
 
 
 def test_overlattice_matches_quotient(v8_lattice):
-    # discriminant module of the overlattice = quotient module on H-perp/H
+    # discriminant module of the overlattice = H-perp/H, listed coset by coset
     D8 = discriminant_group(v8_lattice)
     H = subgroup_generated(D8, [(4,)])
-    VL = overlattice(v8_lattice, H)
-    DV = discriminant_group(VL)
-    K = quotient_module(D8, H)
-    assert DV.invariant_factors == K.invariant_factors
-    assert sorted(DV.q_value(e) for e in DV.elements()) == \
-        sorted(K.q_value(e) for e in K.elements())
+    DV = discriminant_group(overlattice(v8_lattice, H))
+    order, qs, orders = _listed_quotient(D8, H)
+    assert (order, qs, orders) == (2, [0, Fraction(3, 4)], Counter({1: 1, 2: 1}))
+    assert _listed(DV) == (order, qs, orders)
 
 
 def test_dump_text():

@@ -1,24 +1,25 @@
-import itertools
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from hyperlat import predict
 from hyperlat.cusps import cusp_datum
-from hyperlat.densities import eisenstein_coefficient
+from hyperlat.densities import GuardExceeded, count_solutions_naive, eisenstein_coefficient, series_primes
 from hyperlat.fqm import discriminant_group
-from hyperlat.lattices import IntegerLattice, LatticeError, direct_sum, hyperbolic_plane, rank1
+from hyperlat.lattices import IntegerLattice, LatticeError, direct_sum, hyperbolic_plane, rank1, valuation
 from hyperlat.predict import (
     PredictError,
     PredictionInput,
+    RepresentabilityResult,
     degree_prediction,
     elliptic_census_prediction,
     k3_predict,
     k3_sublattice,
     predict_count,
     represents_on_coset,
-    _locally_plausible,
+    _local_answer,
     _pell_fundamental,
 )
 
@@ -104,38 +105,91 @@ def test_rank1_representability():
     assert not r.representable
 
 
-def _plausible_by_scan(P, lift, two_n):
-    # Q = n solvable on lift + P modulo each modulus, by scanning every residue
-    n = Fraction(two_n) / 2
-    moduli = (4, 9, 25, 49, 8, 27, 16) if P.rank <= 2 else (4, 8, 9, 5, 7)
-    return all(any((P.q_of(tuple(Fraction(z) + l for z, l in zip(zs, lift))) - n) % a == 0
-                   for zs in itertools.product(range(a), repeat=P.rank))
-               for a in moduli)
+def _solvable_by_counts(P, lift, two_n, guard=2 * 10 ** 5):
+    """Q = n on lift + P modulo p^(3 + v_p(4 n det)) at each prime the density
+    test reads, by the exhaustive counter: False when some count is 0, True
+    when all are positive, None when a count is past the guard."""
+    n = Fraction(two_n, 2)
+    result = True
+    for p in series_primes(abs(n), P.det, 0):
+        x = 4 * n * P.det
+        s = 3 + valuation(x.numerator, p) - valuation(x.denominator, p)
+        try:
+            if not count_solutions_naive(lift, -n, P, p ** s, guard):
+                return False
+        except GuardExceeded:
+            result = None
+    return result
 
 
-def test_locally_plausible_matches_scan():
+def test_local_answer_matches_naive_counts():
+    # Lorentzian cosets of rank 2-4: the density test against the counts
     rng = random.Random(23)
     seen = {True: 0, False: 0}
-    while sum(seen.values()) < 150:
-        r = rng.randint(1, 3)
+    while sum(seen.values()) < 60:
+        r = rng.randint(2, 4)
         g = [[0] * r for _ in range(r)]
         for i in range(r):
-            g[i][i] = 2 * rng.randint(-4, 4)
+            g[i][i] = 2 * rng.randint(-5, 5)
             for j in range(i + 1, r):
                 g[i][j] = g[j][i] = rng.randint(-3, 3)
         try:
             P = IntegerLattice(tuple(tuple(row) for row in g))
         except LatticeError:
             continue
-        D = discriminant_group(P)
-        if D.order > 200:
+        if P.signature().positive != 1 or abs(P.det) > 300:
             continue
+        D = discriminant_group(P)
         lift = D.lift(rng.choice(D.elements()))
         two_n = 2 * (P.q_of(lift) + rng.randint(-6, 6))
-        got = _locally_plausible(P, lift, two_n)
-        assert got == _plausible_by_scan(P, lift, two_n), (P.gram, lift, two_n)
-        seen[got] += 1
-    assert seen[True] and seen[False]
+        want = _solvable_by_counts(P, lift, two_n) if two_n else None
+        if want is None:
+            continue
+        got = _local_answer(P, lift, two_n)
+        assert (got.representable, got.exact) == (want, not want), (P.gram, lift, two_n)
+        seen[want] += 1
+    assert min(seen.values()) >= 10
+
+
+def test_rank3_local_obstruction_at_11():
+    # x^2 - 11 y^2 - 11 z^2 = 2 has no solution mod 11, a prime the old
+    # small-moduli check never looked at; = 1 is solved by (1, 0, 0)
+    P = direct_sum(rank1(2), rank1(-22), rank1(-22))
+    assert represents_on_coset(P, None, 4) == RepresentabilityResult(False, True)
+    assert represents_on_coset(P, None, -2) == RepresentabilityResult(False, True)
+    assert represents_on_coset(P, None, 2) == RepresentabilityResult(True, False)
+
+
+def test_rank3_norm_zero():
+    # the zero vector on the zero coset; <2>+<-22>+<-88> is anisotropic over
+    # Q, so its coset (0, 0, 44), of Q = 0 mod 1, holds no vector of norm 0
+    P = direct_sum(rank1(2), rank1(-22), rank1(-88))
+    assert represents_on_coset(P, None, 0) == \
+        RepresentabilityResult(True, True, (Fraction(0),) * 3)
+    assert represents_on_coset(P, (0, 0, 44), 0) == RepresentabilityResult(False, True)
+    # 3 (x^2 - y^2 - z^2) is isotropic over Q: no local test decides norm 0
+    with pytest.raises(PredictError, match="not decided"):
+        represents_on_coset(direct_sum(rank1(6), rank1(-6), rank1(-6)), (1, 2, 3), 0)
+
+
+def test_rank2_past_the_guard_agrees_with_brute(monkeypatch):
+    # every search stops at once, so each answer is the density test's
+    monkeypatch.setattr(predict, "RANK2_GUARD", 1)
+    P = direct_sum(rank1(2), rank1(-4))  # x^2 - 2 y^2
+
+    def brute(n, box=60):
+        return any(x * x - 2 * y * y == n
+                   for x in range(-box, box + 1) for y in range(-box, box + 1))
+
+    exact = 0
+    for n in range(-15, 16):
+        if n == 0:
+            continue
+        r = represents_on_coset(P, None, 2 * n)
+        assert r.representable == brute(n) or not r.exact, n
+        assert r.exact == (not r.representable)
+        exact += r.exact
+    assert exact
 
 
 def test_rank2_representability_vs_brute():
