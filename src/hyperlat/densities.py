@@ -2,7 +2,9 @@
 
 Counts N(gamma, n, L, a) = #{alpha in L/aL : Q(alpha+gamma) + n = 0 mod a}
 are computed exactly: a slow exhaustive counter, and a fast path that finds
-the Jordan splitting of L over Z_p from the Gram matrix alone.  A piece whose
+the Jordan splitting of L over Z_p from the Gram matrix alone
+(``lattices.jordan_splitting``, the elimination that over Q gives the
+signature).  A piece whose
 shift no translate absorbs takes values that cover p^e Z_p evenly, so it
 only lowers the modulus to p^e.  Every other piece, a diagonal coordinate or
 a 2-adic plane 2^k U or 2^k V, however many, is counted exactly by one
@@ -35,7 +37,14 @@ from fractions import Fraction
 
 from .exactla import InputError, NodeGuardExceeded
 from .fqm import discriminant_group
-from .lattices import IntegerLattice, _prime_factors, legendre, valuation
+from .lattices import (
+    IntegerLattice,
+    _prime_factors,
+    jordan_splitting,
+    legendre,
+    rational_valuation,
+    valuation,
+)
 
 ENUMERATION_GUARD = 10 ** 8
 # pi to 80 digits; the closed forms are evaluated in decimal at 50 digits or fewer
@@ -61,10 +70,6 @@ class StabilizationError(DensityError):
 
 # ---------------------------------------------------------------------------
 # shared setup
-
-def rational_valuation(x: Fraction, p: int) -> int:
-    return valuation(x.numerator, p) - valuation(x.denominator, p)
-
 
 def small_primes(bound: int):
     if bound < 2:
@@ -182,60 +187,6 @@ def count_solutions_naive(gamma, n, L: IntegerLattice, a: int,
     return count
 
 
-# ---------------------------------------------------------------------------
-# the Jordan splitting of L over Z_p
-
-@functools.lru_cache(maxsize=128)
-def _jordan_splitting(gram, p: int):
-    """Jordan splitting of a Gram matrix over Z_(p), computed exactly.
-
-    Returns (trans, pieces) with trans^T G trans block diagonal: trans has
-    Fraction entries with denominators prime to p and a p-adic unit as
-    determinant, and pieces lists (indices, block).  Every step pivots on an
-    entry of least valuation, so every multiplier is p-integral.  Blocks are
-    1x1, and at p = 2 also 2x2 with an off-diagonal entry of smaller
-    valuation than the diagonal ones: 2^k times an even unimodular plane.
-    """
-    r = len(gram)
-    a = [[Fraction(x) for x in row] for row in gram]
-    t = [[Fraction(int(i == j)) for j in range(r)] for i in range(r)]
-
-    def add_multiple(dst, src, f):
-        # basis vector dst += f * basis vector src
-        for row in a:
-            row[dst] += f * row[src]
-        a[dst] = [x + f * y for x, y in zip(a[dst], a[src])]
-        for row in t:
-            row[dst] += f * row[src]
-
-    rest = list(range(r))
-    pieces = []
-    while rest:
-        _, off, i, j = min((rational_valuation(a[i][j], p), i != j, i, j)
-                           for i in rest for j in rest if j >= i and a[i][j])
-        if off and p != 2:
-            # both diagonal entries have larger valuation than 2 a_ij
-            add_multiple(i, j, Fraction(1))
-            off = False
-        idx = (i, j) if off else (i,)
-        rest = [x for x in rest if x not in idx]
-        piv = [[a[x][y] for y in idx] for x in idx]
-        if off:
-            (x, y), (_, z) = piv
-            det = x * z - y * y
-            inv = [[z / det, -y / det], [-y / det, x / det]]
-        else:
-            inv = [[1 / piv[0][0]]]
-        for col in rest:
-            rhs = [a[x][col] for x in idx]
-            for d, x in enumerate(idx):
-                f = -sum(g * h for g, h in zip(inv[d], rhs))
-                if f:
-                    add_multiple(col, x, f)
-        pieces.append((idx, tuple(tuple(row) for row in piv)))
-    return tuple(tuple(row) for row in t), tuple(pieces)
-
-
 def _mod(x: Fraction, a: int) -> int:
     """A p-integral rational reduced modulo a = p^s."""
     return x.numerator * pow(x.denominator, -1, a) % a
@@ -351,7 +302,7 @@ def _local_pieces(gram, p: int, w):
     sorted (k, split) of every translated 2x2 block, which only p = 2 has:
     2^k xy when split, else 2^k (x^2 + xy + y^2).
     """
-    trans, pieces = _jordan_splitting(gram, p)
+    trans, pieces = jordan_splitting(gram, p)
     r = len(gram)
     shift = [sum(trans[i][j] * w[i] for i in range(r) if w[i]) for j in range(r)]
     offset = Fraction(0)
@@ -617,7 +568,7 @@ def eisenstein_coefficient(gamma, n, V: IntegerLattice,
     n = Fraction(n)
     lift = _gamma_lift(V, gamma)
     if n == 0:
-        if all(x == 0 for x in lift):
+        if all(x.denominator == 1 for x in lift):
             return EisensteinCoefficient(Decimal(2), Fraction(2), None, prime_bound)
         return EisensteinCoefficient(Decimal(0), Fraction(0), None, prime_bound)
     if n < 0 or not in_coset_support(lift, n, V):

@@ -3,6 +3,8 @@
 Everything here works on plain lists of Python ints or Fractions, so results
 are exact at any size.  Matrices are lists of row lists.  These routines back
 the lattice constructions; nothing in this module touches floating point.
+The congruent diagonalization of a Gram matrix, over Q and over each Z_p,
+is ``lattices.jordan_splitting``.
 """
 
 from __future__ import annotations
@@ -276,63 +278,6 @@ def hnf_rational(rows):
 
 # ---------------------------------------------------------------------------
 # symmetric forms
-
-def rational_congruent_diagonal(g):
-    """Diagonalize a symmetric matrix over Q: returns (t, d) with t^T g t diag(d).
-
-    t is a list of Fraction columns (t[i][j] = entry i of column j); d the
-    diagonal values.  Classic symmetric Gaussian elimination; exact.
-    """
-    n = len(g)
-    a = [[Fraction(g[i][j]) for j in range(n)] for i in range(n)]
-    t = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-
-    def col_axpy(dst, src, f):
-        # column dst += f * column src, congruently
-        for r in range(n):
-            a[r][dst] += f * a[r][src]
-        for r in range(n):
-            a[dst][r] += f * a[src][r]
-        for r in range(n):
-            t[r][dst] += f * t[r][src]
-
-    def col_swap(i, j):
-        for r in range(n):
-            a[r][i], a[r][j] = a[r][j], a[r][i]
-        for r in range(n):
-            a[i][r], a[j][r] = a[j][r], a[i][r]
-        for r in range(n):
-            t[r][i], t[r][j] = t[r][j], t[r][i]
-
-    for k in range(n):
-        if a[k][k] == 0:
-            piv = next((i for i in range(k + 1, n) if a[i][i] != 0), None)
-            if piv is not None:
-                col_swap(k, piv)
-            else:
-                # all diagonal zero: bring in an off-diagonal entry
-                found = None
-                for i in range(k, n):
-                    for j in range(i + 1, n):
-                        if a[i][j] != 0:
-                            found = (i, j)
-                            break
-                    if found:
-                        break
-                if not found:
-                    break  # zero block, done
-                i, j = found
-                col_axpy(i, j, Fraction(1))  # makes a[i][i] = 2*a[i][j] != 0
-                if i != k:
-                    col_swap(k, i)
-        pk = a[k][k]
-        if pk == 0:
-            continue
-        for j in range(k + 1, n):
-            if a[k][j]:
-                col_axpy(j, k, -a[k][j] / pk)
-    return t, [a[i][i] for i in range(n)]
-
 
 def floor_sqrt_fraction(x: Fraction) -> int:
     """floor(sqrt(x)) for a nonnegative Fraction, exact."""

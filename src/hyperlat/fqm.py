@@ -177,11 +177,6 @@ class FiniteQuadraticModule:
         return tuple(sum(a * b for a, b in zip(u[i], m)) % d
                      for i, d in zip(kept, self.invariant_factors))
 
-    def q_value_of_lift(self, dual_vector) -> Fraction:
-        if self.lattice is None:
-            raise FqmError("module has no lattice backing")
-        return self.lattice.q_of(dual_vector) % 1
-
     def dump_text(self) -> str:
         lines = ["invariant factors: " +
                  (" ".join(str(d) for d in self.invariant_factors) or "(trivial)")]

@@ -44,7 +44,6 @@ from .exactla import (
     lll_reduce_gram,
     mat_mul,
     mat_vec,
-    rational_congruent_diagonal,
     ShortVectorRows,
     short_vectors,
     smith_normal_form,
@@ -58,7 +57,7 @@ from .densities import (
     in_coset_support,
     singular_series,
 )
-from .lattices import IntegerLattice, gram_components
+from .lattices import IntegerLattice, gram_components, jordan_splitting
 
 SHELL_EPS = 1e-3        # half-thickness of mu_infty's Monte Carlo shell
 SWEEP_GUARD = 10 ** 8   # table entries, P-vectors and N-side points of one count_range
@@ -138,20 +137,20 @@ class SplittingFrame:
 
 def splitting_frame(V: IntegerLattice) -> SplittingFrame:
     """Canonical frame, one orthogonal component of the basis at a time:
-    a component U splits as e+f / e-f, any other by exact symmetric
-    diagonalization."""
+    a component U splits as e+f / e-f, any other along the columns of its
+    Jordan splitting over Q."""
     sig = V.signature()
     if sig.positive != 2:
         raise HyperboloidInputError("frames are for signature (2, b) lattices, got "
                                     f"({sig.positive},{sig.negative})")
     pos, neg = [], []
     for idx in V.components:
-        sub = [[Fraction(V.gram[i][j]) for j in idx] for i in idx]
-        if sub == [[0, 1], [1, 0]]:
+        sub = tuple(tuple(V.gram[i][j] for j in idx) for i in idx)
+        if sub == ((0, 1), (1, 0)):
             vecs = [[Fraction(1), Fraction(1)], [Fraction(1), Fraction(-1)]]
         else:
-            t, diag = rational_congruent_diagonal(sub)
-            vecs = [[t[i][k] for i in range(len(idx))] for k in range(len(idx))]
+            trans, _ = jordan_splitting(sub)
+            vecs = list(zip(*trans))
         for vec in vecs:
             full = [Fraction(0)] * V.rank
             for i, x in zip(idx, vec):

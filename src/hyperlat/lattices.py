@@ -4,7 +4,10 @@ A lattice is its Gram matrix.  All arithmetic is exact: Python ints and
 Fractions throughout, no floating point.  Vectors are coordinate tuples in
 the lattice basis; dual vectors are Fraction tuples in the same basis.
 The elementary number theory the other modules use (valuations, Legendre
-symbols, rational square roots, trial division) lives here, once.
+symbols, rational square roots, trial division) lives here, once, and so
+does the one symmetric elimination, ``jordan_splitting``: over Q it gives
+the signature, the diagonal of the isotropy test and the hyperboloid frame,
+and over Z_p the pieces the local densities count.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import isqrt
 
 from .exactla import (
@@ -21,7 +24,6 @@ from .exactla import (
     invariant_factors,
     kernel_basis,
     mat_mul,
-    rational_congruent_diagonal,
     transpose,
 )
 
@@ -99,10 +101,7 @@ class IntegerLattice:
     @cached_property
     def _signature(self) -> Signature:
         # once per lattice, as det: eis checks it at every norm
-        _, diag = rational_congruent_diagonal([list(r) for r in self.gram])
-        if any(d == 0 for d in diag):
-            raise LatticeError("gram matrix is degenerate")
-        pos = sum(1 for d in diag if d > 0)
+        pos = sum(1 for _, ((d,),) in jordan_splitting(self.gram)[1] if d > 0)
         return Signature(pos, self.rank - pos)
 
     def discriminant_group(self):
@@ -273,6 +272,82 @@ def valuation(x: int, p: int) -> int:
     return v
 
 
+def rational_valuation(x: Fraction, p: int) -> int:
+    """The exponent of the prime p in a nonzero rational x."""
+    return valuation(x.numerator, p) - valuation(x.denominator, p)
+
+
+# ---------------------------------------------------------------------------
+# the Jordan splitting, over Q and over each Z_p
+
+@lru_cache(maxsize=128)
+def jordan_splitting(gram, p: int | None = None):
+    """Jordan splitting of a nondegenerate Gram matrix over Z_(p), or over Q
+    when p is None, by one exact symmetric elimination.
+
+    Returns (trans, pieces) with trans^T G trans block diagonal: trans has
+    Fraction entries, at a prime p with denominators prime to p and a p-adic
+    unit as determinant, and pieces lists (indices, block) in the order of
+    trans's columns.  Each step pivots on a remaining entry of least
+    valuation (over Q every nonzero entry has valuation 0): a diagonal entry
+    before an off-diagonal one, then the first basis vector in the current
+    order, which is swapped to the front.  So every multiplier is p-integral.
+    An off-diagonal pivot a_ij, i before j, is folded onto the diagonal by
+    e_i += e_j, except at p = 2, where it makes a 2x2 block: 2^k times an
+    even unimodular plane.  Every other block is 1x1.
+    """
+    r = len(gram)
+    a = [[Fraction(x) for x in row] for row in gram]
+    t = [[Fraction(int(i == j)) for j in range(r)] for i in range(r)]
+
+    def add_multiple(dst, src, f):
+        # basis vector dst += f * basis vector src
+        for row in a:
+            row[dst] += f * row[src]
+        a[dst] = [x + f * y for x, y in zip(a[dst], a[src])]
+        for row in t:
+            row[dst] += f * row[src]
+
+    def swap(i, j):
+        # basis vectors i and j trade places
+        a[i], a[j] = a[j], a[i]
+        for row in a + t:
+            row[i], row[j] = row[j], row[i]
+
+    pieces = []
+    k = 0
+    while k < r:
+        pivot = min(((0 if p is None else rational_valuation(a[i][j], p), i != j, i, j)
+                     for i in range(k, r) for j in range(i, r) if a[i][j]), default=None)
+        if pivot is None:
+            raise LatticeError("gram matrix is degenerate")
+        _, off, i, j = pivot
+        if off and p != 2:
+            # both diagonal entries have larger valuation than 2 a_ij
+            add_multiple(i, j, Fraction(1))
+            off = False
+        swap(k, i)
+        if off:
+            swap(k + 1, j)
+        idx = (k, k + 1) if off else (k,)
+        piv = [[a[x][y] for y in idx] for x in idx]
+        if off:
+            (x, y), (_, z) = piv
+            det = x * z - y * y
+            inv = [[z / det, -y / det], [-y / det, x / det]]
+        else:
+            inv = [[1 / piv[0][0]]]
+        for col in range(k + len(idx), r):
+            rhs = [a[x][col] for x in idx]
+            for d, x in enumerate(idx):
+                f = -sum(g * h for g, h in zip(inv[d], rhs))
+                if f:
+                    add_multiple(col, x, f)
+        pieces.append((idx, tuple(tuple(row) for row in piv)))
+        k += len(idx)
+    return tuple(tuple(row) for row in t), tuple(pieces)
+
+
 def legendre(x: int, p: int) -> int:
     """The Legendre symbol (x / p) at an odd prime p, by Euler's criterion."""
     r = pow(x % p, (p - 1) // 2, p)
@@ -389,8 +464,7 @@ def is_anisotropic_over_q(L: IntegerLattice) -> bool:
                            "(indefinite forms of rank >= 5 are always isotropic)")
     if L.rank == 0:
         return True
-    _, diag = rational_congruent_diagonal([list(r) for r in L.gram])
-    sq = [_square_free_part(d) for d in diag]
+    sq = [_square_free_part(d) for _, ((d,),) in jordan_splitting(L.gram)[1]]
     if L.rank == 1:
         return True
     if L.rank == 2:

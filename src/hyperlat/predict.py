@@ -23,7 +23,7 @@ from .densities import (
     in_coset_support,
     is_representable,
 )
-from .exactla import InputError, NodeGuardExceeded, short_vectors
+from .exactla import InputError, NodeGuardExceeded, mat_mul, short_vectors, transpose
 from .fqm import discriminant_group
 from .lattices import (
     IntegerLattice,
@@ -207,20 +207,15 @@ def _stable_automorph(P: IntegerLattice):
     m = [[Fraction(t - b * u, 2), a * u],
          [-c * u, Fraction(t + b * u, 2)]]
     if any(x.denominator != 1 for row in m for x in row):
-        m = _mat2_mul(m, m)
+        m = mat_mul(m, m)
     m = [[int(x) for x in row] for row in m]
     D = discriminant_group(P)
     power = [[1, 0], [0, 1]]
     for _ in range(1, 2 * D.order * 4 + 2):
-        power = _mat2_mul(power, m)
+        power = mat_mul(power, m)
         if _acts_trivially(P, D, power):
             return power
     raise PredictError("no stable power of the automorph found")
-
-
-def _mat2_mul(a, b):
-    return [[a[0][0] * b[0][0] + a[0][1] * b[1][0], a[0][0] * b[0][1] + a[0][1] * b[1][1]],
-            [a[1][0] * b[0][0] + a[1][1] * b[1][0], a[1][0] * b[0][1] + a[1][1] * b[1][1]]]
 
 
 def _acts_trivially(P, D, m) -> bool:
@@ -230,10 +225,7 @@ def _acts_trivially(P, D, m) -> bool:
         if any(x.denominator != 1 for x in diff):
             return False
     # must also be an isometry: t -> t M preserves the Gram
-    g = P.gram
-    mt_g_m = [[sum(m[i][k] * g[k][l] * m[j][l] for k in range(2) for l in range(2))
-               for j in range(2)] for i in range(2)]
-    return all(mt_g_m[i][j] == g[i][j] for i in range(2) for j in range(2))
+    return mat_mul(mat_mul(m, P.gram), transpose(m)) == [list(r) for r in P.gram]
 
 
 def _represents_rank2(P: IntegerLattice, lift, two_n):

@@ -11,7 +11,6 @@ from hyperlat.densities import (
     eisenstein_coefficient,
     is_representable,
     local_density,
-    rational_valuation,
     singular_series,
     small_primes,
     _counted_density,
@@ -28,7 +27,9 @@ from hyperlat.lattices import (
     direct_sum,
     e8,
     hyperbolic_plane,
+    jordan_splitting,
     rank1,
+    rational_valuation,
 )
 from hyperlat.predict import k3_lattices
 
@@ -435,6 +436,14 @@ def test_eisenstein_gamma_zero_coefficient(v_lattice):
     assert c.exact == 0
 
 
+def test_eisenstein_constant_term_of_an_integral_lift(v_lattice):
+    # any integral dual vector lifts the zero class, whose constant term is 2
+    for lift in ((Fraction(1), 0, 0, 0, 0), (Fraction(0),) * 4 + (Fraction(-3),)):
+        assert eisenstein_coefficient(lift, 0, v_lattice, 10).exact == 2
+    assert eisenstein_coefficient((Fraction(1),) + (0,) * 3 + (Fraction(1, 2),),
+                                  0, v_lattice, 10).exact == 0
+
+
 def test_is_representable(v_lattice):
     assert is_representable(None, 7, v_lattice)
     assert is_representable(None, 1, v_lattice)
@@ -529,11 +538,11 @@ def test_unimodular_primes_build_no_jordan_splitting(v_lattice):
     # once and then reused across the norms
     import hyperlat.densities as dens
 
-    for cache in (dens._jordan_splitting, dens._local_pieces, dens._reduced_count,
+    for cache in (jordan_splitting, dens._local_pieces, dens._reduced_count,
                   dens._count_data):
         cache.cache_clear()
     for n in range(300, 331):
         singular_series(None, n, v_lattice, 100)
-    assert dens._jordan_splitting.cache_info().currsize == 1
+    assert jordan_splitting.cache_info().currsize == 1
     assert dens._local_pieces.cache_info().currsize == 1
     assert dens._local_pieces.cache_info().hits > 0

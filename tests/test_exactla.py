@@ -18,14 +18,13 @@ from hyperlat.exactla import (
     lll_reduce_gram,
     NodeGuardExceeded,
     mat_mul,
-    rational_congruent_diagonal,
     ShortVectorRows,
     short_vectors,
     smith_normal_form,
     transpose,
     unimodular_inverse,
 )
-from hyperlat.lattices import direct_sum, e8, rank1
+from hyperlat.lattices import direct_sum, e8, jordan_splitting, rank1, rational_valuation
 
 
 def random_int_matrix(rng, rows, cols, lo=-6, hi=6):
@@ -68,22 +67,40 @@ def test_hnf_spans_same_lattice():
 
 
 def test_congruent_diagonalization():
+    # one elimination over Q (p = None) and over Z_p: trans^T G trans is the
+    # block diagonal of the pieces, trans is p-integral with a unit
+    # determinant, and only p = 2 leaves 2x2 blocks
     rng = random.Random(3)
-    for _ in range(30):
+    planes = zero_diagonal = 0
+    tried = 0
+    while tried < 60:
         n = rng.randint(1, 5)
         g = [[0] * n for _ in range(n)]
         for i in range(n):
             g[i][i] = 2 * rng.randint(-4, 4)
             for j in range(i + 1, n):
                 g[i][j] = g[j][i] = rng.randint(-3, 3)
-        t, diag = rational_congruent_diagonal(g)
-        n_ = len(g)
-        lhs = [[sum(Fraction(t[a][i]) * g[a][b] * t[b][j]
-                    for a in range(n_) for b in range(n_))
-                for j in range(n_)] for i in range(n_)]
-        for i in range(n_):
-            for j in range(n_):
-                assert lhs[i][j] == (diag[i] if i == j else 0)
+        if bareiss_det(g) == 0:
+            continue
+        tried += 1
+        zero_diagonal += any(g[i][i] == 0 for i in range(n))
+        for p in (None, 2, 3, 5):
+            trans, pieces = jordan_splitting(tuple(map(tuple, g)), p)
+            blocks = [[0] * n for _ in range(n)]
+            for idx, block in pieces:
+                for x, row in zip(idx, block):
+                    for y, v in zip(idx, row):
+                        blocks[x][y] = v
+            assert [i for idx, _ in pieces for i in idx] == list(range(n))
+            assert mat_mul(mat_mul(transpose(trans), g), trans) == blocks
+            assert all(len(idx) == 1 for idx, _ in pieces) or p == 2
+            planes += sum(len(idx) == 2 for idx, _ in pieces)
+            if p is not None:
+                den = lcm(*(x.denominator for row in trans for x in row))
+                assert den % p
+                scaled = [[int(x * den) for x in row] for row in trans]
+                assert rational_valuation(Fraction(bareiss_det(scaled), den ** n), p) == 0
+    assert planes and zero_diagonal
 
 
 def test_fraction_solvers():
@@ -145,8 +162,11 @@ def _random_posdef(rng, n):
         b = [[Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(n)]
              for _ in range(n)]
         a = mat_mul(transpose(b), b)
-        if all(x > 0 for x in rational_congruent_diagonal(a)[1]):
-            return a
+        try:
+            gram_schmidt_ldl(a)
+        except ValueError:
+            continue
+        return a
 
 
 def test_short_vectors_against_brute_force():

@@ -77,6 +77,16 @@ def test_frame_construction(v_lattice):
     assert fr.positive[0] == (1, 1, 0, 0, 0)
 
 
+def test_frame_of_a_component_with_no_diagonal_entry():
+    # the 5-cycle, negated: one component, every diagonal entry 0, so the
+    # first step of its splitting over Q folds e_0 += e_1; the frame is pinned
+    g = tuple(tuple(-1 if (i - j) % 5 in (1, 4) else 0 for j in range(5)) for i in range(5))
+    fr = splitting_frame(IntegerLattice(g))
+    h = Fraction(1, 2)
+    assert fr.positive == ((-h, h, 0, 0, 0), (h, 0, -h, h, 0))
+    assert fr.negative == ((1, 1, 0, 0, 0), (-1, 0, 1, 1, 0), (1, -1, -1, 1, 1))
+
+
 def test_frame_requires_two_positive():
     with pytest.raises(HyperboloidError):
         splitting_frame(direct_sum(hyperbolic_plane(), rank1(-2)))

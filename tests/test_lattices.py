@@ -13,6 +13,7 @@ from hyperlat.lattices import (
     e8,
     hyperbolic_plane,
     is_anisotropic_over_q,
+    jordan_splitting,
     k3_lattice,
     lattice_from_json,
     load_lattice,
@@ -51,6 +52,13 @@ def test_gram_validation():
 def test_degenerate_rejected():
     with pytest.raises(LatticeError):
         IntegerLattice(((2, 2), (2, 2)))
+
+
+@pytest.mark.parametrize("p", [None, 2, 3])
+def test_jordan_splitting_refuses_a_degenerate_gram(p):
+    for gram in (((2, 2), (2, 2)), ((0, 1, 0), (1, 0, 0), (0, 0, 0)), ((0, 0), (0, 0))):
+        with pytest.raises(LatticeError, match="degenerate"):
+            jordan_splitting(gram, p)
 
 
 def test_signatures():
