@@ -112,22 +112,11 @@ class FiniteQuadraticModule:
 
     def q_value(self, elt) -> Fraction:
         """Q(elt) as a Fraction in [0, 1)."""
-        r = self.reduce(elt)
-        total = 0
-        for i, ri in enumerate(r):
-            if ri:
-                total += ri * ri * self.q_num[i]
-                for j in range(i + 1, self.ngens):
-                    total += ri * r[j] * self.b_num[i][j]
-        return Fraction(total % self.level, self.level)
+        return Fraction(self.q_numerators([elt])[0], self.level)
 
     def bilinear(self, x, y) -> Fraction:
         """b(x, y) = Q(x+y) - Q(x) - Q(y) mod 1, via the stored pairings."""
-        x = self.reduce(x)
-        y = self.reduce(y)
-        total = sum(xi * yj * bij for xi, row in zip(x, self.b_num)
-                    for yj, bij in zip(y, row))
-        return Fraction(total % self.level, self.level)
+        return Fraction(self.pairing_numerators([x], [y])[0][0], self.level)
 
     def pairing_numerators(self, xs, ys):
         """N * b(x, y) mod N for every x in xs and y in ys: the rows of
@@ -180,8 +169,9 @@ class FiniteQuadraticModule:
     def dump_text(self) -> str:
         lines = ["invariant factors: " +
                  (" ".join(str(d) for d in self.invariant_factors) or "(trivial)")]
-        for elt in self.elements():
-            q = self.q_value(elt)
+        elements = self.elements()
+        for elt, num in zip(elements, self.q_numerators(elements)):
+            q = Fraction(num, self.level)
             lines.append(",".join(str(r) for r in elt) + f" : Q={q.numerator}/{q.denominator}")
         return "\n".join(lines)
 

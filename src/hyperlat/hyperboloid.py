@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from decimal import localcontext
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
 import numpy as np
 
@@ -54,7 +55,6 @@ from .densities import (
     _gamma_lift,
     decimal_of,
     gamma_half_integer,
-    in_coset_support,
     singular_series,
 )
 from .lattices import IntegerLattice, gram_components, jordan_splitting
@@ -379,7 +379,8 @@ def count_range(gamma, ns, window: Window) -> tuple[PointCount, ...]:
         raise HyperboloidInputError("point enumeration wants n > 0")
     L = window.frame.lattice
     lift = _gamma_lift(L, gamma)
-    support = [n for n in ns if in_coset_support(lift, n, L)]
+    q = L.q_of(lift)
+    support = [n for n in ns if (q + n).denominator == 1]
     found = dict(zip(support, _count_glued(lift, support, window))) if support else {}
     return tuple(PointCount(n, *found.get(n, (0, 0))) for n in ns)
 
@@ -415,8 +416,9 @@ def _count_glued(lift, ns, window: Window):
     components' series (``_convolve``), and each component's series comes
     from one walk of its own ellipsoid up to (1 + rho^2) max(ns)
     (``_theta_table``); equal components share one walk.  The P side is the
-    rows of one short-vector search up to rho^2 max(ns), expanded in numpy
-    and filtered by the exact sector test.  A norm is then one gather from
+    points of one short-vector search up to rho^2 max(ns), filtered by the
+    exact sector test; ``_row_points`` expands its rows as it expands the
+    components', with the identity map.  A norm is then one gather from
     the glued table.  SWEEP_GUARD bounds the table entries, P-vectors and
     N_i points together, each read before its array is built.
     """
@@ -490,16 +492,9 @@ def _count_glued(lift, ns, window: Window):
     # the component tables' slots are known before any walk
     spend(width * sum(math.prod(dmod) for *_, dmod in walks))
 
-    rec = array("q")
-    for prefix, lo, hi, offset, centre in p_rows:
-        spend(hi - lo + 1)
-        rec.extend((hi - lo + 1, offset, p_rows.e * lo - centre, lo, *prefix))
-    rec = np.frombuffer(rec, dtype=np.int64).reshape(-1, 6).T
-    batches = list(_row_points(p_rows, rec))
-    if not batches:
-        return [(0, 0)] * len(ns)
-    r, i, v = (np.concatenate(x) for x in zip(*batches))
-    k0, k1 = ((i0 + rec[3] * st)[r] + i * st for i0, st in zip(rec[4:], p_rows.step))
+    v, k0, k1 = np.concatenate([np.zeros((3, 0), dtype=np.int64),
+                                *(np.vstack((v, *y)) for v, y in
+                                  _row_points(p_rows, ((1, 0), (0, 1)), spend))], axis=1)
     if window.sector is not None:
         # (x, t_i) = (p, t_i) = (k + sp) m_i, m = hp bp G (t1 t2): a rational
         # 2 x 2 map of k, formed on the integers kk = dp (k + sp) and dm m
@@ -581,25 +576,41 @@ def _convolve(x, y):
     return out
 
 
-def _row_points(rows, rec):
-    """The points of the rows of a ``ShortVectorRows`` walk, GRID_CHUNK at a
-    time: rec holds each row's length, offset and u0 = e lo - centre in its
-    first three rows, and point i of row r has the scaled value
-    v = offset + d0 (e i + u0)^2.  Yields (r, i, v) for the rows laid end
-    to end."""
-    lengths, offsets, u0 = rec[:3]
-    ends = np.cumsum(lengths)
-    starts = ends - lengths
-    total = int(ends[-1]) if len(ends) else 0
-    for start in range(0, total, GRID_CHUNK):
-        i = np.arange(start, min(start + GRID_CHUNK, total), dtype=np.int64)
-        r = np.searchsorted(ends, i, "right")
-        i -= starts[r]
-        v = rows.e * i + u0[r]
+def _row_points(rows, m, spend, mod=0):
+    """The points z = prefix + k step, lo <= k <= hi, of the rows of a
+    ``ShortVectorRows`` walk as int64 arrays, as the walk goes: yields (v, y)
+    for GRID_CHUNK points, or that plus one row, at a time, v the scaled
+    values offset + d0 (e k - centre)^2 and y the images z m, one array per
+    column of m, or, given ``mod``, images congruent to them mod it, formed
+    from small residues.  Each row is counted by ``spend`` and recorded once,
+    with its length, offset, e lo - centre and the image of its first point."""
+    red = (lambda x: x % mod) if mod else int
+    # each column of m with the image of step under it
+    cols = [(col, red(sum(map(mul, rows.step, col)))) for col in zip(*m)]
+    e, ncols = rows.e, 3 + len(cols)
+
+    def expand(rec):
+        rec = np.frombuffer(rec, dtype=np.int64).reshape(-1, ncols).T
+        r = np.repeat(np.arange(len(rec[0])), rec[0])
+        i = np.arange(len(r), dtype=np.int64) - (np.cumsum(rec[0]) - rec[0])[r]
+        v = e * i + rec[2][r]
         v *= v
         v *= rows.d0
-        v += offsets[r]
-        yield r, i, v
+        v += rec[1][r]
+        return v, [y0[r] + i * s for y0, (_, s) in zip(rec[3:], cols)]
+
+    rec, pending = array("q"), 0
+    for prefix, lo, hi, offset, centre in rows:
+        spend(hi - lo + 1)
+        rec.extend((hi - lo + 1, offset, e * lo - centre))
+        for col, s in cols:
+            rec.append(red(sum(map(mul, prefix, col)) + lo * s))
+        pending += hi - lo + 1
+        if pending >= GRID_CHUNK:
+            yield expand(rec)
+            rec, pending = array("q"), 0
+    if pending:
+        yield expand(rec)
 
 
 def _theta_table(rows, cmap, dmod, width, spend):
@@ -609,44 +620,17 @@ def _theta_table(rows, cmap, dmod, width, spend):
     scale; z has the class z cmap mod dmod.  Returns (table, frac): table
     [cid, m] counts the z of class cid with floor(-Q(y)) = m < width, and
     -Q(y) = m + frac[cid] / (2 scale) on the class, whose fractional part
-    is fixed since N is even.  The rows are expanded GRID_CHUNK points at a
-    time as the walk goes, each point counted by ``spend`` first.
+    is fixed since N is even.  ``_row_points`` gives the classes mod the
+    largest Smith factor, a multiple of the others.
     """
     classes = math.prod(dmod)
     table = np.zeros(classes * width, dtype=np.int64)
     frac = np.zeros(classes, dtype=np.int64)
-    two_s, e = 2 * rows.scale, rows.e
-    # point i of a row is z = prefix + (lo + i) step, of class
-    # (lo, prefix) (step cmap; cmap) + i step cmap mod dmod
-    step_cls = [x % dk for x, dk in zip(mat_vec(transpose(cmap), rows.step), dmod)]
-    coeff = np.array([step_cls, *cmap], dtype=np.int64).reshape(len(cmap) + 1, len(dmod))
-    mods = np.array(dmod, dtype=np.int64)
-    dmax = max(dmod, default=1)
-    ncols = 4 + len(cmap) if dmod else 3
-
-    def expand(rec):
-        # each row as int64: its length, offset and u0, and with classes lo
-        # and its prefix
-        rec = np.frombuffer(rec, dtype=np.int64).reshape(-1, ncols).T
-        first = (rec[3:].T % dmax @ coeff % mods).T if dmod else ()
-        for r, i, v in _row_points(rows, rec):
-            cid = np.broadcast_to(_class_index((x[r] + i * sk for x, sk in zip(first, step_cls)),
-                                               dmod), v.shape)
-            np.add.at(table, cid * width + v // two_s, 1)
-            frac[cid] = v % two_s
-
-    rec, pending = array("q"), 0
-    for prefix, lo, hi, offset, centre in rows:
-        spend(hi - lo + 1)
-        rec.extend((hi - lo + 1, offset, e * lo - centre))
-        if dmod:
-            rec.extend((lo, *prefix))
-        pending += hi - lo + 1
-        if pending >= GRID_CHUNK:
-            expand(rec)
-            rec, pending = array("q"), 0
-    if pending:
-        expand(rec)
+    two_s = 2 * rows.scale
+    for v, y in _row_points(rows, cmap, spend, max(dmod, default=1)):
+        cid = np.broadcast_to(_class_index(y, dmod), v.shape)
+        np.add.at(table, cid * width + v // two_s, 1)
+        frac[cid] = v % two_s
     return table.reshape(classes, width), frac
 
 

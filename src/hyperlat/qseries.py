@@ -171,13 +171,7 @@ def _a_from_theta(theta, gamma, n: Fraction, F) -> Fraction:
         return Fraction(0)
     if (n + D.q_value(gamma)).denominator != 1:
         return Fraction(0)
-    cls = F.projection_to_kf[gamma]
-    e2 = e2_series(int(n) + 1)
-    total = Fraction(0)
-    for k in range(int(n) + 1):
-        te = theta.coefficients.get((cls, n - k))
-        if te:
-            total += e2.coefficient((), k) * te
+    total = multiply(e2_series(int(n) + 1), theta).coefficient(F.projection_to_kf[gamma], n)
     return Fraction(F.imprimitivity, 24) * total
 
 

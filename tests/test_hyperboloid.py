@@ -27,10 +27,12 @@ from hyperlat.hyperboloid import (
     unit_sphere_area,
     _count_generic,
     _disk_samples,
+    _row_points,
 )
 from hyperlat.cli import main
-from hyperlat.exactla import InputError
+from hyperlat.exactla import InputError, ShortVectorRows, identity, mat_vec, short_vectors, transpose
 from hyperlat.lattices import IntegerLattice, direct_sum, e8, hyperbolic_plane, rank1, rescale
+from test_exactla import _random_posdef
 
 
 def _window(V, rho=1):
@@ -356,14 +358,64 @@ def test_count_range_entries_are_independent(v_lattice, rho, gamma, lo, hi):
 
 
 def test_count_range_chunking_is_invisible(v_lattice, monkeypatch):
-    # batches of 1000 points (rows of the P side and of N's components, or
-    # parts of them), and of a single point
+    # batches of 1000 points or that plus one row, and of a single row (a
+    # batch ends only at the end of a row of the P side or of N's components)
     win = _window(v_lattice, Fraction(1, 2))
     ns = list(range(60, 81))
     whole = count_range(None, ns, win)
     for chunk in (1000, 1):
         monkeypatch.setattr(hyp, "GRID_CHUNK", chunk)
         assert count_range(None, ns, win) == whole
+
+
+def test_row_points_match_short_vectors(monkeypatch):
+    # the rows expanded in int64 are short_vectors' points with their values,
+    # each point handed to spend once, wherever the batches end; a map m and
+    # a modulus give images congruent to z m mod it
+    rng = random.Random(25)
+    cases = []
+    for _ in range(30):
+        r = rng.randint(1, 4)
+        shift = [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(r)]
+        m = [[rng.randint(-9, 9) for _ in range(2)] for _ in range(r)]
+        cases.append((_random_posdef(rng, r), shift, Fraction(rng.randint(0, 40), rng.randint(1, 4)),
+                      m, rng.randint(2, 6)))
+    for chunk in (1, 7, hyp.GRID_CHUNK):
+        monkeypatch.setattr(hyp, "GRID_CHUNK", chunk)
+        for a, shift, bound, m, mod in cases:
+            want = sorted(short_vectors(a, bound, shift))
+            rows = ShortVectorRows(a, bound, shift)
+            spent = []
+            got = [(tuple(z), Fraction(x, rows.scale))
+                   for v, y in _row_points(rows, identity(len(a)), spent.append)
+                   for x, *z in zip(v.tolist(), *(c.tolist() for c in y))]
+            assert sorted(got) == want
+            assert sum(spent) == len(want)
+            images = [(tuple(t % mod for t in y), x)
+                      for v, ys in _row_points(rows, m, lambda k: None, mod)
+                      for x, *y in zip(v.tolist(), *(c.tolist() for c in ys))]
+            assert sorted(images) == sorted(
+                (tuple(x % mod for x in mat_vec(transpose(m), z)), int(value * rows.scale))
+                for z, value in want)
+
+
+def test_count_range_forms_q_of_the_lift_once(v8_lattice, monkeypatch):
+    # the coset support of 31 norms is read off one Q(lift): the norms in
+    # 1/16 + Z are counted, the others are 0
+    win = _window(v8_lattice)
+    ns = [Fraction(1, 16) + Fraction(k, 4) for k in range(31)]
+    q_of, calls = IntegerLattice.q_of, []
+
+    def counted(self, x):
+        calls.append(x)
+        return q_of(self, x)
+
+    monkeypatch.setattr(IntegerLattice, "q_of", counted)
+    got = count_range((1,), ns, win)
+    assert len(calls) == 1
+    monkeypatch.undo()
+    assert got == tuple(enumerate_points((1,), n, win) for n in ns)
+    assert [pc.n for pc in got if pc.count] == [n for n in ns if (n - Fraction(1, 16)) % 1 == 0]
 
 
 def test_count_range_empty(v_lattice, monkeypatch):
