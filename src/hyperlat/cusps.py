@@ -11,7 +11,6 @@ determinant relation, Q-preservation, fiber sizes) is checked on the spot.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
@@ -42,20 +41,35 @@ class CuspGuardExceeded(CuspError, NodeGuardExceeded):
     """A plane search whose box of coefficient vectors exceeds the guard."""
 
 
-@dataclass(frozen=True)
 class CuspDatum:
-    ambient: IntegerLattice
-    plane_basis: tuple[tuple[int, ...], ...]          # 2 x r, HNF-canonical
-    sharp_basis: tuple[tuple[Fraction, ...], ...]     # basis of I_Q cap dual
-    imprimitivity: int                                # N_F = |I^# / I|
-    kf_lattice: IntegerLattice                        # induced form on I-perp/I
-    kf_basis: tuple[tuple[int, ...], ...]             # transversal rows in V
-    strongly_primitive: bool
-    ambient_disc: FiniteQuadraticModule = field(compare=False)
-    kf_disc: FiniteQuadraticModule = field(compare=False)
-    h_subgroup: Subgroup = field(compare=False)       # I^#/I inside D(V)
-    h_perp: Subgroup = field(compare=False)
-    projection_to_kf: dict = field(compare=False)     # elt of H-perp -> K residues
+    """The data of one primitive isotropic plane I of V:
+    - plane_basis: 2 x r, HNF-canonical
+    - sharp_basis: a basis of I_Q cap the dual of V
+    - imprimitivity: N_F = |I^# / I|
+    - kf_lattice: the induced form on I-perp/I, and kf_basis its
+      transversal rows in V
+    - h_subgroup: I^#/I inside D(V), and h_perp its orthogonal
+    - projection_to_kf: each element of h_perp to its residues in D(K_F)
+    """
+
+    def __init__(self, ambient: IntegerLattice, plane_basis: tuple[tuple[int, ...], ...],
+                 sharp_basis: tuple[tuple[Fraction, ...], ...], imprimitivity: int,
+                 kf_lattice: IntegerLattice, kf_basis: tuple[tuple[int, ...], ...],
+                 strongly_primitive: bool, ambient_disc: FiniteQuadraticModule,
+                 kf_disc: FiniteQuadraticModule, h_subgroup: Subgroup, h_perp: Subgroup,
+                 projection_to_kf: dict):
+        self.ambient = ambient
+        self.plane_basis = plane_basis
+        self.sharp_basis = sharp_basis
+        self.imprimitivity = imprimitivity
+        self.kf_lattice = kf_lattice
+        self.kf_basis = kf_basis
+        self.strongly_primitive = strongly_primitive
+        self.ambient_disc = ambient_disc
+        self.kf_disc = kf_disc
+        self.h_subgroup = h_subgroup
+        self.h_perp = h_perp
+        self.projection_to_kf = projection_to_kf
 
 
 def _is_isotropic_pair(g, rows) -> bool:

@@ -31,7 +31,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-from dataclasses import dataclass
+from collections import namedtuple
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -131,19 +131,26 @@ def _gamma_lift(L: IntegerLattice, gamma):
 
 
 @functools.lru_cache(maxsize=256)
-def _count_data(gram, lift, n: Fraction):
-    """Return (w, c0) with t(alpha) = Q(alpha) + alpha.w + c0, all integers."""
+def _coset_data(gram, lift):
+    """Return (w, q) with w = G lift, integers, and q = Q(lift): the part of
+    t(alpha) that every norm shares, formed once per coset."""
     w = []
     for row in gram:
         x = sum((g * y for g, y in zip(row, lift) if g), Fraction(0))
         if x.denominator != 1:
             raise DensityInputError("gamma is not in the dual lattice")
         w.append(int(x))
-    c0 = sum((Fraction(y) * x for y, x in zip(lift, w)), Fraction(0)) / 2 + n
+    return tuple(w), sum((Fraction(y) * x for y, x in zip(lift, w)), Fraction(0)) / 2
+
+
+def _count_data(gram, lift, n: Fraction):
+    """Return (w, c0) with t(alpha) = Q(alpha) + alpha.w + c0, all integers."""
+    w, q = _coset_data(gram, lift)
+    c0 = q + n
     if c0.denominator != 1:
         # c0 = Q(gamma) + n, so n - c0 = -Q(gamma) mod 1
         raise DensityInputError(f"n = {n} is not in -Q(gamma) + Z = {(n - c0) % 1} + Z")
-    return tuple(w), int(c0)
+    return w, int(c0)
 
 
 def _checked_lift(L: IntegerLattice, gamma, n: Fraction):
@@ -360,12 +367,11 @@ def count_solutions_split(gamma, n, L: IntegerLattice, p: int, s: int) -> int:
 # ---------------------------------------------------------------------------
 # stabilized densities
 
-@dataclass(frozen=True)
-class LocalDensityReport:
-    prime: int
-    stabilization_exponent: int
-    raw_counts: tuple[int, ...]          # N(gamma, n, L, p^s) for s = 1..s0+1
-    density: Fraction
+class LocalDensityReport(namedtuple(
+        "LocalDensityReport", "prime stabilization_exponent raw_counts density")):
+    """The density at a prime, its stabilization exponent s0 and the raw
+    counts N(gamma, n, L, p^s) for s = 1..s0+1 that witness it."""
+    __slots__ = ()
 
 
 def local_density(gamma, n, L: IntegerLattice, p: int,
@@ -461,12 +467,10 @@ def _stabilized_density(count, n: Fraction, L: IntegerLattice, p: int,
         f"no stabilization for p={p} by s_max={s_max}; raw counts {counts}")
 
 
-@dataclass(frozen=True)
-class SingularSeries:
-    factors: dict
-    prime_bound: int
-    truncated_product: Fraction
-    tail_policy: str = "omitted factors set to 1"
+class SingularSeries(namedtuple("SingularSeries",
+                                "factors prime_bound truncated_product tail_policy",
+                                defaults=("omitted factors set to 1",))):
+    __slots__ = ()
 
 
 def series_primes(n: Fraction, det: int, prime_bound: int):
@@ -539,12 +543,11 @@ def decimal_of(x) -> Decimal:
     return Decimal(x.numerator) / x.denominator
 
 
-@dataclass(frozen=True)
-class EisensteinCoefficient:
-    value: Decimal
-    exact: Fraction | None        # set when the value is exactly rational
-    series: SingularSeries | None
-    prime_bound: int
+class EisensteinCoefficient(namedtuple("EisensteinCoefficient",
+                                       "value exact series prime_bound")):
+    """A Decimal value; exact is the Fraction when the value is exactly
+    rational, series the singular series behind it, if any."""
+    __slots__ = ()
 
     @property
     def approximate(self) -> bool:

@@ -362,6 +362,43 @@ class NodeGuardExceeded(ValueError):
     the size; the command line reports it with exit status 3."""
 
 
+# pi from below, to 14 decimals
+_PI_BELOW = Fraction(314159265358979, 10 ** 14)
+
+
+def _least_points(d, bound) -> int:
+    """A lower bound on the number of integer z with
+    (z+shift)^T a (z+shift) <= bound, for any shift, from the LDL diagonal d
+    of a basis of a.
+
+    The Gram-Schmidt box {sum t_j b*_j : |t_j| <= 1/2} of the basis is a
+    fundamental domain of the lattice, of volume sqrt(det a) = sqrt(prod d_j),
+    and each of its points lies within delta = sqrt(sum d_j) / 2 of its
+    centre.  So the boxes about the points of the ellipsoid cover the ball of
+    radius sqrt(bound) - delta about its centre, and there are at least that
+    ball's volume over the box's volume of them.  The radius, pi and the
+    quotient are each rounded down, so the bound is never too high.
+    """
+    n = len(d)
+    if n == 0 or bound < 0:
+        return 0
+    k = 1 << 32
+    radius = (Fraction(isqrt(int(bound * k * k)), k)
+              - Fraction(isqrt(-(-sum(d) * k * k // 4)) + 1, k))
+    if radius <= 0:
+        return 0
+    # the unit ball's volume is pi^(n // 2) q, with q_0 = 1, q_1 = 2 and
+    # q_n = q_(n-2) 2 / n
+    q = Fraction(1 + n % 2)
+    for m in range(2 + n % 2, n + 1, 2):
+        q *= Fraction(2, m)
+    det = 1
+    for x in d:
+        det *= x
+    square = _PI_BELOW ** (2 * (n // 2)) * q * q * radius ** (2 * n) / det
+    return isqrt(int(square))
+
+
 class ShortVectorRows:
     """Fincke-Pohst search for every integer z with
     (z+shift)^T a (z+shift) <= bound, by the rows of its last level.
@@ -373,7 +410,8 @@ class ShortVectorRows:
     (prefix, lo, hi, offset, centre): the vectors prefix + k step for k in
     lo..hi, of values (offset + d0 (e k - centre)^2) / scale, whose
     numerators lie in [offset, top].  Raises NodeGuardExceeded past
-    ``guard`` candidates, counted over all levels.
+    ``guard`` candidates, counted over all levels, and before the walk when
+    ``_least_points`` shows that the last level alone holds more.
     """
 
     def __init__(self, a, bound, shift=None, guard=None):
@@ -385,6 +423,8 @@ class ShortVectorRows:
         uinv = unimodular_inverse(u)
         s = [sum(uinv[j][i] * shift[j] for j in range(n)) for i in range(n)]
         mu, d = gram_schmidt_ldl(a_red)
+        if guard is not None and _least_points(d, bound) > guard:
+            raise NodeGuardExceeded(f"enumeration exceeded {guard} nodes")
         # the centre of level j is const_j - sum_{i>j} mu[i][j] z'_i; scaled by e
         const = [-s[j] - sum(mu[i][j] * s[i] for i in range(j + 1, n))
                  for j in range(n)]

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mod, mul
@@ -43,35 +42,46 @@ class FqmGuardExceeded(FqmError, NodeGuardExceeded):
     """A module too large to list its elements."""
 
 
-@dataclass(frozen=True)
 class FiniteQuadraticModule:
     """Invariant factors, level N and the numerators mod N of Q on the
     generators and of the pairing between them.  The level given is reduced
-    on construction to the smallest N with N*Q(x) integral for every x."""
+    on construction to the smallest N with N*Q(x) integral for every x.
+    Equal modules have equal invariant factors, level and numerators; the
+    lattice provenance (the lattice, the generator lifts, their pairings
+    G l_j with the basis and the class map) does not take part."""
 
-    invariant_factors: tuple[int, ...]
-    level: int
-    q_num: tuple[int, ...]
-    b_num: tuple[tuple[int, ...], ...]
-    lattice: IntegerLattice | None = field(default=None, compare=False)
-    generator_lifts: tuple[tuple[Fraction, ...], ...] | None = field(default=None, compare=False)
-    # G l_j for each generator lift l_j: its integer pairings with the basis
-    lift_pairings: tuple[tuple[int, ...], ...] | None = field(default=None, compare=False)
-    _class_data: tuple | None = field(default=None, compare=False, repr=False)
-
-    def __post_init__(self):
-        g = self.level
-        for x in self.q_num:
+    def __init__(self, invariant_factors: tuple[int, ...], level: int,
+                 q_num: tuple[int, ...], b_num: tuple[tuple[int, ...], ...],
+                 lattice: IntegerLattice | None = None,
+                 generator_lifts: tuple[tuple[Fraction, ...], ...] | None = None,
+                 lift_pairings: tuple[tuple[int, ...], ...] | None = None,
+                 class_data: tuple | None = None):
+        g = level
+        for x in q_num:
             g = gcd(g, x)
-        for row in self.b_num:
+        for row in b_num:
             for x in row:
                 g = gcd(g, x)
-        n = self.level // g
-        q = tuple(x // g % n for x in self.q_num)
-        b = tuple(tuple(x // g % n for x in row) for row in self.b_num)
-        object.__setattr__(self, "level", n)
-        object.__setattr__(self, "q_num", q)
-        object.__setattr__(self, "b_num", b)
+        n = level // g
+        self.invariant_factors = invariant_factors
+        self.level = n
+        self.q_num = tuple(x // g % n for x in q_num)
+        self.b_num = tuple(tuple(x // g % n for x in row) for row in b_num)
+        self.lattice = lattice
+        self.generator_lifts = generator_lifts
+        self.lift_pairings = lift_pairings
+        self._class_data = class_data
+
+    def _key(self):
+        return self.invariant_factors, self.level, self.q_num, self.b_num
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     # -- group structure ----------------------------------------------------
 
@@ -187,7 +197,7 @@ def discriminant_group(L: IntegerLattice) -> FiniteQuadraticModule:
     n = L.rank
     if n == 0:
         return FiniteQuadraticModule((), 1, (), (), lattice=L, generator_lifts=(),
-                                     lift_pairings=(), _class_data=([], []))
+                                     lift_pairings=(), class_data=([], []))
     d, u, v = smith_normal_form(g)
     kept = [i for i in range(n) if d[i][i] > 1]
     cols = [[v[r][i] for r in range(n)] for i in kept]   # Smith-form columns
@@ -206,7 +216,7 @@ def discriminant_group(L: IntegerLattice) -> FiniteQuadraticModule:
                   for i, di in enumerate(facs))
     mod = FiniteQuadraticModule(facs, big, q_num, b_num, lattice=L,
                                 generator_lifts=lifts, lift_pairings=lift_pairings,
-                                _class_data=(u, kept))
+                                class_data=(u, kept))
     if mod.order != abs(L.det):
         raise FqmError("internal error: |discriminant group| != |det|")
     return mod
@@ -215,12 +225,17 @@ def discriminant_group(L: IntegerLattice) -> FiniteQuadraticModule:
 # ---------------------------------------------------------------------------
 # subgroups
 
-@dataclass(frozen=True)
 class Subgroup:
-    module: FiniteQuadraticModule
-    elements: tuple[tuple[int, ...], ...]  # sorted
-    generators: tuple[tuple[int, ...], ...] = ()
-    is_maximal_isotropic: bool | None = field(default=None, compare=False)
+    """A subgroup of a module: its sorted elements and the generators it
+    was built from."""
+
+    def __init__(self, module: FiniteQuadraticModule, elements: tuple[tuple[int, ...], ...],
+                 generators: tuple[tuple[int, ...], ...] = (),
+                 is_maximal_isotropic: bool | None = None):
+        self.module = module
+        self.elements = elements
+        self.generators = generators
+        self.is_maximal_isotropic = is_maximal_isotropic
 
     @property
     def order(self) -> int:

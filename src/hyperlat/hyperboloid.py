@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
+from collections import namedtuple
 from decimal import localcontext
 from fractions import Fraction
 from math import lcm
@@ -94,7 +94,6 @@ def unit_ball_volume(dim: int) -> float:
     return math.pi ** (dim / 2) / math.gamma(dim / 2 + 1)
 
 
-@dataclass(frozen=True)
 class SplittingFrame:
     """Exact rational orthogonal splitting of V x R, positive plane first.
 
@@ -103,22 +102,21 @@ class SplittingFrame:
     construction enforce.
     """
 
-    lattice: IntegerLattice
-    positive: tuple[tuple[Fraction, ...], ...]
-    negative: tuple[tuple[Fraction, ...], ...]
-
-    def __post_init__(self):
-        L = self.lattice
-        vecs = list(self.positive) + list(self.negative)
-        if len(self.positive) != 2 or len(vecs) != L.rank:
+    def __init__(self, lattice: IntegerLattice, positive: tuple[tuple[Fraction, ...], ...],
+                 negative: tuple[tuple[Fraction, ...], ...]):
+        vecs = list(positive) + list(negative)
+        if len(positive) != 2 or len(vecs) != lattice.rank:
             raise HyperboloidError("frame needs 2 positive and b negative vectors")
         for i, v in enumerate(vecs):
-            qv = L.q_of(v)
+            qv = lattice.q_of(v)
             if (qv <= 0) == (i < 2):
                 raise HyperboloidError("frame vector has the wrong sign")
             for j in range(i + 1, len(vecs)):
-                if L.pairing(v, vecs[j]) != 0:
+                if lattice.pairing(v, vecs[j]) != 0:
                     raise HyperboloidError("frame vectors are not orthogonal")
+        self.lattice = lattice
+        self.positive = positive
+        self.negative = negative
 
     def lattice_jacobian(self) -> float:
         """|det| of the frame-to-lattice coordinate change: 2^(r/2)/sqrt|det V|."""
@@ -160,7 +158,6 @@ def splitting_frame(V: IntegerLattice) -> SplittingFrame:
     return SplittingFrame(V, tuple(pos), tuple(neg))
 
 
-@dataclass(frozen=True)
 class Window:
     """Radial cap on the hyperboloid: positive-plane radius at most rho.
 
@@ -169,14 +166,13 @@ class Window:
     tests and only affect Monte Carlo estimates and sector-filtered counts.
     """
 
-    frame: SplittingFrame
-    rho: Fraction
-    sector: tuple[float, float] | None = None
-
-    def __post_init__(self):
-        if self.rho < 0:
-            raise HyperboloidInputError(f"rho must be >= 0, got {self.rho}")
-        object.__setattr__(self, "rho", Fraction(self.rho))
+    def __init__(self, frame: SplittingFrame, rho,
+                 sector: tuple[float, float] | None = None):
+        if rho < 0:
+            raise HyperboloidInputError(f"rho must be >= 0, got {rho}")
+        self.frame = frame
+        self.rho = Fraction(rho)
+        self.sector = sector
 
     @property
     def b(self) -> int:
@@ -330,12 +326,10 @@ def mu_infty(window: Window, samples: int, seed: int = 0, workers: int = 1):
 # ---------------------------------------------------------------------------
 # exact point enumeration
 
-@dataclass(frozen=True)
-class PointCount:
-    n: Fraction
-    count: int
-    grazing: int                      # points exactly on the cap boundary
-    points: tuple | None = None       # lattice-coordinate tuples when kept
+class PointCount(namedtuple("PointCount", "n count grazing points", defaults=(None,))):
+    """The count at norm n, of which grazing lie exactly on the cap's
+    boundary, and the points as lattice-coordinate tuples when kept."""
+    __slots__ = ()
 
 
 def _majorant_matrix(window: Window):
@@ -736,27 +730,19 @@ def box_scan_count(gamma, n, window: Window, guard: int = 10 ** 7,
 # ---------------------------------------------------------------------------
 # the equidistribution experiment
 
-@dataclass(frozen=True)
-class CountReport:
-    n: Fraction
-    empirical: int
-    predicted: float
-    ratio: float
-    mu_infty_value: float
-    series_value: Fraction
-    prime_bound: int
-    grazing: int
+class CountReport(namedtuple("CountReport", "n empirical predicted ratio mu_infty_value "
+                                          "series_value prime_bound grazing")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ExperimentSummary:
-    reports: tuple[CountReport, ...]
-    skipped: tuple
-    mean_ratio: float | None                # None when every norm is skipped
-    first_half_mean: float | None           # None when the half is empty
-    second_half_mean: float | None
-    mu_infty: float                         # the closed form
-    mu_infty_mc: tuple[float, float] | None  # (estimate, standard error)
+class ExperimentSummary(namedtuple("ExperimentSummary", "reports skipped mean_ratio "
+                                                        "first_half_mean second_half_mean "
+                                                        "mu_infty mu_infty_mc")):
+    """The reports of the counted norms and the skipped ones.  mean_ratio is
+    None when every norm is skipped, a half's mean None when the half is
+    empty; mu_infty is the closed form and mu_infty_mc the Monte Carlo
+    (estimate, standard error), when run."""
+    __slots__ = ()
 
 
 def admissible_values(V: IntegerLattice, gamma, lo, hi):

@@ -12,8 +12,7 @@ and over Z_p the pieces the local densities count.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import isqrt
@@ -32,10 +31,8 @@ class LatticeError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Signature:
-    positive: int
-    negative: int
+class Signature(namedtuple("Signature", "positive negative")):
+    __slots__ = ()
 
     def __add__(self, other: "Signature") -> "Signature":
         return Signature(self.positive + other.positive, self.negative + other.negative)
@@ -45,7 +42,6 @@ class Signature:
         return self.positive + self.negative
 
 
-@dataclass(frozen=True)
 class IntegerLattice:
     """An even nondegenerate integral lattice given by its Gram matrix.
 
@@ -56,12 +52,8 @@ class IntegerLattice:
     equality.
     """
 
-    gram: tuple[tuple[int, ...], ...]
-    name: str | None = field(default=None, compare=False)
-
-    def __post_init__(self):
-        g = tuple(tuple(int(x) for x in row) for row in self.gram)
-        object.__setattr__(self, "gram", g)
+    def __init__(self, gram, name: str | None = None):
+        g = tuple(tuple(int(x) for x in row) for row in gram)
         n = len(g)
         if any(len(row) != n for row in g):
             raise LatticeError("gram matrix must be square")
@@ -74,7 +66,17 @@ class IntegerLattice:
         det = bareiss_det([list(r) for r in g]) if n else 1
         if det == 0:
             raise LatticeError("gram matrix is degenerate")
-        object.__setattr__(self, "_det", det)
+        self.gram = g
+        self.name = name
+        self._det = det
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.gram == other.gram
+
+    def __hash__(self):
+        return hash(self.gram)
 
     # -- basic data --------------------------------------------------------
 
@@ -119,6 +121,8 @@ class IntegerLattice:
     # -- serialization -----------------------------------------------------
 
     def to_json(self) -> str:
+        import json
+
         obj = {"gram": [list(r) for r in self.gram]}
         if self.name:
             obj["name"] = self.name
@@ -490,6 +494,8 @@ def lattice_from_json(text: str) -> IntegerLattice:
     Other keys are ignored, so files that still carry the ``blocks`` and
     ``hyperbolic_split`` keys of older versions load unchanged.
     """
+    import json
+
     obj = json.loads(text)
     if not isinstance(obj, dict) or "gram" not in obj:
         raise LatticeError("lattice file needs a 'gram' field")

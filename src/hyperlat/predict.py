@@ -10,7 +10,7 @@ above that it is read off the local densities, exact only when it fails.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import isqrt, lcm
@@ -52,27 +52,27 @@ class PredictInputError(PredictError, InputError):
     that fails the hypotheses."""
 
 
-@dataclass(frozen=True)
 class PredictionInput:
-    lattice: IntegerLattice
-    gamma: tuple
-    n: Fraction
-    mu_s: float
-    boundary_degrees: tuple = ()          # pairs (CuspDatum, degree)
-    prime_bound: int = 100
+    """A lattice of signature (2, b), checked on construction, a coset, a
+    norm, the mass mu(S) and the boundary degrees as pairs (CuspDatum,
+    degree)."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "n", Fraction(self.n))
-        _check_signature_2b(self.lattice, "predictions", PredictInputError)
+    def __init__(self, lattice: IntegerLattice, gamma: tuple, n, mu_s: float,
+                 boundary_degrees: tuple = (), prime_bound: int = 100):
+        self.n = Fraction(n)
+        _check_signature_2b(lattice, "predictions", PredictInputError)
+        self.lattice = lattice
+        self.gamma = gamma
+        self.mu_s = mu_s
+        self.boundary_degrees = boundary_degrees
+        self.prime_bound = prime_bound
 
 
-@dataclass(frozen=True)
-class PredictionResult:
-    value: Decimal
-    error_order: str
-    representable: bool
-    coefficient: object            # c(gamma, n); no series for n <= 0 or off the coset
-    prime_bound: int
+class PredictionResult(namedtuple("PredictionResult",
+                                  "value error_order representable coefficient prime_bound")):
+    """The main term; coefficient is c(gamma, n), with no series for n <= 0
+    or off the coset."""
+    __slots__ = ()
 
     @property
     def series(self):
@@ -156,11 +156,10 @@ def _pell_fundamental(d: int):
     return num, den2
 
 
-@dataclass(frozen=True)
-class RepresentabilityResult:
-    representable: bool
-    exact: bool                   # False: locally solvable, globally undecided
-    witness: tuple | None = None
+class RepresentabilityResult(namedtuple("RepresentabilityResult",
+                                        "representable exact witness", defaults=(None,))):
+    """exact is False when -n is locally solvable and globally undecided."""
+    __slots__ = ()
 
 
 def represents_on_coset(P: IntegerLattice, gamma, two_n) -> RepresentabilityResult:
@@ -306,15 +305,10 @@ def k3_sublattice(two_d: int | None = None, rows=None) -> tuple[IntegerLattice, 
         raise PredictInputError(f"sublattice rows are degenerate: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class K3Prediction:
-    p_lattice: IntegerLattice
-    v_lattice: IntegerLattice
-    rho: int
-    exponent: Fraction                 # n-exponent 10 - rho/2
-    prediction: PredictionResult
-    coset_representable: RepresentabilityResult
-    disc_match: bool
+class K3Prediction(namedtuple("K3Prediction", "p_lattice v_lattice rho exponent prediction "
+                                            "coset_representable disc_match")):
+    """exponent is the n-exponent 10 - rho/2."""
+    __slots__ = ()
 
 
 def _canonical_k3_complement(two_d: int) -> IntegerLattice:
@@ -374,12 +368,8 @@ def k3_predict(gamma, n, mu_s: float, two_d: int | None = None, rows=None,
     return K3Prediction(P, V, rho, exponent, pred, rep, disc_match)
 
 
-@dataclass(frozen=True)
-class CensusRow:
-    gamma: tuple
-    s: Fraction
-    prediction: float
-    representable_exact: bool
+class CensusRow(namedtuple("CensusRow", "gamma s prediction representable_exact")):
+    __slots__ = ()
 
 
 def elliptic_census_prediction(n_max, mu_s: float, two_d: int | None = None,

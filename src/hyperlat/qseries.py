@@ -8,8 +8,8 @@ level of the underlying finite quadratic module; coefficients are Fractions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from decimal import Decimal, localcontext
+from collections import namedtuple
+from decimal import localcontext
 from fractions import Fraction
 
 from .exactla import InputError, frac_mat_inv, short_vectors
@@ -31,7 +31,6 @@ _TRIVIAL_MODULE = FiniteQuadraticModule((), 1, (), ())
 THETA_NODE_GUARD = 10 ** 6
 
 
-@dataclass(frozen=True)
 class VectorQSeries:
     """A finite table of q-coefficients, complete up to truncation_order.
 
@@ -40,17 +39,17 @@ class VectorQSeries:
     side).  Scalar series live over the trivial module.
     """
 
-    module: FiniteQuadraticModule
-    denominator: int
-    coefficients: dict
-    truncation_order: Fraction
-
-    def __post_init__(self):
-        for (elt, e), c in self.coefficients.items():
-            if e > self.truncation_order:
+    def __init__(self, module: FiniteQuadraticModule, denominator: int, coefficients: dict,
+                 truncation_order: Fraction):
+        for (elt, e), c in coefficients.items():
+            if e > truncation_order:
                 raise QSeriesError("coefficient beyond the truncation order")
-            if (Fraction(e) * self.denominator).denominator != 1:
+            if (Fraction(e) * denominator).denominator != 1:
                 raise QSeriesError("exponent denominator does not divide N")
+        self.module = module
+        self.denominator = denominator
+        self.coefficients = coefficients
+        self.truncation_order = truncation_order
 
     def coefficient(self, elt, exponent) -> Fraction:
         e = Fraction(exponent)
@@ -147,11 +146,9 @@ def multiply(f, g: VectorQSeries) -> VectorQSeries:
 # ---------------------------------------------------------------------------
 # boundary coefficients
 
-@dataclass(frozen=True)
-class BoundaryCoefficient:
-    value: Decimal | Fraction    # Fraction when exact
-    exact: Fraction | None
-    prime_bound: int | None
+class BoundaryCoefficient(namedtuple("BoundaryCoefficient", "value exact prime_bound")):
+    """A Decimal value, or a Fraction equal to exact when it is exact."""
+    __slots__ = ()
 
     @property
     def approximate(self) -> bool:

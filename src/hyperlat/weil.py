@@ -9,7 +9,6 @@ Matrices are double precision; every identity is checked to 1e-9.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -31,26 +30,20 @@ class WeilGuardExceeded(WeilError, NodeGuardExceeded):
     """A module whose Weil matrices are too large to hold."""
 
 
-@dataclass(frozen=True)
 class WeilAction:
-    module: FiniteQuadraticModule
-    signature: Signature
-    dual: bool = False
-    _elements: tuple = field(init=False, compare=False, repr=False, default=None)
+    """The Weil representation of a module, or its dual, for a lattice of
+    the given signature; its elements are listed once, on construction."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "_elements", tuple(self.module.elements()))
+    def __init__(self, module: FiniteQuadraticModule, signature: Signature,
+                 dual: bool = False):
+        self.module = module
+        self.signature = signature
+        self.dual = dual
+        self.elements = tuple(module.elements())
+        self.dim = len(self.elements)
         if self.dim ** 2 > MATRIX_GUARD:
             raise WeilGuardExceeded(f"Weil matrices of a module of order {self.dim} have "
                                     f"{self.dim ** 2} entries each, past guard {MATRIX_GUARD}")
-
-    @property
-    def elements(self):
-        return self._elements
-
-    @property
-    def dim(self) -> int:
-        return len(self._elements)
 
 
 def _unit_roots(level: int) -> np.ndarray:

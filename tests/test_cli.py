@@ -1,3 +1,4 @@
+import functools
 import io
 import json
 import os
@@ -376,23 +377,44 @@ def test_predict_off_coset_n_with_boundary_prints_the_zero_row():
     assert "# u=0 degree=1" in out
 
 
-def _fresh_modules(code, *args):
+def _loaded_modules(code, *args, cwd=None):
     """Run code in a new interpreter that imports hyperlat from this checkout;
-    return the sorted numpy, mpmath and hyperlat.* modules it loaded."""
-    env = _checkout_env()
-    report = ("\nimport json, sys\nprint(json.dumps(sorted(m for m in sys.modules if m in "
-              "('numpy', 'mpmath') or m.startswith('hyperlat.'))))")
-    proc = subprocess.run([sys.executable, "-c", code + report, *args],
-                          capture_output=True, text=True, env=env, timeout=120)
+    return the sorted names in its sys.modules at the end, before the report
+    loads json."""
+    report = "\nloaded = sorted(sys.modules)\nimport json\nprint(json.dumps(loaded))"
+    proc = subprocess.run([sys.executable, "-c", "import sys\n" + code + report, *args],
+                          capture_output=True, text=True, env=_checkout_env(), cwd=cwd,
+                          timeout=120)
     assert proc.returncode == 0, proc.stderr
     return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+@functools.cache
+def _bare_modules():
+    return _loaded_modules("")
+
+
+def _new_modules(code, *args, cwd=None):
+    """The modules code loads that a bare interpreter has not: what ``site``
+    preloads (typing, on some installs) does not count."""
+    return _loaded_modules(code, *args, cwd=cwd) - _bare_modules()
+
+
+def _fresh_modules(code, *args):
+    """The numpy, mpmath and hyperlat.* modules that code loads."""
+    return {m for m in _new_modules(code, *args)
+            if m in ("numpy", "mpmath") or m.startswith("hyperlat.")}
 
 
 BASE_MODULES = {"hyperlat.cli", "hyperlat.exactla", "hyperlat.lattices"}
 
 
+# written by the test in the directory the command runs in
+LATTICE_FILE = "u_rank1_-4.json"
+
 LOAD_SETS = [
     (["lattice", "--lattice", "U+rank1(-4)"], set()),
+    (["lattice", "--lattice", LATTICE_FILE], set()),
     (["fqm", "--lattice", "rank1(-8)"], {"fqm"}),
     (["theta", "--lattice", "E8(-1)+rank1(-2)", "--order", "1"], {"fqm", "qseries"}),
     (["weil", "--lattice", "U+U+rank1(-2)"], {"fqm", "weil", "numpy"}),
@@ -415,15 +437,24 @@ LOAD_SETS = [
 
 
 @pytest.mark.parametrize("argv, loaded", LOAD_SETS,
-                         ids=[a[0] + "-p-rows" * ("--p-rows" in a) for a, _ in LOAD_SETS])
-def test_commands_load_only_what_they_use(argv, loaded):
+                         ids=[a[0] + "-p-rows" * ("--p-rows" in a) + "-file" * (LATTICE_FILE in a)
+                              for a, _ in LOAD_SETS])
+def test_commands_load_only_what_they_use(argv, loaded, tmp_path):
     # numpy costs about 145 ms of start-up; mpmath, which no command loads,
-    # about 40 ms
-    got = _fresh_modules("import io, sys\nfrom hyperlat.cli import main\n"
-                         "main(sys.argv[1:], out=io.StringIO())", *argv)
+    # about 40 ms.  Of the standard library, dataclasses costs about 6.5 ms
+    # with the inspect, ast, dis and tokenize it imports, and json about 1.7 ms
+    (tmp_path / LATTICE_FILE).write_text('{"gram": [[0, 1, 0], [1, 0, 0], [0, 0, -4]]}')
+    new = _new_modules("import io\nfrom hyperlat.cli import main\n"
+                       "main(sys.argv[1:], out=io.StringIO())", *argv, cwd=tmp_path)
+    got = {m for m in new if m in ("numpy", "mpmath") or m.startswith("hyperlat.")}
     want = BASE_MODULES | {m if m in ("numpy", "mpmath") else f"hyperlat.{m}"
                            for m in loaded}
     assert got == want
+    assert "dataclasses" not in new
+    # numpy imports inspect itself
+    assert "numpy" in new or "inspect" not in new
+    # only a lattice file is read as JSON
+    assert ("json" in new) == (LATTICE_FILE in argv)
 
 
 PUBLIC_NAMES = {
@@ -545,14 +576,14 @@ def test_discriminant_group_is_built_once_per_gram(argv, builds, monkeypatch):
     from hyperlat import fqm
 
     built = []
-    post_init = fqm.FiniteQuadraticModule.__post_init__
+    init = fqm.FiniteQuadraticModule.__init__
 
-    def counted(self):
-        post_init(self)
+    def counted(self, *args, **kwargs):
+        init(self, *args, **kwargs)
         if self.lattice is not None:
             built.append(self.lattice.gram)
 
-    monkeypatch.setattr(fqm.FiniteQuadraticModule, "__post_init__", counted)
+    monkeypatch.setattr(fqm.FiniteQuadraticModule, "__init__", counted)
     fqm.discriminant_group.cache_clear()
     run_cli(argv)
     assert len(built) == len(set(built)) == builds

@@ -398,7 +398,7 @@ def test_singular_series_checks_the_coset_once(v_lattice, monkeypatch):
     import hyperlat.densities as dens
 
     checks, splits = [], []
-    data, split = dens._count_data.__wrapped__, dens.count_solutions_split
+    data, split = dens._count_data, dens.count_solutions_split
     monkeypatch.setattr(dens, "_count_data", lambda *a: checks.append(a) or data(*a))
     monkeypatch.setattr(dens, "count_solutions_split",
                         lambda *a: splits.append(a) or split(*a))
@@ -539,7 +539,7 @@ def test_unimodular_primes_build_no_jordan_splitting(v_lattice):
     import hyperlat.densities as dens
 
     for cache in (jordan_splitting, dens._local_pieces, dens._reduced_count,
-                  dens._count_data):
+                  dens._coset_data):
         cache.cache_clear()
     for n in range(300, 331):
         singular_series(None, n, v_lattice, 100)

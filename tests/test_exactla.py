@@ -7,6 +7,7 @@ from math import lcm
 import pytest
 
 from hyperlat.exactla import (
+    _least_points,
     bareiss_det,
     floor_sqrt_fraction,
     frac_mat_inv,
@@ -226,6 +227,34 @@ def test_short_vectors_against_brute_force():
                 assert offset <= v <= rows.top
                 assert v == want[z] * rows.scale
         assert on_rows == Counter(want.keys())
+
+
+@pytest.mark.parametrize("lattice, orders", [
+    (e8(-1), (1, 3, 5)),
+    *[(direct_sum(*[rank1(-2)] * k), (1, 2, 5, 8)) for k in (1, 2, 3, 4, 6)],
+], ids=["E8(-1)"] + [f"<-2>^{k}" for k in (1, 2, 3, 4, 6)])
+def test_least_points_stays_below_the_walk(lattice, orders):
+    # the volume bound that refuses a guarded walk before it starts: at or
+    # below the walked count at every order, with or without a shift
+    a = [[-x for x in row] for row in lattice.gram]
+    _, d = gram_schmidt_ldl(lll_reduce_gram(a)[1])
+    r = len(a)
+    for order in orders:
+        for shift in (None, [Fraction(1, 2)] * r):
+            walked = sum(hi - lo + 1 for _, lo, hi, _, _ in ShortVectorRows(a, 2 * order, shift))
+            assert _least_points(d, 2 * order) <= walked
+    assert _least_points(d, 2 * orders[-1]) > 0
+
+
+def test_least_points_refuses_e8_at_order_40():
+    # E8(-1) to order 40 holds about 1.7 * 10^8 vectors, and the bound reads
+    # 3.8 * 10^7: past theta's guard of 10^6 candidates before the first is
+    # walked, where the walk took 3 s to reach the guard
+    a = [[-x for x in row] for row in e8(-1).gram]
+    _, d = gram_schmidt_ldl(lll_reduce_gram(a)[1])
+    assert _least_points(d, 80) > 10 ** 6
+    with pytest.raises(NodeGuardExceeded):
+        ShortVectorRows(a, 80, guard=10 ** 6)
 
 
 def test_short_vectors_guard_and_edges():
