@@ -11,6 +11,7 @@ determinant relation, Q-preservation, fiber sizes) is checked on the spot.
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd
 
@@ -23,7 +24,7 @@ from .exactla import (
     transpose,
     unimodular_inverse,
 )
-from .fqm import FiniteQuadraticModule, Subgroup, discriminant_group, orthogonal_subgroup, subgroup_generated
+from .fqm import discriminant_group, orthogonal_subgroup, subgroup_generated
 from .lattices import IntegerLattice
 
 _PLANE_SEARCH_GUARD = 10 ** 7
@@ -41,7 +42,9 @@ class CuspGuardExceeded(CuspError, NodeGuardExceeded):
     """A plane search whose box of coefficient vectors exceeds the guard."""
 
 
-class CuspDatum:
+class CuspDatum(namedtuple("CuspDatum", "ambient plane_basis sharp_basis imprimitivity "
+                           "kf_lattice kf_basis strongly_primitive ambient_disc kf_disc "
+                           "h_subgroup h_perp projection_to_kf")):
     """The data of one primitive isotropic plane I of V:
     - plane_basis: 2 x r, HNF-canonical
     - sharp_basis: a basis of I_Q cap the dual of V
@@ -51,25 +54,7 @@ class CuspDatum:
     - h_subgroup: I^#/I inside D(V), and h_perp its orthogonal
     - projection_to_kf: each element of h_perp to its residues in D(K_F)
     """
-
-    def __init__(self, ambient: IntegerLattice, plane_basis: tuple[tuple[int, ...], ...],
-                 sharp_basis: tuple[tuple[Fraction, ...], ...], imprimitivity: int,
-                 kf_lattice: IntegerLattice, kf_basis: tuple[tuple[int, ...], ...],
-                 strongly_primitive: bool, ambient_disc: FiniteQuadraticModule,
-                 kf_disc: FiniteQuadraticModule, h_subgroup: Subgroup, h_perp: Subgroup,
-                 projection_to_kf: dict):
-        self.ambient = ambient
-        self.plane_basis = plane_basis
-        self.sharp_basis = sharp_basis
-        self.imprimitivity = imprimitivity
-        self.kf_lattice = kf_lattice
-        self.kf_basis = kf_basis
-        self.strongly_primitive = strongly_primitive
-        self.ambient_disc = ambient_disc
-        self.kf_disc = kf_disc
-        self.h_subgroup = h_subgroup
-        self.h_perp = h_perp
-        self.projection_to_kf = projection_to_kf
+    __slots__ = ()
 
 
 def _is_isotropic_pair(g, rows) -> bool:

@@ -411,7 +411,8 @@ class ShortVectorRows:
     lo..hi, of values (offset + d0 (e k - centre)^2) / scale, whose
     numerators lie in [offset, top].  Raises NodeGuardExceeded past
     ``guard`` candidates, counted over all levels, and before the walk when
-    ``_least_points`` shows that the last level alone holds more.
+    ``_least_points`` shows that the last level alone holds more; so a guard
+    suits only a caller that reads the whole walk.
     """
 
     def __init__(self, a, bound, shift=None, guard=None):

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mod, mul
@@ -225,17 +226,11 @@ def discriminant_group(L: IntegerLattice) -> FiniteQuadraticModule:
 # ---------------------------------------------------------------------------
 # subgroups
 
-class Subgroup:
+class Subgroup(namedtuple("Subgroup", "module elements generators is_maximal_isotropic",
+                          defaults=((), None))):
     """A subgroup of a module: its sorted elements and the generators it
     was built from."""
-
-    def __init__(self, module: FiniteQuadraticModule, elements: tuple[tuple[int, ...], ...],
-                 generators: tuple[tuple[int, ...], ...] = (),
-                 is_maximal_isotropic: bool | None = None):
-        self.module = module
-        self.elements = elements
-        self.generators = generators
-        self.is_maximal_isotropic = is_maximal_isotropic
+    __slots__ = ()
 
     @property
     def order(self) -> int:

@@ -13,6 +13,7 @@ from __future__ import annotations
 from collections import namedtuple
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from itertools import islice
 from math import isqrt, lcm
 
 from .densities import (
@@ -23,7 +24,7 @@ from .densities import (
     in_coset_support,
     is_representable,
 )
-from .exactla import InputError, NodeGuardExceeded, mat_mul, short_vectors, transpose
+from .exactla import InputError, mat_mul, short_vectors, transpose
 from .fqm import discriminant_group
 from .lattices import (
     IntegerLattice,
@@ -40,7 +41,7 @@ from .lattices import (
     saturation_index,
 )
 
-RANK2_GUARD = 10 ** 7   # candidates of the bounded rank-2 representability search
+RANK2_GUARD = 10 ** 7   # points of the bounded rank-2 representability search
 
 
 class PredictError(ValueError):
@@ -167,7 +168,7 @@ def represents_on_coset(P: IntegerLattice, gamma, two_n) -> RepresentabilityResu
 
     Exact for rank 1 (square condition) and rank 2 (search bounded through
     the stable automorph of the Pell equation).  For higher rank, or past
-    RANK2_GUARD candidates, it is local solvability (``_local_answer``).
+    RANK2_GUARD points, it is local solvability (``_local_answer``).
     """
     two_n = Fraction(two_n)
     lift = _gamma_lift(P, gamma)
@@ -250,12 +251,14 @@ def _represents_rank2(P: IntegerLattice, lift, two_n):
     l0, l1 = (int(x * dl) for x in lift)
     (g00, g01), (_, g11) = P.gram
     target = two_n * dl * dl
-    try:
-        for (xz, yz), _ in short_vectors(majorant, bound, lift, RANK2_GUARD):
-            x, y = dl * xz + l0, dl * yz + l1
-            if g00 * x * x + 2 * g01 * x * y + g11 * y * y == target:
-                return RepresentabilityResult(True, True, (Fraction(x, dl), Fraction(y, dl)))
-    except NodeGuardExceeded:
+    # cut after RANK2_GUARD points, not guarded: a guarded walk refuses at
+    # once when the window holds more, but a witness may come early
+    points = short_vectors(majorant, bound, lift)
+    for (xz, yz), _ in islice(points, RANK2_GUARD):
+        x, y = dl * xz + l0, dl * yz + l1
+        if g00 * x * x + 2 * g01 * x * y + g11 * y * y == target:
+            return RepresentabilityResult(True, True, (Fraction(x, dl), Fraction(y, dl)))
+    if next(points, None) is not None:
         return _local_answer(P, lift, two_n)
     return RepresentabilityResult(False, True)
 

@@ -377,33 +377,28 @@ def test_predict_off_coset_n_with_boundary_prints_the_zero_row():
     assert "# u=0 degree=1" in out
 
 
+@functools.cache
 def _loaded_modules(code, *args, cwd=None):
     """Run code in a new interpreter that imports hyperlat from this checkout;
-    return the sorted names in its sys.modules at the end, before the report
-    loads json."""
+    return the names in its sys.modules at the end, before the report loads
+    json."""
     report = "\nloaded = sorted(sys.modules)\nimport json\nprint(json.dumps(loaded))"
     proc = subprocess.run([sys.executable, "-c", "import sys\n" + code + report, *args],
                           capture_output=True, text=True, env=_checkout_env(), cwd=cwd,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
-    return set(json.loads(proc.stdout.splitlines()[-1]))
-
-
-@functools.cache
-def _bare_modules():
-    return _loaded_modules("")
+    return frozenset(json.loads(proc.stdout.splitlines()[-1]))
 
 
 def _new_modules(code, *args, cwd=None):
     """The modules code loads that a bare interpreter has not: what ``site``
     preloads (typing, on some installs) does not count."""
-    return _loaded_modules(code, *args, cwd=cwd) - _bare_modules()
+    return _loaded_modules(code, *args, cwd=cwd) - _loaded_modules("")
 
 
-def _fresh_modules(code, *args):
-    """The numpy, mpmath and hyperlat.* modules that code loads."""
-    return {m for m in _new_modules(code, *args)
-            if m in ("numpy", "mpmath") or m.startswith("hyperlat.")}
+def _package_modules(modules):
+    """The numpy, mpmath and hyperlat.* modules among modules."""
+    return {m for m in modules if m in ("numpy", "mpmath") or m.startswith("hyperlat.")}
 
 
 BASE_MODULES = {"hyperlat.cli", "hyperlat.exactla", "hyperlat.lattices"}
@@ -446,7 +441,7 @@ def test_commands_load_only_what_they_use(argv, loaded, tmp_path):
     (tmp_path / LATTICE_FILE).write_text('{"gram": [[0, 1, 0], [1, 0, 0], [0, 0, -4]]}')
     new = _new_modules("import io\nfrom hyperlat.cli import main\n"
                        "main(sys.argv[1:], out=io.StringIO())", *argv, cwd=tmp_path)
-    got = {m for m in new if m in ("numpy", "mpmath") or m.startswith("hyperlat.")}
+    got = _package_modules(new)
     want = BASE_MODULES | {m if m in ("numpy", "mpmath") else f"hyperlat.{m}"
                            for m in loaded}
     assert got == want
@@ -488,8 +483,8 @@ PUBLIC_NAMES = {
 def test_package_names_resolve_lazily():
     import importlib
 
-    assert _fresh_modules("import hyperlat") == set()
-    assert _fresh_modules("from hyperlat import theta_series") == {
+    assert _package_modules(_new_modules("import hyperlat")) == set()
+    assert _package_modules(_new_modules("from hyperlat import theta_series")) == {
         "hyperlat.exactla", "hyperlat.fqm", "hyperlat.lattices", "hyperlat.qseries"}
     for module, names in PUBLIC_NAMES.items():
         source = importlib.import_module(f"hyperlat.{module}")
@@ -590,10 +585,10 @@ def test_discriminant_group_is_built_once_per_gram(argv, builds, monkeypatch):
 
 
 def test_predict_with_boundary_loads_no_numpy():
-    got = _fresh_modules("import io, sys\nfrom hyperlat.cli import main\n"
-                         "main(sys.argv[1:], out=io.StringIO())",
-                         "predict", "--lattice", "U+U+rank1(-8)", "--n", "4", "--mu-s", "1",
-                         "--prime-bound", "20", "--boundary", "0:1", "--cusp-bound", "1")
+    got = _package_modules(_new_modules(
+        "import io, sys\nfrom hyperlat.cli import main\nmain(sys.argv[1:], out=io.StringIO())",
+        "predict", "--lattice", "U+U+rank1(-8)", "--n", "4", "--mu-s", "1",
+        "--prime-bound", "20", "--boundary", "0:1", "--cusp-bound", "1"))
     assert "numpy" not in got and "hyperlat.cusps" in got
 
 

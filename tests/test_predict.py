@@ -192,6 +192,20 @@ def test_rank2_past_the_guard_agrees_with_brute(monkeypatch):
     assert exact
 
 
+def test_rank2_witness_before_the_cut_is_exact(monkeypatch):
+    # x^2 - 2 y^2: by volume the windows of 2n = 2 and -4 hold at least 4965
+    # and 7498 points, past a cut of 2000, but their walks meet a witness at
+    # points 1423 and 1892; the first witness of 2n = 14 is at point 6653
+    monkeypatch.setattr(predict, "RANK2_GUARD", 2000)
+    P = direct_sum(rank1(2), rank1(-4))
+    for two_n in (2, -4):
+        r = represents_on_coset(P, None, two_n)
+        assert r.representable and r.exact
+        x, y = r.witness
+        assert 2 * x * x - 4 * y * y == two_n
+    assert represents_on_coset(P, None, 14) == RepresentabilityResult(True, False)
+
+
 def test_rank2_representability_vs_brute():
     P = direct_sum(rank1(2), rank1(-4))  # x^2 - 2 y^2
 
