@@ -38,8 +38,8 @@ _EXPORTS = {
     ),
     "densities": (
         "DensityError", "EisensteinCoefficient", "GuardExceeded",
-        "LocalDensityReport", "SingularSeries", "StabilizationError",
-        "count_solutions_naive", "count_solutions_split",
+        "LocalDensityReport", "PredictionResult", "SingularSeries",
+        "StabilizationError", "count_solutions_naive", "count_solutions_split",
         "eisenstein_coefficient", "is_representable", "local_density",
         "singular_series",
     ),
@@ -54,10 +54,10 @@ _EXPORTS = {
         "mu_infty", "mu_infty_closed", "splitting_frame", "unit_sphere_area",
     ),
     "predict": (
-        "K3Prediction", "PredictError", "PredictionInput", "PredictionResult",
+        "K3Prediction", "PredictError", "PredictionInput",
         "RepresentabilityResult", "degree_prediction",
         "elliptic_census_prediction", "k3_lattices", "k3_predict",
-        "k3_sublattice", "predict_count", "represents_on_coset",
+        "k3_sublattice", "represents_on_coset",
     ),
 }
 # public name -> the submodule that defines it

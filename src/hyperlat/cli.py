@@ -198,7 +198,10 @@ def cmd_eis(args, out):
     L = parse_lattice_spec(args.lattice)
     gamma = parse_gamma(args.gamma, L)
     D = discriminant_group(L)
-    gamma_index = D.elements().index(gamma)
+    # gamma's place in D.elements() by mixed radix, the last residue fastest
+    gamma_index = 0
+    for g, d in zip(gamma, D.invariant_factors):
+        gamma_index = gamma_index * d + g
     frac = (-D.q_value(gamma)) % 1
     n = frac if frac > 0 else Fraction(1)
     # every row is computed before the first line is printed, so a refused
@@ -258,7 +261,7 @@ def cmd_count(args, out):
 
 
 def cmd_predict(args, out):
-    from .predict import PredictionInput, degree_prediction, predict_count
+    from .predict import PredictionInput, degree_prediction
 
     L = parse_lattice_spec(args.lattice)
     gamma = parse_gamma(args.gamma, L)
@@ -283,8 +286,7 @@ def cmd_predict(args, out):
     inp = PredictionInput(L, gamma, parse_fraction(args.n, "--n"), args.mu_s,
                           boundary_degrees=boundary,
                           prime_bound=args.prime_bound)
-    # only the boundary terms need theta series, so only they load qseries
-    result, rows = degree_prediction(inp) if boundary else (predict_count(inp), [])
+    result, rows = degree_prediction(inp)
     print(_header(args, ["lattice", "gamma", "n", "mu_s", "prime_bound",
                          "boundary"]), file=out)
     print("value,error_order,representable", file=out)

@@ -1,4 +1,5 @@
-"""Siegel local densities, the singular series, and Eisenstein coefficients.
+"""Siegel local densities, the singular series, Eisenstein coefficients and
+the main term of a point count.
 
 Counts N(gamma, n, L, a) = #{alpha in L/aL : Q(alpha+gamma) + n = 0 mod a}
 are computed exactly: a slow exhaustive counter, and a fast path that finds
@@ -504,7 +505,7 @@ def singular_series(gamma, n, V: IntegerLattice, prime_bound: int) -> SingularSe
 
 
 # ---------------------------------------------------------------------------
-# Eisenstein coefficients
+# Eisenstein coefficients and the main term
 
 def _check_signature_2b(V: IntegerLattice, what: str, error) -> None:
     """Raise error unless V has signature (2, b) with b >= 3."""
@@ -557,16 +558,21 @@ class EisensteinCoefficient(namedtuple("EisensteinCoefficient",
         return float(self.value)
 
 
+def sphere_area(dim: int) -> Decimal:
+    """|S^dim| = 2 pi^((dim+1)/2) / Gamma((dim+1)/2), in decimal at the current precision."""
+    g, e = gamma_half_integer(dim + 1)
+    return decimal_of(2 / g) * PI ** ((dim + 1 - e) // 2)
+
+
 def eisenstein_coefficient(gamma, n, V: IntegerLattice,
                            prime_bound: int) -> EisensteinCoefficient:
     """Fourier coefficient of the weight 1 + b/2 Eisenstein vector.
 
-    The constant term at (0, 0) is exactly 2.  For n > 0 the archimedean
-    constant (Gamma at half integers through the exact factorial ladder)
-    times the truncated singular series is evaluated in decimal to 50
-    digits; the result carries an approximate flag because of the
-    truncation.  For n < 0 and
-    off the support n in -Q(gamma) + Z the coefficient is exactly 0.
+    The constant term at (0, 0) is exactly 2.  For n > 0 it is
+    -2 |S^(b+1)| (2n)^(b/2) / sqrt|D| times the truncated singular series,
+    evaluated in decimal to 50 digits; the result carries an approximate
+    flag because of the truncation.  For n < 0 and off the support
+    n in -Q(gamma) + Z the coefficient is exactly 0.
     """
     n = Fraction(n)
     lift = _gamma_lift(V, gamma)
@@ -579,17 +585,46 @@ def eisenstein_coefficient(gamma, n, V: IntegerLattice,
     _check_signature_2b(V, "Eisenstein coefficients", DensityInputError)
     b = V.rank - 2
     ss = singular_series(lift, n, V, prime_bound)
-    gamma_rat, sqrt_pi = gamma_half_integer(b + 2)
-    # 2^(2+b/2) pi^((2+b-e)/2) n^(b/2) / (sqrt|D| Gamma(1+b/2)) times the
-    # product: a rational, an integer power of pi and the root of a rational
-    rational = 2 ** (2 + b // 2) * n ** (b // 2) / gamma_rat * ss.truncated_product
+    # 2 (2n)^(b/2) / sqrt|D| times the product: a rational and the root of one
+    rational = 2 ** (1 + b // 2) * n ** (b // 2) * ss.truncated_product
     radicand = (2 * n) ** (b % 2) / abs(V.det)
     with localcontext() as ctx:
         ctx.prec = 50
         # the magnitude is negated last, so a product of 0 gives +0, not -0
-        value = -(decimal_of(rational) * PI ** ((2 + b - sqrt_pi) // 2)
+        value = -(decimal_of(rational) * sphere_area(b + 1)
                   * decimal_of(radicand).sqrt())
     return EisensteinCoefficient(value, None, ss, prime_bound)
+
+
+class PredictionResult(namedtuple("PredictionResult",
+                                  "value error_order representable coefficient prime_bound")):
+    """The main term; coefficient is c(gamma, n), with no series for n <= 0
+    or off the coset."""
+    __slots__ = ()
+
+    @property
+    def series(self):
+        return self.coefficient.series
+
+    def __float__(self):
+        return float(self.value)
+
+
+def main_term(V: IntegerLattice, gamma, n, mu_s, prime_bound: int) -> PredictionResult:
+    """-(mu(S)/2) c(gamma, n), the count predicted in a region of mass mu(S);
+    exactly 0, and not representable, when c(gamma, n) has no series or its
+    product is 0.  As c(gamma, n) = -2 |S^(b+1)| (2n)^(b/2) / sqrt|D| Pi, the
+    main term of a cap's mass ``hyperboloid.window_mass`` is |S^(b+1)| mu(S)
+    (2^(b/2) / sqrt|D|) n^(b/2) Pi = mu_infty_closed n^(b/2) Pi: |S^(b+1)|
+    mu(S) is mu_a0_closed, and 2^(b/2) / sqrt|D| is half the lattice Jacobian."""
+    error_order = f"O(n^((2+b)/4+eps)) = O(n^({Fraction(V.rank, 4)}+eps)) for projective bases"
+    c = eisenstein_coefficient(gamma, n, V, prime_bound)
+    if c.series is None or c.series.truncated_product == 0:
+        return PredictionResult(Decimal(0), error_order, False, c, prime_bound)
+    with localcontext() as ctx:
+        ctx.prec = 50
+        val = -(c.value * decimal_of(mu_s)) / 2
+    return PredictionResult(val, error_order, True, c, prime_bound)
 
 
 # ---------------------------------------------------------------------------
@@ -597,8 +632,7 @@ def eisenstein_coefficient(gamma, n, V: IntegerLattice,
 
 def in_coset_support(gamma, n, V: IntegerLattice) -> bool:
     """Whether n lies in -Q(gamma) + Z, the norms the coset gamma + V takes."""
-    lift = _gamma_lift(V, gamma)
-    return (V.q_of(lift) + Fraction(n)).denominator == 1
+    return (_coset_data(V.gram, _gamma_lift(V, gamma))[1] + Fraction(n)).denominator == 1
 
 
 def is_representable(gamma, n, V: IntegerLattice) -> bool:

@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from array import array
 from collections import namedtuple
-from decimal import localcontext
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import lcm
 from operator import mul
@@ -50,13 +50,7 @@ from .exactla import (
     smith_normal_form,
     transpose,
 )
-from .densities import (
-    PI,
-    _gamma_lift,
-    decimal_of,
-    gamma_half_integer,
-    singular_series,
-)
+from .densities import _gamma_lift, decimal_of, main_term, sphere_area
 from .lattices import IntegerLattice, gram_components, jordan_splitting
 
 SHELL_EPS = 1e-3        # half-thickness of mu_infty's Monte Carlo shell
@@ -193,34 +187,33 @@ class Window:
 # ---------------------------------------------------------------------------
 # invariant measures: closed forms, and Monte Carlo as their oracle
 
-def _closed_mass(window: Window, scale: float = 1.0) -> float:
-    """scale * 2 pi s |S^(b-1)| ((rho^2 + 1)^(b/2) - 1) / b, evaluated in
-    decimal at 30 digits and rounded once.  With Gamma(b/2) = g pi^(e/2),
-    |S^(b-1)| = 2 pi^(b/2) / Gamma(b/2) = 2 pi^((b-e)/2) / g."""
+def window_mass(window: Window) -> Decimal:
+    """mu_S(window) = s ((rho^2 + 1)^(b/2) - 1), s the sector fraction, in
+    decimal at 50 digits: the mass ``densities.main_term`` predicts from.
+    On each sheet the chart integrand of ``mu_a0``, averaged over the negative
+    directions, is (|S^(b-1)|/2) (|a|^2 + 1)^((b-2)/2) over the disc |a| <= rho,
+    so mu_a0 = 2 pi |S^(b-1)| mu_S / b = |S^(b+1)| mu_S."""
     b = window.b
     if b < 2:
         raise HyperboloidError("measures want b >= 2")
-    g, e = gamma_half_integer(b)
     r2 = window.rho ** 2 + 1
     with localcontext() as ctx:
-        ctx.prec = 30
+        ctx.prec = 50
         growth = decimal_of(r2 ** (b // 2))
         if b % 2:
             growth *= decimal_of(r2).sqrt()
-        mass = (decimal_of(4 / (g * b)) * PI ** (1 + (b - e) // 2)
-                * decimal_of(window.sector_fraction()) * (growth - 1)
-                * decimal_of(scale))
-        return float(mass)
+        return decimal_of(window.sector_fraction()) * (growth - 1)
+
+
+def _closed_mass(window: Window, scale: float = 1.0) -> float:
+    """scale |S^(b+1)| mu_S(window), in decimal at 30 digits, rounded once."""
+    with localcontext() as ctx:
+        ctx.prec = 30
+        return float(sphere_area(window.b + 1) * window_mass(window) * decimal_of(scale))
 
 
 def mu_a0_closed(window: Window) -> float:
-    """mu_a0 of the window in closed form.
-
-    Averaged over the negative directions, the chart integrand of ``mu_a0``
-    on each sheet is (|S^(b-1)|/2) (|a|^2 + 1)^((b-2)/2) over the disc
-    |a| <= rho, so the mass is 2 pi s |S^(b-1)| ((rho^2 + 1)^(b/2) - 1) / b,
-    s the sector fraction.
-    """
+    """mu_a0 of the window in closed form, |S^(b+1)| mu_S(window)."""
     return _closed_mass(window)
 
 
@@ -758,15 +751,14 @@ def equidistribution_run(V: IntegerLattice, gamma, window: Window,
                          workers: int = 1) -> ExperimentSummary:
     """Empirical vs predicted counts over a range of admissible n.
 
-    predicted(n) = mu_infty(window) * n^(b/2) * truncated singular series,
-    with mu_infty in closed form.  One singular series per n: an n whose
+    predicted(n) = main_term(V, gamma, n, window_mass(window)), which is
+    mu_infty_closed(window) * n^(b/2) * truncated singular series: an n whose
     product is 0 is not locally representable and is skipped with a note.
     With samples > 0 the Monte Carlo estimate of mu_infty is run from the
     seed as a cross-check and carried in the summary; it enters no
     prediction.  Counts are exact, all from one ``count_range`` call.
     """
-    b = V.rank - 2
-    if b < 3:
+    if V.rank < 5:
         raise HyperboloidInputError("the experiment wants signature (2, b) with b >= 3, "
                                     f"got rank {V.rank}")
     lift = _gamma_lift(V, gamma)
@@ -776,23 +768,24 @@ def equidistribution_run(V: IntegerLattice, gamma, window: Window,
                                     f"{-V.q_of(lift) % 1} + Z")
     if window.rho == 0:
         raise HyperboloidInputError("the experiment wants rho > 0: a cap of radius 0 predicts 0")
+    if norms[0] <= 0:
+        raise HyperboloidInputError(f"the norm n must be > 0, got {norms[0]}")
     mu_val = mu_infty_closed(window)
-    mc = (mu_infty(window, samples, seed=seed, workers=workers)
-          if samples > 0 else None)
-    products = {}
-    skipped = []
+    mc = mu_infty(window, samples, seed=seed, workers=workers) if samples > 0 else None
+    mass = window_mass(window)
+    predictions, skipped = {}, []
     for n in norms:
-        product = singular_series(lift, n, V, prime_bound).truncated_product
-        if product:
-            products[n] = product
+        term = main_term(V, lift, n, mass, prime_bound)
+        if term.representable:
+            # two numbers per norm: holding each series costs ~9 kB
+            predictions[n] = float(term), term.series.truncated_product
         else:
             skipped.append((n, "not locally representable"))
     reports = []
-    for pc in count_range(lift, list(products), window):
-        n, product = pc.n, products[pc.n]
-        predicted = mu_val * float(n) ** (b / 2) * float(product)
+    for pc in count_range(lift, list(predictions), window):
+        predicted, product = predictions[pc.n]
         ratio = pc.count / predicted if predicted else math.inf
-        reports.append(CountReport(n, pc.count, predicted, ratio, mu_val,
+        reports.append(CountReport(pc.n, pc.count, predicted, ratio, mu_val,
                                    product, prime_bound, pc.grazing))
     ratios = [r.ratio for r in reports]
     mean = sum(ratios) / len(ratios) if ratios else None

@@ -1,11 +1,14 @@
 """Prediction calculators: expected point counts, boundary-corrected degrees,
 and the K3-lattice specializations.
 
-The main term is mu(S) (2 pi)^(1+b/2) n^(b/2) / (sqrt|D| Gamma(1+b/2)) times
-the truncated singular series; geometric inputs (the mass mu(S), boundary
-degrees) are user-supplied scalars.  Representability of a norm on a coset
-of a Lorentzian sublattice is exact in ranks 1 and 2 (Pell-bounded search);
-above that it is read off the local densities, exact only when it fails.
+The main term -(mu(S)/2) c(gamma, n) is ``densities.main_term``, which the
+``count``, ``predict`` and ``k3`` commands share: mu(S) |S^(b+1)| (2n)^(b/2)
+/ sqrt|D| times the truncated singular series.  Here the mass mu(S) and the
+boundary degrees are user-supplied scalars; for a cap of the hyperboloid,
+``count`` takes mu(S) = s ((1 + rho^2)^(b/2) - 1), s the sector fraction.
+Representability of a norm on a coset of a Lorentzian sublattice is exact in
+ranks 1 and 2 (Pell-bounded search); above that it is read off the local
+densities, exact only when it fails.
 """
 
 from __future__ import annotations
@@ -17,12 +20,13 @@ from itertools import islice
 from math import isqrt, lcm
 
 from .densities import (
+    PredictionResult,
     _check_signature_2b,
     _gamma_lift,
     decimal_of,
-    eisenstein_coefficient,
     in_coset_support,
     is_representable,
+    main_term,
 )
 from .exactla import InputError, mat_mul, short_vectors, transpose
 from .fqm import discriminant_group
@@ -69,51 +73,19 @@ class PredictionInput:
         self.prime_bound = prime_bound
 
 
-class PredictionResult(namedtuple("PredictionResult",
-                                  "value error_order representable coefficient prime_bound")):
-    """The main term; coefficient is c(gamma, n), with no series for n <= 0
-    or off the coset."""
-    __slots__ = ()
-
-    @property
-    def series(self):
-        return self.coefficient.series
-
-    def __float__(self):
-        return float(self.value)
-
-
-def main_term(V: IntegerLattice, gamma, n, mu_s: float,
-              prime_bound: int) -> PredictionResult:
-    """-(mu(S)/2) c(gamma, n): mu(S) (2 pi)^(1+b/2) n^(b/2) / (sqrt|D|
-    Gamma(1+b/2)) times the truncated singular series; exactly 0, and not
-    representable, when c(gamma, n) has no series or its product is 0."""
-    b = V.rank - 2
-    error_order = f"O(n^((2+b)/4+eps)) = O(n^({Fraction(2 + b, 4)}+eps)) for projective bases"
-    c = eisenstein_coefficient(gamma, n, V, prime_bound)
-    if c.series is None or c.series.truncated_product == 0:
-        return PredictionResult(Decimal(0), error_order, False, c, prime_bound)
-    with localcontext() as ctx:
-        ctx.prec = 50
-        val = -(c.value * decimal_of(mu_s)) / 2
-    return PredictionResult(val, error_order, True, c, prime_bound)
-
-
-def predict_count(inp: PredictionInput) -> PredictionResult:
-    return main_term(inp.lattice, inp.gamma, inp.n, inp.mu_s, inp.prime_bound)
-
-
 def degree_prediction(inp: PredictionInput):
     """Main term plus the boundary corrections sum_F u(gamma, n, F) deg_F.
 
     Strongly primitive cusps are annotated with the sharper error order
     n^(b/2 - 1 + eps).  Returns (PredictionResult, list of per-cusp rows).
     """
+    base = main_term(inp.lattice, inp.gamma, inp.n, inp.mu_s, inp.prime_bound)
+    if not inp.boundary_degrees:
+        return base, []
+    # only the boundary terms need theta series, so only they load qseries
     from . import qseries
 
-    base = predict_count(inp)
     rows = []
-    c = base.coefficient
     b = inp.lattice.rank - 2
     theta_order = max(Fraction(inp.n), Fraction(0))
     thetas = {}   # one theta series per distinct K_F
@@ -121,7 +93,7 @@ def degree_prediction(inp: PredictionInput):
         key = datum.kf_lattice.gram
         if key not in thetas:
             thetas[key] = qseries.theta_series(datum.kf_lattice, theta_order)
-        u = qseries.u_coeff(inp.gamma, inp.n, datum, c, theta=thetas[key])
+        u = qseries.u_coeff(inp.gamma, inp.n, datum, base.coefficient, theta=thetas[key])
         order = (f"O(n^({Fraction(b, 2) - 1}+eps))" if datum.strongly_primitive
                  else f"O(n^({Fraction(b, 2)}))")
         rows.append({"cusp": datum, "degree": degree, "u": u,
@@ -130,8 +102,7 @@ def degree_prediction(inp: PredictionInput):
         ctx.prec = 50
         total = base.value + sum(decimal_of(row["u"].value) * row["degree"]
                                  for row in rows)
-    return PredictionResult(total, base.error_order, base.representable,
-                            base.coefficient, inp.prime_bound), rows
+    return base._replace(value=total), rows
 
 
 # ---------------------------------------------------------------------------

@@ -197,11 +197,11 @@ def u_coeff(gamma, n, F, c, theta=None) -> BoundaryCoefficient:
     agn = _a_from_theta(theta, gamma, n, F)
     if c.exact is not None:
         val = Fraction(c.exact, 2) * a00 - agn
-        return BoundaryCoefficient(val, val, getattr(c, "prime_bound", None))
+        return BoundaryCoefficient(val, val, c.prime_bound)
     from .densities import decimal_of   # loaded already: c came from it
 
     # the two terms nearly cancel, so both are taken at 50 digits
     with localcontext() as ctx:
         ctx.prec = 50
         val = c.value / 2 * decimal_of(a00) - decimal_of(agn)
-    return BoundaryCoefficient(val, None, getattr(c, "prime_bound", None))
+    return BoundaryCoefficient(val, None, c.prime_bound)

@@ -91,6 +91,23 @@ def test_eis_contents():
     assert "2=35/32" in fields[5]
 
 
+def test_eis_indexes_a_group_too_large_to_list():
+    # |D| = 20002 is past the listing guard; predict and count run on it too
+    out = run_cli(["eis", "--lattice", "U+U+rank1(-20002)", "--nmax", "2",
+                   "--prime-bound", "10"])
+    rows = out.splitlines()[2:]
+    assert len(rows) == 2 and all(r.split(",")[0] == "0" for r in rows)
+
+
+@pytest.mark.parametrize("spec", ["U+U+rank1(-8)", "U+U+rank1(-2)+rank1(-4)"])
+def test_eis_gamma_index_is_the_place_in_elements(spec):
+    D = parse_lattice_spec(spec).discriminant_group()
+    for i, gamma in enumerate(D.elements()):
+        out = run_cli(["eis", "--lattice", spec, "--gamma", ",".join(map(str, gamma)),
+                       "--nmax", "1", "--prime-bound", "5"])
+        assert {r.split(",")[0] for r in out.splitlines()[2:]} == {str(i)}
+
+
 def test_count_determinism_and_format():
     args = ["count", "--lattice", "U+U+rank1(-2)", "--rho", "1",
             "--nmin", "30", "--nmax", "34", "--seed", "11",
@@ -465,7 +482,7 @@ PUBLIC_NAMES = {
     "qseries": "BoundaryCoefficient QSeriesError VectorQSeries a_coeff e2_series multiply "
                "theta_series u_coeff",
     "densities": "DensityError EisensteinCoefficient GuardExceeded LocalDensityReport "
-                 "SingularSeries StabilizationError count_solutions_naive "
+                 "PredictionResult SingularSeries StabilizationError count_solutions_naive "
                  "count_solutions_split eisenstein_coefficient is_representable "
                  "local_density singular_series",
     "cusps": "CuspDatum CuspError cusp_datum find_isotropic_planes isotropic_planes "
@@ -474,9 +491,9 @@ PUBLIC_NAMES = {
                    "admissible_values box_scan_count count_range enumerate_points "
                    "equidistribution_run mu_a0 mu_a0_closed mu_infty mu_infty_closed "
                    "splitting_frame unit_sphere_area",
-    "predict": "K3Prediction PredictError PredictionInput PredictionResult "
-               "RepresentabilityResult degree_prediction elliptic_census_prediction "
-               "k3_lattices k3_predict k3_sublattice predict_count represents_on_coset",
+    "predict": "K3Prediction PredictError PredictionInput RepresentabilityResult "
+               "degree_prediction elliptic_census_prediction k3_lattices k3_predict "
+               "k3_sublattice represents_on_coset",
 }
 
 

@@ -19,9 +19,16 @@ from hyperlat.densities import (
     gamma_half_integer,
     singular_series,
 )
-from hyperlat.hyperboloid import Window, mu_a0_closed, mu_infty_closed, splitting_frame
+from hyperlat.densities import main_term
+from hyperlat.hyperboloid import (
+    Window,
+    equidistribution_run,
+    mu_a0_closed,
+    mu_infty_closed,
+    splitting_frame,
+    window_mass,
+)
 from hyperlat.lattices import IntegerLattice, direct_sum, e8, hyperbolic_plane, rank1
-from hyperlat.predict import main_term
 
 U = hyperbolic_plane()
 A2 = IntegerLattice(((-2, 1), (1, -2)))
@@ -97,6 +104,43 @@ def test_eisenstein_and_main_term_match_mpmath(name):
             assert float(pred.value) == float(main_old)
         else:
             assert not pred.representable and pred.value == 0
+
+
+# b = 3, 4, 5, 10 and 19, the last the K3 complement at 2d = 2
+ORACLE_LATTICES = [
+    direct_sum(U, U, rank1(-2)),
+    direct_sum(U, U, rank1(-2), rank1(-2)),
+    direct_sum(U, U, rank1(-2), rank1(-4), rank1(-6)),
+    direct_sum(U, U, e8(-1)),
+    direct_sum(rank1(-2), U, U, e8(-1), e8(-1)),
+]
+
+
+def _old_prediction(window, n, product):
+    """The prediction count made before it shared main_term."""
+    return mu_infty_closed(window) * float(n) ** (window.b / 2) * float(product)
+
+
+@pytest.mark.parametrize("V", ORACLE_LATTICES, ids=lambda V: f"b={V.rank - 2}")
+def test_main_term_of_the_window_mass_is_the_old_prediction(V):
+    frame = splitting_frame(V)
+    windows = [Window(frame, rho) for rho in (1, Fraction(3, 2), Fraction(1, 3))]
+    windows.append(Window(frame, 1, (0.3, 2.1)))
+    for n in (1, 2, 3):
+        for window in windows:
+            term = main_term(V, None, n, window_mass(window), PRIME_BOUND)
+            old = _old_prediction(window, n, term.series.truncated_product)
+            assert term.representable and float(term) == pytest.approx(old, rel=1e-12)
+
+
+def test_count_predicts_the_old_prediction():
+    V = LATTICES["U+U+<-2>"]
+    window = Window(splitting_frame(V), Fraction(3, 2))
+    summary = equidistribution_run(V, None, window, 1, 8, prime_bound=PRIME_BOUND)
+    assert len(summary.reports) == 8
+    for r in summary.reports:
+        assert r.predicted == pytest.approx(_old_prediction(window, r.n, r.series_value),
+                                            rel=1e-12)
 
 
 def _arccot(x: int, unity: int) -> int:

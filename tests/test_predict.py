@@ -17,7 +17,7 @@ from hyperlat.predict import (
     elliptic_census_prediction,
     k3_predict,
     k3_sublattice,
-    predict_count,
+    main_term,
     represents_on_coset,
     _local_answer,
     _pell_fundamental,
@@ -26,16 +26,14 @@ from hyperlat.predict import (
 
 def test_predict_equals_minus_half_c(v_lattice):
     for n, gamma in [(1, (0,)), (2, (0,)), (Fraction(9, 4), (1,))]:
-        inp = PredictionInput(v_lattice, gamma, n, 1.0, prime_bound=40)
-        pred = predict_count(inp)
+        pred = main_term(v_lattice, gamma, n, 1.0, 40)
         c = eisenstein_coefficient(gamma, n, v_lattice, 40)
         assert abs(float(pred) + float(c) / 2) < 1e-20 * max(1, abs(float(c)))
 
 
 def test_predict_formula_value(v_lattice):
     # mu_S = 1, n = 1: (2 pi)^{5/2} / (sqrt(2) Gamma(5/2)) times the product
-    inp = PredictionInput(v_lattice, (0,), 1, 1.0, prime_bound=40)
-    pred = predict_count(inp)
+    pred = main_term(v_lattice, (0,), 1, 1.0, 40)
     g52 = 3 * math.sqrt(math.pi) / 4
     manual = (2 * math.pi) ** 2.5 / (math.sqrt(2) * g52) \
         * float(pred.series.truncated_product)
@@ -43,31 +41,29 @@ def test_predict_formula_value(v_lattice):
 
 
 def test_predict_not_representable(v_lattice):
-    inp = PredictionInput(v_lattice, (1,), 1, 1.0)  # 1 not in 1/4 + Z
-    pred = predict_count(inp)
+    pred = main_term(v_lattice, (1,), 1, 1.0, 100)  # 1 not in 1/4 + Z
     assert float(pred) == 0 and not pred.representable
 
 
 def test_predict_zero_where_a_local_density_vanishes():
     # -1 is not a value of x^2 + 3y^2 - 3(z^2 + w^2 + v^2) over Z_3
     V = direct_sum(rank1(2), rank1(6), rank1(-6), rank1(-6), rank1(-6))
-    pred = predict_count(PredictionInput(V, None, 1, 1.0, prime_bound=30))
+    pred = main_term(V, None, 1, 1.0, 30)
     assert not pred.representable and pred.value == 0
     assert pred.coefficient is not None
     assert pred.series.truncated_product == 0 and pred.series.factors[3].density == 0
-    assert predict_count(PredictionInput(V, None, 2, 1.0, prime_bound=30)).representable
+    assert main_term(V, None, 2, 1.0, 30).representable
 
 
 def test_predict_scales_with_mass(v_lattice):
-    one = predict_count(PredictionInput(v_lattice, (0,), 2, 1.0, prime_bound=30))
-    three = predict_count(PredictionInput(v_lattice, (0,), 2, 3.0, prime_bound=30))
+    one = main_term(v_lattice, (0,), 2, 1.0, 30)
+    three = main_term(v_lattice, (0,), 2, 3.0, 30)
     assert float(three) == pytest.approx(3 * float(one), rel=1e-12)
 
 
 def test_degree_prediction_reduces_to_main_term(v_lattice):
-    inp = PredictionInput(v_lattice, (0,), 1, 1.0, prime_bound=30)
-    base = predict_count(inp)
-    full, rows = degree_prediction(inp)
+    base = main_term(v_lattice, (0,), 1, 1.0, 30)
+    full, rows = degree_prediction(PredictionInput(v_lattice, (0,), 1, 1.0, prime_bound=30))
     assert rows == []
     assert float(full) == float(base)
 
@@ -76,7 +72,7 @@ def test_degree_prediction_boundary(v_lattice):
     F = cusp_datum(v_lattice, [[1, 0, 0, 0, 0], [0, 0, 1, 0, 0]])
     inp = PredictionInput(v_lattice, (0,), 1, 1.0,
                           boundary_degrees=((F, 1),), prime_bound=30)
-    base = predict_count(inp)
+    base = main_term(v_lattice, (0,), 1, 1.0, 30)
     full, rows = degree_prediction(inp)
     assert len(rows) == 1
     u = rows[0]["u"]
