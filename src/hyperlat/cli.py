@@ -175,15 +175,13 @@ def cmd_cusp(args, out):
 
 
 def cmd_density(args, out):
-    from .densities import is_prime, local_density
+    from .densities import local_density
 
     L = parse_lattice_spec(args.lattice)
     gamma = parse_gamma(args.gamma, L)
     n = parse_fraction(args.n, "--n")
-    if not is_prime(args.prime):
-        raise argparse.ArgumentTypeError(f"--prime wants a prime, got {args.prime}")
-    rep = local_density(gamma, n, L, args.prime, s_max=args.smax)
-    print(_header(args, ["lattice", "gamma", "n", "prime", "smax"]), file=out)
+    rep = local_density(gamma, n, L, args.prime)
+    print(_header(args, ["lattice", "gamma", "n", "prime"]), file=out)
     print("prime,s0,density,raw_counts", file=out)
     raw = ";".join(str(c) for c in rep.raw_counts)
     print(f"{rep.prime},{rep.stabilization_exponent},{_fmt(rep.density)},{raw}",
@@ -355,7 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = command("density", cmd_density, "one local density with witnesses", gamma=True)
     sp.add_argument("--n", required=True)
     sp.add_argument("--prime", type=int, required=True)
-    sp.add_argument("--smax", type=_POSITIVE, default=None)
 
     eis = command("eis", cmd_eis, "Eisenstein coefficients over a range", gamma=True)
     eis.add_argument("--nmax", type=int, required=True)

@@ -12,8 +12,9 @@ a 2-adic plane 2^k U or 2^k V, however many, is counted exactly by one
 reduction (Hanke's: Hensel lifting of the points with a unit coordinate,
 rescaling of the rest), so the split counter builds no residue table and
 needs no size guard; only the exhaustive oracle has one.  No hand-written
-block metadata is read.  Densities are the stabilized normalized counts;
-stabilization is always witnessed, never extrapolated.  At an odd prime
+block metadata is read.  A density is the normalized count at
+s0 = 1 + v_p(2 n det), from which on Hensel's lemma keeps it constant; the
+counts at s = 1..s0+1 are its witnesses.  At an odd prime
 prime to det (and to den(n)) the form is unimodular, equivalent to
 <1, ..., 1, det/2^r>: prime to num(n) as well, every solution mod p is
 non-singular, so the density and its witnesses are one Legendre symbol in
@@ -353,6 +354,7 @@ def count_solutions_split(gamma, n, L: IntegerLattice, p: int, s: int) -> int:
     the count is p^(Ds - s + e + K(s - e)) N(target mod p^e), N by the
     reduction of ``_reduced_count``.  Nothing of size p^s is built.
     """
+    _check_prime(p)
     lift = _gamma_lift(L, gamma)
     w, c0 = _count_data(L.gram, lift, Fraction(n))
     uniform, residual, planes, offset = _local_pieces(L.gram, p, w)
@@ -375,8 +377,7 @@ class LocalDensityReport(namedtuple(
     __slots__ = ()
 
 
-def local_density(gamma, n, L: IntegerLattice, p: int,
-                  s_max: int | None = None) -> LocalDensityReport:
+def local_density(gamma, n, L: IntegerLattice, p: int) -> LocalDensityReport:
     """Stabilized local density with the witnessing raw counts.
 
     The normalization exponent is rank - 1 (= 1 + b in signature (2, b)).
@@ -384,23 +385,26 @@ def local_density(gamma, n, L: IntegerLattice, p: int,
     num(n) too the density has a closed form (``_unramified_density``), and
     at p | num(n) it is counted on the diagonal form <1, ..., 1, det/2^r>
     (``_unimodular_density``).  Only at p = 2 and the p dividing det is it
-    counted on the Jordan splitting.  The stabilization exponent starts at
-    1 + v_p(2 n det): the first pair of consecutive exponents at or past it
-    with equal normalized counts wins.  Running past s_max without
-    stabilizing is an error, not an extrapolation.
+    counted on the Jordan splitting.  The stabilization exponent is
+    s0 = 1 + v_p(2 n det) by Hensel's lemma (``_stabilized_density``).
     """
+    _check_prime(p)
     n = Fraction(n)
-    return _local_density(_checked_lift(L, gamma, n), n, L, p, s_max)
+    return _local_density(_checked_lift(L, gamma, n), n, L, p)
 
 
-def _local_density(lift, n: Fraction, L: IntegerLattice, p: int,
-                   s_max: int | None) -> LocalDensityReport:
-    """``local_density`` of a coset already checked by ``_checked_lift``."""
+def _check_prime(p: int) -> None:
+    if not is_prime(p):
+        raise DensityInputError(f"p must be a prime, got {p}")
+
+
+def _local_density(lift, n: Fraction, L: IntegerLattice, p: int) -> LocalDensityReport:
+    """``local_density`` of a coset already checked by ``_checked_lift``, at a prime p."""
     if L.rank and (2 * n.denominator * L.det) % p:
         if n.numerator % p:
             return _unramified_density(n, L, p)
-        return _unimodular_density(n, L, p, s_max)
-    return _counted_density(lift, n, L, p, s_max)
+        return _unimodular_density(n, L, p)
+    return _counted_density(lift, n, L, p)
 
 
 def _unramified_density(n: Fraction, L: IntegerLattice, p: int) -> LocalDensityReport:
@@ -411,7 +415,9 @@ def _unramified_density(n: Fraction, L: IntegerLattice, p: int) -> LocalDensityR
     vanishes mod p only at x = 0, where Q = 0 is not -n), so the count
     stabilizes at s0 = 1.  Over Z_p, Q is a diagonal form of rank r whose
     coefficients have product det / 2^r up to a square, so N(p) is the
-    Legendre-symbol count of ``_fp_count`` at t = -n, and N(p^2) = N(p) p^(r-1).
+    Legendre-symbol count of ``_fp_count`` at t = -n, and N(p^2) = N(p) p^(r-1)
+    is not counted: it is Hensel's lemma of ``_stabilized_density`` at
+    s0 = 1, where every gradient is a unit (k = 0).
     """
     r = L.rank
     t = -n.numerator * pow(n.denominator, -1, p)
@@ -420,8 +426,7 @@ def _unramified_density(n: Fraction, L: IntegerLattice, p: int) -> LocalDensityR
     return LocalDensityReport(p, 1, (count, count * norm), Fraction(count, norm))
 
 
-def _unimodular_density(n: Fraction, L: IntegerLattice, p: int,
-                        s_max: int | None) -> LocalDensityReport:
+def _unimodular_density(n: Fraction, L: IntegerLattice, p: int) -> LocalDensityReport:
     """The stabilized density at an odd p prime to den(n) det, p | num(n).
 
     L is unimodular over Z_p and the lift of gamma p-integral, so a translate
@@ -432,40 +437,40 @@ def _unimodular_density(n: Fraction, L: IntegerLattice, p: int,
     r = L.rank
     ms = (1,) * (r - 1) + (L.det * 2 ** (r % 2),)
     return _stabilized_density(
-        lambda s: _diagonal_count(ms, _mod(-n, p ** s), p, s), n, L, p, s_max)
+        lambda s: _diagonal_count(ms, _mod(-n, p ** s), p, s), n, L, p)
 
 
-def _counted_density(lift, n: Fraction, L: IntegerLattice, p: int,
-                     s_max: int | None) -> LocalDensityReport:
+def _counted_density(lift, n: Fraction, L: IntegerLattice, p: int) -> LocalDensityReport:
     """The stabilized density from counts on the Jordan splitting."""
     return _stabilized_density(
-        lambda s: count_solutions_split(lift, n, L, p, s), n, L, p, s_max)
+        lambda s: count_solutions_split(lift, n, L, p, s), n, L, p)
 
 
-def _stabilized_density(count, n: Fraction, L: IntegerLattice, p: int,
-                        s_max: int | None) -> LocalDensityReport:
-    """The first stable normalized count of count(s) = N(gamma, n, L, p^s)."""
+def _stabilized_density(count, n: Fraction, L: IntegerLattice, p: int) -> LocalDensityReport:
+    """The density of count(s) = N(gamma, n, L, p^s), stable from
+    s0 = 1 + max(0, v_p(2 n det)) on, with the counts at s = 1..s0+1.
+
+    Hensel's lemma (Hanke, Duke Math. J. 124, 2004, section 3) gives
+    N(p^(s+1)) = p^(r-1) N(p^s) for every s >= s0.  Take a solution alpha
+    mod p^s, x = alpha + lift and k = v_p(G x): G x = G alpha + w is the
+    gradient of t, so it is integral.  As Q(x) = (G x)^T G^-1 (G x) / 2 and
+    G^-1 = adj(G) / det, v_p(Q(x)) >= 2k - v_p(2 det); and Q(x) = -n mod p^s
+    with s > v_p(n), so v_p(Q(x)) = v_p(n) and 2k + 1 <= s0 <= s.  For
+    s >= 2k + 1, moving x by p^(s-k) y changes t by p^s (G x / p^k).y plus
+    p^(2s-2k) Q(y), so t mod p^s is constant on the class of alpha mod
+    p^(s-k), and mod p^(s+1) the class holds p^(r(k+1)) points of which the
+    affine condition on y mod p, whose linear part G x / p^k is nonzero mod
+    p, keeps p^(r(k+1)-1): p^(r-1) times its p^(rk) points mod p^s.  So s0
+    is a formula, not a search, and the witness N(p^(s0+1)) = p^(r-1)
+    N(p^s0) fails only through a counting error, which raises.
+    """
     norm_exp = L.rank - 1
-    x = 2 * n * abs(L.det)
-    floor = 1 + max(0, rational_valuation(x, p))
-    if s_max is None:
-        s_max = 1 + max(0, rational_valuation(2 * x, p)) + 2
-    s_max = max(s_max, floor)
-    counts = []
-    norms = []
-
-    def extend_to(s):
-        while len(counts) < s:
-            snew = len(counts) + 1
-            counts.append(count(snew))
-            norms.append(Fraction(counts[-1], p ** (norm_exp * snew)))
-
-    for s0 in range(floor, s_max + 1):
-        extend_to(s0 + 1)
-        if norms[s0 - 1] == norms[s0]:
-            return LocalDensityReport(p, s0, tuple(counts[:s0 + 1]), norms[s0 - 1])
-    raise StabilizationError(
-        f"no stabilization for p={p} by s_max={s_max}; raw counts {counts}")
+    s0 = 1 + max(0, rational_valuation(2 * n * L.det, p))
+    counts = tuple(count(s) for s in range(1, s0 + 2))
+    if counts[s0] != counts[s0 - 1] * p ** norm_exp:
+        raise StabilizationError(f"N(p^{s0 + 1}) != p^{norm_exp} N(p^{s0}) for p={p}; "
+                                 f"raw counts {list(counts)}")
+    return LocalDensityReport(p, s0, counts, Fraction(counts[s0 - 1], p ** (norm_exp * s0)))
 
 
 class SingularSeries(namedtuple("SingularSeries",
@@ -485,8 +490,7 @@ def singular_series(gamma, n, V: IntegerLattice, prime_bound: int) -> SingularSe
 
     Includes every prime up to the bound plus all primes dividing
     2 * num(n) * den(n) * det; omitted factors are taken to be 1.  The
-    coset is checked once, not once per prime, and each density runs to
-    ``local_density``'s default s_max.
+    coset is checked once, not once per prime.
     """
     if V.rank < 5:
         raise DensityInputError("singular series wants signature (2,b) with b >= 3, "
@@ -496,7 +500,7 @@ def singular_series(gamma, n, V: IntegerLattice, prime_bound: int) -> SingularSe
     factors = {}
     product = Fraction(1)
     for p in series_primes(n, V.det, prime_bound):
-        rep = _local_density(lift, n, V, p, None)
+        rep = _local_density(lift, n, V, p)
         factors[p] = rep
         product *= rep.density
         if rep.density == 0:
@@ -653,4 +657,4 @@ def is_representable(gamma, n, V: IntegerLattice) -> bool:
     lift = _gamma_lift(V, gamma)
     if not in_coset_support(lift, n, V) or not V.signature().negative:
         return False
-    return all(_local_density(lift, n, V, p, None).density for p in series_primes(n, V.det, 0))
+    return all(_local_density(lift, n, V, p).density for p in series_primes(n, V.det, 0))

@@ -417,8 +417,12 @@ class ShortVectorRows:
 
     def __init__(self, a, bound, shift=None, guard=None):
         n = len(a)
-        bound = Fraction(bound)
         shift = [Fraction(x) for x in shift or [0] * n]
+        # every value lies in Z / grid, so rounding bound down to that grid
+        # keeps every point and keeps bound's own denominator out of scale
+        grid = (lcm(*(Fraction(x).denominator for row in a for x in row))
+                * lcm(*(x.denominator for x in shift)) ** 2)
+        bound = Fraction(Fraction(bound) * grid // 1, grid)
         # reduced coordinates: x = u^T x'; integer z' maps back to z = u^T z'
         u, a_red = lll_reduce_gram(a)
         uinv = unimodular_inverse(u)

@@ -285,19 +285,13 @@ def isotropic_subgroups(D: FiniteQuadraticModule):
                     found[H2.elements] = H2
                     nxt.append(H2)
         frontier = nxt
+    # H is maximal when no isotropic group strictly contains it; such a
+    # group has a larger order, so it comes later in the sorted list
     groups = sorted(found.values(), key=lambda h: (h.order, h.elements))
-    out = []
-    for H in groups:
-        have = set(H.elements)
-        maximal = True
-        for x in iso_elts:
-            if x in have:
-                continue
-            if subgroup_generated(D, list(H.generators) + [x]).is_isotropic():
-                maximal = False
-                break
-        out.append(Subgroup(D, H.elements, H.generators, is_maximal_isotropic=maximal))
-    return out
+    sets = [set(H.elements) for H in groups]
+    return [Subgroup(D, H.elements, H.generators,
+                     is_maximal_isotropic=not any(have < big for big in sets[i + 1:]))
+            for i, (H, have) in enumerate(zip(groups, sets))]
 
 
 def orthogonal_subgroup(D: FiniteQuadraticModule, H: Subgroup) -> Subgroup:

@@ -111,7 +111,7 @@ def test_criterion_03_hand_verified_count():
 
 
 def test_criterion_04_stabilization_suite():
-    """50 random density computations never fail to stabilize at default s_max."""
+    """50 random density computations never fail to stabilize."""
     rng = random.Random(77)
     U = hyperbolic_plane()
     cases = 0

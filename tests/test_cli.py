@@ -351,17 +351,17 @@ def test_density_off_coset_n_is_a_usage_error(capsys):
 def test_density_non_prime_is_a_usage_error(prime, capsys):
     line = _usage_error(["density", "--lattice", "U+U+rank1(-2)", "--n", "1",
                          "--prime", prime], capsys)
-    assert line == f"hyperlat: error: --prime wants a prime, got {prime}"
+    assert line == f"hyperlat: error: p must be a prime, got {prime}"
 
 
 def test_density_prime_one_is_a_usage_error_not_a_hang():
-    # p = 1 never stabilizes: the density loop would run forever
+    # p = 1 would loop for ever in the p-adic valuation; local_density refuses it
     env = _checkout_env()
     proc = subprocess.run([sys.executable, "-m", "hyperlat", "density", "--lattice",
                            "U+U+rank1(-2)", "--n", "1", "--prime", "1"],
                           capture_output=True, text=True, env=env, timeout=30)
     assert proc.returncode == 2 and proc.stdout == ""
-    assert proc.stderr.splitlines()[-1] == "hyperlat: error: --prime wants a prime, got 1"
+    assert proc.stderr.splitlines()[-1] == "hyperlat: error: p must be a prime, got 1"
 
 
 @pytest.mark.parametrize("n", ["0", "-1"])
@@ -790,8 +790,8 @@ def test_size_refusals_exit_3(argv, message, capsys):
     (COUNT + ["--samples", "-5"], "argument --samples: wants an integer >= 0, got '-5'"),
     (COUNT + ["--prime-bound", "-5"], "argument --prime-bound"),
     (COUNT + ["--seed", "-1", "--samples", "10"], "argument --seed"),
-    (["density"] + UU2 + ["--n", "1", "--prime", "5", "--smax", "-1"],
-     "argument --smax: wants an integer >= 1, got '-1'"),
+    (["density"] + UU2 + ["--n", "1", "--prime", "5", "--smax", "2"],
+     "unrecognized arguments: --smax 2"),
     (["count"] + UU2 + ["--rho", "1", "--nmin", "600", "--nmax", "300"],
      "no n in [600, 300] lies in -Q(gamma) + Z = 0 + Z"),
     (["count", "--lattice", "U+U+rank1(-8)", "--gamma", "1", "--rho", "1", "--nmin", "2",

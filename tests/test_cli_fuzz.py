@@ -48,9 +48,9 @@ COMMANDS = {
     "density": ([{"--lattice": UU2, "--n": "27", "--prime": "3"},
                  {"--lattice": UU8, "--gamma": "1", "--n": "33/16", "--prime": "2"},
                  {"--lattice": DIAGONAL, "--gamma": "0,0,1,2,2", "--n": "27/4",
-                  "--prime": "3", "--smax": "9"}],
+                  "--prime": "3"}],
                 {"--lattice": LATTICES, "--gamma": GAMMAS, "--n": RATIONALS,
-                 "--prime": ["2", "3", "5", "7", "4", "1"], "--smax": ["1", "2", "5"]}),
+                 "--prime": ["2", "3", "5", "7", "4", "1"]}),
     "eis": ([{"--lattice": UU2, "--nmax": "3", "--prime-bound": "10"},
              {"--lattice": UU8, "--gamma": "2", "--nmax": "3", "--prime-bound": "20"}],
             {"--lattice": LATTICES, "--gamma": GAMMAS, "--nmax": ["1", "2", "-2"],

@@ -5,6 +5,7 @@ import pytest
 
 from hyperlat.densities import (
     DensityError,
+    DensityInputError,
     GuardExceeded,
     count_solutions_naive,
     count_solutions_split,
@@ -185,7 +186,7 @@ def test_closed_form_equals_counted_density_at_good_primes():
                         if (2 * n.numerator * n.denominator * L.det) % p]
                 for p in good:
                     rep = local_density(gamma, n, L, p)
-                    assert rep == _counted_density(lift, n, L, p, None), \
+                    assert rep == _counted_density(lift, n, L, p), \
                         (L.rank, gamma, n, p)
                     assert rep.stabilization_exponent == 1
                     for s, count in enumerate(rep.raw_counts, 1):
@@ -197,8 +198,7 @@ def test_closed_form_equals_counted_density_at_good_primes():
 def test_unimodular_density_equals_counted_density():
     # odd p prime to det dividing num(n), v_p(n) = 1..3: the counts on
     # <1, ..., 1, det/2^r> against the stabilized Jordan count, report for
-    # report, also at an s_max below the floor 1 + v_p(n); the raw counts
-    # against the exhaustive counter where it is small
+    # report; the raw counts against the exhaustive counter where it is small
     for L in _shortcut_lattices():
         D = discriminant_group(L)
         classes = [D.zero] + [g for g in D.elements() if g != D.zero][-1:]
@@ -209,15 +209,58 @@ def test_unimodular_density_equals_counted_density():
                 for v in (1, 2, 3):
                     n = next(base + m for m in range(1, p ** (v + 2))
                              if rational_valuation(base + m, p) == v)
-                    for s_max in (None, 1):
-                        rep = local_density(gamma, n, L, p, s_max)
-                        assert rep == _counted_density(lift, n, L, p, s_max), \
-                            (L.rank, gamma, n, p, s_max)
+                    rep = local_density(gamma, n, L, p)
+                    assert rep == _counted_density(lift, n, L, p), (L.rank, gamma, n, p)
                     assert rep.stabilization_exponent >= 1 + v
                     for s, count in enumerate(rep.raw_counts, 1):
                         if p ** (s * L.rank) <= 10 ** 6:
                             assert count == count_solutions_naive(lift, n, L, p ** s), \
                                 (L.rank, gamma, n, p, s)
+
+
+def _floor_cases():
+    """(L, gamma, n, p): the shortcut lattices at p = 2, 3, 5 and v_p(n) = 0..3,
+    then 200 seeded random cases of rank 1 to 6."""
+    for L in _shortcut_lattices():
+        D = discriminant_group(L)
+        for gamma in [D.zero] + [g for g in D.elements() if g != D.zero][-1:]:
+            base = -L.q_of(D.lift(gamma)) % 1
+            for p in (2, 3, 5):
+                for v in (0, 1, 2, 3):
+                    n = next((base + m for m in range(1, p ** (v + 2))
+                              if rational_valuation(base + m, p) == v), base + 1)
+                    yield L, gamma, n, p
+    rng = random.Random(29)
+    cases = 0
+    while cases < 200:
+        L = random_even_lattice(rng, max_rank=6)
+        gamma, n = random_case(rng, L)
+        if n > 0:
+            cases += 1
+            yield L, gamma, n, rng.choice([2, 3, 5])
+
+
+def test_density_is_stable_from_the_hensel_floor():
+    # s0 is 1 + v_p(2 n det), and the split counts two and three steps past
+    # it, which the report does not hold, give the same normalized density
+    for L, gamma, n, p in _floor_cases():
+        rep = local_density(gamma, n, L, p)
+        s0 = rep.stabilization_exponent
+        assert s0 == 1 + max(0, rational_valuation(2 * n * L.det, p)), (L.gram, gamma, n, p)
+        assert len(rep.raw_counts) == s0 + 1
+        for s in (s0 + 2, s0 + 3):
+            count = count_solutions_split(gamma, n, L, p, s)
+            assert Fraction(count, p ** ((L.rank - 1) * s)) == rep.density, \
+                (L.gram, gamma, n, p, s)
+
+
+@pytest.mark.parametrize("p", [1, 4, 0, -5, 9])
+def test_a_non_prime_is_refused(v_lattice, p):
+    # p = 1 would loop for ever in the p-adic valuation, p = 4 fail in _mod
+    with pytest.raises(DensityInputError, match=f"p must be a prime, got {p}"):
+        local_density(None, 1, v_lattice, p)
+    with pytest.raises(DensityInputError, match=f"p must be a prime, got {p}"):
+        count_solutions_split(None, 1, v_lattice, p, 2)
 
 
 def test_counts_ignore_the_basis():

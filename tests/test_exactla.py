@@ -229,6 +229,17 @@ def test_short_vectors_against_brute_force():
         assert on_rows == Counter(want.keys())
 
 
+def test_rows_round_the_bound_to_the_value_grid():
+    # values of (z + shift)^T a (z + shift) lie in Z / 36 here: a bound just
+    # above 5 walks the same rows, at the same scale, as the bound 5
+    a = [[Fraction(2), Fraction(1, 2)], [Fraction(1, 2), Fraction(3)]]
+    shift = [Fraction(1, 3), Fraction(0)]
+    rows = ShortVectorRows(a, 5, shift)
+    near = ShortVectorRows(a, 5 + Fraction(1, 10 ** 20), shift)
+    assert (near.scale, near.top) == (rows.scale, rows.top)
+    assert list(near) == list(rows) and list(rows)
+
+
 @pytest.mark.parametrize("lattice, orders", [
     (e8(-1), (1, 3, 5)),
     *[(direct_sum(*[rank1(-2)] * k), (1, 2, 5, 8)) for k in (1, 2, 3, 4, 6)],

@@ -471,9 +471,9 @@ def test_equidistribution_run_reads_representability_off_the_series(monkeypatch)
     calls = []
     density = dens._local_density   # the per-prime density of singular_series
 
-    def counted(lift, n, L, p, s_max):
+    def counted(lift, n, L, p):
         calls.append((p, n))
-        return density(lift, n, L, p, s_max)
+        return density(lift, n, L, p)
 
     monkeypatch.setattr(dens, "_local_density", counted)
     summary = equidistribution_run(V, None, _window(V), 1, 12, prime_bound=30)
@@ -521,6 +521,16 @@ def test_keys_that_would_overflow_int64_raise(v_lattice, monkeypatch):
     monkeypatch.setattr(hyp, "_theta_table", huge)
     with pytest.raises(EnumGuardExceeded, match="sums would overflow int64"):
         count_range(None, [3], _window(v_lattice))
+
+
+def test_count_range_at_a_tiny_rational_radius(v_lattice):
+    # rho^2 = 10^-20 puts 10^20 in the denominators of both walks' bounds,
+    # 2 rho^2 n and 2 (1 + rho^2) n; rounded down to the grid of values the
+    # walks take, it no longer pushes the table indices past 2^63.  No
+    # nonzero P-vector is that short, so the counts are those at rho = 0
+    counts = [[pc.count for pc in count_range(None, [1, 2], _window(v_lattice, rho))]
+              for rho in (Fraction(1, 10 ** 10), 0)]
+    assert counts == [[6, 12], [6, 12]]
 
 
 def test_count_parity(v_lattice):
