@@ -129,21 +129,18 @@ def cmd_fqm(args, out):
 
 def cmd_weil(args, out):
     from .fqm import discriminant_group
-    from .weil import WeilAction, dump_matrix, rho_S, rho_T, verify_relations
+    from .weil import WeilAction, dump_matrix, rows_S, rows_T, verify_relations
 
     L = parse_lattice_spec(args.lattice)
-    D = discriminant_group(L)
-    w = WeilAction(D, L.signature(), dual=args.dual)
-    matrices = {"T": rho_T(w), "S": rho_S(w)}
-    report = verify_relations(w, s=matrices["S"], t=matrices["T"])
+    w = WeilAction(discriminant_group(L), L.signature(), dual=args.dual)
+    report = verify_relations(w)
     print(_header(args, ["lattice", "dual"]), file=out)
     print(f"# relations unitarity={report['unitarity']:.3e} "
           f"braid={report['braid']:.3e} t_order={report['t_order']:.3e} "
           f"level={report['level']}", file=out)
-    # each matrix is dropped once printed, so one at a time sits beside its text
-    for name in ("T", "S"):
+    for name, rows in (("T", rows_T(w)), ("S", rows_S(w))):
         print(f"matrix,{name}", file=out)
-        print(dump_matrix(matrices.pop(name)), file=out)
+        dump_matrix(rows, out)
     return 0
 
 
