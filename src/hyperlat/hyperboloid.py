@@ -15,11 +15,12 @@ glue classes of L modulo L & P + L & N.  N splits into the orthogonal
 components its reduced Gram shows; one walk of each distinct component's
 ellipsoid for the largest norm, by the rows of the Fincke-Pohst search that
 every enumerator here shares, fills a dense table of its theta series by
-class and norm, and the product of those series, with one short-vector
-search on the P side, serves every norm.  ``enumerate_points`` is its
-single-norm case.  A depth-first search that can also list the points
-(``_count_generic``) and a full box scan (``box_scan_count``) are kept as
-the tests' oracles.
+class and norm (an even unimodular component of rank 8 or 16 has its
+table in closed form instead), and the product of those series, with one
+short-vector search on the P side, serves every norm.  ``enumerate_points``
+is its single-norm case.  A depth-first search that can also list the
+points (``_count_generic``) and a full box scan (``box_scan_count``) are
+kept as the tests' oracles.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from .exactla import (
     transpose,
 )
 from .densities import _gamma_lift, decimal_of, main_term, sphere_area
-from .lattices import IntegerLattice, gram_components, jordan_splitting
+from .lattices import IntegerLattice, even_unimodular_theta, gram_components, jordan_splitting
 
 SHELL_EPS = 1e-3        # half-thickness of mu_infty's Monte Carlo shell
 SWEEP_GUARD = 10 ** 8   # table entries, P-vectors and N-side points of one count_range
@@ -402,12 +403,17 @@ def _count_glued(lift, ns, window: Window):
     proj_{N_i}(M) modulo N_i, so theta_N of a class is the product of the
     components' series (``_convolve``), and each component's series comes
     from one walk of its own ellipsoid up to (1 + rho^2) max(ns)
-    (``_theta_table``); equal components share one walk.  The P side is the
-    points of one short-vector search up to rho^2 max(ns), filtered by the
-    exact sector test; ``_row_points`` expands its rows as it expands the
-    components', with the identity map.  A norm is then one gather from
-    the glued table.  SWEEP_GUARD bounds the table entries, P-vectors and
-    N_i points together, each read before its array is built.
+    (``_theta_table``), or, for a component with no glue and an integral
+    shift that is even unimodular of rank 8 or 16, from its closed form
+    (``_closed_table``; a unimodular N_i is its own dual, so L, being
+    integral, projects into it and gives it neither); equal components
+    share one table.  The P side is the points of one short-vector search
+    up to rho^2 max(ns), filtered by the exact sector test; ``_row_points``
+    expands its rows as it expands the components', with the identity map.
+    A norm is then one gather from the glued table.  SWEEP_GUARD bounds
+    the table entries, P-vectors and N_i points together, each read before
+    its array is built, and the glued sums are bounded exactly before int64
+    forms any of them.
     """
     L = window.frame.lattice
     g = L.gram
@@ -462,7 +468,10 @@ def _count_glued(lift, ns, window: Window):
         shift = mat_vec(transpose(nb), c[cols])
         key = (tuple(map(tuple, a)), tuple(shift), cmap, dmod)
         if key not in walks:
-            walks[key] = ShortVectorRows(a, 2 * (1 + rho2) * n_hi, shift)
+            # no walk for a table in closed form
+            closed = (not dmod and all(x.denominator == 1 for x in shift)
+                      and even_unimodular_theta(a, 0) is not None)
+            walks[key] = None if closed else ShortVectorRows(a, 2 * (1 + rho2) * n_hi, shift)
         fc = mat_mul(mat_mul([row[cols] for row in h[:2]], nb), cmap)
         parts.append((key, [[int(x) % dk for x, dk in zip(row, dmod)] for row in fc], dmod))
 
@@ -474,7 +483,7 @@ def _count_glued(lift, ns, window: Window):
     two_s = 2 * p_rows.scale
     dmax = max((dk for *_, dmod in parts for dk in dmod), default=1)
     if max(width, p_rows.top, (p_rows.top + two_s * n_hi) * n_lo.denominator,
-           *(rows.top for rows in walks.values()), (L.rank + 1) * dmax ** 2) >= 1 << 63:
+           *(rows.top for rows in walks.values() if rows), (L.rank + 1) * dmax ** 2) >= 1 << 63:
         raise EnumGuardExceeded("glued table indices would overflow int64")
     # the component tables' slots are known before any walk
     spend(width * sum(math.prod(dmod) for *_, dmod in walks))
@@ -516,14 +525,19 @@ def _count_glued(lift, ns, window: Window):
 
     tables = {}
     for key, rows in walks.items():
-        *_, cmap, dmod = key
-        tables[key] = _theta_table(rows, cmap, dmod, width, spend)
+        a, _, cmap, dmod = key
+        if rows:
+            table, frac = _theta_table(rows, cmap, dmod, width, spend)
+            tables[key] = table, [Fraction(f, 2 * rows.scale) for f in frac.tolist()]
+        else:
+            tables[key] = _closed_table(a, width), [Fraction(0)]
     # theta_N of a class, indexed by floor(-Q(y)) = sum_i m_i + floor(sum_i F_i)
-    # with -Q(y_i) = m_i + F_i; its sums are bounded before any is formed
-    rows_of = [[(tables[key][0][cid], Fraction(int(tables[key][1][cid]), 2 * walks[key].scale))
-                for cid in col] for col, (key, *_) in zip(tuples, parts)]
+    # with -Q(y_i) = m_i + F_i; its sums are bounded, exactly, before any is
+    # formed
+    rows_of = [[(tables[key][0][cid], tables[key][1][cid]) for cid in col]
+               for col, (key, *_) in zip(tuples, parts)]
     uses = np.bincount(tid, minlength=len(first)).tolist()
-    totals = [[int(row.sum()) for row, _ in col] for col in rows_of]
+    totals = [[sum(row.tolist()) for row, _ in col] for col in rows_of]
     if sum(k * math.prod(col[t] for col in totals) for t, k in enumerate(uses)) >= 1 << 63:
         raise EnumGuardExceeded("glued theta sums would overflow int64")
     glued = np.zeros((len(first), width), dtype=np.int64)
@@ -548,6 +562,17 @@ def _count_glued(lift, ns, window: Window):
         hits = glued[base[:top] + int(n - n_lo)]
         out.append((int(hits.sum()), int(hits[graze:].sum())))
     return out
+
+
+def _closed_table(a, width):
+    """The one-class table of a component whose theta series has a closed
+    form (``even_unimodular_theta``), refused before it is formed when an
+    entry would not fit in int64: 480 sigma_7(m) first passes 2^63 at m = 212."""
+    r = even_unimodular_theta(a, width)
+    if max(r) >= 1 << 63:
+        raise EnumGuardExceeded(f"closed-form theta table to norm {width - 1} "
+                                "would overflow int64")
+    return np.array([r], dtype=np.int64)
 
 
 def _convolve(x, y):

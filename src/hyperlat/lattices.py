@@ -7,7 +7,9 @@ The elementary number theory the other modules use (valuations, Legendre
 symbols, rational square roots, trial division) lives here, once, and so
 does the one symmetric elimination, ``jordan_splitting``: over Q it gives
 the signature, the diagonal of the isotropy test and the hyperboloid frame,
-and over Z_p the pieces the local densities count.
+and over Z_p the pieces the local densities count.  ``even_unimodular_theta``
+reads the theta series of an even unimodular lattice of rank 8 or 16 off its
+Gram matrix, for ``theta`` and ``count``.
 """
 
 from __future__ import annotations
@@ -149,6 +151,31 @@ def gram_components(g) -> tuple[tuple[int, ...], ...]:
                     todo.append(j)
         out.append(tuple(sorted(comp)))
     return tuple(out)
+
+
+def even_unimodular_theta(gram, width: int):
+    """The theta series of a definite Gram matrix in closed form: r(m) for
+    0 <= m < width, the number of vectors x with |Q(x)| = m, when the
+    lattice is even with |det| = 1 and of rank 8 or 16; None otherwise.
+
+    Its theta series is then a modular form of weight 4 or 8 for SL_2(Z),
+    and M_4, M_8 are spanned by E4 and E8 (Serre, A Course in Arithmetic,
+    ch. VII), so r(m) = 240 sigma_3(m) at rank 8 and 480 sigma_7(m) at
+    rank 16 (E8 + E8 and D16+ alike), m >= 1.  Rank 24 is left out: weight
+    12 has the cusp form Delta.  The lattice is tested before any work
+    that grows with width, so width 0 is a cheap test of the hypothesis.
+    """
+    r = len(gram)
+    if r not in (8, 16) or any(gram[i][i] % 2 for i in range(r)) \
+            or abs(bareiss_det([list(row) for row in gram])) != 1:
+        return None
+    c, k = (240, 3) if r == 8 else (480, 7)
+    sigma = [0] * width
+    for d in range(1, width):
+        dk = d ** k
+        for m in range(d, width, d):
+            sigma[m] += dk
+    return [1][:width] + [c * s for s in sigma[1:]]
 
 
 # ---------------------------------------------------------------------------

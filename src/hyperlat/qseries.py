@@ -1,20 +1,22 @@
 """Vector-valued q-expansions with rational exponents and coefficients.
 
-Theta series of negative definite lattices (exact short-vector enumeration),
-the quasi-modular weight-2 Eisenstein series, Cauchy products, and the cusp
+Theta series of negative definite lattices (exact short-vector enumeration,
+and closed forms for even unimodular components of rank 8 and 16), the
+quasi-modular weight-2 Eisenstein series, Cauchy products, and the cusp
 boundary coefficients built from them.  Exponents live in (1/N)Z with N the
 level of the underlying finite quadratic module; coefficients are Fractions.
 """
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from decimal import localcontext
 from fractions import Fraction
 
-from .exactla import InputError, frac_mat_inv, short_vectors
+from .exactla import InputError, NodeGuardExceeded, frac_mat_inv, short_vectors
 from .fqm import FiniteQuadraticModule, discriminant_group
-from .lattices import IntegerLattice
+from .lattices import IntegerLattice, even_unimodular_theta, gram_components
 
 
 class QSeriesError(ValueError):
@@ -27,7 +29,9 @@ class QSeriesInputError(QSeriesError, InputError):
 
 _TRIVIAL_MODULE = FiniteQuadraticModule((), 1, (), ())
 # candidates of the short-vector search behind one theta series, a few
-# seconds of enumeration; E8(-1) to order 8 takes about 6 * 10^5
+# seconds of enumeration (<-2>^4 to order 100 takes about 8 * 10^5; E8(-1)
+# is in closed form, not walked), and terms of its product with the
+# closed-form factors
 THETA_NODE_GUARD = 10 ** 6
 
 
@@ -80,9 +84,14 @@ def theta_series(K: IntegerLattice, order) -> VectorQSeries:
     """Theta series of a negative definite lattice up to the given order.
 
     The coefficient at (gamma, m) counts dual vectors x in gamma + K with
-    -Q(x) = m; complete for m <= order.  Enumeration is exact (short vectors
-    of the positive form -G^{-1}); coefficients are nonnegative integers.
-    A search past THETA_NODE_GUARD candidates raises NodeGuardExceeded.
+    -Q(x) = m; complete for m <= order; coefficients are nonnegative
+    integers.  K's orthogonal components (``gram_components``) that are
+    even unimodular of rank 8 or 16 have their series in closed form
+    (``even_unimodular_theta``) and add the zero class; the others are
+    walked together, by an exact short-vector search of the positive form
+    -G^{-1} on their pairings, and the series is the product of the two.
+    A walk past THETA_NODE_GUARD candidates, or a product of more terms,
+    raises NodeGuardExceeded.
     """
     order = Fraction(order)
     if order < 0:
@@ -96,13 +105,44 @@ def theta_series(K: IntegerLattice, order) -> VectorQSeries:
     if K.rank == 0:
         coeffs[((), Fraction(0))] = Fraction(1)
         return VectorQSeries(D, 1, coeffs, order)
-    # a dual vector y = G^{-1} m has -2 Q(y) = m^T (-G^{-1}) m
-    a = [[-x for x in row] for row in frac_mat_inv(K.gram)]
-    for m, value in short_vectors(a, 2 * order, guard=THETA_NODE_GUARD):
+    g = K.gram
+    closed, index = [], []
+    for comp in gram_components(g):
+        sub = [[g[i][j] for j in comp] for i in comp]
+        if even_unimodular_theta(sub, 0) is None:
+            index.extend(comp)
+        else:
+            closed.append(sub)
+    # a dual vector y = G^{-1} m has -2 Q(y) = m^T (-G^{-1}) m; G is block
+    # diagonal, so the walked y are G_W^{-1} m on the walked indices W, and
+    # their class is that of m placed at W, 0 elsewhere
+    a = [[-x for x in row] for row in frac_mat_inv([[g[i][j] for j in index] for i in index])]
+    m = [0] * K.rank
+    for mw, value in short_vectors(a, 2 * order, guard=THETA_NODE_GUARD):
+        for i, x in zip(index, mw):
+            m[i] = x
         key = (D.class_of_pairings(m), value)
         coeffs[key] = coeffs.get(key, 0) + 1
-    coeffs = {(cls, value / 2): Fraction(c)
-              for (cls, value), c in coeffs.items()}
+    coeffs = {(cls, value / 2): c for (cls, value), c in coeffs.items()}
+    if closed:
+        # the walked entries times the closed series, and the products of
+        # the closed components' series, term by term
+        width = math.floor(order) + 1
+        terms = len(coeffs) * width + (len(closed) - 1) * width * (width + 1) // 2
+        if terms > THETA_NODE_GUARD:
+            raise NodeGuardExceeded(f"closed-form theta product of {terms} terms "
+                                    f"exceeds guard {THETA_NODE_GUARD}")
+        series = even_unimodular_theta(closed[0], width)
+        for sub in closed[1:]:
+            r = even_unimodular_theta(sub, width)
+            series = [sum(series[i] * r[k - i] for i in range(k + 1)) for k in range(width)]
+        product = {}
+        for (cls, e), c in coeffs.items():
+            for k in range(math.floor(order - e) + 1):
+                key = (cls, e + k)
+                product[key] = product.get(key, 0) + c * series[k]
+        coeffs = product
+    coeffs = {key: Fraction(c) for key, c in coeffs.items()}
     return VectorQSeries(D, D.level if D.level else 1, coeffs, order)
 
 

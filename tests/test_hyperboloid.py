@@ -32,6 +32,7 @@ from hyperlat.hyperboloid import (
 from hyperlat.cli import main
 from hyperlat.exactla import InputError, ShortVectorRows, identity, mat_vec, short_vectors, transpose
 from hyperlat.lattices import IntegerLattice, direct_sum, e8, hyperbolic_plane, rank1, rescale
+from conftest import d16_plus, mixed_e8_sum
 from test_exactla import _random_posdef
 
 
@@ -282,9 +283,9 @@ def test_count_range_non_integral_p_shift(gamma, counts):
 
 
 def test_count_range_reaches_u_u_e8():
-    # b = 10: N is <-2> + <-2> + E8(-1), whose ellipsoid the rows walk
-    # directly (a box around it holds about 400 times its points).  The
-    # figures are _count_generic's; at n = 2 it takes about 140 s
+    # b = 10: N is <-2> + <-2> + E8(-1), the <-2> walked by rows and
+    # E8(-1) in closed form.  The figures are _count_generic's; at n = 2 it
+    # takes about 140 s
     V = direct_sum(hyperbolic_plane(), hyperbolic_plane(), e8(-1))
     got = count_range(None, [1, 2], Window(splitting_frame(V), Fraction(1)))
     assert [(pc.count, pc.grazing) for pc in got] == [(18516, 12496), (516812, 212176)]
@@ -292,54 +293,137 @@ def test_count_range_reaches_u_u_e8():
 
 def test_count_range_reaches_k3_complement():
     # the K3 complement at 2d = 2: N is <-2>^3 + E8(-1) + E8(-1), and the
-    # two E8(-1) summands share one walk.  The figures are those of the
-    # single walk of N's whole ellipsoid, which took 274 s
+    # two E8(-1) summands share one closed-form table.  The figures are
+    # those of the single walk of N's whole ellipsoid, which took 274 s
     V = direct_sum(rank1(-2), hyperbolic_plane(), hyperbolic_plane(), e8(-1), e8(-1))
     got = count_range(None, [1, 2], Window(splitting_frame(V), Fraction(1)))
     assert [(pc.count, pc.grazing) for pc in got] == [(271318, 259248), (87995244, 59898264)]
 
 
 def _tables(monkeypatch):
-    """The component tables that count_range builds, with their ranks."""
-    built = []
-    theta_table = hyp._theta_table
+    """The component tables that count_range builds, walked and in closed
+    form, with their ranks."""
+    walked, closed = [], []
+    theta_table, closed_table = hyp._theta_table, hyp._closed_table
 
     def recorded(rows, *args):
         table, frac = theta_table(rows, *args)
-        built.append((len(rows.step), table, frac))
+        walked.append((len(rows.step), table, frac))
         return table, frac
 
+    def recorded_closed(a, width):
+        table = closed_table(a, width)
+        closed.append((len(a), table))
+        return table
+
     monkeypatch.setattr(hyp, "_theta_table", recorded)
-    return built
+    monkeypatch.setattr(hyp, "_closed_table", recorded_closed)
+    return walked, closed
 
 
 def test_count_range_split_is_invisible(v8_lattice, monkeypatch):
     # with N taken as one block, one walk of its whole ellipsoid gives the
     # same counts as the product of its components' series (on each
-    # lattice the two <-2> glued to the U's share one table)
+    # lattice the two <-2> glued to the U's share one table, and E8(-1)'s
+    # table is in closed form)
     e8_sum = direct_sum(hyperbolic_plane(), hyperbolic_plane(), e8(-1))
     cases = [(v8_lattice, (1,), admissible_values(v8_lattice, (1,), 1, 30), Fraction(3, 2)),
              (e8_sum, None, [1], Fraction(1))]
-    built = _tables(monkeypatch)
+    walked, closed = _tables(monkeypatch)
     split = [count_range(gamma, ns, _window(V, rho)) for V, gamma, ns, rho in cases]
-    assert sorted(rank for rank, *_ in built) == [1, 1, 1, 8]
-    built.clear()
+    assert sorted(rank for rank, *_ in walked) == [1, 1, 1]
+    assert [rank for rank, _ in closed] == [8]
+    walked.clear()
+    closed.clear()
     monkeypatch.setattr(hyp, "gram_components", lambda g: (tuple(range(len(g))),))
     whole = [count_range(gamma, ns, _window(V, rho)) for V, gamma, ns, rho in cases]
-    assert sorted(rank for rank, *_ in built) == [3, 10]
+    assert sorted(rank for rank, *_ in walked) == [3, 10]
+    assert closed == []
     assert whole == split
     assert split[0][0].count > 0 and split[1][0].count == 18516
 
 
+def _walked_table(L, width):
+    """The one-class table of a component with no glue and shift 0, walked
+    by rows as count_range walks a component with no closed form."""
+    rows = ShortVectorRows([[-x for x in row] for row in L.gram], 2 * (width - 1))
+    return hyp._theta_table(rows, (), (), width, lambda k: None)
+
+
+def _check_closed_table(lattice, width):
+    # the walked table is the closed form's oracle: c sigma_k(m) for m >= 1
+    table, frac = _walked_table(lattice, width)
+    c, k = (240, 3) if lattice.rank == 8 else (480, 7)
+    sigma = [sum(d ** k for d in range(1, m + 1) if m % d == 0) for m in range(1, width)]
+    assert table.tolist() == [[1] + [c * x for x in sigma]]
+    assert frac.tolist() == [0]
+    assert hyp._closed_table([[-x for x in row] for row in lattice.gram],
+                             width).tolist() == table.tolist()
+    return table
+
+
 def test_e8_component_table_is_240_sigma3(monkeypatch):
-    # at n = 3, rho = 1 the table runs to m = 6: r(E8, 2m) = 240 sigma_3(m)
-    built = _tables(monkeypatch)
+    # to m = 6, r(E8, 2m) = 240 sigma_3(m) walked and in closed form; and
+    # count_range at n = 3, rho = 1 (m <= 6) builds E8(-1)'s table in
+    # closed form, walking no rank-8 table
+    table = _check_closed_table(e8(-1), 7)
+    walked, closed = _tables(monkeypatch)
     V = direct_sum(hyperbolic_plane(), hyperbolic_plane(), e8(-1))
     count_range(None, [3], _window(V))
-    (table, frac), = [(table, frac) for rank, table, frac in built if rank == 8]
-    sigma3 = [sum(d ** 3 for d in range(1, m + 1) if m % d == 0) for m in range(1, 7)]
-    assert table.tolist() == [[1] + [240 * x for x in sigma3]]
-    assert frac.tolist() == [0]
+    assert [(rank, t.tolist()) for rank, t in closed] == [(8, table.tolist())]
+    assert 8 not in [rank for rank, *_ in walked]
+
+
+@pytest.mark.parametrize("lattice", [mixed_e8_sum(-1), d16_plus(-1)], ids=["E8+E8", "D16+"])
+def test_rank16_component_table_is_480_sigma7(lattice):
+    # to m = 2, walked and in closed form, for E8 + E8 in a basis that
+    # mixes the two and for D16+
+    _check_closed_table(lattice, 3)
+
+
+@pytest.mark.parametrize("V, gamma, ns, rank", [
+    (direct_sum(hyperbolic_plane(), hyperbolic_plane(), e8(-1)), None, range(1, 5), 8),
+    (direct_sum(rank1(-2), hyperbolic_plane(), hyperbolic_plane(), e8(-1), e8(-1)), None,
+     range(1, 5), 8),
+    (direct_sum(rank1(-2), hyperbolic_plane(), hyperbolic_plane(), e8(-1), e8(-1)), (1,),
+     [Fraction(1, 4) + k for k in range(6)], 8),
+    (direct_sum(hyperbolic_plane(), hyperbolic_plane(), d16_plus(-1)), None, [1], 16),
+], ids=["U+U+E8", "k3-complement", "k3-complement-gamma1", "U+U+D16+"])
+def test_closed_form_counts_equal_the_walk(V, gamma, ns, rank, monkeypatch):
+    # the counts with the tables of the rank-8 or rank-16 components in
+    # closed form equal those with every component walked
+    win = _window(V)
+    walked, closed = _tables(monkeypatch)
+    got = count_range(gamma, ns, win)
+    assert rank in [r for r, _ in closed] and rank not in [r for r, *_ in walked]
+    walked.clear()
+    closed.clear()
+    monkeypatch.setattr(hyp, "even_unimodular_theta", lambda gram, width: None)
+    assert count_range(gamma, ns, win) == got
+    assert closed == [] and rank in [r for r, *_ in walked]
+    assert all(pc.count for pc in got)
+
+
+def test_closed_form_table_past_int64_is_refused():
+    # D16+(-1)'s 480 sigma_7(m) first passes 2^63 at m = 212: at rho = 1 and
+    # n = 106 its table would run to m = 212, and is refused before it is
+    # formed; at n = 105 (m <= 210) it is formed, and the glued sums are
+    # refused
+    V = direct_sum(hyperbolic_plane(), hyperbolic_plane(), d16_plus(-1))
+    win = _window(V)
+    with pytest.raises(EnumGuardExceeded, match="closed-form theta table to norm 212 "
+                                                "would overflow int64"):
+        count_range(None, [106], win)
+    with pytest.raises(EnumGuardExceeded, match="glued theta sums would overflow int64"):
+        count_range(None, [105], win)
+
+
+def test_closed_form_table_sums_are_bounded_exactly():
+    # E8(-1)'s table to m = 20000 has entries below 2^63 but a sum past it
+    # (its int64 sum wraps negative): the glued sums are refused
+    V = direct_sum(hyperbolic_plane(), hyperbolic_plane(), e8(-1))
+    with pytest.raises(EnumGuardExceeded, match="sums would overflow int64"):
+        count_range(None, [10000], _window(V))
 
 
 @pytest.mark.parametrize("rho, gamma, lo, hi", [

@@ -11,6 +11,7 @@ from hyperlat.lattices import (
     Signature,
     direct_sum,
     e8,
+    even_unimodular_theta,
     hyperbolic_plane,
     is_anisotropic_over_q,
     jordan_splitting,
@@ -22,7 +23,7 @@ from hyperlat.lattices import (
     rank1,
     rescale,
 )
-from conftest import small_test_lattices
+from conftest import d16_plus, mixed_e8_sum, small_test_lattices
 
 
 def test_named_constructors():
@@ -198,6 +199,30 @@ def test_components_of_named_lattices_and_sums():
     assert V.components == ((0,), tuple(range(1, 9)), (9, 10), (11, 12))
     assert rank1(-2).components == ((0,),)
     assert IntegerLattice(()).components == ()
+
+
+def _sigma(k, m):
+    return sum(d ** k for d in range(1, m + 1) if m % d == 0)
+
+
+def test_even_unimodular_theta_reads_the_gram():
+    # rank 8: 240 sigma_3; rank 16, as E8 + E8 in any basis or as D16+:
+    # 480 sigma_7; of either sign, to any width
+    e4 = [1] + [240 * _sigma(3, m) for m in range(1, 30)]
+    e8_series = [1] + [480 * _sigma(7, m) for m in range(1, 30)]
+    assert even_unimodular_theta(e8(-1).gram, 5) == [1, 240, 2160, 6720, 17520]
+    assert even_unimodular_theta(e8(1).gram, 30) == e4
+    for L in (d16_plus(-1), mixed_e8_sum(1), direct_sum(e8(-1), e8(-1))):
+        assert even_unimodular_theta(L.gram, 30) == e8_series
+    assert even_unimodular_theta(e8(-1).gram, 1) == [1]
+    assert even_unimodular_theta(e8(-1).gram, 0) == []
+    # E4^2 = E8: the two closed forms agree on E8 + E8
+    assert [sum(e4[i] * e4[k - i] for i in range(k + 1)) for k in range(30)] == e8_series
+    # odd, not unimodular, or of another rank: no closed form
+    for gram in ([[int(i == j) for j in range(8)] for i in range(8)],
+                 rescale(e8(-1), 2).gram, rank1(-2).gram, direct_sum(e8(-1), rank1(-2)).gram,
+                 direct_sum(e8(-1), e8(-1), e8(-1)).gram):
+        assert even_unimodular_theta(gram, 3) is None
 
 
 def test_hyperbolic_split_is_an_orthogonal_summand():

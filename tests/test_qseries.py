@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from hyperlat.cusps import cusp_datum
 from hyperlat.densities import eisenstein_coefficient
 from hyperlat.fqm import discriminant_group
-from hyperlat.exactla import frac_mat_inv
+from hyperlat.exactla import NodeGuardExceeded, frac_mat_inv
 from hyperlat.lattices import (
     IntegerLattice,
     direct_sum,
@@ -14,6 +15,7 @@ from hyperlat.lattices import (
     hyperbolic_plane,
     rank1,
 )
+import hyperlat.qseries as qs
 from hyperlat.qseries import (
     QSeriesError,
     a_coeff,
@@ -22,6 +24,7 @@ from hyperlat.qseries import (
     theta_series,
     u_coeff,
 )
+from conftest import mixed_e8_sum
 
 
 def test_theta_rank0():
@@ -78,6 +81,61 @@ def test_theta_e8_against_box_scan():
     assert got[Fraction(0)] == 1
     assert got[Fraction(1)] == 240
     assert got[Fraction(2)] == 2160
+
+
+def _permuted(L, perm):
+    """L in its basis taken in the order perm."""
+    return IntegerLattice([[L.gram[i][j] for j in perm] for i in perm])
+
+
+def _walked_and_closed(K, order, monkeypatch):
+    closed = theta_series(K, order)
+    with monkeypatch.context() as m:
+        m.setattr(qs, "even_unimodular_theta", lambda gram, width: None)
+        walked = theta_series(K, order)
+    return closed, walked
+
+
+def test_theta_closed_form_against_the_walk(monkeypatch):
+    # seeded sums of E8(-1) and small components, in a shuffled basis: the
+    # series with E8(-1)'s factor in closed form is the walked one at every
+    # class and exponent, to the byte
+    rng = random.Random(31)
+    classes = []
+    small = [rank1(-2), rank1(-4), rank1(-6), rank1(-8),
+             IntegerLattice(((-2, 1), (1, -4))), IntegerLattice(((-4, 1), (1, -4)))]
+    for _ in range(12):
+        parts = [e8(-1)] + rng.sample(small, rng.randint(0, 2))
+        K = direct_sum(*parts)
+        perm = list(range(K.rank))
+        rng.shuffle(perm)
+        K = _permuted(K, perm)
+        order = Fraction(rng.randint(0, 8), 4)
+        closed, walked = _walked_and_closed(K, order, monkeypatch)
+        assert closed.dump_csv() == walked.dump_csv()
+        assert closed.coefficients == walked.coefficients
+        classes.append(len({cls for cls, _ in closed.coefficients}))
+    assert sum(k > 1 for k in classes) >= 6, classes
+
+
+def test_theta_of_a_rank16_component_against_the_walk(monkeypatch):
+    # E8 + E8 in a basis that mixes the two is one component, in closed form
+    # (480 sigma_7), beside <-2>; two E8(-1) components multiply
+    for K in (direct_sum(mixed_e8_sum(-1), rank1(-2)), direct_sum(e8(-1), e8(-1))):
+        closed, walked = _walked_and_closed(K, 2, monkeypatch)
+        assert closed.dump_csv() == walked.dump_csv()
+    assert closed.coefficient((), 2) == 480 * 129
+
+
+def test_theta_closed_form_product_is_guarded():
+    # the closed form answers E8(-1) to order 40, which the walk refuses;
+    # a product past THETA_NODE_GUARD terms is refused before it is formed
+    th = theta_series(e8(-1), 40)
+    assert th.coefficient((), 40) == 240 * sum(d ** 3 for d in (1, 2, 4, 5, 8, 10, 20, 40))
+    with pytest.raises(NodeGuardExceeded, match="closed-form theta product of 1000001 terms"):
+        theta_series(e8(-1), 10 ** 6)
+    with pytest.raises(NodeGuardExceeded, match="exceeds guard 1000000"):
+        theta_series(direct_sum(e8(-1), e8(-1)), 1500)
 
 
 def test_theta_non_diagonal_against_box_scan():
